@@ -3,8 +3,8 @@
 Subcommands: ``verify`` (full consistency run for one instance), ``ricci``,
 ``soliton``, ``spectrum``, ``sweep`` (tabulate a parameter grid), and
 ``einstein`` (numeric ambient checks).  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 usage or parameter error.  Exact strings are
-authoritative; decimal columns are 12-significant-digit approximations.
+mathematical check failed, 2 usage, parameter or output error.  Exact strings
+are authoritative; decimal columns are 12-significant-digit approximations.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .coord_engine import (
     off_center_points,
     p_rho_point,
 )
-from .lie_core import check_jacobi, verify_splitting
+from .lie_core import check_jacobi
 from .metric_lie import (
+    MetricLieAlgebra,
     ricci_endomorphism_koszul,
     soliton_check_direct,
     soliton_check_lauret,
@@ -69,9 +70,8 @@ def _max_n() -> int:
 # ---------------------------------------------------------------------------
 
 
-def _three_way_ricci(p: family.FamilyParams):
+def _three_way_ricci(p: family.FamilyParams, M: MetricLieAlgebra):
     """Koszul, closed-form, and coordinate-route Ricci endomorphisms."""
-    M = family.metric_algebra(p)
     koszul = ricci_endomorphism_koszul(M)
     expected = family.expected_ric_matrix(p)
     emb = family.build_embedding(p)
@@ -80,8 +80,7 @@ def _three_way_ricci(p: family.FamilyParams):
     return koszul, expected, conjugated
 
 
-def _soliton_pair(p: family.FamilyParams):
-    M = family.metric_algebra(p)
+def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):
     direct = soliton_check_direct(M)
     checklist = soliton_check_lauret(M, family.family_splitting(p.n))
     return direct, checklist
@@ -105,14 +104,13 @@ def _delta_multiple(p: family.FamilyParams, D):
 
 
 def verify_report(p: family.FamilyParams) -> dict:
-    L = family.build_lie_algebra(p.n)
-    jacobi_ok, _ = check_jacobi(L)
-    split = family.family_splitting(p.n)
-    split_report = verify_splitting(L, split, family.build_gram(p))
-    koszul, expected, conjugated = _three_way_ricci(p)
+    M = family.metric_algebra(p)
+    jacobi_ok, _ = check_jacobi(M.L)
+    split_report = M.splitting_report(family.family_splitting(p.n))
+    koszul, expected, conjugated = _three_way_ricci(p, M)
     ricci_ok = koszul == expected and koszul == conjugated
     trace_ok = hypersurface.trace_identity_check(p)
-    direct, checklist = _soliton_pair(p)
+    direct, checklist = _soliton_pair(p, M)
     agree = direct.is_soliton == checklist.is_soliton
     status = family.classify_status(p.n, direct.is_soliton)
     predicted = family.predicted_status(p.n, p.c)
@@ -163,7 +161,7 @@ def spectrum_report(p: family.FamilyParams) -> dict:
 
 
 def ricci_report(p: family.FamilyParams) -> dict:
-    koszul, expected, conjugated = _three_way_ricci(p)
+    koszul, expected, conjugated = _three_way_ricci(p, family.metric_algebra(p))
     r1, r2, r3, r4 = hypersurface.principal_ricci(p)
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
@@ -178,7 +176,7 @@ def ricci_report(p: family.FamilyParams) -> dict:
 
 
 def soliton_report(p: family.FamilyParams) -> dict:
-    direct, checklist = _soliton_pair(p)
+    direct, checklist = _soliton_pair(p, family.metric_algebra(p))
     status = family.classify_status(p.n, direct.is_soliton)
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
@@ -196,7 +194,7 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
             p = family.FamilyParams(n, rho, c)
             forms = family.expected_closed_forms(p)
             shape = hypersurface.shape_operator(p)
-            direct, _ = _soliton_pair(p)
+            direct, _ = _soliton_pair(p, family.metric_algebra(p))
             status = family.classify_status(n, direct.is_soliton)
             row = {
                 "n": n,
@@ -359,9 +357,13 @@ def main(argv=None) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 
+    rho_grid = cfg.rho_grid or [cfg.rho]
+    c_grid = cfg.c_grid or [cfg.c]
     try:
         if cfg.n < 1 or cfg.rho <= 0 or cfg.c < 0:
             raise ValueError("need n >= 1, rho > 0, c >= 0")
+        if cfg.command == "sweep" and (min(rho_grid) <= 0 or min(c_grid) < 0):
+            raise ValueError("need rho > 0, c >= 0 at every grid point")
         if cfg.command == "einstein":
             if cfg.n > EINSTEIN_MAX_N:
                 print(
@@ -370,6 +372,12 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
                 return 2
+            try:
+                in_float_range = float(cfg.rho) > 0 and float(cfg.c) >= 0
+            except OverflowError:
+                in_float_range = False
+            if not in_float_range:
+                raise ValueError("einstein needs rho and c within float range")
         elif cfg.n > _max_n():
             print(
                 f"n={cfg.n} exceeds SOLV_MAX_N={_max_n()} for the exact path",
@@ -381,46 +389,50 @@ def main(argv=None) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 
-    if cfg.command == "verify":
-        report = verify_report(p)
-        ok = report["ok"]
-    elif cfg.command == "ricci":
-        report = ricci_report(p)
-        ok = all(report["agreement"].values()) and report["trace_identity"]
-    elif cfg.command == "soliton":
-        report = soliton_report(p)
-        ok = True
-    elif cfg.command == "spectrum":
-        report = spectrum_report(p)
-        ok = True
-    elif cfg.command == "einstein":
-        report = einstein_report(p)
-        ok = report["ok"]
-    elif cfg.command == "sweep":
-        rho_grid = cfg.rho_grid or [cfg.rho]
-        c_grid = cfg.c_grid or [cfg.c]
+    if cfg.command == "sweep":
         rows = sweep_rows(cfg.n, rho_grid, c_grid)
         if cfg.format == "csv":
-            _emit(_render_csv(rows), cfg.output)
+            text = _render_csv(rows)
         elif cfg.format == "json":
-            _emit(_render_json(rows), cfg.output)
+            text = _render_json(rows)
         else:
-            _emit("\n\n".join(_render_text(row) for row in rows), cfg.output)
-        return 0
-    else:  # pragma: no cover - argparse restricts the choices
-        return 2
-
-    if cfg.command == "einstein" and cfg.format == "csv":
-        _emit(_render_csv(report["_residual_rows"]), cfg.output)
-    elif cfg.format == "json":
-        _emit(_render_json(report), cfg.output)
-    elif cfg.format == "csv":
-        flat = {
-            k: v for k, v in report.items() if not isinstance(v, (dict, list))
-        }
-        _emit(_render_csv([flat]), cfg.output)
+            text = "\n\n".join(_render_text(row) for row in rows)
+        ok = True
     else:
-        _emit(_render_text(report), cfg.output)
+        if cfg.command == "verify":
+            report = verify_report(p)
+            ok = report["ok"]
+        elif cfg.command == "ricci":
+            report = ricci_report(p)
+            ok = all(report["agreement"].values()) and report["trace_identity"]
+        elif cfg.command == "soliton":
+            report = soliton_report(p)
+            ok = report["direct"]["status"] == report["checklist"]["status"]
+        elif cfg.command == "spectrum":
+            report = spectrum_report(p)
+            ok = True
+        elif cfg.command == "einstein":
+            report = einstein_report(p)
+            ok = report["ok"]
+        else:  # pragma: no cover - argparse restricts the choices
+            return 2
+        if cfg.command == "einstein" and cfg.format == "csv":
+            text = _render_csv(report["_residual_rows"])
+        elif cfg.format == "json":
+            text = _render_json(report)
+        elif cfg.format == "csv":
+            flat = {
+                k: v for k, v in report.items() if not isinstance(v, (dict, list))
+            }
+            text = _render_csv([flat])
+        else:
+            text = _render_text(report)
+
+    try:
+        _emit(text, cfg.output)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

@@ -48,9 +48,10 @@ class StructureConstants:
             for i in range(dim)
         ]
         for i in range(dim):
-            for j in range(dim):
+            for j in range(i, dim):
                 for k in range(dim):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
+                    a, b = self.c[i][j][k], self.c[j][i][k]
+                    if (a or b) and a != -b:
                         raise ValueError("structure constants are not antisymmetric")
         # sparse view: _sparse[i][j] = [(k, value), ...]
         self._sparse = [
@@ -118,21 +119,40 @@ def _basis_vector(d: int, i: int) -> list:
     return v
 
 
-def check_jacobi(L: StructureConstants):
-    """(ok, witness): witness is the first failing (i, j, k, defect vector)."""
+def _jacobi_witness(L: StructureConstants):
+    """First (i, j, k, defect vector) with a nonzero Jacobiator, or None.
+
+    Triples are scanned in i < j < k order.  The Jacobiator
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is summed over
+    the nonzero structure constants only.
+    """
     d = L.dim
-    basis = [_basis_vector(d, i) for i in range(d)]
+    sp = L._sparse
     for i in range(d):
         for j in range(i + 1, d):
-            bij = bracket(L, basis[i], basis[j])
             for k in range(j + 1, d):
-                term = bracket(L, bij, basis[k])
-                t2 = bracket(L, bracket(L, basis[j], basis[k]), basis[i])
-                t3 = bracket(L, bracket(L, basis[k], basis[i]), basis[j])
-                defect = [term[m] + t2[m] + t3[m] for m in range(d)]
+                if not (sp[i][j] or sp[j][k] or sp[k][i]):
+                    continue
+                defect = [Fraction(0)] * d
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, v in sp[a][b]:
+                        for r, w in sp[m][e]:
+                            defect[r] += v * w
                 if any(defect):
-                    return False, (i, j, k, defect)
-    return True, None
+                    return i, j, k, defect
+    return None
+
+
+def check_jacobi(L: StructureConstants):
+    """(ok, witness): witness is the first failing (i, j, k, defect vector).
+
+    Cached on the algebra.
+    """
+    cached = L._cache.get("jacobi")
+    if cached is None:
+        witness = _jacobi_witness(L)
+        cached = L._cache["jacobi"] = (witness is None, witness)
+    return cached
 
 
 def ad_matrix(L: StructureConstants, x) -> Matrix:
@@ -279,6 +299,12 @@ def derivation_space(L: StructureConstants) -> list:
     if cached is not None:
         return cached
     d = L.dim
+    # by_target[(a, k)] = [(m, c[m][a][k]), ...] in increasing m.
+    by_target: dict = {}
+    for m in range(d):
+        for a in range(d):
+            for k, v in L._sparse[m][a]:
+                by_target.setdefault((a, k), []).append((m, v))
     # Unknown order: D[r][s] at index r*d + s.
     rows = []
     for i in range(d):
@@ -298,15 +324,11 @@ def derivation_space(L: StructureConstants) -> list:
                 for m, v in cij:
                     add(k * d + m, v)
                 # -[D e_i, e_j] contributes -c[m][j][k] * D[m][i].
-                for m in range(d):
-                    v = L.c[m][j][k]
-                    if v:
-                        add(m * d + i, -v)
-                # -[e_i, D e_j] contributes -c[i][m][k] * D[m][j].
-                for m in range(d):
-                    v = L.c[i][m][k]
-                    if v:
-                        add(m * d + j, -v)
+                for m, v in by_target.get((j, k), ()):
+                    add(m * d + i, -v)
+                # -[e_i, D e_j] contributes -c[i][m][k] = c[m][i][k] times D[m][j].
+                for m, v in by_target.get((i, k), ()):
+                    add(m * d + j, v)
                 if row:
                     rows.append(row)
     kernel, free_cols = sparse_nullspace(rows, d * d, with_free=True)

@@ -76,6 +76,15 @@ class MetricLieAlgebra:
             self._cache["Ginv"] = gi
         return gi
 
+    def splitting_report(self, s: Splitting):
+        """The :func:`verify_splitting` report of ``s``, cached per splitting."""
+        key = ("splitting", s)
+        report = self._cache.get(key)
+        if report is None:
+            report = verify_splitting(self.L, s, self.G)
+            self._cache[key] = report
+        return report
+
     def inner(self, x, y) -> Fraction:
         """<x, y> under the Gram matrix, for coordinate vectors."""
         total = Fraction(0)
@@ -93,17 +102,6 @@ class MetricLieAlgebra:
         return MetricLieAlgebra(self.L, self.G.scale(Fraction(t)))
 
 
-def _matvec(A: Matrix, v: list) -> list:
-    out = []
-    for row in A.data:
-        s = Fraction(0)
-        for a, x in zip(row, v):
-            if a and x:
-                s += a * x
-        out.append(s)
-    return out
-
-
 def connection_coeffs(M: MetricLieAlgebra) -> list:
     """Levi-Civita connection: Gamma[i] has column j = nabla_{e_i} e_j.
 
@@ -116,7 +114,8 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
         return cached
     L, G = M.L, M.G
     d = L.dim
-    ginv = M.gram_inverse()
+    # Sparse rows of G^{-1}; the family Gram is diagonal but for one 2x2 block.
+    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in M.gram_inverse().data]
     # w[i][j][k] = <[e_i, e_j], e_k>
     w = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
@@ -131,10 +130,18 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
     for i in range(d):
         cols = []
         for j in range(d):
-            rhs = [
-                _HALF * (w[i][j][k] - w[j][k][i] + w[k][i][j]) for k in range(d)
-            ]
-            cols.append(_matvec(ginv, rhs))
+            rhs = []
+            for k in range(d):
+                a, b, e = w[i][j][k], w[j][k][i], w[k][i][j]
+                rhs.append(_HALF * (a - b + e) if a or b or e else a)
+            col = []
+            for row in ginv:
+                t = Fraction(0)
+                for k, v in row:
+                    if rhs[k]:
+                        t += v * rhs[k]
+                col.append(t)
+            cols.append(col)
         gammas.append(Matrix([[cols[j][r] for j in range(d)] for r in range(d)]))
     M._cache["gamma"] = gammas
     return gammas
@@ -419,7 +426,7 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
     the first failing matrix.
     """
-    report = verify_splitting(M.L, s, M.G)
+    report = M.splitting_report(s)
     if not report.ok:
         raise ValueError("declared splitting failed verification")
     d = M.dim

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from solvsoliton import cli, family, lie_core, metric_lie
 from solvsoliton.cli import main
+from solvsoliton.metric_lie import SolitonVerdict
 
 
 def run(capsys, *args):
@@ -76,6 +79,25 @@ class TestUsageErrors:
         code, _, err = run(capsys, "einstein", "--n", "5", "--rho", "1", "--c", "1")
         assert code == 2
         assert "cost guard" in err
+
+    @pytest.mark.parametrize(
+        "grid", [("--rho-grid", "0,1"), ("--c-grid", "-1"), ("--c-grid", "0,-1/2")]
+    )
+    def test_sweep_grid_point_outside_domain(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--n", "2", *grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parameter error") and "Traceback" not in err
+
+    def test_einstein_rho_beyond_float_range(self, capsys):
+        code, _, err = run(capsys, "einstein", "--n", "1", "--rho", "1e400", "--c", "0")
+        assert code == 2
+        assert err.startswith("parameter error") and err.count("\n") == 1
+
+    def test_einstein_rho_below_float_range(self, capsys):
+        code, _, err = run(capsys, "einstein", "--n", "1", "--rho", "1e-400", "--c", "0")
+        assert code == 2
+        assert err.startswith("parameter error")
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -265,3 +287,65 @@ class TestOutputFile:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["status"] == "nilsoliton"
+
+    def test_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "verify", "--n", "1", "--rho", "1", "--c", "0", "--output", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("output error") and err.count("\n") == 1
+        assert str(target) in err
+
+    def test_directory_as_output(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "sweep", "--n", "1", "--format", "csv", "--output", str(tmp_path)
+        )
+        assert code == 2
+        assert err.startswith("output error") and err.count("\n") == 1
+
+
+class TestSoliton:
+    def test_agreeing_checkers_exit_0(self, capsys):
+        code, out, _ = run(
+            capsys, "soliton", "--n", "2", "--rho", "1", "--c", "1", "--format", "json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["direct"]["status"] == report["checklist"]["status"] == "not_soliton"
+
+    def test_disagreeing_checkers_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "soliton_check_lauret", lambda M, s: SolitonVerdict(status="soliton")
+        )
+        code, out, _ = run(
+            capsys, "soliton", "--n", "2", "--rho", "1", "--c", "1", "--format", "json"
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["direct"]["status"] == "not_soliton"
+        assert report["checklist"]["status"] == "soliton"
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("c", ["0", "1/3"])
+    def test_verify_builds_each_object_once(self, monkeypatch, c):
+        calls = {"metric_algebra": 0, "verify_splitting": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            family, "metric_algebra", counted("metric_algebra", family.metric_algebra)
+        )
+        split = counted("verify_splitting", lie_core.verify_splitting)
+        for module in (lie_core, metric_lie, cli):
+            if hasattr(module, "verify_splitting"):
+                monkeypatch.setattr(module, "verify_splitting", split)
+        report = cli.verify_report(family.FamilyParams(3, Fraction(5, 2), Fraction(c)))
+        assert report["ok"] is True
+        assert calls == {"metric_algebra": 1, "verify_splitting": 1}

@@ -93,6 +93,42 @@ class TestJacobi:
         assert witness is not None and len(witness) == 4
 
 
+def bracket_jacobi(L):
+    """Reference Jacobi check from dense basis brackets, in i < j < k order."""
+    d = L.dim
+    basis = [basis_vec(d, i) for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                t1 = bracket(L, bracket(L, basis[i], basis[j]), basis[k])
+                t2 = bracket(L, bracket(L, basis[j], basis[k]), basis[i])
+                t3 = bracket(L, bracket(L, basis[k], basis[i]), basis[j])
+                defect = [a + b + c for a, b, c in zip(t1, t2, t3)]
+                if any(defect):
+                    return False, (i, j, k, defect)
+    return True, None
+
+
+class TestSparseJacobi:
+    @pytest.mark.parametrize(
+        "n, extra",
+        [
+            (2, (0, 2, 6, 1)),  # [B1R, e0] += Z
+            (2, (2, 4, 3, 1)),  # [e0, e1] += f0
+            (2, (1, 3, 0, Fraction(1, 2))),  # [B1I, f0] += B1R/2
+            (3, (0, 1, 10, 1)),  # [B1R, B1I] += Z
+            (3, (4, 6, 5, -3)),  # [e0, e1] -= 3 f0
+            (3, (2, 9, 9, 1)),  # [B2R, f2] += f2
+        ],
+    )
+    def test_witness_matches_bracket_reference(self, n, extra):
+        L = build_lie_algebra(n)
+        bad = StructureConstants.from_triples(L.dim, L.triples() + [extra])
+        expected = bracket_jacobi(bad)
+        assert expected[0] is False
+        assert check_jacobi(bad) == expected
+
+
 class TestAdjoint:
     def test_center_acts_trivially(self):
         L = build_lie_algebra(3)
