@@ -35,11 +35,10 @@ from .metric_lie import (
     soliton_check_direct,
     soliton_check_lauret,
 )
-from .scalars import Fraction, FloatJet2, Jet2, Surd, rational, surd
+from .scalars import Fraction, Jet2, Surd, rational, surd
 
 __all__ = [
     "FamilyParams",
-    "FloatJet2",
     "Fraction",
     "Jet2",
     "Matrix",

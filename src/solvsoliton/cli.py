@@ -19,13 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import family, hypersurface
-from .coord_engine import (
-    assemble_metric,
-    einstein_residual,
-    induced_consistency,
-    off_center_points,
-    p_rho_point,
-)
 from .lie_core import check_jacobi
 from .metric_lie import (
     MetricLieAlgebra,
@@ -194,7 +187,7 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
             p = family.FamilyParams(n, rho, c)
             forms = family.expected_closed_forms(p)
             shape = hypersurface.shape_operator(p)
-            direct, _ = _soliton_pair(p, family.metric_algebra(p))
+            direct = soliton_check_direct(family.metric_algebra(p))
             status = family.classify_status(n, direct.is_soliton)
             row = {
                 "n": n,
@@ -215,12 +208,37 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
 
 
 def einstein_report(p: family.FamilyParams) -> dict:
+    """Numeric ambient checks; a ValueError if the float metric at the point
+    is not finite or not invertible.  Only this command loads numpy."""
+    import numpy as np
+
+    from .coord_engine import (
+        assemble_metric,
+        einstein_residual,
+        induced_consistency,
+        off_center_points,
+        p_rho_point,
+    )
+
     M = assemble_metric(p.n, float(p.c))
     points = [("p_rho", p_rho_point(p.n, float(p.rho)))]
     for i, pt in enumerate(off_center_points(p.n)):
         points.append((f"offcenter{i}", pt))
-    residuals = {name: einstein_residual(M, pt) for name, pt in points}
-    induced = induced_consistency(M, p)
+    finite = False
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            residuals = {name: einstein_residual(M, pt) for name, pt in points}
+            induced = induced_consistency(M, p)
+        finite = np.isfinite(
+            [*residuals.values(), induced.gram_max_error, induced.eigenvalue_max_error]
+        ).all()
+    except (ArithmeticError, np.linalg.LinAlgError):
+        pass
+    if not finite:
+        raise ValueError(
+            "the float metric is not finite and invertible at "
+            f"rho={float(p.rho):.6g}, c={float(p.c):.6g}"
+        )
     worst = max(residuals.values())
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
@@ -397,7 +415,10 @@ def main(argv=None) -> int:
             text = _render_json(rows)
         else:
             text = "\n\n".join(_render_text(row) for row in rows)
-        ok = True
+        ok = all(
+            row["status"] == family.predicted_status(cfg.n, rational(row["c"]))
+            for row in rows
+        )
     else:
         if cfg.command == "verify":
             report = verify_report(p)
@@ -412,7 +433,11 @@ def main(argv=None) -> int:
             report = spectrum_report(p)
             ok = True
         elif cfg.command == "einstein":
-            report = einstein_report(p)
+            try:
+                report = einstein_report(p)
+            except ValueError as exc:
+                print(f"parameter error: {exc}", file=sys.stderr)
+                return 2
             ok = report["ok"]
         else:  # pragma: no cover - argparse restricts the choices
             return 2

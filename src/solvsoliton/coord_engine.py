@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import FamilyParams, coordinate_gram_values, ricci_eigenvalue_formulas
-from .scalars import FloatJet2
 
 __all__ = [
+    "FloatJet2",
     "Chart",
     "AmbientMetric",
     "assemble_metric",
@@ -30,6 +30,91 @@ __all__ = [
     "InducedReport",
     "induced_consistency",
 ]
+
+
+class FloatJet2:
+    """Float scalar with gradient and Hessian over m active coordinates."""
+
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v: float, g: np.ndarray, h: np.ndarray):
+        self.v = float(v)
+        self.g = g
+        self.h = h
+
+    @classmethod
+    def constant(cls, v: float, m: int) -> "FloatJet2":
+        return cls(v, np.zeros(m), np.zeros((m, m)))
+
+    @classmethod
+    def variable(cls, i: int, v: float, m: int) -> "FloatJet2":
+        g = np.zeros(m)
+        g[i] = 1.0
+        return cls(v, g, np.zeros((m, m)))
+
+    def _coerce(self, other):
+        if isinstance(other, FloatJet2):
+            return other
+        if isinstance(other, (int, float)):
+            return FloatJet2.constant(float(other), self.g.shape[0])
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FloatJet2(self.v + o.v, self.g + o.g, self.h + o.h)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FloatJet2(-self.v, -self.g, -self.h)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FloatJet2(self.v - o.v, self.g - o.g, self.h - o.h)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        cross = np.outer(self.g, o.g)
+        return FloatJet2(
+            self.v * o.v,
+            self.v * o.g + o.v * self.g,
+            self.v * o.h + o.v * self.h + cross + cross.T,
+        )
+
+    __rmul__ = __mul__
+
+    def _inverse(self):
+        if self.v == 0.0:
+            raise ZeroDivisionError("division by a jet with zero value")
+        iv = 1.0 / self.v
+        grad = -self.g * iv * iv
+        outer = np.outer(self.g, self.g)
+        hess = -self.h * iv * iv + 2.0 * outer * iv**3
+        return FloatJet2(iv, grad, hess)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o._inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self._inverse()
+
+    def __repr__(self):
+        return f"FloatJet2({self.v})"
 
 
 class CJet:

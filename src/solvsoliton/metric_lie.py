@@ -364,8 +364,15 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
     The derivation basis produced by :func:`derivation_space` carries marker
     coordinates (one free column per basis element), so the span solve reads
     the x_j off directly and checks the residual; lambda is then pinned by
-    the identity component.
+    the identity component.  Cached on the metric algebra.
     """
+    verdict = M._cache.get("soliton_direct")
+    if verdict is None:
+        verdict = M._cache["soliton_direct"] = _direct_verdict(M)
+    return verdict
+
+
+def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     L = M.L
     d = L.dim
     ders = derivation_space(L)

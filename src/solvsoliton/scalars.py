@@ -2,24 +2,23 @@
 
 Rational numbers are plain ``fractions.Fraction`` (always reduced, positive
 denominator, serialized as ``"p/q"`` or ``"p"``).  ``Surd`` models a + b*sqrt(q)
-over one fixed radicand q, ``Jet2`` carries (value, d/drho, d2/drho2) with
-exact coefficients, and ``FloatJet2`` is the float multivariate analogue used
-by the numeric engine.
+over one fixed radicand q, and ``Jet2`` carries (value, d/drho, d2/drho2) with
+exact coefficients.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import isqrt
-
-import numpy as np
+from functools import lru_cache
+from itertools import count
+from math import gcd, isqrt
 
 __all__ = [
     "Fraction",
     "RadicandMismatchError",
     "Surd",
     "Jet2",
-    "FloatJet2",
     "rational",
     "rat_str",
     "surd",
@@ -58,21 +57,123 @@ def square_root_of_fraction(q: Fraction):
     return None
 
 
-def _squarefree_decompose(k: int):
-    """k = s^2 * m with m squarefree; returns (s, m).  Trial division."""
-    s, m = 1, 1
+# Trial division strips the primes below _SMALL_LIMIT, so a cofactor below
+# _SMALL_LIMIT**2 that is left over is prime.
+_SMALL_LIMIT = 1000
+_SMALL_PRIMES = [p for p in range(2, _SMALL_LIMIT) if all(p % d for d in range(2, isqrt(p) + 1))]
+# Miller-Rabin over the first 13 prime bases proves primality below
+# _MR_BOUND (Sorenson & Webster, Math. Comp. 86, 2017); a failed round proves
+# compositeness at any size.
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BOUND = 3317044064679887385961981
+_RHO_BATCH = 128
+
+
+def _miller_rabin(n: int) -> bool:
+    """False if some base proves the odd n > 41 composite; True otherwise."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard rho in Brent's form
+    (Brent, BIT 20, 1980), with gcds batched over _RHO_BATCH steps."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _trial_division(k: int) -> list:
+    """Prime factors of k with multiplicity, by trial division."""
+    factors = []
     p = 2
     while p * p <= k:
-        if k % p == 0:
-            e = 0
-            while k % p == 0:
-                k //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                m *= p
+        while k % p == 0:
+            factors.append(p)
+            k //= p
         p += 1 if p == 2 else 2
-    return s, m * k
+    if k > 1:
+        factors.append(k)
+    return factors
+
+
+@lru_cache(maxsize=1024)
+def _cofactor_primes(k: int) -> tuple:
+    """Prime factors of k > 1, which has no prime factor below _SMALL_LIMIT.
+
+    Composites are split by rho.  A factor is called prime only with a
+    proof: below _SMALL_LIMIT**2, by a Miller-Rabin pass below _MR_BOUND, or
+    else by trial division.  Cached, because related radicands (q and the
+    warp factor of one instance) share their hard cofactor.
+    """
+    factors = []
+    pending = [k]
+    while pending:
+        f = pending.pop()
+        if f < _SMALL_LIMIT**2:
+            factors.append(f)
+        elif not _miller_rabin(f):
+            d = _brent_factor(f)
+            pending += [d, f // d]
+        elif f < _MR_BOUND:
+            factors.append(f)
+        else:
+            factors += _trial_division(f)
+    return tuple(factors)
+
+
+def _squarefree_decompose(k: int):
+    """k = s^2 * m with m squarefree; returns (s, m).
+
+    Small primes are divided out; the cofactor goes to :func:`_cofactor_primes`.
+    """
+    factors = []
+    for p in _SMALL_PRIMES:
+        if p * p > k:
+            break
+        while k % p == 0:
+            factors.append(p)
+            k //= p
+    if k > 1:
+        factors += _cofactor_primes(k)
+    s, m = 1, 1
+    for p, e in Counter(factors).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            m *= p
+    return s, m
 
 
 def surd(a, b=0, q=1):
@@ -106,6 +207,11 @@ def sqrt_fraction(x):
     return surd(0, 1, x)
 
 
+def _over(a: Fraction, b: Fraction, q: Fraction):
+    """a + b*sqrt(q) for a q that is already a squarefree integer > 1."""
+    return Surd(a, b, q) if b else a
+
+
 def _as_surd_parts(x, q):
     """Coerce x to (a, b) parts over radicand q; None if incompatible."""
     if isinstance(x, Surd):
@@ -121,8 +227,9 @@ class Surd:
     """a + b*sqrt(q) with rational a, b and fixed non-square radicand q > 0.
 
     Instances are produced by the :func:`surd` factory and are always
-    normalized: b != 0 and q not a rational square.  Arithmetic between two
-    surds requires matching radicands.
+    normalized: b != 0 and q a squarefree integer > 1.  Arithmetic keeps the
+    radicand, so its results are built without factoring q again; it
+    requires matching radicands between two surds.
     """
 
     __slots__ = ("a", "b", "q")
@@ -140,7 +247,7 @@ class Surd:
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return surd(self.a + oa, self.b + ob, self.q)
+        return _over(self.a + oa, self.b + ob, self.q)
 
     __radd__ = __add__
 
@@ -152,7 +259,7 @@ class Surd:
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return surd(self.a - oa, self.b - ob, self.q)
+        return _over(self.a - oa, self.b - ob, self.q)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -162,7 +269,7 @@ class Surd:
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return surd(
+        return _over(
             self.a * oa + self.b * ob * self.q,
             self.a * ob + self.b * oa,
             self.q,
@@ -174,7 +281,7 @@ class Surd:
         # 1/(a + b*sqrt(q)) = (a - b*sqrt(q)) / (a^2 - b^2 q); the norm is
         # nonzero because q is not a rational square.
         norm = self.a * self.a - self.b * self.b * self.q
-        return surd(self.a / norm, -self.b / norm, self.q)
+        return _over(self.a / norm, -self.b / norm, self.q)
 
     def __truediv__(self, other):
         if isinstance(other, Surd):
@@ -182,7 +289,7 @@ class Surd:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return surd(self.a / other, self.b / other, self.q)
+            return _over(self.a / other, self.b / other, self.q)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -354,88 +461,3 @@ class Jet2:
 
     def __repr__(self):
         return f"Jet2({self.v}, {self.d1}, {self.d2})"
-
-
-class FloatJet2:
-    """Float scalar with gradient and Hessian over m active coordinates."""
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v: float, g: np.ndarray, h: np.ndarray):
-        self.v = float(v)
-        self.g = g
-        self.h = h
-
-    @classmethod
-    def constant(cls, v: float, m: int) -> "FloatJet2":
-        return cls(v, np.zeros(m), np.zeros((m, m)))
-
-    @classmethod
-    def variable(cls, i: int, v: float, m: int) -> "FloatJet2":
-        g = np.zeros(m)
-        g[i] = 1.0
-        return cls(v, g, np.zeros((m, m)))
-
-    def _coerce(self, other):
-        if isinstance(other, FloatJet2):
-            return other
-        if isinstance(other, (int, float)):
-            return FloatJet2.constant(float(other), self.g.shape[0])
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatJet2(self.v + o.v, self.g + o.g, self.h + o.h)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FloatJet2(-self.v, -self.g, -self.h)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FloatJet2(self.v - o.v, self.g - o.g, self.h - o.h)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        cross = np.outer(self.g, o.g)
-        return FloatJet2(
-            self.v * o.v,
-            self.v * o.g + o.v * self.g,
-            self.v * o.h + o.v * self.h + cross + cross.T,
-        )
-
-    __rmul__ = __mul__
-
-    def _inverse(self):
-        if self.v == 0.0:
-            raise ZeroDivisionError("division by a jet with zero value")
-        iv = 1.0 / self.v
-        grad = -self.g * iv * iv
-        outer = np.outer(self.g, self.g)
-        hess = -self.h * iv * iv + 2.0 * outer * iv**3
-        return FloatJet2(iv, grad, hess)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self._inverse()
-
-    def __repr__(self):
-        return f"FloatJet2({self.v})"

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import solvsoliton
 from solvsoliton import cli, family, lie_core, metric_lie
 from solvsoliton.cli import main
 from solvsoliton.metric_lie import SolitonVerdict
@@ -98,6 +103,15 @@ class TestUsageErrors:
         code, _, err = run(capsys, "einstein", "--n", "1", "--rho", "1e-400", "--c", "0")
         assert code == 2
         assert err.startswith("parameter error")
+
+    @pytest.mark.parametrize(
+        "rho,c", [("1e300", "0"), ("1e-300", "0"), ("1", "1e300")]
+    )
+    def test_einstein_metric_not_finite_or_singular(self, capsys, rho, c):
+        code, out, err = run(capsys, "einstein", "--n", "1", "--rho", rho, "--c", c)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parameter error") and err.count("\n") == 1
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -229,6 +243,25 @@ class TestSweep:
             ("1", "0"), ("1", "1"), ("2", "0"), ("2", "1"),
         ]
 
+    def test_verdict_differing_from_prediction_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "soliton_check_direct", lambda M: SolitonVerdict(status="not_soliton")
+        )
+        code, out, _ = run(
+            capsys, "sweep", "--n", "2", "--c-grid", "0,1", "--format", "json"
+        )
+        assert code == 1
+        assert [r["status"] for r in json.loads(out)] == ["not_soliton"] * 2
+
+    def test_rows_skip_the_checklist_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sweep ran the checklist route")
+
+        monkeypatch.setattr(cli, "soliton_check_lauret", refuse)
+        monkeypatch.setattr(metric_lie, "soliton_check_lauret", refuse)
+        rows = cli.sweep_rows(2, [Fraction(1)], [Fraction(0), Fraction(1, 3)])
+        assert [r["status"] for r in rows] == ["solvsoliton", "not_soliton"]
+
 
 class TestEinstein:
     def test_small_case_passes(self, capsys):
@@ -349,3 +382,21 @@ class TestComputeOnce:
         report = cli.verify_report(family.FamilyParams(3, Fraction(5, 2), Fraction(c)))
         assert report["ok"] is True
         assert calls == {"metric_algebra": 1, "verify_splitting": 1}
+
+
+def test_exact_commands_do_not_load_numpy():
+    script = (
+        "import sys\n"
+        "from solvsoliton import cli\n"
+        "assert cli.main(['verify', '--n', '1', '--rho', '1', '--c', '0']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(solvsoliton.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ import pytest
 from solvsoliton.coord_engine import (
     AmbientMetric,
     Chart,
+    FloatJet2,
     ambient_coordinate_names,
     assemble_metric,
     christoffel_symbols,
@@ -212,3 +213,23 @@ class TestInducedConsistency:
             for pt in off_center_points(n):
                 norm_x_sq = float(np.sum(pt[1 : 2 * n - 1] ** 2)) / 4.0
                 assert pt[0] > 0 and norm_x_sq <= 0.25
+
+
+class TestFloatJet2:
+    def test_polynomial_gradient_hessian(self):
+        # f(x, y) = x^2 y + 3y at (2, 5)
+        x = FloatJet2.variable(0, 2.0, 2)
+        y = FloatJet2.variable(1, 5.0, 2)
+        f = x * x * y + 3.0 * y
+        assert f.v == 2.0**2 * 5 + 15
+        assert list(f.g) == [2 * 2.0 * 5.0, 2.0**2 + 3.0]
+        assert f.h[0][0] == 2 * 5.0
+        assert f.h[0][1] == f.h[1][0] == 2 * 2.0
+        assert f.h[1][1] == 0.0
+
+    def test_reciprocal(self):
+        x = FloatJet2.variable(0, 4.0, 1)
+        inv = 1.0 / x
+        assert abs(inv.v - 0.25) < 1e-15
+        assert abs(inv.g[0] + 1 / 16) < 1e-15
+        assert abs(inv.h[0][0] - 2 / 64) < 1e-15

@@ -250,6 +250,15 @@ class TestSolitonDirect:
         v = soliton_check_direct(MetricLieAlgebra(L, Matrix.diagonal([1, 2, 3])))
         assert v.is_soliton and v.lambda_ == 0 and v.D.is_zero()
 
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(1)])
+    def test_computed_once_per_metric_algebra(self, c):
+        M = metric_algebra(FamilyParams(2, Fraction(3, 2), c))
+        first = soliton_check_direct(M)
+        assert soliton_check_direct(M) is first
+        checklist = soliton_check_lauret(M, family_splitting(2))
+        assert checklist.D is first.D
+        assert soliton_check_direct(M.rescaled(2)) is not first
+
 
 class TestSolitonLauret:
     def test_n2_c0_all_conditions(self):

@@ -1,12 +1,13 @@
 """Exact scalar arithmetic: rationals, surds, jets."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from solvsoliton import scalars
 from solvsoliton.scalars import (
-    FloatJet2,
     Jet2,
     RadicandMismatchError,
     Surd,
@@ -201,21 +202,86 @@ class TestJet2:
         assert checked >= 40
 
 
-class TestFloatJet2:
-    def test_polynomial_gradient_hessian(self):
-        # f(x, y) = x^2 y + 3y at (2, 5)
-        x = FloatJet2.variable(0, 2.0, 2)
-        y = FloatJet2.variable(1, 5.0, 2)
-        f = x * x * y + 3.0 * y
-        assert f.v == 2.0**2 * 5 + 15
-        assert list(f.g) == [2 * 2.0 * 5.0, 2.0**2 + 3.0]
-        assert f.h[0][0] == 2 * 5.0
-        assert f.h[0][1] == f.h[1][0] == 2 * 2.0
-        assert f.h[1][1] == 0.0
+def trial_division_decompose(k):
+    """Reference k = s^2 * m with m squarefree, by plain trial division."""
+    s, m = 1, 1
+    p = 2
+    while p * p <= k:
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        s *= p ** (e // 2)
+        m *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    return s, m * k
 
-    def test_reciprocal(self):
-        x = FloatJet2.variable(0, 4.0, 1)
-        inv = 1.0 / x
-        assert abs(inv.v - 0.25) < 1e-15
-        assert abs(inv.g[0] + 1 / 16) < 1e-15
-        assert abs(inv.h[0][0] - 2 / 64) < 1e-15
+
+class TestSquarefreeDecompose:
+    def test_matches_trial_division_on_random_inputs(self):
+        rng = random.Random(20241018)
+        for _ in range(60):
+            k = rng.getrandbits(rng.randint(1, 40)) + 1
+            assert scalars._squarefree_decompose(k) == trial_division_decompose(k)
+
+    def test_squares_of_primes_above_2_20(self):
+        primes = [
+            p for p in range(2**20 + 1, 2**20 + 400, 2)
+            if trial_division_decompose(p) == (1, p)
+        ][:4]
+        assert len(primes) == 4
+        for p in primes:
+            assert scalars._squarefree_decompose(p * p) == trial_division_decompose(p * p)
+            assert scalars._squarefree_decompose(p * p) == (p, 1)
+        p, q = primes[:2]
+        assert scalars._squarefree_decompose(p * p * q) == (p, q)
+
+    def test_wieferich_squares_are_split(self):
+        # 1093^2 and 3511^2 are base-2 strong pseudoprimes; the other bases
+        # must still prove them composite.
+        k = 1093**2 * 3511**2 * 7
+        assert scalars._squarefree_decompose(k) == (1093 * 3511, 7)
+        assert trial_division_decompose(k) == (1093 * 3511, 7)
+
+    def test_200_bit_radicand_in_under_a_second(self):
+        # q = (rho + c)/(rho + 2c) at rho = 1, c = 1e-30
+        c = Fraction(1, 10**30)
+        q = (1 + c) / (1 + 2 * c)
+        k = q.numerator * q.denominator
+        assert k.bit_length() == 200
+        factors = [
+            2, 3, 43, 61, 101, 3541, 9901, 27961, 4188901, 39526741, 84623843,
+            45802327746425579083,
+        ]
+        product = 1
+        for f in factors:
+            product *= f
+        assert product == k
+        scalars._cofactor_primes.cache_clear()
+        start = time.perf_counter()
+        assert scalars._squarefree_decompose(k) == (1, k)
+        assert time.perf_counter() - start < 1.0
+
+    def test_surd_arithmetic_never_factors(self, monkeypatch):
+        x = surd(Fraction(1, 3), 2, Fraction(5, 7))
+        y = surd(-1, Fraction(1, 2), 35)
+        assert x.q == y.q == 35
+        a, b = x.a, x.b
+        norm = a * a - 35 * b * b
+        expected = [
+            surd(a - 1, b + Fraction(1, 2), 35),
+            surd(a + 1, b - Fraction(1, 2), 35),
+            surd(-a + 35 * b / 2, a / 2 - b, 35),
+            surd(a / norm, -b / norm, 35),
+            surd(a / 3, b / 3, 35),
+            Fraction(0),
+        ]
+
+        def refuse(k):
+            raise AssertionError("normalized radicand factored again")
+
+        monkeypatch.setattr(scalars, "_squarefree_decompose", refuse)
+        got = [x + y, x - y, x * y, 1 / x, x / 3, x - x]
+        assert got == expected
+        assert [type(g) for g in got] == [Surd] * 5 + [Fraction]
+        assert x / y * y == x and x * 0 == 0
