@@ -23,7 +23,6 @@ __all__ = [
     "ambient_coordinate_names",
     "p_rho_point",
     "off_center_points",
-    "christoffel_symbols",
     "ricci_numeric",
     "ricci_from_jets",
     "einstein_residual",
@@ -209,6 +208,7 @@ class AmbientMetric:
         self.n = n
         self.c = float(c)
         self.dim = 4 * n
+        self._jets: dict = {}
 
     # -- assembly of the closed-form metric over jets ----------------------
 
@@ -328,7 +328,14 @@ class AmbientMetric:
         return [[T[i][j] if T[i][j] is not None else zero_jet for j in range(m)] for i in range(m)]
 
     def jets(self, point):
-        """(g, dg, d2g) with dg[k] = d_k g and d2g[k, l] = d_k d_l g."""
+        """(g, dg, d2g) with dg[k] = d_k g and d2g[k, l] = d_k d_l g.
+
+        Memoised per point; the arrays are shared and read-only.
+        """
+        key = tuple(np.asarray(point, dtype=float).tolist())
+        cached = self._jets.get(key)
+        if cached is not None:
+            return cached
         entries = self._entries(point)
         m = self.dim
         g = np.empty((m, m))
@@ -340,6 +347,9 @@ class AmbientMetric:
                 g[i, j] = e.v
                 dg[:, i, j] = e.g
                 d2g[:, :, i, j] = e.h
+        for a in (g, dg, d2g):
+            a.flags.writeable = False
+        self._jets[key] = (g, dg, d2g)
         return g, dg, d2g
 
     def gram(self, point) -> np.ndarray:
@@ -348,17 +358,6 @@ class AmbientMetric:
 
 def assemble_metric(n: int, c) -> AmbientMetric:
     return AmbientMetric(n, float(c))
-
-
-def christoffel_symbols(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[k, i, j] from the metric and its first derivatives."""
-    ginv = np.linalg.inv(g)
-    s = (
-        np.einsum("ilj->lij", dg)
-        + np.einsum("jli->lij", dg)
-        - dg
-    )
-    return 0.5 * np.einsum("kl,lij->kij", ginv, s)
 
 
 def ricci_numeric(M: AmbientMetric, point) -> np.ndarray:
@@ -397,7 +396,12 @@ def einstein_residual(M: AmbientMetric, point) -> float:
 
 @dataclass
 class InducedReport:
-    """Agreement of the ambient restriction with the exact slice data."""
+    """Agreement of the ambient restriction with the exact slice data.
+
+    ``gram_max_error`` is relative: the largest entry of the difference
+    between the ambient metric's slice block (with its rho cross terms) and
+    the exact slice Gram, over the largest entry of the exact slice Gram.
+    """
 
     gram_max_error: float
     eigenvalue_max_error: float
@@ -426,7 +430,7 @@ def induced_consistency(M: AmbientMetric, p: FamilyParams) -> InducedReport:
     gram_err = max(
         float(np.max(np.abs(g[1:, 1:] - np.diag(coord_values)))),
         float(np.max(np.abs(g[0, 1:]))),
-    )
+    ) / float(np.max(np.abs(coord_values)))
 
     f_val = g[0, 0]
     f_d1 = dg[0, 0, 0]

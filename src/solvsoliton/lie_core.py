@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix, char_poly, real_rooted, sparse_nullspace
+from .linalg import Matrix, char_poly, in_span, real_rooted, rref, sparse_nullspace
 
 __all__ = [
     "StructureConstants",
@@ -199,40 +199,21 @@ def killing_form(L: StructureConstants) -> Matrix:
     return Matrix(out)
 
 
-def _echelon_basis(vectors: list) -> list:
-    """Row-echelon span of a list of coordinate vectors (dense Fractions)."""
-    pivots = []  # list of (col, vector)
-    for vec in vectors:
-        v = list(vec)
-        for col, pv in pivots:
-            f = v[col]
-            if f:
-                v = [a - f * b for a, b in zip(v, pv)]
-        lead = next((idx for idx, a in enumerate(v) if a), None)
-        if lead is not None:
-            d = v[lead]
-            pivots.append((lead, [a / d for a in v]))
-    pivots.sort(key=lambda t: t[0])
-    return [v for _, v in pivots]
+def _span_basis(d: int, vectors) -> list:
+    """RREF basis of the span of coordinate vectors, in pivot order."""
+    pivots, _ = rref(dict(enumerate(v)) for v in vectors)
+    return [[pivots[pc].get(k, Fraction(0)) for k in range(d)] for pc in sorted(pivots)]
 
 
 def _span_brackets(L: StructureConstants, basis_a: list, basis_b: list) -> list:
-    return _echelon_basis(
-        [bracket(L, x, y) for x in basis_a for y in basis_b]
-    )
+    return _span_basis(L.dim, (bracket(L, x, y) for x in basis_a for y in basis_b))
 
 
 def derived_algebra(L: StructureConstants) -> list:
-    """Echelonized basis of [L, L]."""
+    """RREF basis of [L, L]."""
     d = L.dim
     basis = [_basis_vector(d, i) for i in range(d)]
-    vecs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = bracket(L, basis[i], basis[j])
-            if any(v):
-                vecs.append(v)
-    return _echelon_basis(vecs)
+    return _span_brackets(L, basis, basis)
 
 
 def is_unimodular(L: StructureConstants) -> bool:
@@ -405,16 +386,6 @@ class SplittingReport:
         )
 
 
-def _in_span(echelon: list, vec: list) -> bool:
-    v = list(vec)
-    for row in echelon:
-        lead = next(idx for idx, a in enumerate(row) if a)
-        f = v[lead]
-        if f:
-            v = [x - f * y for x, y in zip(v, row)]
-    return not any(v)
-
-
 def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> SplittingReport:
     """Check the declared splitting against the algebra and the metric.
 
@@ -428,14 +399,16 @@ def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> Splittin
         raise ValueError("splitting index sets must partition the basis")
     a_basis = [_basis_vector(d, i) for i in s.a_indices]
     n_basis = [_basis_vector(d, i) for i in s.n_indices]
-    n_span = _echelon_basis(n_basis)
+    n_span, _ = rref(dict(enumerate(v)) for v in n_basis)
     full = [_basis_vector(d, i) for i in range(d)]
 
     n_is_ideal = all(
-        _in_span(n_span, bracket(L, x, y)) for x in full for y in n_basis
+        in_span(n_span, dict(enumerate(bracket(L, x, y)))) for x in full for y in n_basis
     )
     n_is_nilpotent = _lower_central_series_vanishes(L, n_basis)
-    n_contains_derived = all(_in_span(n_span, v) for v in derived_algebra(L))
+    n_contains_derived = all(
+        in_span(n_span, dict(enumerate(v))) for v in derived_algebra(L)
+    )
     a_is_abelian = all(
         not any(bracket(L, x, y)) for x in a_basis for y in a_basis
     )

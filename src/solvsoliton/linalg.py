@@ -1,9 +1,11 @@
-"""Dense exact linear algebra over rationals, surds, and jets.
+"""Exact linear algebra over rationals, surds, and jets.
 
-Everything here is division-based Gaussian elimination with exact pivoting;
-floating point never enters.  Characteristic polynomials are computed over the
-rationals via an exact Hessenberg reduction, and real-rootedness is decided by
-Sturm sequences on the square-free part.
+Solving, kernels, inverses, span membership and the Sylvester test all rest
+on one kernel, :func:`rref`: a sparse reduced row echelon form over
+{col: scalar} rows, with zero tolerance; floating point never enters.
+Characteristic polynomials are computed over the rationals via an exact
+Hessenberg reduction, and real-rootedness is decided by Sturm sequences on
+the square-free part.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ from .scalars import Jet2, Surd
 __all__ = [
     "Matrix",
     "Polynomial",
+    "rref",
+    "in_span",
     "solve_exact",
     "nullspace",
+    "sparse_nullspace",
     "inverse",
-    "det",
     "is_positive_definite",
     "char_poly",
     "real_rooted",
-    "sparse_nullspace",
 ]
 
 
@@ -32,18 +35,6 @@ def _coerce_entry(x):
     if isinstance(x, (Fraction, Surd, Jet2)):
         return x
     raise TypeError(f"unsupported exact matrix entry: {type(x).__name__}")
-
-
-def _bitsize(x) -> int:
-    """Pivot weight: smaller means cheaper to eliminate with."""
-    if isinstance(x, Fraction):
-        return x.numerator.bit_length() + x.denominator.bit_length()
-    if isinstance(x, Surd):
-        return sum(
-            f.numerator.bit_length() + f.denominator.bit_length()
-            for f in (x.a, x.b, x.q)
-        )
-    return 64
 
 
 class Matrix:
@@ -183,16 +174,104 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
 
-def _pivot_row(rows, col, start):
-    """Index of the nonzero entry of least bit-size in a column, or None."""
-    best, best_w = None, None
-    for i in range(start, len(rows)):
-        x = rows[i][col]
-        if x:
-            w = _bitsize(x)
-            if best is None or w < best_w:
-                best, best_w = i, w
-    return best
+# ---------------------------------------------------------------------------
+# The sparse exact row-reduction kernel
+# ---------------------------------------------------------------------------
+
+
+def _eliminate(row: dict, pc, prow: dict) -> None:
+    """Clear column pc of ``row`` in place with ``prow``, which is 1 at pc."""
+    f = row.pop(pc)
+    for c, v in prow.items():
+        if c == pc:
+            continue
+        nv = row[c] - f * v if c in row else -(f * v)
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """A copy of ``row`` with every pivot column cleared by its pivot row.
+
+    Each pivot row leads at its own column and holds no column of a pivot
+    made before it, so clearing one pivot column can only bring in columns
+    of later pivots, and the loop ends.
+    """
+    row = {c: v for c, v in row.items() if v}
+    while True:
+        pc = next((c for c in row if c in pivots), None)
+        if pc is None:
+            return row
+        _eliminate(row, pc, pivots[pc])
+
+
+def rref(rows):
+    """Reduced row echelon form of exact sparse rows: (pivots, leads).
+
+    ``rows`` is an iterable of {col: scalar} dictionaries over Fraction or
+    Surd.  ``pivots`` maps each pivot column to its row, normalised to 1 at
+    the pivot, whose leftmost entry is the pivot and which is 0 at every
+    other pivot column.  ``leads`` holds, for each input row, the (col, value)
+    it led with after reduction by the rows before it, or None if it reduced
+    to zero.  The RREF is unique, so neither depends on elimination order.
+    """
+    pivots: dict = {}
+    leads = []
+    for row in rows:
+        row = _reduce(row, pivots)
+        if not row:
+            leads.append(None)
+            continue
+        pc = min(row)
+        d = row[pc]
+        leads.append((pc, d))
+        pivots[pc] = {c: v / d for c, v in row.items()}
+    # Back-substitute, rightmost pivot first, so each row is cleared against
+    # rows that are already reduced.
+    for pc in sorted(pivots, reverse=True):
+        row = pivots[pc]
+        for qc in [c for c in row if c != pc and c in pivots]:
+            _eliminate(row, qc, pivots[qc])
+    return pivots, leads
+
+
+def in_span(pivots: dict, row: dict) -> bool:
+    """Whether a {col: scalar} row lies in the span of ``rref`` pivots."""
+    return not _reduce(row, pivots)
+
+
+def _sparse_rows(A: Matrix) -> list:
+    return [dict(enumerate(row)) for row in A.data]
+
+
+def sparse_nullspace(rows, ncols: int, with_free: bool = False):
+    """Kernel basis of a sparse exact system.
+
+    ``rows`` is an iterable of {col: Fraction} dictionaries.  Returns a list
+    of dense coefficient lists spanning the kernel (paired with the free
+    column indices when ``with_free``).  Each basis vector carries 1 at its
+    own free column and 0 at every other free column.
+    """
+    pivots, _ = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, row in pivots.items():
+            if fc in row:
+                v[pc] = -row[fc]
+        basis.append(v)
+    if with_free:
+        return basis, free
+    return basis
+
+
+def nullspace(A: Matrix) -> list:
+    """Basis of {v : A v = 0} as column vectors (possibly empty)."""
+    return [Matrix.column(v) for v in sparse_nullspace(_sparse_rows(A), A.cols)]
 
 
 def solve_exact(A: Matrix, b: Matrix):
@@ -203,81 +282,14 @@ def solve_exact(A: Matrix, b: Matrix):
     """
     if A.rows != b.rows:
         raise ValueError("A and b must have the same number of rows")
-    m, n, k = A.rows, A.cols, b.cols
-    aug = [A.data[i][:] + b.data[i][:] for i in range(m)]
-    pivots = []  # (row, col)
-    prow = 0
-    for col in range(n):
-        piv = _pivot_row(aug, col, prow)
-        if piv is None:
-            continue
-        aug[prow], aug[piv] = aug[piv], aug[prow]
-        pr = aug[prow]
-        d = pr[col]
-        for i in range(m):
-            if i == prow:
-                continue
-            f = aug[i][col]
-            if not f:
-                continue
-            ratio = f / d
-            row = aug[i]
-            for j in range(col, n + k):
-                if pr[j]:
-                    row[j] = row[j] - ratio * pr[j]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    for i in range(prow, m):
-        if any(aug[i][n + j] for j in range(k)):
-            return None  # zero row of A with nonzero right-hand side
-    x = Matrix.zeros(n, k)
-    for row, col in pivots:
-        d = aug[row][col]
-        for j in range(k):
-            x.data[col][j] = aug[row][n + j] / d
+    n = A.cols
+    pivots, _ = rref(dict(enumerate(a + r)) for a, r in zip(A.data, b.data))
+    if any(pc >= n for pc in pivots):
+        return None  # a row of A reduced to zero with a nonzero right-hand side
+    x = Matrix.zeros(n, b.cols)
+    for pc, row in pivots.items():
+        x.data[pc] = [row.get(n + j, Fraction(0)) for j in range(b.cols)]
     return x
-
-
-def nullspace(A: Matrix) -> list:
-    """Basis of {v : A v = 0} as column vectors (possibly empty)."""
-    m, n = A.rows, A.cols
-    rows = [row[:] for row in A.data]
-    pivots = []
-    prow = 0
-    for col in range(n):
-        piv = _pivot_row(rows, col, prow)
-        if piv is None:
-            continue
-        rows[prow], rows[piv] = rows[piv], rows[prow]
-        pr = rows[prow]
-        d = pr[col]
-        for i in range(m):
-            if i == prow:
-                continue
-            f = rows[i][col]
-            if not f:
-                continue
-            ratio = f / d
-            row = rows[i]
-            for j in range(col, n):
-                if pr[j]:
-                    row[j] = row[j] - ratio * pr[j]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, col in pivots:
-            v[col] = -rows[row][fc] / rows[row][col]
-        basis.append(Matrix.column(v))
-    return basis
 
 
 def inverse(A: Matrix) -> Matrix:
@@ -289,63 +301,21 @@ def inverse(A: Matrix) -> Matrix:
     return x
 
 
-def det(A: Matrix):
-    """Determinant by fraction-preserving elimination with row swaps."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    rows = [row[:] for row in A.data]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = _pivot_row(rows, col, col)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        d = rows[col][col]
-        result = result * d
-        for i in range(col + 1, n):
-            f = rows[i][col]
-            if not f:
-                continue
-            ratio = f / d
-            for j in range(col, n):
-                if rows[col][j]:
-                    rows[i][j] = rows[i][j] - ratio * rows[col][j]
-    return sign * result
-
-
 def is_positive_definite(G: Matrix) -> bool:
     """Exact Sylvester criterion: all leading principal minors positive.
 
-    Symmetric elimination without pivoting; the running pivot product equals
-    the current leading minor, so any non-positive pivot decides.
+    Row k of G, reduced by the rows before it, leads at column k with the
+    ratio of the (k+1)-th to the k-th leading minor exactly when those k
+    minors are nonzero; so G is positive definite iff every row does, with
+    a positive value.
     """
     if not G.is_symmetric():
         return False
-    n = G.rows
-    rows = [row[:] for row in G.data]
-    for kk in range(n):
-        pivot = rows[kk][kk]
-        if isinstance(pivot, Fraction):
-            if pivot <= 0:
-                return False
-        elif isinstance(pivot, Surd):
-            if pivot.sign() <= 0:
-                return False
-        else:
-            raise TypeError("positive definiteness needs rational or surd entries")
-        for i in range(kk + 1, n):
-            f = rows[i][kk]
-            if not f:
-                continue
-            ratio = f / pivot
-            for j in range(kk, n):
-                if rows[kk][j]:
-                    rows[i][j] = rows[i][j] - ratio * rows[kk][j]
-    return True
+    _, leads = rref(_sparse_rows(G))
+    return all(
+        lead is not None and lead[0] == k and lead[1] > 0
+        for k, lead in enumerate(leads)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,70 +530,3 @@ def real_rooted(p: Polynomial) -> bool:
     at_plus = [_sign_at_infinity(q, positive=True) for q in chain]
     count = _sign_changes(at_minus) - _sign_changes(at_plus)
     return count == sf.degree
-
-
-# ---------------------------------------------------------------------------
-# Sparse exact nullspace (for large structured kernels)
-# ---------------------------------------------------------------------------
-
-
-def sparse_nullspace(rows, ncols: int, with_free: bool = False):
-    """Kernel basis of a sparse rational system.
-
-    ``rows`` is an iterable of {col: Fraction} dictionaries.  Returns a list
-    of dense coefficient lists spanning the kernel (paired with the free
-    column indices when ``with_free``).  Each basis vector carries 1 at its
-    own free column and 0 at every other free column.  Suited to the large,
-    very sparse endomorphism systems where a dense pass would be wasteful.
-    """
-    pivots: dict[int, dict[int, Fraction]] = {}  # pivot col -> normalized row
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        while row:
-            hit = None
-            for c in row:
-                if c in pivots:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            f = row.pop(hit)
-            for c, v in pivots[hit].items():
-                if c == hit:
-                    continue
-                nv = row.get(c, Fraction(0)) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        if row:
-            pc = min(row)
-            d = row[pc]
-            pivots[pc] = {c: v / d for c, v in row.items()}
-    # Back-substitute into reduced row echelon form.
-    for pc in sorted(pivots, reverse=True):
-        row = pivots[pc]
-        for qc in list(row):
-            if qc != pc and qc in pivots:
-                f = row.pop(qc)
-                for c, v in pivots[qc].items():
-                    if c == qc:
-                        continue
-                    nv = row.get(c, Fraction(0)) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in pivots.items():
-            coeff = row.get(fc)
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
-    if with_free:
-        return basis, free
-    return basis

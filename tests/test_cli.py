@@ -300,6 +300,20 @@ class TestEinstein:
         rows = list(csv.DictReader(target.open()))
         assert {row["point"] for row in rows} == {"p_rho", "offcenter0", "offcenter1"}
 
+    @pytest.mark.parametrize(
+        "n,rho", [("3", "1e-5"), ("2", "1/1000000000000")]
+    )
+    def test_small_scale_slice_passes(self, capsys, n, rho):
+        # slice Gram entries of order 1e5 and 1e23: an absolute Gram error
+        # would fail these sound metrics on rounding alone
+        code, out, _ = run(
+            capsys, "einstein", "--n", n, "--rho", rho, "--c", "0", "--format", "json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert float(report["induced_gram_error"]) < 1e-12
+
 
 class TestOutputFile:
     def test_report_written_to_file(self, capsys, tmp_path):
@@ -382,6 +396,22 @@ class TestComputeOnce:
         report = cli.verify_report(family.FamilyParams(3, Fraction(5, 2), Fraction(c)))
         assert report["ok"] is True
         assert calls == {"metric_algebra": 1, "verify_splitting": 1}
+
+    def test_einstein_assembles_each_point_once(self, monkeypatch):
+        from solvsoliton import coord_engine
+
+        calls = []
+        entries = coord_engine.AmbientMetric._entries
+
+        def counted(self, point):
+            calls.append(tuple(point))
+            return entries(self, point)
+
+        monkeypatch.setattr(coord_engine.AmbientMetric, "_entries", counted)
+        report = cli.einstein_report(family.FamilyParams(2, Fraction(1), Fraction(1)))
+        assert report["ok"] is True
+        # p_rho and the two off-center points; induced_consistency reuses p_rho
+        assert len(calls) == len(set(calls)) == 3
 
 
 def test_exact_commands_do_not_load_numpy():

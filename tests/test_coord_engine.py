@@ -11,7 +11,6 @@ from solvsoliton.coord_engine import (
     FloatJet2,
     ambient_coordinate_names,
     assemble_metric,
-    christoffel_symbols,
     einstein_residual,
     induced_consistency,
     off_center_points,
@@ -142,11 +141,6 @@ class TestRicciNumeric:
         ric = ricci_from_jets(np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m)))
         assert np.max(np.abs(ric)) == 0.0
 
-    def test_flat_christoffels_vanish(self):
-        m = 4
-        gamma = christoffel_symbols(np.eye(m), np.zeros((m, m, m)))
-        assert np.max(np.abs(gamma)) == 0.0
-
     def test_round_sphere_numeric(self):
         # polar coordinates on flat R^2: g = diag(1, r^2); Ricci = 0
         def jets_at(r):
@@ -201,6 +195,33 @@ class TestInducedConsistency:
         report = induced_consistency(assemble_metric(2, 0.0), p)
         expected = np.sort(np.array([-8.0, -8.0, 4.0, -2.0, -2.0, -2.0, -2.0]))
         assert np.max(np.abs(report.expected - expected)) == 0.0
+
+    @pytest.mark.parametrize("rho", [Fraction(1), Fraction(1, 10**5), Fraction(10**10)])
+    def test_perturbed_slice_gram_fails_at_every_scale(self, monkeypatch, rho):
+        from solvsoliton import coord_engine
+
+        p = FamilyParams(2, rho, Fraction(0))
+        assert induced_consistency(assemble_metric(2, 0.0), p).ok()
+        exact = coordinate_gram_values(p)
+
+        def perturbed(q):
+            values = list(exact)
+            k = values.index(max(values))
+            values[k] = float(values[k]) * (1 + 1e-9)
+            return values
+
+        monkeypatch.setattr(coord_engine, "coordinate_gram_values", perturbed)
+        report = induced_consistency(assemble_metric(2, 0.0), p)
+        assert 1e-10 < report.gram_max_error < 1e-8
+        assert not report.ok()
+
+    def test_jets_are_memoised_and_read_only(self):
+        M = assemble_metric(2, 1.0)
+        first = M.jets(p_rho_point(2, 1.5))
+        again = M.jets(p_rho_point(2, 1.5))
+        assert all(a is b for a, b in zip(first, again))
+        with pytest.raises(ValueError):
+            first[0][0, 0] = 0.0
 
     def test_mismatched_params_rejected(self):
         with pytest.raises(ValueError):

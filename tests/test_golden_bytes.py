@@ -1,0 +1,39 @@
+"""Canonical CLI output bytes against the digests recorded in perfbench/golden.json.
+
+A handful of the benchmark's recorded requests run in-process through
+``cli.main``; the SHA-256 of each stdout must equal its recorded digest, so a
+change to any output byte fails here without running the benchmark.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from solvsoliton.cli import main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+KEYS = [
+    "verify --n 3 --rho 1 --c 0 --format json",
+    "verify --n 3 --rho 1 --c 1 --format json",
+    "verify --n 4 --rho 1 --c 0 --format json",
+    "verify --n 4 --rho 1 --c 12/13 --format json",
+    "verify --n 5 --rho 1 --c 0 --format json",
+    "verify --n 5 --rho 1 --c 4/5 --format json",
+    "sweep --n 2 --rho-grid 101/110,229/161 --c-grid 0,203/157 --format csv",
+    "sweep --n 3 --rho-grid 100/81,121/103 --c-grid 0,233/231 --format csv",
+]
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_stdout_matches_recorded_digest(capsys, digests, key):
+    assert main(key.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key]

@@ -29,7 +29,7 @@ from solvsoliton.lie_core import (
     subalgebra,
     verify_splitting,
 )
-from solvsoliton.linalg import Matrix, solve_exact
+from solvsoliton.linalg import Matrix, in_span, rref, solve_exact
 
 
 def basis_vec(d, i):
@@ -185,12 +185,11 @@ class TestDerivedAlgebra:
     def test_derived_is_an_ideal(self):
         L = build_lie_algebra(3)
         vecs = derived_algebra(L)
-        from solvsoliton.lie_core import _echelon_basis, _in_span
-
-        span = _echelon_basis(vecs)
+        span, _ = rref(dict(enumerate(v)) for v in vecs)
         for i in range(L.dim):
             for v in vecs:
-                assert _in_span(span, bracket(L, basis_vec(L.dim, i), v))
+                w = bracket(L, basis_vec(L.dim, i), v)
+                assert in_span(span, dict(enumerate(w)))
 
 
 class TestUnimodularSolvable:

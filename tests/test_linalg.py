@@ -5,20 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from solvsoliton.family import build_lie_algebra
+from solvsoliton.family import FamilyParams, build_embedding, build_lie_algebra
 from solvsoliton.lie_core import ad_matrix
 from solvsoliton.linalg import (
     Matrix,
     Polynomial,
     char_poly,
-    det,
+    in_span,
     inverse,
     is_positive_definite,
     nullspace,
     real_rooted,
+    rref,
     solve_exact,
     sparse_nullspace,
 )
+from solvsoliton.scalars import Surd, surd
 
 
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -139,16 +141,18 @@ def _row_rank(A: Matrix) -> int:
 
 class TestSparseNullspace:
     def test_matches_dense_randomized(self):
+        # rank-nullity against the dense reference rank, plus independence
         rng = random.Random(17)
         for _ in range(25):
             m, n = rng.randint(1, 10), rng.randint(1, 10)
             A = rand_matrix(rng, m, n, -2, 2)
-            dense = nullspace(A)
             sparse_rows = [
                 {j: v for j, v in enumerate(row) if v} for row in A.data
             ]
             sparse = sparse_nullspace(sparse_rows, n)
-            assert len(sparse) == len(dense)
+            assert len(sparse) == n - _row_rank(A)
+            if sparse:
+                assert _row_rank(Matrix(sparse)) == len(sparse)
             zero = [Fraction(0)] * m
             for vec in sparse:
                 out = [
@@ -158,15 +162,123 @@ class TestSparseNullspace:
                 assert out == zero
 
 
+def _det(rows):
+    """Determinant by Laplace expansion along the first row (no elimination)."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, a in enumerate(rows[0]):
+        if a:
+            term = a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _leading_minors(G: Matrix) -> list:
+    return [_det([row[:k] for row in G.data[:k]]) for k in range(1, G.rows + 1)]
+
+
+def _gram(B: Matrix, D: Matrix) -> Matrix:
+    return B.transpose() @ D @ B
+
+
+class TestRref:
+    def test_row_order_does_not_matter(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [dict(enumerate(r)) for r in rand_matrix(rng, m, n, -2, 2).data]
+            pivots, _ = rref(rows)
+            rng.shuffle(rows)
+            assert rref(rows)[0] == pivots
+            assert len(pivots) == _row_rank(Matrix([list(r.values()) for r in rows]))
+            for pc, row in pivots.items():
+                assert min(row) == pc and row[pc] == 1
+                assert not any(qc in row for qc in pivots if qc != pc)
+
+    def test_span_membership(self):
+        pivots, _ = rref([{0: 1, 1: 1}, {1: 2, 2: 2}])
+        assert in_span(pivots, {0: 3, 1: 5, 2: 2})  # 3*(1,1,0) + (0,2,2)
+        assert not in_span(pivots, {0: 1})
+        assert in_span(pivots, {2: Fraction(0)})
+
+    def test_leads_are_ratios_of_leading_minors(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            G = _gram(rand_matrix(rng, n, n), Matrix.identity(n))
+            minors = _leading_minors(G)
+            if not all(minors):
+                continue
+            _, leads = rref([dict(enumerate(r)) for r in G.data])
+            ratios = [minors[0]] + [b / a for a, b in zip(minors, minors[1:])]
+            assert leads == list(enumerate(ratios))
+
+
+class TestPositiveDefinite:
+    def test_against_leading_minors_randomized(self):
+        rng = random.Random(23)
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            kind = rng.choice(["definite", "semidefinite", "indefinite", "symmetric"])
+            if kind == "definite":
+                G = _gram(rand_matrix(rng, n, n), Matrix.identity(n))
+                G = G + Matrix.identity(n)
+            elif kind == "semidefinite":
+                r = rng.randint(0, n - 1)  # rank r < n
+                G = Matrix.zeros(n, n)
+                if r:
+                    G = _gram(rand_matrix(rng, r, n), Matrix.identity(r))
+            elif kind == "indefinite":
+                signs = [1] * n
+                signs[rng.randrange(n)] = -1
+                G = _gram(rand_matrix(rng, n, n), Matrix.diagonal(signs))
+            else:
+                A = rand_matrix(rng, n, n)
+                G = A + A.transpose()
+            expected = all(m > 0 for m in _leading_minors(G))
+            assert is_positive_definite(G) == expected
+            assert not (kind in ("semidefinite", "indefinite") and expected)
+            seen[expected] += 1
+        assert seen[True] >= 10 and seen[False] >= 10
+
+    def test_zero_leading_minor_rejected(self):
+        # each row still leads with a positive value, but not on the diagonal
+        for G in (Matrix([[0, 1], [1, 0]]), Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 1]])):
+            assert 0 in _leading_minors(G)
+            assert not is_positive_definite(G)
+
+    def test_surd_gram(self):
+        r2 = surd(0, 1, 2)
+        grams = [
+            Matrix([[2, r2], [r2, 2]]),
+            Matrix([[1, r2], [r2, 1]]),
+            Matrix([[1 + r2, 1, 0], [1, 1, 0], [0, 0, r2]]),
+            Matrix([[1 - r2, 0], [0, 1]]),
+        ]
+        verdicts = [is_positive_definite(G) for G in grams]
+        assert verdicts == [all(m > 0 for m in _leading_minors(G)) for G in grams]
+        assert verdicts == [True, False, True, False]
+
+
 class TestDetInverse:
     def test_inverse_roundtrip(self):
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(1, 6)
             A = rand_matrix(rng, n, n)
-            if det(A) == 0:
+            if _row_rank(A) < n:
                 continue
             assert A @ inverse(A) == Matrix.identity(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inverse_of_embedding_with_sqrt2_entries(self, n):
+        P = build_embedding(FamilyParams(n, Fraction(3, 2), Fraction(1, 3))).P
+        assert any(isinstance(x, Surd) for row in P.data for x in row)
+        Pinv = inverse(P)
+        assert any(isinstance(x, Surd) for row in Pinv.data for x in row)
+        assert P @ Pinv == Matrix.identity(P.rows) == Pinv @ P
 
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
