@@ -1,8 +1,9 @@
 """Lie algebras presented by structure constants.
 
 Brackets, adjoints, Jacobi verification, Killing form, derived algebra,
-unimodularity, complete solvability, the derivation space, and verification
-of a declared abelian-plus-nilpotent splitting.  Everything is exact.
+unimodularity, complete solvability, the Leibniz test for derivations, and
+verification of a declared abelian-plus-nilpotent splitting.  Everything is
+exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix, char_poly, in_span, real_rooted, rref, sparse_nullspace
+from .linalg import Matrix, char_poly, in_span, real_rooted, rref
 
 __all__ = [
     "StructureConstants",
@@ -26,8 +27,6 @@ __all__ = [
     "is_unimodular",
     "is_solvable",
     "is_completely_solvable",
-    "derivation_space",
-    "derivation_flat_basis",
     "is_derivation",
     "verify_splitting",
     "subalgebra",
@@ -42,35 +41,58 @@ class StructureConstants:
     __slots__ = ("dim", "c", "_sparse", "_cache")
 
     def __init__(self, dim: int, c):
-        self.dim = dim
-        self.c = [
-            [[Fraction(c[i][j][k]) for k in range(dim)] for j in range(dim)]
-            for i in range(dim)
-        ]
+        entries = {}
         for i in range(dim):
-            for j in range(i, dim):
+            for j in range(dim):
+                row = c[i][j]
                 for k in range(dim):
-                    a, b = self.c[i][j][k], self.c[j][i][k]
-                    if (a or b) and a != -b:
-                        raise ValueError("structure constants are not antisymmetric")
-        # sparse view: _sparse[i][j] = [(k, value), ...]
-        self._sparse = [
-            [[(k, v) for k, v in enumerate(self.c[i][j]) if v] for j in range(dim)]
-            for i in range(dim)
-        ]
-        self._cache: dict = {}
+                    v = row[k]
+                    if v:
+                        v = Fraction(v)
+                        if v:
+                            entries[i, j, k] = v
+        upper: dict = {}
+        for (i, j, k), v in entries.items():
+            if entries.get((j, i, k)) != -v:
+                raise ValueError("structure constants are not antisymmetric")
+            if i < j:
+                upper.setdefault((i, j), {})[k] = v
+        self._assign(dim, upper)
+
+    def _assign(self, dim: int, upper: dict) -> None:
+        """Fill ``c`` and ``_sparse`` from {(i, j): {k: Fraction}} with i < j."""
+        zero = Fraction(0)
+        c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        # sparse view: _sparse[i][j] = [(k, value), ...] in increasing k
+        sparse = [[[] for _ in range(dim)] for _ in range(dim)]
+        for (i, j), row in upper.items():
+            for k in sorted(row):
+                v = row[k]
+                if v:
+                    c[i][j][k], c[j][i][k] = v, -v
+                    sparse[i][j].append((k, v))
+                    sparse[j][i].append((k, -v))
+        self.dim = dim
+        self.c = c
+        self._sparse = sparse
+        self._cache = {}
+
+    @classmethod
+    def _from_upper(cls, dim: int, upper: dict) -> "StructureConstants":
+        L = cls.__new__(cls)
+        L._assign(dim, upper)
+        return L
 
     @classmethod
     def from_triples(cls, dim: int, triples) -> "StructureConstants":
         """Build from [e_i, e_j] += value * e_k entries given for i < j."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        upper: dict = {}
         for i, j, k, value in triples:
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"bad triple ({i}, {j}, {k})")
-            value = Fraction(value)
-            c[i][j][k] += value
-            c[j][i][k] -= value
-        return cls(dim, c)
+            row = upper.setdefault((i, j), {})
+            row[k] = row.get(k, Fraction(0)) + Fraction(value)
+        return cls._from_upper(dim, upper)
 
     def triples(self):
         out = []
@@ -269,89 +291,38 @@ def is_completely_solvable(
     return True
 
 
-def derivation_space(L: StructureConstants) -> list:
-    """Basis of {D : D[x,y] = [Dx,y] + [x,Dy]} as matrices.
+def _leibniz_defects(L: StructureConstants, X: Matrix):
+    """Nonzero Leibniz defects of X, as ((i, j), {k: value}) in i < j order.
 
-    The Leibniz constraints over basis pairs form a sparse d^2 x d^2 linear
-    system in the entries of D; its kernel is computed exactly.  Cached on
-    the algebra.
+    The defect X[e_i, e_j] - [X e_i, e_j] - [e_i, X e_j] is linear in X and
+    summed over the nonzero structure constants and entries of X only.
+    Pairs with i >= j are omitted: the defect is antisymmetric in (i, j).
     """
-    cached = L._cache.get("derivation_space")
-    if cached is not None:
-        return cached
     d = L.dim
-    # by_target[(a, k)] = [(m, c[m][a][k]), ...] in increasing m.
-    by_target: dict = {}
-    for m in range(d):
-        for a in range(d):
-            for k, v in L._sparse[m][a]:
-                by_target.setdefault((a, k), []).append((m, v))
-    # Unknown order: D[r][s] at index r*d + s.
-    rows = []
+    sp = L._sparse
+    # cols[m] = nonzero (r, X[r][m]) of X e_m.
+    cols = [[(r, row[m]) for r, row in enumerate(X.data) if row[m]] for m in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            cij = L._sparse[i][j]
-            for k in range(d):
-                row: dict[int, Fraction] = {}
-
-                def add(idx, val, row=row):
-                    nv = row.get(idx, Fraction(0)) + val
-                    if nv:
-                        row[idx] = nv
-                    else:
-                        row.pop(idx, None)
-
-                # D[e_i, e_j] contributes D[k][m] for each bracket component m.
-                for m, v in cij:
-                    add(k * d + m, v)
-                # -[D e_i, e_j] contributes -c[m][j][k] * D[m][i].
-                for m, v in by_target.get((j, k), ()):
-                    add(m * d + i, -v)
-                # -[e_i, D e_j] contributes -c[i][m][k] = c[m][i][k] times D[m][j].
-                for m, v in by_target.get((i, k), ()):
-                    add(m * d + j, v)
-                if row:
-                    rows.append(row)
-    kernel, free_cols = sparse_nullspace(rows, d * d, with_free=True)
-    basis = [
-        Matrix([vec[r * d : (r + 1) * d] for r in range(d)]) for vec in kernel
-    ]
-    L._cache["derivation_space"] = basis
-    L._cache["derivation_flat"] = (kernel, free_cols)
-    return basis
-
-
-def derivation_flat_basis(L: StructureConstants):
-    """Flattened derivation basis with marker columns, for span solves.
-
-    Returns (vectors, free_cols) where vectors[j] is the row-major flattening
-    of the j-th derivation basis matrix, vectors[j][free_cols[j]] = 1, and
-    vectors[i][free_cols[j]] = 0 for i != j.  Membership of a flattened
-    endomorphism in the derivation span then reduces to reading marker
-    coordinates and checking the residual.
-    """
-    if "derivation_flat" not in L._cache:
-        derivation_space(L)
-    return L._cache["derivation_flat"]
+            out: dict = {}
+            for m, v in sp[i][j]:
+                for k, x in cols[m]:
+                    out[k] = out.get(k, 0) + v * x
+            for m, x in cols[i]:
+                for k, v in sp[m][j]:
+                    out[k] = out.get(k, 0) - x * v
+            for m, x in cols[j]:
+                for k, v in sp[i][m]:
+                    out[k] = out.get(k, 0) - x * v
+            out = {k: v for k, v in out.items() if v}
+            if out:
+                yield (i, j), out
 
 
 def is_derivation(L: StructureConstants, D: Matrix):
-    """(ok, witness): witness is the first failing basis pair (i, j)."""
-    d = L.dim
-    basis = [_basis_vector(d, i) for i in range(d)]
-    cols = [D.column_vector(j) for j in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            b = bracket(L, basis[i], basis[j])
-            lhs = [
-                sum((D.data[r][m] * b[m] for m in range(d) if b[m]), Fraction(0))
-                for r in range(d)
-            ]
-            rhs1 = bracket(L, cols[i], basis[j])
-            rhs2 = bracket(L, basis[i], cols[j])
-            if any(lhs[r] - rhs1[r] - rhs2[r] for r in range(d)):
-                return False, (i, j)
-    return True, None
+    """(ok, witness): witness is the first failing basis pair (i, j), i < j."""
+    first = next(_leibniz_defects(L, D), None)
+    return (True, None) if first is None else (False, first[0])
 
 
 @dataclass(frozen=True)
@@ -430,15 +401,16 @@ def subalgebra(L: StructureConstants, indices) -> StructureConstants:
     """Restriction to the span of the given basis indices (must be closed)."""
     indices = list(indices)
     pos = {g: i for i, g in enumerate(indices)}
-    dsub = len(indices)
-    c = [[[Fraction(0)] * dsub for _ in range(dsub)] for _ in range(dsub)]
+    upper = {}
     for a, ga in enumerate(indices):
-        for b, gb in enumerate(indices):
-            for k, v in L._sparse[ga][gb]:
+        for b in range(a + 1, len(indices)):
+            row = {}
+            for k, v in L._sparse[ga][indices[b]]:
                 if k not in pos:
                     raise ValueError("index set does not span a subalgebra")
-                c[a][b][pos[k]] = v
-    return StructureConstants(dsub, c)
+                row[pos[k]] = v
+            upper[a, b] = row
+    return StructureConstants._from_upper(len(indices), upper)
 
 
 def structure_to_json(L: StructureConstants) -> str:

@@ -246,13 +246,12 @@ def _sparse_rows(A: Matrix) -> list:
     return [dict(enumerate(row)) for row in A.data]
 
 
-def sparse_nullspace(rows, ncols: int, with_free: bool = False):
+def sparse_nullspace(rows, ncols: int) -> list:
     """Kernel basis of a sparse exact system.
 
     ``rows`` is an iterable of {col: Fraction} dictionaries.  Returns a list
-    of dense coefficient lists spanning the kernel (paired with the free
-    column indices when ``with_free``).  Each basis vector carries 1 at its
-    own free column and 0 at every other free column.
+    of dense coefficient lists spanning the kernel.  Each basis vector
+    carries 1 at its own free column and 0 at every other free column.
     """
     pivots, _ = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
@@ -264,8 +263,6 @@ def sparse_nullspace(rows, ncols: int, with_free: bool = False):
             if fc in row:
                 v[pc] = -row[fc]
         basis.append(v)
-    if with_free:
-        return basis, free
     return basis
 
 

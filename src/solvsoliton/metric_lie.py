@@ -3,7 +3,8 @@
 Two independent decision procedures are provided for the algebraic Ricci
 soliton equation ric = lambda*Id + D:
 
-* a direct exact feasibility solve over the derivation space, and
+* a direct exact test of whether ric - lambda*Id passes the Leibniz rule
+  for the one lambda the Leibniz defects allow, and
 * the checklist route through the nilpotent part (restricted nilsoliton,
   abelian complement, normal adjoints, norm condition).
 
@@ -17,14 +18,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .lie_core import (
     Splitting,
     StructureConstants,
+    _leibniz_defects,
     ad_matrix,
     bracket,
-    derivation_flat_basis,
-    derivation_space,
+    is_derivation,
     killing_form,
     subalgebra,
     verify_splitting,
@@ -331,7 +333,6 @@ class SolitonVerdict:
     status: str
     lambda_: Fraction | None = None
     D: Matrix | None = None
-    derivation_coords: list | None = None
     checklist: dict | None = None
     witness: Matrix | None = None
     lambda_source: str | None = None
@@ -354,17 +355,17 @@ class SolitonVerdict:
         return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
-def _flatten(A: Matrix) -> list:
-    return [x for row in A.data for x in row]
-
-
 def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
-    """Exact feasibility of ric = lambda*Id + sum_j x_j D_j over Der(L).
+    """Exact test of ric = lambda*Id + D with D a derivation.
 
-    The derivation basis produced by :func:`derivation_space` carries marker
-    coordinates (one free column per basis element), so the span solve reads
-    the x_j off directly and checks the residual; lambda is then pinned by
-    the identity component.  Cached on the metric algebra.
+    The Leibniz defect X[e_i,e_j] - [X e_i,e_j] - [e_i,X e_j] is linear in
+    X, and that of Id is minus the bracket.  So ric - lambda*Id is a
+    derivation exactly when the defects of ric are lambda times those of
+    Id.  On a non-abelian algebra lambda is read off at the first nonzero
+    defect entry of Id; on an abelian one every endomorphism is a
+    derivation and lambda is taken to be 0.  D = ric - lambda*Id is then
+    tested with :func:`is_derivation`.  No basis of Der(L) is built.
+    Cached on the metric algebra.
     """
     verdict = M._cache.get("soliton_direct")
     if verdict is None:
@@ -374,49 +375,29 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
 
 def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     L = M.L
-    d = L.dim
-    ders = derivation_space(L)
-    vectors, free_cols = derivation_flat_basis(L)
+    ident = Matrix.identity(L.dim)
     ric = ricci_endomorphism_koszul(M)
-
-    def reduce_flat(w):
-        coeffs = [w[fc] for fc in free_cols]
-        residual = list(w)
-        for cj, vec in zip(coeffs, vectors):
-            if cj:
-                for idx, value in enumerate(vec):
-                    if value:
-                        residual[idx] -= cj * value
-        return coeffs, residual
-
-    r_coef, r_res = reduce_flat(_flatten(ric))
-    ident = _flatten(Matrix.identity(d))
-    i_coef, i_res = reduce_flat(ident)
-
-    if not any(i_res):
-        # Identity is itself a derivation (abelian bracket): lambda is free.
-        if any(r_res):
-            return SolitonVerdict(status="not_soliton")
-        lam = Fraction(0)
-        coords = r_coef
-    else:
-        k = next(idx for idx, v in enumerate(i_res) if v)
-        lam = r_res[k] / i_res[k]
-        if any(r_res[idx] - lam * i_res[idx] for idx in range(d * d)):
-            return SolitonVerdict(status="not_soliton")
-        coords = [rc - lam * ic for rc, ic in zip(r_coef, i_coef)]
-    D = ric - Matrix.identity(d).scale(lam)
-    combo = Matrix.zeros(d, d)
-    for cj, Dj in zip(coords, ders):
-        if cj:
-            combo = combo + Dj.scale(cj)
-    if combo != D:
-        raise AssertionError("derivation span solve produced an inconsistent D")
+    lam = Fraction(0)
+    first = next(_leibniz_defects(L, ident), None)
+    if first is not None:
+        # lambda = Lambda(ric) / Lambda(Id) at Id's first nonzero defect entry
+        pair, id_row = first
+        k = min(id_row)
+        upto = takewhile(lambda entry: entry[0] <= pair, _leibniz_defects(L, ric))
+        lam = dict(upto).get(pair, {}).get(k, 0) / id_row[k]
+    # Lambda(ric - lambda*Id) = Lambda(ric) - lambda*Lambda(Id) by linearity.
+    D = Matrix(
+        [
+            [x - lam if r == s else x for s, x in enumerate(row)]
+            for r, row in enumerate(ric.data)
+        ]
+    )
+    if not is_derivation(L, D)[0]:
+        return SolitonVerdict(status="not_soliton")
     return SolitonVerdict(
         status="soliton",
         lambda_=lam,
         D=D,
-        derivation_coords=coords,
         lambda_source="direct",
     )
 

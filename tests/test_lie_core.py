@@ -1,5 +1,6 @@
 """Structure-constant Lie algebra machinery against the family and heis3."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from solvsoliton.lie_core import (
     StructureConstants,
     ad_matrix,
     bracket,
+    _leibniz_defects,
     check_jacobi,
-    derivation_space,
     derived_algebra,
     is_completely_solvable,
     is_derivation,
@@ -29,7 +30,7 @@ from solvsoliton.lie_core import (
     subalgebra,
     verify_splitting,
 )
-from solvsoliton.linalg import Matrix, in_span, rref, solve_exact
+from solvsoliton.linalg import Matrix, in_span, rref, solve_exact, sparse_nullspace
 
 
 def basis_vec(d, i):
@@ -71,6 +72,47 @@ class TestBracket:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             bracket(heis3(), [1, 0], [0, 1])
+
+
+class TestConstruction:
+    def test_dense_input_matches_triples(self):
+        L = build_lie_algebra(2)
+        d = L.dim
+        dense = [[[str(v) if v else 0 for v in L.c[i][j]] for j in range(d)] for i in range(d)]
+        M = StructureConstants(d, dense)
+        assert M == L and M._sparse == L._sparse and hash(M) == hash(L)
+        assert all(type(v) is Fraction for plane in M.c for row in plane for v in row)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 1, 2): 1},  # [e1, e0] left at 0
+            {(0, 1, 2): 1, (1, 0, 2): 2},
+            {(1, 1, 0): 1},
+            {(0, 1, 2): "0", (1, 0, 2): 3},
+        ],
+        ids=["one-sided", "mismatched", "diagonal", "zero-string"],
+    )
+    def test_rejects_non_antisymmetric(self, entries):
+        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        for (i, j, k), v in entries.items():
+            c[i][j][k] = v
+        with pytest.raises(ValueError):
+            StructureConstants(3, c)
+
+    def test_cancelling_triples_leave_no_entry(self):
+        L = StructureConstants.from_triples(3, [(0, 1, 2, 1), (0, 1, 2, -1), (0, 2, 1, "1/2")])
+        assert L.triples() == [(0, 2, 1, Fraction(1, 2))]
+        assert L.c[0][1][2] == 0 and L.c[2][0][1] == Fraction(-1, 2)
+
+    def test_subalgebra_in_any_index_order(self):
+        L = build_lie_algebra(3)
+        indices = [10, 3, 1, 2, 9, 5, 8, 4, 7, 6]  # the nilradical, unsorted
+        sub = subalgebra(L, indices)
+        expected = [
+            [[L.c[a][b][k] for k in indices] for b in indices] for a in indices
+        ]
+        assert sub == StructureConstants(len(indices), expected)
 
 
 class TestJacobi:
@@ -227,20 +269,61 @@ class TestUnimodularSolvable:
         assert not is_completely_solvable(L)
 
 
+def unit_matrix(d, r, s):
+    E = Matrix.zeros(d, d)
+    E.data[r][s] = Fraction(1)
+    return E
+
+
+def derivation_basis(L):
+    """Der(L) as matrices: the kernel of the Leibniz system whose column
+    r*d + s holds the defects of the unit matrix E_rs."""
+    d = L.dim
+    rows = {}  # (i, j, k) -> {r*d + s: defect}
+    for r in range(d):
+        for s in range(d):
+            for (i, j), defect in _leibniz_defects(L, unit_matrix(d, r, s)):
+                for k, v in defect.items():
+                    rows.setdefault((i, j, k), {})[r * d + s] = v
+    kernel = sparse_nullspace(rows.values(), d * d)
+    return [Matrix([v[r * d : (r + 1) * d] for r in range(d)]) for v in kernel]
+
+
+def dense_leibniz_witness(L, D):
+    """First pair i < j failing D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], by bracket."""
+    d = L.dim
+    basis = [basis_vec(d, i) for i in range(d)]
+    cols = [D.column_vector(j) for j in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            b = bracket(L, basis[i], basis[j])
+            lhs = [sum((D.data[r][m] * b[m] for m in range(d)), Fraction(0)) for r in range(d)]
+            rhs1 = bracket(L, cols[i], basis[j])
+            rhs2 = bracket(L, basis[i], cols[j])
+            if any(lhs[r] - rhs1[r] - rhs2[r] for r in range(d)):
+                return i, j
+    return None
+
+
 class TestDerivationSpace:
     def test_abelian_has_all_endomorphisms(self):
         L = StructureConstants.from_triples(3, [])
-        assert len(derivation_space(L)) == 9
+        assert len(derivation_basis(L)) == 9
+        assert all(
+            is_derivation(L, unit_matrix(3, r, s)) == (True, None)
+            for r in range(3)
+            for s in range(3)
+        )
 
     def test_heis3_dimension(self):
         # hand count: D e3 determined by trace of the (e1, e2) block and
         # e3-row entries vanish, leaving 6 free parameters
-        assert len(derivation_space(heis3())) == 6
+        assert len(derivation_basis(heis3())) == 6
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_delta_lies_in_span(self, n):
         L = build_lie_algebra(n)
-        ders = derivation_space(L)
+        ders = derivation_basis(L)
         delta = build_delta(n)
         d = L.dim
         cols = Matrix(
@@ -252,15 +335,39 @@ class TestDerivationSpace:
     @pytest.mark.parametrize("n", [2, 3])
     def test_basis_elements_satisfy_leibniz(self, n):
         L = build_lie_algebra(n)
-        for D in derivation_space(L):
+        for D in derivation_basis(L):
             ok, _ = is_derivation(L, D)
             assert ok
+            assert dense_leibniz_witness(L, D) is None
 
     def test_non_derivation_detected(self):
         L = heis3()
         D = Matrix.identity(3)
         ok, witness = is_derivation(L, D)
         assert not ok and witness == (0, 1)
+
+    def test_witness_is_first_failing_pair(self):
+        # heis3 + R with e3 central; D e3 = e0 leaves (0, 1), (0, 2), (0, 3)
+        # and (1, 2) intact but breaks [e1, e3] = 0, since [e1, D e3] = -e2.
+        L = StructureConstants.from_triples(4, [(0, 1, 2, 1)])
+        assert is_derivation(L, unit_matrix(4, 0, 3)) == (False, (1, 3))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_dense_bracket_formula(self, n):
+        # random sparse perturbations of delta fail at assorted pairs
+        rng = random.Random(n)
+        L = build_lie_algebra(n)
+        d = L.dim
+        witnesses = set()
+        for _ in range(12):
+            D = build_delta(n)
+            for _ in range(rng.randint(0, 2)):
+                D.data[rng.randrange(d)][rng.randrange(d)] += Fraction(rng.randint(-3, 3))
+            ok, witness = is_derivation(L, D)
+            assert witness == dense_leibniz_witness(L, D)
+            assert ok == (witness is None)
+            witnesses.add(witness)
+        assert len(witnesses) > 2
 
 
 class TestSplitting:

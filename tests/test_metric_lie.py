@@ -17,8 +17,9 @@ from solvsoliton.family import (
     family_splitting,
     metric_algebra,
 )
-from solvsoliton.lie_core import StructureConstants, ad_matrix
-from solvsoliton.linalg import Matrix
+from solvsoliton import lie_core, linalg
+from solvsoliton.lie_core import StructureConstants, ad_matrix, bracket, is_derivation
+from solvsoliton.linalg import Matrix, nullspace, solve_exact
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     adjoint_operator,
@@ -234,16 +235,26 @@ class TestSolitonDirect:
         assert not v.is_soliton
 
     def test_returned_derivation_is_consistent(self):
-        from solvsoliton.lie_core import derivation_space, is_derivation
-
         M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
         v = soliton_check_direct(M)
         ok, _ = is_derivation(M.L, v.D)
         assert ok
-        combo = Matrix.zeros(7, 7)
-        for cj, Dj in zip(v.derivation_coords, derivation_space(M.L)):
-            combo = combo + Dj.scale(cj)
-        assert combo == v.D
+        assert v.D == ricci_endomorphism_koszul(M) - Matrix.identity(7).scale(v.lambda_)
+
+    def test_no_row_reduction_once_ricci_is_known(self, monkeypatch):
+        M = metric_algebra(FamilyParams(3, Fraction(7, 5), Fraction(9, 14)))
+        M.gram_inverse()
+        ricci_endomorphism_koszul(M)
+        calls = []
+
+        def counting_rref(rows, _rref=linalg.rref):
+            calls.append(1)
+            return _rref(rows)
+
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        monkeypatch.setattr(lie_core, "rref", counting_rref)
+        soliton_check_direct(M)
+        assert calls == []
 
     def test_abelian_algebra_flat_soliton(self):
         L = StructureConstants.from_triples(3, [])
@@ -258,6 +269,82 @@ class TestSolitonDirect:
         checklist = soliton_check_lauret(M, family_splitting(2))
         assert checklist.D is first.D
         assert soliton_check_direct(M.rescaled(2)) is not first
+
+
+def dense_derivation_basis(L):
+    """Der(L) as flattened matrices (index r*d + s), from the dense Leibniz
+    matrix: row (i < j, k), column (r, s) holds component k of
+    E[e_i, e_j] - [E e_i, e_j] - [e_i, E e_j] for the unit matrix E = E_rs."""
+    d = L.dim
+    basis = [[Fraction(int(r == i)) for r in range(d)] for i in range(d)]
+    br = [[bracket(L, x, y) for y in basis] for x in basis]
+    rows = [
+        [
+            (br[i][j][s] if r == k else 0)
+            - (br[r][j][k] if s == i else 0)
+            - (br[i][r][k] if s == j else 0)
+            for r in range(d)
+            for s in range(d)
+        ]
+        for i in range(d)
+        for j in range(i + 1, d)
+        for k in range(d)
+    ]
+    return [[x for (x,) in v.data] for v in nullspace(Matrix(rows))]
+
+
+def dense_soliton_oracle(M):
+    """(status, lambda, D) from solving ric = lambda*Id + sum_j x_j D_j over
+    a basis of Der(L).  With Id itself a derivation the lambda column is
+    free and the solve sets it to 0."""
+    d = M.dim
+    ric = ricci_endomorphism_koszul(M)
+    ders = dense_derivation_basis(M.L)
+    ident = Matrix.identity(d)
+    A = Matrix(
+        [[D[r * d + s] for D in ders] + [ident.data[r][s]] for r in range(d) for s in range(d)]
+    )
+    sol = solve_exact(A, Matrix.column([x for row in ric.data for x in row]))
+    if sol is None:
+        return "not_soliton", None, None
+    lam = sol.data[-1][0]
+    return "soliton", lam, ric - ident.scale(lam)
+
+
+def oracle_cases():
+    abelian = StructureConstants.from_triples(3, [])
+    heis = build_lie_algebra(1)
+    # e(2): [e0, e1] = e2, [e0, e2] = -e1, ad e0 a rotation; flat at Id
+    rot = StructureConstants.from_triples(3, [(0, 1, 2, 1), (0, 2, 1, -1)])
+    # [e0, e1] = e1, [e0, e2] = e1 + 2 e2: tr ad e0 = 3, not unimodular
+    nonuni = StructureConstants.from_triples(3, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 2, 2, 2)])
+    # [e0, ei] = ei: every left-invariant metric is hyperbolic, so Einstein
+    hyp = StructureConstants.from_triples(3, [(0, 1, 1, 1), (0, 2, 2, 1)])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    off = Matrix([[2, half, 0], [half, 1, third], [0, third, 3]])
+    yield "abelian", MetricLieAlgebra(abelian, Matrix.diagonal([1, 2, 3]))
+    yield "heis3-flat", MetricLieAlgebra(heis, Matrix.identity(3))
+    yield "heis3-off", MetricLieAlgebra(heis, off)
+    yield "rot-diag", MetricLieAlgebra(rot, Matrix.diagonal([1, 1, 2]))
+    yield "rot-off", MetricLieAlgebra(rot, off)
+    yield "nonuni-diag", MetricLieAlgebra(nonuni, Matrix.diagonal([1, 2, 3]))
+    yield "nonuni-off", MetricLieAlgebra(nonuni, off)
+    yield "hyperbolic-off", MetricLieAlgebra(hyp, off)
+    for n in (1, 2, 3, 4):
+        for c in (0, 1):
+            p = FamilyParams(n, Fraction(1), Fraction(c))
+            yield f"family-n{n}-c{c}", metric_algebra(p)
+
+
+class TestSolitonDenseOracle:
+    def test_oracle_derivation_dimensions(self):
+        assert len(dense_derivation_basis(StructureConstants.from_triples(3, []))) == 9
+        assert len(dense_derivation_basis(build_lie_algebra(1))) == 6
+
+    @pytest.mark.parametrize("M", [pytest.param(M, id=name) for name, M in oracle_cases()])
+    def test_direct_matches_oracle(self, M):
+        v = soliton_check_direct(M)
+        assert (v.status, v.lambda_, v.D) == dense_soliton_oracle(M)
 
 
 class TestSolitonLauret:
