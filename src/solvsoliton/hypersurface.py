@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .family import FamilyParams, ricci_eigenvalue_formulas
 from .linalg import Matrix, inverse
@@ -96,6 +97,19 @@ def _jet_parts(G: Matrix):
     return gv, g1, g2
 
 
+@lru_cache(maxsize=4)
+def _slice_gram(p: FamilyParams):
+    """(G, values, first, second, inverse of values) for the coordinate Gram.
+
+    Memoised per parameter point, because one ``verify`` needs the Gram and
+    its inverse three times; a sweep visits each point once, so a few entries
+    suffice.
+    """
+    G = coordinate_gram(p)
+    gv, g1, g2 = _jet_parts(G)
+    return G, gv, g1, g2, inverse(gv)
+
+
 @dataclass
 class RadialOperators:
     """Radial endomorphism and companion Grams at the working rho.
@@ -113,7 +127,7 @@ class RadialOperators:
 
 
 def radial_operators(p: FamilyParams) -> RadialOperators:
-    G = coordinate_gram(p)
+    G, _, g1, g2, ginv = _slice_gram(p)
     d = G.rows
     for i in range(d):
         for j in range(d):
@@ -125,9 +139,8 @@ def radial_operators(p: FamilyParams) -> RadialOperators:
         val = g.d1 / g.v / 2
         der = (g.d2 * g.v - g.d1 * g.d1) / (g.v * g.v) / 2
         a_entries.append(Jet2(val, der, 0))
-    gv, g1, g2 = _jet_parts(G)
     H = g1.scale(Fraction(1, 2))
-    Hsq = H @ inverse(gv) @ H
+    Hsq = H @ ginv @ H
     return RadialOperators(A=Matrix.diagonal(a_entries), H=H, Hsq=Hsq, d2g=g2)
 
 
@@ -168,11 +181,14 @@ def hypersurface_ricci_general(G: Matrix, f: Jet2, lam) -> Matrix:
     ``lam`` the ambient Einstein constant.  Returns the exact Gram of the
     slice Ricci tensor at the base point.
     """
+    gv, g1, g2 = _jet_parts(G)
+    return _ricci_from_parts(gv, g1, g2, inverse(gv), f, lam)
+
+
+def _ricci_from_parts(gv, g1, g2, ginv, f: Jet2, lam) -> Matrix:
     if f.v == 0:
         raise ZeroDivisionError("warp factor must be nonzero")
     lam = Fraction(lam)
-    gv, g1, g2 = _jet_parts(G)
-    ginv = inverse(gv)
     metric_trace = (ginv @ g1).trace()
     coeff = metric_trace / (4 * f.v) - f.d1 / (4 * f.v**2)
     hsq = g1 @ ginv @ g1  # = 4 h g^{-1} h
@@ -187,14 +203,14 @@ def hypersurface_ricci_general(G: Matrix, f: Jet2, lam) -> Matrix:
 
 def ricci_bilinear_coords(p: FamilyParams) -> Matrix:
     lam = Fraction(-2 * (p.n + 2))
-    return hypersurface_ricci_general(coordinate_gram(p), warp_data(p).f, lam)
+    _, gv, g1, g2, ginv = _slice_gram(p)
+    return _ricci_from_parts(gv, g1, g2, ginv, warp_data(p).f, lam)
 
 
 def ricci_endomorphism_coords(p: FamilyParams) -> Matrix:
     """Ricci endomorphism of the slice in coordinate order."""
-    G = coordinate_gram(p)
-    gv, _, _ = _jet_parts(G)
-    return inverse(gv) @ ricci_bilinear_coords(p)
+    *_, ginv = _slice_gram(p)
+    return ginv @ ricci_bilinear_coords(p)
 
 
 def principal_ricci(p: FamilyParams):
@@ -205,7 +221,7 @@ def principal_ricci(p: FamilyParams):
 def trace_identity_check(p: FamilyParams) -> bool:
     """Exact check of tr(g^{-1} g') - f'/f = -8 n rho f at the working rho."""
     w = warp_data(p)
-    gv, g1, _ = _jet_parts(coordinate_gram(p))
-    lhs = (inverse(gv) @ g1).trace() - w.fprime_over_f
+    _, _, g1, _, ginv = _slice_gram(p)
+    lhs = (ginv @ g1).trace() - w.fprime_over_f
     rhs = -8 * p.n * p.rho * w.f.v
     return lhs == rhs

@@ -397,29 +397,55 @@ class TestComputeOnce:
         assert report["ok"] is True
         assert calls == {"metric_algebra": 1, "verify_splitting": 1}
 
+    def test_verify_inverts_each_gram_once(self, monkeypatch):
+        from solvsoliton import hypersurface, linalg
+
+        calls = {}
+
+        def counted(module):
+            inverse = module.inverse
+
+            def wrapper(A):
+                name = module.__name__.rsplit(".", 1)[1]
+                calls[name] = calls.get(name, 0) + 1
+                return inverse(A)
+
+            return wrapper
+
+        # family imports inverse from linalg at call time
+        for module in (hypersurface, metric_lie, linalg):
+            monkeypatch.setattr(module, "inverse", counted(module))
+        hypersurface._slice_gram.cache_clear()
+        p = family.FamilyParams(3, Fraction(7, 5), Fraction(9, 14))
+        report = cli.verify_report(p)
+        assert report["ok"] is True
+        # the coordinate Gram; the Grams of the algebra and of its nilradical;
+        # the evaluation map of the embedding
+        assert calls == {"hypersurface": 1, "metric_lie": 2, "linalg": 1}
+
     def test_einstein_assembles_each_point_once(self, monkeypatch):
         from solvsoliton import coord_engine
 
         calls = []
-        entries = coord_engine.AmbientMetric._entries
+        assemble = coord_engine.AmbientMetric._assemble
 
         def counted(self, point):
             calls.append(tuple(point))
-            return entries(self, point)
+            return assemble(self, point)
 
-        monkeypatch.setattr(coord_engine.AmbientMetric, "_entries", counted)
+        monkeypatch.setattr(coord_engine.AmbientMetric, "_assemble", counted)
         report = cli.einstein_report(family.FamilyParams(2, Fraction(1), Fraction(1)))
         assert report["ok"] is True
         # p_rho and the two off-center points; induced_consistency reuses p_rho
         assert len(calls) == len(set(calls)) == 3
 
 
-def test_exact_commands_do_not_load_numpy():
+def assert_module_not_loaded(argv: list, module: str):
     script = (
         "import sys\n"
         "from solvsoliton import cli\n"
-        "assert cli.main(['verify', '--n', '1', '--rho', '1', '--c', '0']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"assert {module!r} not in sys.modules, '{module} was imported'\n"
     )
     src = str(Path(solvsoliton.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -430,3 +456,12 @@ def test_exact_commands_do_not_load_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_commands_do_not_load_numpy():
+    assert_module_not_loaded(["verify", "--n", "1", "--rho", "1", "--c", "0"], "numpy")
+
+
+def test_einstein_does_not_load_numpy_random():
+    argv = ["einstein", "--n", "2", "--rho", "1", "--c", "1"]
+    assert_module_not_loaded(argv, "numpy.random")

@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 
 from solvsoliton.coord_engine import (
-    AmbientMetric,
-    Chart,
-    FloatJet2,
-    ambient_coordinate_names,
     assemble_metric,
     einstein_residual,
     induced_consistency,
     off_center_points,
     p_rho_point,
     ricci_from_jets,
-    ricci_numeric,
 )
 from solvsoliton.family import FamilyParams, coordinate_gram_values
 
@@ -127,15 +122,72 @@ class TestAssembly:
         with pytest.raises(ValueError):
             M.gram(np.zeros(8))  # rho = 0
 
-    def test_chart_validation(self):
-        with pytest.raises(ValueError):
-            Chart(2, np.zeros(7))
-        chart = Chart(2, p_rho_point(2, 1.0))
-        assert chart.coords == ambient_coordinate_names(2)
-        assert chart.coords[0] == "rho" and len(chart.coords) == 8
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("c", [0.0, 9 / 14])
+    def test_derivatives_match_central_differences(self, n, c):
+        # the engine differentiates analytically; here the independent
+        # complex-arithmetic evaluation is differenced instead
+        M = assemble_metric(n, c)
+        m, h = 4 * n, 1e-4
+        unit = np.eye(m) * h
+        value = lambda x: metric_value_by_complex_arithmetic(n, c, x)
+        for pt in off_center_points(n):
+            _, dg, d2g = M.jets(pt)
+
+            def second(ek, el):
+                plus = value(pt + ek + el) + value(pt - ek - el)
+                return (plus - value(pt + ek - el) - value(pt - ek + el)) / (4 * h * h)
+
+            fd1 = np.array([(value(pt + e) - value(pt - e)) / (2 * h) for e in unit])
+            fd2 = np.array([[second(ek, el) for el in unit] for ek in unit])
+            assert np.max(np.abs(dg - fd1)) < 1e-6 * np.max(np.abs(dg))
+            assert np.max(np.abs(d2g - fd2)) < 1e-6 * np.max(np.abs(d2g))
+
+
+def ricci_full_einsum(g, dg, d2g):
+    """Reference Ricci tensor from the full dGamma tensor, O(m^5) einsums."""
+    ginv = np.linalg.inv(g)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+    s = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, s)
+    ds = (
+        np.einsum("milj->mlij", d2g)
+        + np.einsum("mjli->mlij", d2g)
+        - np.einsum("mlij->mlij", d2g)
+    )
+    dgamma = 0.5 * (
+        np.einsum("mkl,lij->mkij", dginv, s) + np.einsum("kl,mlij->mkij", ginv, ds)
+    )
+    t1 = np.einsum("kkij->ij", dgamma)
+    t2 = np.einsum("jkik->ij", dgamma)
+    t3 = np.einsum("kkl,lij->ij", gamma, gamma)
+    t4 = np.einsum("kjl,lik->ij", gamma, gamma)
+    return t1 - t2 + t3 - t4
+
+
+def random_jets(m: int, seed: int):
+    """Seeded SPD g with dg and d2g symmetric in the metric indices and d2g
+    symmetric in its derivative indices, as the jets of a metric are."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m))
+    g = a @ a.T + m * np.eye(m)
+    dg = rng.standard_normal((m, m, m))
+    dg = dg + dg.transpose(0, 2, 1)
+    d2g = rng.standard_normal((m, m, m, m))
+    d2g = d2g + d2g.transpose(0, 1, 3, 2)
+    d2g = d2g + d2g.transpose(1, 0, 2, 3)
+    return g, dg, d2g
 
 
 class TestRicciNumeric:
+    @pytest.mark.parametrize("m", [5, 8, 12])
+    def test_trace_form_matches_full_dgamma(self, m):
+        for seed in range(3):
+            jets = random_jets(m, seed)
+            ref = ricci_full_einsum(*jets)
+            ric = ricci_from_jets(*jets)
+            assert np.max(np.abs(ric - ref)) < 1e-12 * np.max(np.abs(ref))
+
     def test_flat_fixture(self):
         m = 5
         ric = ricci_from_jets(np.eye(m), np.zeros((m, m, m)), np.zeros((m, m, m, m)))
@@ -161,7 +213,7 @@ class TestRicciNumeric:
     def test_einstein_property(self, n, rho, c):
         M = assemble_metric(n, c)
         lam = -2.0 * (n + 2)
-        ric = ricci_numeric(M, p_rho_point(n, rho))
+        ric = ricci_from_jets(*M.jets(p_rho_point(n, rho)))
         g = M.gram(p_rho_point(n, rho))
         assert np.max(np.abs(ric - lam * g)) / np.max(np.abs(g)) < 1e-8
         for pt in off_center_points(n):
@@ -234,23 +286,3 @@ class TestInducedConsistency:
             for pt in off_center_points(n):
                 norm_x_sq = float(np.sum(pt[1 : 2 * n - 1] ** 2)) / 4.0
                 assert pt[0] > 0 and norm_x_sq <= 0.25
-
-
-class TestFloatJet2:
-    def test_polynomial_gradient_hessian(self):
-        # f(x, y) = x^2 y + 3y at (2, 5)
-        x = FloatJet2.variable(0, 2.0, 2)
-        y = FloatJet2.variable(1, 5.0, 2)
-        f = x * x * y + 3.0 * y
-        assert f.v == 2.0**2 * 5 + 15
-        assert list(f.g) == [2 * 2.0 * 5.0, 2.0**2 + 3.0]
-        assert f.h[0][0] == 2 * 5.0
-        assert f.h[0][1] == f.h[1][0] == 2 * 2.0
-        assert f.h[1][1] == 0.0
-
-    def test_reciprocal(self):
-        x = FloatJet2.variable(0, 4.0, 1)
-        inv = 1.0 / x
-        assert abs(inv.v - 0.25) < 1e-15
-        assert abs(inv.g[0] + 1 / 16) < 1e-15
-        assert abs(inv.h[0][0] - 2 / 64) < 1e-15
