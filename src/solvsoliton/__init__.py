@@ -22,7 +22,6 @@ from .family import (
 from .hypersurface import (
     coordinate_gram,
     hypersurface_ricci_general,
-    principal_ricci,
     shape_operator,
     trace_identity_check,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "hypersurface_ricci_general",
     "metric_algebra",
     "nullspace",
-    "principal_ricci",
     "rational",
     "real_rooted",
     "ricci_endomorphism_koszul",

@@ -155,7 +155,7 @@ def spectrum_report(p: family.FamilyParams) -> dict:
 
 def ricci_report(p: family.FamilyParams) -> dict:
     koszul, expected, conjugated = _three_way_ricci(p, family.metric_algebra(p))
-    r1, r2, r3, r4 = hypersurface.principal_ricci(p)
+    r1, r2, r3, r4 = family.ricci_eigenvalue_formulas(p.n, p.rho, p.c)
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "ricci_endomorphism": koszul.to_strings(),

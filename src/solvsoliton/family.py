@@ -41,6 +41,7 @@ __all__ = [
     "family_splitting",
     "metric_algebra",
     "coordinate_names",
+    "slice_diagonal",
     "coordinate_gram_values",
     "ricci_eigenvalue_formulas",
     "expected_closed_forms",
@@ -304,15 +305,23 @@ def coordinate_names(n: int) -> list:
     return names
 
 
+def slice_diagonal(n: int, rho, c) -> list:
+    """Diagonal of the slice metric g_rho in coordinate order.
+
+    Generic in ``rho``: a ``Fraction`` gives the values at the base point, a
+    ``Jet2`` in rho gives them with their first two rho-derivatives.  These
+    are the only copies of the four entry formulas.
+    """
+    b = (rho + c) / (4 * rho)
+    phi = (rho + c) / (4 * rho**2 * (rho + 2 * c))
+    z0 = (rho + 2 * c) / (2 * rho**2)
+    zrest = 1 / (2 * rho)
+    return [b] * (2 * n - 2) + [phi] + [z0] * 2 + [zrest] * (2 * n - 2)
+
+
 def coordinate_gram_values(p: FamilyParams) -> list:
     """Diagonal of the coordinate Gram matrix at the base point."""
-    n, rho, c = p.n, p.rho, p.c
-    diag = []
-    diag += [(rho + c) / (4 * rho)] * (2 * n - 2)
-    diag.append((rho + c) / (4 * rho**2 * (rho + 2 * c)))
-    diag += [(rho + 2 * c) / (2 * rho**2)] * 2
-    diag += [Fraction(1) / (2 * rho)] * (2 * n - 2)
-    return diag
+    return slice_diagonal(p.n, p.rho, p.c)
 
 
 @dataclass

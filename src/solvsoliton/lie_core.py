@@ -9,7 +9,6 @@ exact.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -265,30 +264,21 @@ def _lower_central_series_vanishes(L: StructureConstants, basis: list) -> bool:
     return True
 
 
-def is_completely_solvable(
-    L: StructureConstants, samples: int = 32, seed: int = 7
-) -> bool:
-    """All ad-eigenvalues real: exact on basis vectors, sampled beyond.
+def is_completely_solvable(L: StructureConstants) -> bool:
+    """All ad-eigenvalues real, decided exactly on the basis adjoints.
 
-    Exactness note: the certificate is sound for the basis adjoints (Sturm
-    decided) and heuristic beyond them, using ``samples`` pseudo-random
-    rational combinations with a fixed seed.
+    The basis suffices.  By Lie's theorem, ad(L_C) of a solvable L is
+    simultaneously triangular in some basis of L_C, with diagonal entries
+    alpha_k(x) linear in x.  The eigenvalues of ad e_i are the alpha_k(e_i),
+    each decided real by a Sturm count; a real x = sum x_i e_i then has the
+    real eigenvalues alpha_k(x) = sum x_i alpha_k(e_i).
     """
     if not is_solvable(L):
         raise ValueError("complete solvability is only defined for solvable algebras")
     d = L.dim
-    for i in range(d):
-        p = char_poly(ad_matrix(L, _basis_vector(d, i)))
-        if not real_rooted(p):
-            return False
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
-        if not any(x):
-            x[0] = Fraction(1)
-        if not real_rooted(char_poly(ad_matrix(L, x))):
-            return False
-    return True
+    return all(
+        real_rooted(char_poly(ad_matrix(L, _basis_vector(d, i)))) for i in range(d)
+    )
 
 
 def _leibniz_defects(L: StructureConstants, X: Matrix):

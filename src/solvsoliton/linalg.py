@@ -1,4 +1,4 @@
-"""Exact linear algebra over rationals, surds, and jets.
+"""Exact linear algebra over rationals and surds.
 
 Solving, kernels, inverses, span membership and the Sylvester test all rest
 on one kernel, :func:`rref`: a sparse reduced row echelon form over
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Jet2, Surd
+from .scalars import Surd
 
 __all__ = [
     "Matrix",
@@ -32,7 +32,7 @@ __all__ = [
 def _coerce_entry(x):
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (Fraction, Surd, Jet2)):
+    if isinstance(x, (Fraction, Surd)):
         return x
     raise TypeError(f"unsupported exact matrix entry: {type(x).__name__}")
 
@@ -162,9 +162,6 @@ class Matrix:
 
     def column_vector(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
-
-    def to_float(self):
-        return [[float(x) for x in row] for row in self.data]
 
     def to_strings(self):
         return [[str(x) for x in row] for row in self.data]
@@ -411,12 +408,6 @@ class Polynomial:
             return self
         lead = self.leading()
         return Polynomial([c / lead for c in self.coeffs])
-
-    def eval(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self):
         if self.is_zero():

@@ -15,7 +15,6 @@ ric = R - B/2 - sym(ad H) is reconstructed term by term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
@@ -98,10 +97,6 @@ class MetricLieAlgebra:
                 if yj and row[j]:
                     total += xi * row[j] * yj
         return total
-
-    def rescaled(self, t) -> "MetricLieAlgebra":
-        """Same brackets with the Gram matrix scaled by t > 0."""
-        return MetricLieAlgebra(self.L, self.G.scale(Fraction(t)))
 
 
 def connection_coeffs(M: MetricLieAlgebra) -> list:
@@ -350,9 +345,6 @@ class SolitonVerdict:
             "checklist": self.checklist,
             "witness": None if self.witness is None else self.witness.to_strings(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
 def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:

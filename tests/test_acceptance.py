@@ -43,6 +43,7 @@ from solvsoliton.lie_core import (
 )
 from solvsoliton.linalg import Matrix, char_poly, nullspace
 from solvsoliton.metric_lie import (
+    MetricLieAlgebra,
     adjoint_operator,
     lauret_terms,
     mean_curvature_vector,
@@ -310,7 +311,7 @@ def test_criterion_9_property_suites():
         M = metric_for(p)
         base = soliton_check_direct(M)
         t = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-        scaled = M.rescaled(t)
+        scaled = MetricLieAlgebra(M.L, M.G.scale(t))
         v = soliton_check_direct(scaled)
         ok &= v.is_soliton == base.is_soliton
         if base.is_soliton:

@@ -398,7 +398,7 @@ class TestComputeOnce:
         assert calls == {"metric_algebra": 1, "verify_splitting": 1}
 
     def test_verify_inverts_each_gram_once(self, monkeypatch):
-        from solvsoliton import hypersurface, linalg
+        from solvsoliton import linalg
 
         calls = {}
 
@@ -413,15 +413,15 @@ class TestComputeOnce:
             return wrapper
 
         # family imports inverse from linalg at call time
-        for module in (hypersurface, metric_lie, linalg):
+        for module in (metric_lie, linalg):
             monkeypatch.setattr(module, "inverse", counted(module))
-        hypersurface._slice_gram.cache_clear()
         p = family.FamilyParams(3, Fraction(7, 5), Fraction(9, 14))
         report = cli.verify_report(p)
         assert report["ok"] is True
-        # the coordinate Gram; the Grams of the algebra and of its nilradical;
-        # the evaluation map of the embedding
-        assert calls == {"hypersurface": 1, "metric_lie": 2, "linalg": 1}
+        # the Grams of the algebra and of its nilradical; the evaluation map
+        # of the embedding.  The coordinate route is entrywise on a diagonal
+        # Gram and inverts nothing.
+        assert calls == {"metric_lie": 2, "linalg": 1}
 
     def test_einstein_assembles_each_point_once(self, monkeypatch):
         from solvsoliton import coord_engine

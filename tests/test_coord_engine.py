@@ -243,10 +243,32 @@ class TestInducedConsistency:
         assert report.ok()
 
     def test_n2_c0_eigenvalue_multiset(self):
+        # coordinate order (b1, t1, phi, zt0, z0, zt1, z1): r1, r1, r2, r3, r3, r4, r4
         p = FamilyParams(2, Fraction(1), Fraction(0))
         report = induced_consistency(assemble_metric(2, 0.0), p)
-        expected = np.sort(np.array([-8.0, -8.0, 4.0, -2.0, -2.0, -2.0, -2.0]))
+        expected = np.array([-8.0, -8.0, 4.0, -2.0, -2.0, -2.0, -2.0])
         assert np.max(np.abs(report.expected - expected)) == 0.0
+        assert np.max(np.abs(report.eigenvalues - expected)) < 1e-12
+
+    @pytest.mark.parametrize("block", ["drho", "drho2"])
+    def test_off_diagonal_slice_derivative_fails(self, monkeypatch, block):
+        # The entrywise slice Ricci reads only the diagonals of the rho-jets,
+        # so an off-diagonal entry there must count as a Gram error.  The
+        # (b1, phi) pair has distinct Ricci eigenvalues r1 != r2, so the
+        # perturbation moves no eigenvalue to first order.
+        p = FamilyParams(2, Fraction(11, 13), Fraction(9, 14))
+        M = assemble_metric(2, float(p.c))
+        assert induced_consistency(M, p).ok()
+        g, dg, d2g = (a.copy() for a in M.jets(p_rho_point(2, float(p.rho))))
+        target = dg[0] if block == "drho" else d2g[0, 0]
+        eps = 1e-6 * np.max(np.abs(target[1:, 1:]))
+        target[1, 3] += eps
+        target[3, 1] += eps
+        monkeypatch.setattr(M, "jets", lambda point: (g, dg, d2g))
+        report = induced_consistency(M, p)
+        assert report.gram_max_error > 1e-7
+        assert report.eigenvalue_max_error < 1e-8
+        assert not report.ok()
 
     @pytest.mark.parametrize("rho", [Fraction(1), Fraction(1, 10**5), Fraction(10**10)])
     def test_perturbed_slice_gram_fails_at_every_scale(self, monkeypatch, rho):
