@@ -30,8 +30,8 @@ from .scalars import rational
 
 __all__ = ["RunConfig", "main"]
 
-DEFAULT_MAX_N = 8
-EINSTEIN_MAX_N = 4
+DEFAULT_MAX_N = 16
+EINSTEIN_MAX_N = 8
 
 
 @dataclass

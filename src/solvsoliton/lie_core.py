@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix, char_poly, in_span, real_rooted, rref
+from .linalg import Matrix, char_poly, real_rooted, rref
 
 __all__ = [
     "StructureConstants",
@@ -187,7 +187,7 @@ def ad_matrix(L: StructureConstants, x) -> Matrix:
         for j in range(d):
             for k, v in L._sparse[i][j]:
                 out[k][j] += xi * v
-    return Matrix(out)
+    return Matrix._trusted(out)
 
 
 def _ad_basis(L: StructureConstants) -> list:
@@ -220,21 +220,37 @@ def killing_form(L: StructureConstants) -> Matrix:
     return Matrix(out)
 
 
-def _span_basis(d: int, vectors) -> list:
-    """RREF basis of the span of coordinate vectors, in pivot order."""
-    pivots, _ = rref(dict(enumerate(v)) for v in vectors)
-    return [[pivots[pc].get(k, Fraction(0)) for k in range(d)] for pc in sorted(pivots)]
+def _bracket_rows(L: StructureConstants, x: dict, y: dict) -> dict:
+    """[x, y] for sparse {index: scalar} vectors, over the nonzero structure
+    constants only; zero sums may be left in."""
+    sp = L._sparse
+    out: dict = {}
+    for a, xa in x.items():
+        row = sp[a]
+        for b, yb in y.items():
+            f = xa * yb
+            for k, v in row[b]:
+                out[k] = out.get(k, 0) + f * v
+    return out
 
 
-def _span_brackets(L: StructureConstants, basis_a: list, basis_b: list) -> list:
-    return _span_basis(L.dim, (bracket(L, x, y) for x in basis_a for y in basis_b))
+def _span_rows(rows) -> list:
+    """RREF rows ({index: scalar}, 1 at the pivot) of the span, in pivot order."""
+    pivots, _ = rref(rows)
+    return [pivots[pc] for pc in sorted(pivots)]
+
+
+def _basis_rows(indices) -> list:
+    return [{i: Fraction(1)} for i in indices]
 
 
 def derived_algebra(L: StructureConstants) -> list:
     """RREF basis of [L, L]."""
     d = L.dim
-    basis = [_basis_vector(d, i) for i in range(d)]
-    return _span_brackets(L, basis, basis)
+    rows = _span_rows(
+        dict(L._sparse[i][j]) for i in range(d) for j in range(i + 1, d)
+    )
+    return [[row.get(k, Fraction(0)) for k in range(d)] for row in rows]
 
 
 def is_unimodular(L: StructureConstants) -> bool:
@@ -243,21 +259,26 @@ def is_unimodular(L: StructureConstants) -> bool:
 
 def is_solvable(L: StructureConstants) -> bool:
     """Derived series reaches zero."""
-    d = L.dim
-    current = [_basis_vector(d, i) for i in range(d)]
+    current = _basis_rows(range(L.dim))
     while current:
-        nxt = _span_brackets(L, current, current)
+        nxt = _span_rows(
+            _bracket_rows(L, x, y)
+            for a, x in enumerate(current)
+            for y in current[a + 1 :]
+        )
         if len(nxt) >= len(current):
             return False
         current = nxt
     return True
 
 
-def _lower_central_series_vanishes(L: StructureConstants, basis: list) -> bool:
-    """Nilpotency of the span of ``basis`` (assumed a subalgebra)."""
+def _lower_central_series_vanishes(L: StructureConstants, indices) -> bool:
+    """Nilpotency of the span of the basis vectors ``indices`` (assumed a
+    subalgebra): the series n, [n, n], [n, [n, n]], ... reaches zero."""
+    basis = _basis_rows(indices)
     current = basis
     while current:
-        nxt = _span_brackets(L, basis, current)
+        nxt = _span_rows(_bracket_rows(L, x, y) for x in basis for y in current)
         if len(nxt) >= len(current):
             return False
         current = nxt
@@ -355,29 +376,25 @@ def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> Splittin
     separately rather than computing a nilradical from scratch.
     """
     d = L.dim
-    idx = sorted(s.a_indices) + sorted(s.n_indices)
-    if sorted(idx) != list(range(d)):
+    if sorted(s.a_indices + s.n_indices) != list(range(d)):
         raise ValueError("splitting index sets must partition the basis")
-    a_basis = [_basis_vector(d, i) for i in s.a_indices]
-    n_basis = [_basis_vector(d, i) for i in s.n_indices]
-    n_span, _ = rref(dict(enumerate(v)) for v in n_basis)
-    full = [_basis_vector(d, i) for i in range(d)]
+    # The parts are spans of basis vectors, so a bracket lies in n exactly
+    # when its nonzero structure constants all land on n's indices.
+    sp = L._sparse
+    in_n = [False] * d
+    for i in s.n_indices:
+        in_n[i] = True
 
-    n_is_ideal = all(
-        in_span(n_span, dict(enumerate(bracket(L, x, y)))) for x in full for y in n_basis
-    )
-    n_is_nilpotent = _lower_central_series_vanishes(L, n_basis)
+    def lands_in_n(i, j):
+        return all(in_n[k] for k, _ in sp[i][j])
+
+    n_is_ideal = all(lands_in_n(i, j) for i in range(d) for j in s.n_indices)
+    n_is_nilpotent = _lower_central_series_vanishes(L, s.n_indices)
     n_contains_derived = all(
-        in_span(n_span, dict(enumerate(v))) for v in derived_algebra(L)
+        lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
     )
-    a_is_abelian = all(
-        not any(bracket(L, x, y)) for x in a_basis for y in a_basis
-    )
-    ortho = True
-    for i in s.a_indices:
-        for j in s.n_indices:
-            if G.data[i][j] != 0:
-                ortho = False
+    a_is_abelian = not any(sp[i][j] for i in s.a_indices for j in s.a_indices)
+    ortho = all(G.data[i][j] == 0 for i in s.a_indices for j in s.n_indices)
     return SplittingReport(
         n_is_ideal=n_is_ideal,
         n_is_nilpotent=n_is_nilpotent,

@@ -1,6 +1,6 @@
 """Exact linear algebra over rationals and surds.
 
-Solving, kernels, inverses, span membership and the Sylvester test all rest
+Solving, kernels, inverses and the Sylvester test all rest
 on one kernel, :func:`rref`: a sparse reduced row echelon form over
 {col: scalar} rows, with zero tolerance; floating point never enters.
 Characteristic polynomials are computed over the rationals via an exact
@@ -18,7 +18,6 @@ __all__ = [
     "Matrix",
     "Polynomial",
     "rref",
-    "in_span",
     "solve_exact",
     "nullspace",
     "sparse_nullspace",
@@ -50,8 +49,18 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
+    def _trusted(cls, data: list) -> "Matrix":
+        """Wrap rectangular rows of Fraction/Surd entries without copying or
+        coercing them; ``data`` is owned by the new matrix."""
+        m = cls.__new__(cls)
+        m.data = data
+        m.rows = len(data)
+        m.cols = len(data[0]) if data else 0
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
+        return cls._trusted([[Fraction(0)] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -77,36 +86,31 @@ class Matrix:
         return self.data[i][j]
 
     def copy(self) -> "Matrix":
-        return Matrix([row[:] for row in self.data])
+        return Matrix._trusted([row[:] for row in self.data])
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._trusted([list(col) for col in zip(*self.data)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return Matrix._trusted(
+            [[x + y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)]
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return Matrix._trusted(
+            [[x - y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)]
         )
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, s) -> "Matrix":
-        return Matrix([[s * x for x in row] for row in self.data])
+        s = _coerce_entry(s)
+        return Matrix._trusted([[s * x for x in row] for row in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -124,7 +128,7 @@ class Matrix:
                     b = brow[j]
                     if b:
                         orow[j] = orow[j] + a * b
-        return Matrix(out)
+        return Matrix._trusted(out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -232,11 +236,6 @@ def rref(rows):
         for qc in [c for c in row if c != pc and c in pivots]:
             _eliminate(row, qc, pivots[qc])
     return pivots, leads
-
-
-def in_span(pivots: dict, row: dict) -> bool:
-    """Whether a {col: scalar} row lies in the span of ``rref`` pivots."""
-    return not _reduce(row, pivots)
 
 
 def _sparse_rows(A: Matrix) -> list:

@@ -36,7 +36,6 @@ __all__ = [
     "MetricLieAlgebra",
     "SolitonVerdict",
     "connection_coeffs",
-    "verify_connection",
     "ricci_bilinear",
     "ricci_endomorphism_koszul",
     "mean_curvature_vector",
@@ -86,24 +85,17 @@ class MetricLieAlgebra:
             self._cache[key] = report
         return report
 
-    def inner(self, x, y) -> Fraction:
-        """<x, y> under the Gram matrix, for coordinate vectors."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.G.data[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    total += xi * row[j] * yj
-        return total
-
 
 def connection_coeffs(M: MetricLieAlgebra) -> list:
-    """Levi-Civita connection: Gamma[i] has column j = nabla_{e_i} e_j.
+    """Levi-Civita connection as sparse columns: gamma[i][j] = {r: value}
+    holds the nonzero coordinates of nabla_{e_i} e_j.
 
     Built from the left-invariant Koszul formula
-    2<nabla_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y>.
+    2<nabla_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y>
+    with w_ij(k) = <[e_i, e_j], e_k> kept only for pairs with a nonzero
+    bracket.  By antisymmetry both of the last two terms are read from one
+    index map, by_value[(a, c)] = {b: w_ab(c)}:
+    w_jk(i) = by_value[(j, i)][k] and w_ki(j) = -by_value[(i, j)][k].
     Cached on the metric algebra.
     """
     cached = M._cache.get("gamma")
@@ -111,103 +103,86 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
         return cached
     L, G = M.L, M.G
     d = L.dim
-    # Sparse rows of G^{-1}; the family Gram is diagonal but for one 2x2 block.
+    # Sparse rows of the symmetric G and G^{-1}.
+    g_rows = [[(k, v) for k, v in enumerate(row) if v] for row in G.data]
     ginv = [[(k, v) for k, v in enumerate(row) if v] for row in M.gram_inverse().data]
-    # w[i][j][k] = <[e_i, e_j], e_k>
-    w = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    w: dict = {}
+    by_value: dict = {}
     for i in range(d):
         for j in range(d):
+            if not L._sparse[i][j]:
+                continue
+            wij: dict = {}
             for m, v in L._sparse[i][j]:
-                row = G.data[m]
-                wij = w[i][j]
-                for k in range(d):
-                    if row[k]:
-                        wij[k] += v * row[k]
-    gammas = []
-    for i in range(d):
-        cols = []
-        for j in range(d):
-            rhs = []
-            for k in range(d):
-                a, b, e = w[i][j][k], w[j][k][i], w[k][i][j]
-                rhs.append(_HALF * (a - b + e) if a or b or e else a)
-            col = []
-            for row in ginv:
-                t = Fraction(0)
-                for k, v in row:
-                    if rhs[k]:
-                        t += v * rhs[k]
-                col.append(t)
-            cols.append(col)
-        gammas.append(Matrix([[cols[j][r] for j in range(d)] for r in range(d)]))
-    M._cache["gamma"] = gammas
-    return gammas
-
-
-def verify_connection(M: MetricLieAlgebra):
-    """(metric_ok, torsion_ok) re-checked exactly on all basis pairs."""
-    L = M.L
-    d = L.dim
-    gammas = connection_coeffs(M)
-    metric_ok = True
-    torsion_ok = True
-    basis = [[Fraction(int(r == i)) for r in range(d)] for i in range(d)]
-    for i in range(d):
-        cols_i = [gammas[i].column_vector(j) for j in range(d)]
-        for j in range(d):
-            for k in range(d):
-                lhs = M.inner(cols_i[j], basis[k]) + M.inner(basis[j], cols_i[k])
-                if lhs != 0:
-                    metric_ok = False
-            diff = [
-                cols_i[j][r] - gammas[j].data[r][i] for r in range(d)
-            ]
-            br = bracket(L, basis[i], basis[j])
-            if any(diff[r] - br[r] for r in range(d)):
-                torsion_ok = False
-    return metric_ok, torsion_ok
+                for k, g in g_rows[m]:
+                    wij[k] = wij.get(k, 0) + v * g
+            wij = w[i, j] = {k: x for k, x in wij.items() if x}
+            for k, x in wij.items():
+                by_value.setdefault((i, k), {})[j] = x
+    gamma = [[{} for _ in range(d)] for _ in range(d)]
+    for i, j in w.keys() | by_value.keys() | {(j, i) for i, j in by_value}:
+        # rhs[k] = 2<nabla_{e_i} e_j, e_k>
+        rhs = dict(w.get((i, j), ()))
+        for part in (by_value.get((j, i), {}), by_value.get((i, j), {})):
+            for k, x in part.items():
+                rhs[k] = rhs.get(k, 0) - x
+        col: dict = {}
+        for k, x in rhs.items():
+            if x:
+                x = _HALF * x
+                for r, g in ginv[k]:
+                    col[r] = col.get(r, 0) + g * x
+        gamma[i][j] = {r: x for r, x in col.items() if x}
+    M._cache["gamma"] = gamma
+    return gamma
 
 
 def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
-    """Gram matrix of the Ricci form: Ric(e_i, e_j) = tr(v -> R(v, e_i) e_j)."""
+    """Gram matrix of the Ricci form: Ric(e_i, e_j) = tr(v -> R(v, e_i) e_j).
+
+    With Gamma_ij^m the coordinates of nabla_{e_i} e_j and c_ki^m the
+    structure constants,
+    Ric_ij = sum_m t_m Gamma_ij^m - sum_{k,m} Gamma_im^k Gamma_kj^m
+             - sum_{k,m} c_ki^m Gamma_mj^k,  t_m = sum_k Gamma_km^k,
+    each sum taken over the nonzero entries of the sparse columns only.
+    Cached on the metric algebra.
+    """
     cached = M._cache.get("ricci_bilinear")
     if cached is not None:
         return cached
     L = M.L
     d = L.dim
-    gammas = connection_coeffs(M)
-    dense = [g.data for g in gammas]
-    # Sparse columns: col[k][j] = nonzero (m, value) of nabla_{e_k} e_j.
-    col = [
-        [[(m, dense[k][m][j]) for m in range(d) if dense[k][m][j]] for j in range(d)]
-        for k in range(d)
-    ]
-    trace_row = [Fraction(0)] * d
+    gamma = connection_coeffs(M)
+    # by_row[k][m] = {j: Gamma_kj^m}
+    by_row = [[{} for _ in range(d)] for _ in range(d)]
+    trace: dict = {}
     for k in range(d):
+        for j, col in enumerate(gamma[k]):
+            for m, x in col.items():
+                by_row[k][m][j] = x
         for m in range(d):
-            if dense[k][k][m]:
-                trace_row[m] += dense[k][k][m]
-    out = [[Fraction(0)] * d for _ in range(d)]
+            x = gamma[k][m].get(k)
+            if x:
+                trace[m] = trace.get(m, 0) + x
+    zero = Fraction(0)
+    out = []
     for i in range(d):
-        gi = dense[i]
-        for j in range(d):
-            term1 = Fraction(0)
-            for m, v in col[i][j]:
-                if trace_row[m]:
-                    term1 += trace_row[m] * v
-            term2 = Fraction(0)
-            for k in range(d):
-                gik = gi[k]
-                for m, v in col[k][j]:
-                    if gik[m]:
-                        term2 += gik[m] * v
-            term3 = Fraction(0)
-            for k in range(d):
-                for m, v in L._sparse[k][i]:
-                    if dense[m][k][j]:
-                        term3 += v * dense[m][k][j]
-            out[i][j] = term1 - term2 - term3
-    ric = Matrix(out)
+        row: dict = {}
+        for j, col in enumerate(gamma[i]):
+            for m, x in col.items():
+                t = trace.get(m)
+                if t:
+                    row[j] = row.get(j, 0) + t * x
+        for m, col in enumerate(gamma[i]):
+            for k, x in col.items():
+                for j, y in by_row[k][m].items():
+                    row[j] = row.get(j, 0) - x * y
+        for k in range(d):
+            for m, v in L._sparse[k][i]:
+                for j, y in by_row[m][k].items():
+                    row[j] = row.get(j, 0) - v * y
+        out.append([row.get(j, zero) for j in range(d)])
+    ric = Matrix._trusted(out)
     M._cache["ricci_bilinear"] = ric
     return ric
 

@@ -80,10 +80,16 @@ class TestUsageErrors:
         assert code == 2
         assert "SOLV_MAX_N" in err
 
+    def test_default_max_n_guard(self, capsys, monkeypatch):
+        monkeypatch.delenv("SOLV_MAX_N", raising=False)
+        code, out, err = run(capsys, "verify", "--n", "17", "--rho", "1", "--c", "0")
+        assert code == 2 and out == ""
+        assert err == "n=17 exceeds SOLV_MAX_N=16 for the exact path\n"
+
     def test_einstein_cost_guard(self, capsys):
-        code, _, err = run(capsys, "einstein", "--n", "5", "--rho", "1", "--c", "1")
-        assert code == 2
-        assert "cost guard" in err
+        code, out, err = run(capsys, "einstein", "--n", "9", "--rho", "1", "--c", "1")
+        assert code == 2 and out == ""
+        assert err == "einstein check refused: n=9 exceeds the cost guard (max 8)\n"
 
     @pytest.mark.parametrize(
         "grid", [("--rho-grid", "0,1"), ("--c-grid", "-1"), ("--c-grid", "0,-1/2")]
@@ -272,6 +278,13 @@ class TestEinstein:
         report = json.loads(out)
         assert report["ok"] is True
         assert float(report["max_residual"]) < 1e-8
+
+    def test_largest_guarded_n_passes(self, capsys):
+        code, out, _ = run(
+            capsys, "einstein", "--n", "8", "--rho", "11/13", "--c", "9/14", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
     def test_deformed_case(self, capsys):
         code, out, _ = run(

@@ -30,7 +30,7 @@ from solvsoliton.lie_core import (
     subalgebra,
     verify_splitting,
 )
-from solvsoliton.linalg import Matrix, in_span, rref, solve_exact, sparse_nullspace
+from solvsoliton.linalg import Matrix, rref, solve_exact, sparse_nullspace
 
 
 def basis_vec(d, i):
@@ -227,11 +227,11 @@ class TestDerivedAlgebra:
     def test_derived_is_an_ideal(self):
         L = build_lie_algebra(3)
         vecs = derived_algebra(L)
-        span, _ = rref(dict(enumerate(v)) for v in vecs)
+        rows = [dict(enumerate(v)) for v in vecs]
         for i in range(L.dim):
             for v in vecs:
                 w = bracket(L, basis_vec(L.dim, i), v)
-                assert in_span(span, dict(enumerate(w)))
+                assert len(rref([*rows, dict(enumerate(w))])[0]) == len(vecs)
 
 
 class TestUnimodularSolvable:
@@ -392,6 +392,45 @@ class TestSplitting:
         report = verify_splitting(build_lie_algebra(2), bad, build_gram(p))
         assert not report.ok
         assert not (report.a_is_abelian and report.n_is_ideal)
+
+    @staticmethod
+    def flags(L, a, n, G=None):
+        if G is None:
+            G = Matrix.identity(L.dim)
+        report = verify_splitting(L, Splitting(a, n), G)
+        assert not report.ok
+        return (
+            report.n_is_ideal,
+            report.n_is_nilpotent,
+            report.n_contains_derived,
+            report.a_is_abelian,
+            report.a_orthogonal_to_n,
+        )
+
+    def test_n_not_an_ideal(self):
+        # heis3 with n = span(e0, e1): [e0, e1] = e2 leaves n
+        assert self.flags(heis3(), (2,), (0, 1)) == (False, True, False, True, True)
+
+    def test_n_not_nilpotent(self):
+        # [e0, ei] = ei: the lower central series of L stalls at span(e1, e2)
+        L = StructureConstants.from_triples(3, [(0, 1, 1, 1), (0, 2, 2, 1)])
+        assert self.flags(L, (), (0, 1, 2)) == (True, False, True, True, True)
+
+    def test_derived_algebra_not_in_n(self):
+        # aff(1) + R: n = span(e2) is a central ideal missing [e0, e1] = e1
+        L = StructureConstants.from_triples(3, [(0, 1, 1, 1)])
+        assert self.flags(L, (0, 1), (2,)) == (True, True, False, False, True)
+
+    def test_a_not_abelian(self):
+        # heis3 with a = span(e0, e1): [e0, e1] = e2 lands in the centre n
+        assert self.flags(heis3(), (0, 1), (2,)) == (True, True, True, False, True)
+
+    def test_a_not_orthogonal_to_n(self):
+        G = Matrix.identity(7)
+        G.data[0][3] = G.data[3][0] = Fraction(1, 2)
+        s = family_splitting(2)
+        flags = self.flags(build_lie_algebra(2), s.a_indices, s.n_indices, G)
+        assert flags == (True, True, True, True, False)
 
     def test_malformed_partition_raises(self):
         with pytest.raises(ValueError):

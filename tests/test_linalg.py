@@ -11,7 +11,6 @@ from solvsoliton.linalg import (
     Matrix,
     Polynomial,
     char_poly,
-    in_span,
     inverse,
     is_positive_definite,
     nullspace,
@@ -195,12 +194,6 @@ class TestRref:
             for pc, row in pivots.items():
                 assert min(row) == pc and row[pc] == 1
                 assert not any(qc in row for qc in pivots if qc != pc)
-
-    def test_span_membership(self):
-        pivots, _ = rref([{0: 1, 1: 1}, {1: 2, 2: 2}])
-        assert in_span(pivots, {0: 3, 1: 5, 2: 2})  # 3*(1,1,0) + (0,2,2)
-        assert not in_span(pivots, {0: 1})
-        assert in_span(pivots, {2: Fraction(0)})
 
     def test_leads_are_ratios_of_leading_minors(self):
         rng = random.Random(11)

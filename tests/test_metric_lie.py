@@ -18,7 +18,13 @@ from solvsoliton.family import (
     metric_algebra,
 )
 from solvsoliton import lie_core, linalg
-from solvsoliton.lie_core import StructureConstants, ad_matrix, bracket, is_derivation
+from solvsoliton.lie_core import (
+    StructureConstants,
+    ad_matrix,
+    bracket,
+    is_derivation,
+    subalgebra,
+)
 from solvsoliton.linalg import Matrix, nullspace, solve_exact
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
@@ -31,7 +37,6 @@ from solvsoliton.metric_lie import (
     ricci_endomorphism_koszul,
     soliton_check_direct,
     soliton_check_lauret,
-    verify_connection,
 )
 
 HALF = Fraction(1, 2)
@@ -58,11 +63,16 @@ class TestMetricValidation:
             MetricLieAlgebra(build_lie_algebra(1), Matrix.diagonal([1, -1, 1]))
 
 
+def gram_pairing(G, x: dict, k: int):
+    """<x, e_k> for a sparse coordinate vector x."""
+    return sum((v * G.data[r][k] for r, v in x.items()), Fraction(0))
+
+
 class TestConnection:
     def test_abelian_connection_vanishes(self):
         L = StructureConstants.from_triples(3, [])
         M = MetricLieAlgebra(L, Matrix.diagonal([2, 3, 5]))
-        assert all(g.is_zero() for g in connection_coeffs(M))
+        assert connection_coeffs(M) == [[{}] * 3] * 3
 
     def test_heis3_koszul_by_hand(self):
         # [e1,e2] = e3 with the flat Gram: nabla_1 e2 = e3/2,
@@ -70,16 +80,139 @@ class TestConnection:
         # torsion-freeness; frozen from the hand Koszul computation.
         M = heis3_flat_metric()
         g = connection_coeffs(M)
-        assert g[0].column_vector(1) == [0, 0, HALF]
-        assert g[0].column_vector(2) == [0, -HALF, 0]
-        assert g[1].column_vector(2) == [HALF, 0, 0]
-        assert g[0].column_vector(0) == [0, 0, 0]
-        assert g[1].column_vector(0) == [0, 0, -HALF]
+        assert g[0][1] == {2: HALF}
+        assert g[0][2] == {1: -HALF}
+        assert g[1][2] == {0: HALF}
+        assert g[0][0] == {}
+        assert g[1][0] == {2: -HALF}
 
     @pytest.mark.parametrize("p", list(grid()), ids=str)
     def test_metric_and_torsion_free(self, p):
-        metric_ok, torsion_ok = verify_connection(metric_algebra(p))
-        assert metric_ok and torsion_ok
+        M = metric_algebra(p)
+        L, G, d = M.L, M.G, M.dim
+        gamma = connection_coeffs(M)
+        for i in range(d):
+            for j in range(d):
+                # metric: <nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0
+                for k in range(d):
+                    assert gram_pairing(G, gamma[i][j], k) + gram_pairing(
+                        G, gamma[i][k], j
+                    ) == 0
+                # torsion-free: nabla_i e_j - nabla_j e_i = [e_i, e_j]
+                torsion = {
+                    r: gamma[i][j].get(r, 0) - gamma[j][i].get(r, 0)
+                    for r in gamma[i][j].keys() | gamma[j][i].keys()
+                }
+                assert {r: v for r, v in torsion.items() if v} == dict(L._sparse[i][j])
+
+
+def dense_connection_oracle(M):
+    """Gamma[i] with column j = nabla_{e_i} e_j, from dense d x d x d tables
+    w[i][j][k] = <[e_i, e_j], e_k> and the Koszul right-hand sides."""
+    L, G = M.L, M.G
+    d = L.dim
+    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in M.gram_inverse().data]
+    w = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for m, v in L._sparse[i][j]:
+                row = G.data[m]
+                wij = w[i][j]
+                for k in range(d):
+                    if row[k]:
+                        wij[k] += v * row[k]
+    gammas = []
+    for i in range(d):
+        cols = []
+        for j in range(d):
+            rhs = []
+            for k in range(d):
+                a, b, e = w[i][j][k], w[j][k][i], w[k][i][j]
+                rhs.append(HALF * (a - b + e) if a or b or e else a)
+            col = []
+            for row in ginv:
+                t = Fraction(0)
+                for k, v in row:
+                    if rhs[k]:
+                        t += v * rhs[k]
+                col.append(t)
+            cols.append(col)
+        gammas.append(Matrix([[cols[j][r] for j in range(d)] for r in range(d)]))
+    return gammas
+
+
+def dense_ricci_oracle(M):
+    """Ric(e_i, e_j) from the dense connection tables."""
+    L = M.L
+    d = L.dim
+    dense = [g.data for g in dense_connection_oracle(M)]
+    col = [
+        [[(m, dense[k][m][j]) for m in range(d) if dense[k][m][j]] for j in range(d)]
+        for k in range(d)
+    ]
+    trace_row = [Fraction(0)] * d
+    for k in range(d):
+        for m in range(d):
+            if dense[k][k][m]:
+                trace_row[m] += dense[k][k][m]
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        gi = dense[i]
+        for j in range(d):
+            term1 = Fraction(0)
+            for m, v in col[i][j]:
+                if trace_row[m]:
+                    term1 += trace_row[m] * v
+            term2 = Fraction(0)
+            for k in range(d):
+                gik = gi[k]
+                for m, v in col[k][j]:
+                    if gik[m]:
+                        term2 += gik[m] * v
+            term3 = Fraction(0)
+            for k in range(d):
+                for m, v in L._sparse[k][i]:
+                    if dense[m][k][j]:
+                        term3 += v * dense[m][k][j]
+            out[i][j] = term1 - term2 - term3
+    return Matrix(out)
+
+
+def dense_oracle_cases():
+    for p in grid(ns=range(1, 7), rhos=(1, Fraction(11, 13)), cs=(0, Fraction(9, 14))):
+        M = metric_algebra(p)
+        yield str(p), M
+        n_idx = sorted(family_splitting(p.n).n_indices)
+        sub = Matrix([[M.G.data[i][j] for j in n_idx] for i in n_idx])
+        yield f"nil-{p}", MetricLieAlgebra(subalgebra(M.L, n_idx), sub)
+    # Non-family algebras under non-diagonal Gram matrices, so that general
+    # rows of G^{-1} enter the connection.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    off = Matrix([[2, half, 0], [half, 1, third], [0, third, 3]])
+    for name, triples in (
+        ("rot", [(0, 1, 2, 1), (0, 2, 1, -1)]),
+        ("nonuni", [(0, 1, 1, 1), (0, 2, 1, 1), (0, 2, 2, 2)]),
+        ("hyperbolic", [(0, 1, 1, 1), (0, 2, 2, 1)]),
+    ):
+        yield f"{name}-off", MetricLieAlgebra(StructureConstants.from_triples(3, triples), off)
+    rng = random.Random(5)
+    B = Matrix([[Fraction(rng.randint(-2, 2)) for _ in range(7)] for _ in range(7)])
+    full = B.transpose() @ B + Matrix.identity(7)
+    yield "family-n2-full-gram", MetricLieAlgebra(build_lie_algebra(2), full)
+
+
+class TestDenseConnectionOracle:
+    @pytest.mark.parametrize(
+        "M", [pytest.param(M, id=name) for name, M in dense_oracle_cases()]
+    )
+    def test_sparse_kernels_match_dense_oracle(self, M):
+        d = M.dim
+        dense = dense_connection_oracle(M)
+        assert connection_coeffs(M) == [
+            [{r: x for r, x in enumerate(dense[i].column_vector(j)) if x} for j in range(d)]
+            for i in range(d)
+        ]
+        assert ricci_bilinear(M) == dense_ricci_oracle(M)
 
 
 class TestRicci:
