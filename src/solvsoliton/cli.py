@@ -10,13 +10,9 @@ are authoritative; decimal columns are 12-significant-digit approximations.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import family, hypersurface
 from .lie_core import check_jacobi
@@ -28,22 +24,10 @@ from .metric_lie import (
 )
 from .scalars import rational
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_MAX_N = 16
 EINSTEIN_MAX_N = 8
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    rho: Fraction
-    c: Fraction
-    rho_grid: list | None = None
-    c_grid: list | None = None
-    format: str = "text"
-    output: str | None = None
 
 
 def _approx(x) -> str:
@@ -260,6 +244,8 @@ def einstein_report(p: family.FamilyParams) -> dict:
 
 
 def _render_json(payload) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -301,6 +287,8 @@ def _render_text(payload, indent=0) -> str:
 def _render_csv(rows: list) -> str:
     if not rows:
         return ""
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\r\n")
     writer.writeheader()
@@ -348,22 +336,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_config(argv) -> RunConfig:
+def _parse_config(argv) -> argparse.Namespace:
+    """Parsed arguments, with ``rho``, ``c`` and the grids (None when not
+    given) as exact rationals."""
     args = _build_parser().parse_args(argv)
 
     def grid(text):
         return [rational(part) for part in text.split(",")] if text else None
 
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        rho=rational(args.rho),
-        c=rational(args.c),
-        rho_grid=grid(getattr(args, "rho_grid", None)),
-        c_grid=grid(getattr(args, "c_grid", None)),
-        format=args.format,
-        output=args.output,
-    )
+    args.rho = rational(args.rho)
+    args.c = rational(args.c)
+    args.rho_grid = grid(getattr(args, "rho_grid", None))
+    args.c_grid = grid(getattr(args, "c_grid", None))
+    return args
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,6 @@ formula.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,7 +295,6 @@ GRAM_TOL = 1e-12
 EIGENVALUE_TOL = 1e-8
 
 
-@dataclass
 class InducedReport:
     """Agreement of the ambient restriction with the exact slice data.
 
@@ -309,10 +307,19 @@ class InducedReport:
     slice Ricci eigenvalues in coordinate order.
     """
 
-    gram_max_error: float
-    eigenvalue_max_error: float
-    eigenvalues: np.ndarray
-    expected: np.ndarray
+    __slots__ = ("gram_max_error", "eigenvalue_max_error", "eigenvalues", "expected")
+
+    def __init__(
+        self,
+        gram_max_error: float,
+        eigenvalue_max_error: float,
+        eigenvalues: np.ndarray,
+        expected: np.ndarray,
+    ):
+        self.gram_max_error = gram_max_error
+        self.eigenvalue_max_error = eigenvalue_max_error
+        self.eigenvalues = eigenvalues
+        self.expected = expected
 
     def ok(self) -> bool:
         return (

@@ -19,7 +19,6 @@ expansion is cross-validated elsewhere against the printed adjoint blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,23 +58,35 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class FamilyParams:
-    """Family parameters: rank n >= 1, slice rho > 0, deformation c >= 0."""
+    """Family parameters: rank n >= 1, slice rho > 0, deformation c >= 0.
 
-    n: int
-    rho: Fraction
-    c: Fraction
+    A value object: equal parameters compare and hash alike.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        object.__setattr__(self, "c", Fraction(self.c))
+    __slots__ = ("n", "rho", "c")
+
+    def __init__(self, n: int, rho, c):
+        self.n = n
+        self.rho = Fraction(rho)
+        self.c = Fraction(c)
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.c < 0:
             raise ValueError("c must be non-negative")
+
+    def __eq__(self, other):
+        if not isinstance(other, FamilyParams):
+            return NotImplemented
+        return (self.n, self.rho, self.c) == (other.n, other.rho, other.c)
+
+    def __hash__(self):
+        return hash((self.n, self.rho, self.c))
+
+    def __repr__(self):
+        return f"FamilyParams(n={self.n}, rho={self.rho}, c={self.c})"
 
     @property
     def dim(self) -> int:
@@ -324,7 +335,6 @@ def coordinate_gram_values(p: FamilyParams) -> list:
     return slice_diagonal(p.n, p.rho, p.c)
 
 
-@dataclass
 class BasisEmbedding:
     """Columns of P express the algebra basis in coordinate tangent vectors.
 
@@ -332,8 +342,11 @@ class BasisEmbedding:
     construction (the sqrt(2) normalizers square away).
     """
 
-    P: Matrix
-    coordinate_names: list
+    __slots__ = ("P", "coordinate_names")
+
+    def __init__(self, P: Matrix, coordinate_names: list):
+        self.P = P
+        self.coordinate_names = coordinate_names
 
     def conjugate_to_family(self, endo_coords: Matrix) -> Matrix:
         """Transport an endomorphism from coordinate to family basis."""
@@ -369,7 +382,7 @@ def build_embedding(p: FamilyParams) -> BasisEmbedding:
     g_coord = Matrix.diagonal(coordinate_gram_values(p))
     if P.transpose() @ g_coord @ P != build_gram(p):
         raise AssertionError("embedding failed the Gram consistency identity")
-    return BasisEmbedding(P=P, coordinate_names=names)
+    return BasisEmbedding(P, names)
 
 
 # --- closed forms ------------------------------------------------------------
@@ -396,7 +409,6 @@ def ricci_eigenvalue_formulas(n: int, rho: Fraction, c: Fraction):
     return r1, r2, r3, r4
 
 
-@dataclass
 class ClosedForms:
     """Shape-operator and Ricci spectra plus companion scalars.
 
@@ -405,12 +417,22 @@ class ClosedForms:
     multiplicities vanish.
     """
 
-    sigma: tuple
-    sigma_multiplicities: tuple
-    r: tuple
-    tr_shape: object
-    h_coeff: Fraction
-    lambda_expected: Fraction
+    __slots__ = (
+        "sigma",
+        "sigma_multiplicities",
+        "r",
+        "tr_shape",
+        "h_coeff",
+        "lambda_expected",
+    )
+
+    def __init__(self, sigma, sigma_multiplicities, r, tr_shape, h_coeff, lambda_expected):
+        self.sigma = sigma
+        self.sigma_multiplicities = sigma_multiplicities
+        self.r = r
+        self.tr_shape = tr_shape
+        self.h_coeff = h_coeff
+        self.lambda_expected = lambda_expected
 
 
 def expected_closed_forms(p: FamilyParams) -> ClosedForms:

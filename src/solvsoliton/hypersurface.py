@@ -17,7 +17,6 @@ and over ``float`` in the ambient cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .family import FamilyParams, slice_diagonal
@@ -36,12 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass
 class WarpData:
     """Warp factor f at a working rho, as an exact jet, with f'/f."""
 
-    f: Jet2
-    fprime_over_f: Fraction
+    __slots__ = ("f", "fprime_over_f")
+
+    def __init__(self, f: Jet2, fprime_over_f: Fraction):
+        self.f = f
+        self.fprime_over_f = fprime_over_f
 
 
 def warp_data(p: FamilyParams) -> WarpData:
@@ -55,14 +56,16 @@ def coordinate_gram(p: FamilyParams) -> list:
     return slice_diagonal(p.n, Jet2.variable(p.rho), p.c)
 
 
-@dataclass
 class ShapeOperator:
     """Diagonal shape operator with its spectrum and multiplicities."""
 
-    matrix: Matrix
-    sigma: tuple
-    multiplicities: tuple
-    trace: object
+    __slots__ = ("matrix", "sigma", "multiplicities", "trace")
+
+    def __init__(self, matrix: Matrix, sigma: tuple, multiplicities: tuple, trace):
+        self.matrix = matrix
+        self.sigma = sigma
+        self.multiplicities = multiplicities
+        self.trace = trace
 
 
 def shape_operator(p: FamilyParams) -> ShapeOperator:

@@ -8,8 +8,6 @@ exact.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Matrix, char_poly, real_rooted, rref
@@ -29,8 +27,6 @@ __all__ = [
     "is_derivation",
     "verify_splitting",
     "subalgebra",
-    "structure_to_json",
-    "structure_from_json",
 ]
 
 
@@ -143,24 +139,42 @@ def _basis_vector(d: int, i: int) -> list:
 def _jacobi_witness(L: StructureConstants):
     """First (i, j, k, defect vector) with a nonzero Jacobiator, or None.
 
-    Triples are scanned in i < j < k order.  The Jacobiator
-    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is summed over
-    the nonzero structure constants only.
+    Triples are reported in i < j < k order.  The Jacobiator
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is accumulated
+    as a sparse {index: value} defect per triple, and only for the triples
+    that some nonzero bracket [[e_a, e_b], e_e] reaches.  A repeated index
+    gives a zero Jacobiator by antisymmetry, so those terms are skipped.
     """
     d = L.dim
     sp = L._sparse
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                if not (sp[i][j] or sp[j][k] or sp[k][i]):
-                    continue
-                defect = [Fraction(0)] * d
-                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, v in sp[a][b]:
-                        for r, w in sp[m][e]:
-                            defect[r] += v * w
-                if any(defect):
-                    return i, j, k, defect
+    # outer[m] = the indices e with a nonzero [e_m, e_e].
+    outer = [[e for e in range(d) if sp[m][e]] for m in range(d)]
+    defects: dict = {}
+    for a in range(d):
+        for b in range(a + 1, d):
+            for m, v in sp[a][b]:
+                for e in outer[m]:
+                    # [[e_a, e_b], e_e] is a cyclic term of the sorted triple
+                    # when (a, b, e) is an even permutation of it; a < e < b
+                    # is the one odd case, which flips the sign.
+                    if e > b:
+                        key, f = (a, b, e), v
+                    elif e < a:
+                        key, f = (e, a, b), v
+                    elif a < e < b:
+                        key, f = (a, e, b), -v
+                    else:
+                        continue
+                    out = defects.get(key)
+                    if out is None:
+                        out = defects[key] = {}
+                    for r, w in sp[m][e]:
+                        out[r] = out.get(r, 0) + f * w
+    for key in sorted(defects):
+        out = defects[key]
+        if any(out.values()):
+            zero = Fraction(0)
+            return (*key, [out.get(r, zero) for r in range(d)])
     return None
 
 
@@ -336,26 +350,48 @@ def is_derivation(L: StructureConstants, D: Matrix):
     return (True, None) if first is None else (False, first[0])
 
 
-@dataclass(frozen=True)
 class Splitting:
-    """Declared decomposition into an abelian part and a nilpotent ideal."""
+    """Declared decomposition into an abelian part and a nilpotent ideal.
 
-    a_indices: tuple
-    n_indices: tuple
+    Equal splittings hash alike: a splitting keys the cache of
+    ``MetricLieAlgebra.splitting_report``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_indices", tuple(self.a_indices))
-        object.__setattr__(self, "n_indices", tuple(self.n_indices))
+    __slots__ = ("a_indices", "n_indices")
+
+    def __init__(self, a_indices, n_indices):
+        self.a_indices = tuple(a_indices)
+        self.n_indices = tuple(n_indices)
+
+    def __eq__(self, other):
+        if not isinstance(other, Splitting):
+            return NotImplemented
+        return self.a_indices == other.a_indices and self.n_indices == other.n_indices
+
+    def __hash__(self):
+        return hash((self.a_indices, self.n_indices))
+
+    def __repr__(self):
+        return f"Splitting(a_indices={self.a_indices}, n_indices={self.n_indices})"
 
 
-@dataclass
 class SplittingReport:
-    n_is_ideal: bool
-    n_is_nilpotent: bool
-    n_contains_derived: bool
-    a_is_abelian: bool
-    a_orthogonal_to_n: bool
-    checks: dict = field(default_factory=dict)
+    __slots__ = (
+        "n_is_ideal",
+        "n_is_nilpotent",
+        "n_contains_derived",
+        "a_is_abelian",
+        "a_orthogonal_to_n",
+    )
+
+    def __init__(
+        self, n_is_ideal, n_is_nilpotent, n_contains_derived, a_is_abelian, a_orthogonal_to_n
+    ):
+        self.n_is_ideal = n_is_ideal
+        self.n_is_nilpotent = n_is_nilpotent
+        self.n_contains_derived = n_contains_derived
+        self.a_is_abelian = a_is_abelian
+        self.a_orthogonal_to_n = a_orthogonal_to_n
 
     @property
     def ok(self) -> bool:
@@ -418,19 +454,3 @@ def subalgebra(L: StructureConstants, indices) -> StructureConstants:
                 row[pos[k]] = v
             upper[a, b] = row
     return StructureConstants._from_upper(len(indices), upper)
-
-
-def structure_to_json(L: StructureConstants) -> str:
-    payload = {
-        "dim": L.dim,
-        "triples": [[i, j, k, str(v)] for i, j, k, v in L.triples()],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def structure_from_json(text: str) -> StructureConstants:
-    payload = json.loads(text)
-    triples = [
-        (int(i), int(j), int(k), Fraction(v)) for i, j, k, v in payload["triples"]
-    ]
-    return StructureConstants.from_triples(int(payload["dim"]), triples)

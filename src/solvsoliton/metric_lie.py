@@ -15,7 +15,6 @@ ric = R - B/2 - sym(ad H) is reconstructed term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 
@@ -290,7 +289,6 @@ def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
     return M.gram_inverse() @ Matrix(bil)
 
 
-@dataclass
 class SolitonVerdict:
     """Outcome of a soliton check.
 
@@ -300,12 +298,23 @@ class SolitonVerdict:
     failure (for example a nonzero commutator [ad A, ad A*]).
     """
 
-    status: str
-    lambda_: Fraction | None = None
-    D: Matrix | None = None
-    checklist: dict | None = None
-    witness: Matrix | None = None
-    lambda_source: str | None = None
+    __slots__ = ("status", "lambda_", "D", "checklist", "witness", "lambda_source")
+
+    def __init__(
+        self,
+        status: str,
+        lambda_: Fraction | None = None,
+        D: Matrix | None = None,
+        checklist: dict | None = None,
+        witness: Matrix | None = None,
+        lambda_source: str | None = None,
+    ):
+        self.status = status
+        self.lambda_ = lambda_
+        self.D = D
+        self.checklist = checklist
+        self.witness = witness
+        self.lambda_source = lambda_source
 
     @property
     def is_soliton(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt
 
 __all__ = [
@@ -60,7 +60,19 @@ def square_root_of_fraction(q: Fraction):
 # Trial division strips the primes below _SMALL_LIMIT, so a cofactor below
 # _SMALL_LIMIT**2 that is left over is prime.
 _SMALL_LIMIT = 1000
-_SMALL_PRIMES = [p for p in range(2, _SMALL_LIMIT) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def _primes_below(limit: int) -> list:
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return list(compress(range(limit), sieve))
+
+
+_SMALL_PRIMES = _primes_below(_SMALL_LIMIT)
 # Miller-Rabin over the first 13 prime bases proves primality below
 # _MR_BOUND (Sorenson & Webster, Math. Comp. 86, 2017); a failed round proves
 # compositeness at any size.

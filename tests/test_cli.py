@@ -475,6 +475,19 @@ def test_exact_commands_do_not_load_numpy():
     assert_module_not_loaded(["verify", "--n", "1", "--rho", "1", "--c", "0"], "numpy")
 
 
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["verify", "--n", "2", "--rho", "1", "--c", "0", "--format", "json"], "dataclasses"),
+        (["verify", "--n", "2", "--rho", "1", "--c", "0", "--format", "json"], "inspect"),
+        (["verify", "--n", "2", "--rho", "1", "--c", "0", "--format", "json"], "csv"),
+        (["sweep", "--n", "2", "--rho-grid", "1", "--c-grid", "0,1", "--format", "csv"], "json"),
+    ],
+)
+def test_exact_commands_load_only_what_they_use(argv, module):
+    assert_module_not_loaded(argv, module)
+
+
 def test_einstein_does_not_load_numpy_random():
     argv = ["einstein", "--n", "2", "--rho", "1", "--c", "1"]
     assert_module_not_loaded(argv, "numpy.random")

@@ -41,6 +41,14 @@ class TestParams:
     def test_dim(self):
         assert FamilyParams(3, Fraction(1), Fraction(0)).dim == 11
 
+    def test_value_semantics(self):
+        p = FamilyParams(2, 1, "1/2")
+        assert (p.rho, p.c) == (Fraction(1), Fraction(1, 2))
+        q = FamilyParams(2, Fraction(1), Fraction(1, 2))
+        assert p == q and hash(p) == hash(q)
+        assert p != FamilyParams(3, Fraction(1), Fraction(1, 2))
+        assert len({p, q, FamilyParams(2, Fraction(1), Fraction(0))}) == 2
+
 
 class TestRealFromComplex:
     def test_b1r_on_e0(self):

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -218,6 +219,17 @@ def trial_division_decompose(k):
 
 
 class TestSquarefreeDecompose:
+    def test_small_primes_match_trial_division(self):
+        # The earlier construction of the table, kept as the oracle.
+        def trial_division_primes(limit):
+            return [p for p in range(2, limit) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+        expected = trial_division_primes(scalars._SMALL_LIMIT)
+        assert scalars._SMALL_PRIMES == expected
+        assert scalars._MR_BASES == expected[:13]
+        for limit in (2, 3, 4, 5, 25, 26, 49, 50):
+            assert scalars._primes_below(limit) == trial_division_primes(limit)
+
     def test_matches_trial_division_on_random_inputs(self):
         rng = random.Random(20241018)
         for _ in range(60):
