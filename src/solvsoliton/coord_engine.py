@@ -1,24 +1,24 @@
 """Floating-point cross-validation of the exact curvature pipeline.
 
 Assembles the full 4n-dimensional ambient metric from its closed form in
-real coordinates and differentiates it analytically by array forward mode (no
-finite differencing anywhere).  The closed form is a sum of terms
-s * sum_r alpha_r (x) alpha_r: a coefficient s(rho, |X|^2), carried as
-(value, gradient, Hessian) arrays, times the square of one-forms whose
-components carry their own gradients (and, for eta, Hessians).  Each term is
-accumulated into (g, dg, d2g) once, only on the block of indices and
-variables it touches.  The Ricci tensor takes from dGamma only the two traces
-it uses, in O(m^4) contractions.  On top of these sit the Einstein residual
-at arbitrary in-domain points and the consistency of the induced slice metric
-with the exact modules, through the exact path's own entrywise slice Ricci
-formula.
+real coordinates and differentiates it analytically (no finite differencing
+anywhere), on plain Python floats.  The closed form is a sum of terms
+s * sum_r alpha_r (x) alpha_r: a coefficient s(rho, |X|^2) times the square
+of one-forms, each carried as a sparse jet (value, gradient, Hessian), so
+that each term writes only the entries of (g, dg, d2g) it makes nonzero.
+The Ricci tensor takes from dGamma only the two traces it uses; its
+contractions with second derivatives run over the nonzero entries of d2g.
+On top of these sit the Einstein residual at arbitrary in-domain points and
+the consistency of the induced slice metric with the exact modules, through
+the exact path's own entrywise slice Ricci formula.
 """
 
 from __future__ import annotations
 
+import math
 import random
-
-import numpy as np
+from operator import mul
+from types import MappingProxyType
 
 from .family import FamilyParams, coordinate_gram_values, ricci_eigenvalue_formulas
 from .hypersurface import hypersurface_ricci_general
@@ -35,19 +35,17 @@ __all__ = [
 ]
 
 
-def validate_point(n: int, point: np.ndarray):
+def validate_point(n: int, point):
     if point[0] <= 0:
         raise ValueError("rho must be positive")
     # X^a = (b^a + i t^a)/2 must stay in the open unit ball.
-    norm_x_sq = float(np.sum(point[1 : 2 * n - 1] ** 2)) / 4.0
+    norm_x_sq = sum(v * v for v in point[1 : 2 * n - 1]) / 4.0
     if norm_x_sq >= 1.0:
         raise ValueError("point lies outside the unit-ball constraint")
 
 
-def p_rho_point(n: int, rho: float) -> np.ndarray:
-    pt = np.zeros(4 * n)
-    pt[0] = float(rho)
-    return pt
+def p_rho_point(n: int, rho: float) -> list:
+    return [float(rho)] + [0.0] * (4 * n - 1)
 
 
 def off_center_points(n: int, seed: int = 20240801) -> list:
@@ -55,76 +53,184 @@ def off_center_points(n: int, seed: int = 20240801) -> list:
     rng = random.Random(seed)
     points = []
     for _ in range(2):
-        pt = np.array([rng.uniform(-0.8, 0.8) for _ in range(4 * n)])
+        pt = [rng.uniform(-0.8, 0.8) for _ in range(4 * n)]
         pt[0] = rng.uniform(0.6, 2.4)
         bt = pt[1 : 2 * n - 1]
-        norm = np.sqrt(np.sum(bt**2)) or 1.0
-        bt *= min(1.0, 0.9 / norm)  # ||X|| = |bt|/2 <= 0.45
+        scale = min(1.0, 0.9 / (math.sqrt(sum(v * v for v in bt)) or 1.0))
+        pt[1 : 2 * n - 1] = [v * scale for v in bt]  # ||X|| = |bt|/2 <= 0.45
         points.append(pt)
     return points
 
 
-def _coefficient(nv, rho, scale, factors, bt=None, u_power=0):
-    """(value, gradient, Hessian) over the first ``nv`` coordinates of
+# ---------------------------------------------------------------------------
+# sparse jets: a vector is a dict {index: value}; a gradient maps a variable
+# to a value (or vector), a Hessian maps a pair k <= l of variables likewise.
+# ---------------------------------------------------------------------------
+
+
+def _add_scaled(block: dict, coef: float, P: dict):
+    """block += coef * P on the keys of P."""
+    if coef:
+        get = block.get
+        for key, v in P.items():
+            block[key] = get(key, 0.0) + coef * v
+
+
+def _combo(*terms) -> dict:
+    """sum coef * vec over the (coef, vec) pairs."""
+    out = {}
+    for coef, vec in terms:
+        _add_scaled(out, coef, vec)
+    return out
+
+
+def _sym_outer(block: dict, x: dict, y: dict):
+    """block[i, j] += x_i y_j + y_i x_j on the upper triangle i <= j."""
+    get = block.get
+    for p, xp in x.items():
+        for q, yq in y.items():
+            v = xp * yq
+            if p < q:
+                key = p, q
+            elif p > q:
+                key = q, p
+            else:
+                key, v = (p, p), v + v
+            block[key] = get(key, 0.0) + v
+
+
+def _coefficient(x, n: int, scale: float, factors, u_power: int = 0):
+    """Jet (value, gradient, Hessian) at x of
 
         scale * prod (rho + a)^p * (1 - |X|^2)^(-u_power),   (a, p) in factors,
 
-    where ``bt`` = x[1 : 2n-1] holds the coordinates (b^a, t^a), so that
+    where x[1 : 2n-1] holds the coordinates (b^a, t^a), so that
     |X|^2 = |bt|^2 / 4.  Derivatives come from those of the logarithm.
     """
+    rho, nx = x[0], 2 * n - 1
     s, l1, l2 = scale, 0.0, 0.0
     for a, p in factors:
         y = rho + a
+        # ** raises OverflowError where * would give inf silently: out of
+        # float range the check refuses the point.
         s *= y**p
         l1 += p / y
-        l2 += p / (y * y)
-    grad = np.zeros(nv)
-    hess = np.zeros((nv, nv))
+        l2 += p / y**2
+    grad, hess = {}, {}
     if u_power:
-        w = 1.0 / (1.0 - (bt @ bt) / 4.0)
+        w = 1.0 / (1.0 - sum(v * v for v in x[1:nx]) / 4.0)
         s *= w**u_power
         su = s * u_power * w  # d/du for u = |X|^2, with du = bt/2, d2u = I/2
-        k = 1 + len(bt)
-        grad[1:k] = su * bt / 2.0
-        hess[0, 1:k] = hess[1:k, 0] = l1 * su * bt / 2.0
-        hess[1:k, 1:k] = (su * (u_power + 1) * w / 4.0) * np.outer(bt, bt)
-        hess[1:k, 1:k] += (su / 2.0) * np.eye(k - 1)
+        quad = su * (u_power + 1) * w / 4.0
+        for i in range(1, nx):
+            grad[i] = su * x[i] / 2.0
+            hess[0, i] = l1 * grad[i]
+            for j in range(i, nx):
+                hess[i, j] = quad * x[i] * x[j]
+            hess[i, i] += su / 2.0
     grad[0] = s * l1
     hess[0, 0] = s * (l1 * l1 - l2)
     return s, grad, hess
 
 
-def _square(v, d, h=None):
-    """Jet (P0[s, t], P1[k, s, t], P2[k, l, s, t]) of sum_r alpha_r (x) alpha_r.
+def _unit(i: int, weight: float = 1.0):
+    """Jet of the constant one-form weight * dx^i."""
+    return {i: weight}, {}, {}
 
-    ``v[r, s]`` are the components of the one-forms on their index block,
-    ``d[r, k, s]`` their first derivatives and ``h[r, k, l, s]`` their second
-    derivatives over the leading variables (None where the forms are affine).
+
+def _omega(x, n: int):
+    """Jets of Re and Im of omega = sum conj(X^a) dX^a, X^a = (b^a + i t^a)/2."""
+    re, im = ({}, {}, {}), ({}, {}, {})
+    for a in range(1, n):
+        b, t = 2 * a - 1, 2 * a
+        re[0][b], re[0][t] = 0.25 * x[b], 0.25 * x[t]
+        im[0][b], im[0][t] = -0.25 * x[t], 0.25 * x[b]
+        re[1][b], re[1][t] = {b: 0.25}, {t: 0.25}
+        im[1][t], im[1][b] = {b: -0.25}, {t: 0.25}
+    return re, im
+
+
+def _psi(x, n: int):
+    """Jets of Re and Im of psi = dw_0 + sum X^a dw_a."""
+    re, im = ({2 * n: 0.5}, {}, {}), ({2 * n + 1: 0.5}, {}, {})
+    for a in range(1, n):
+        b, t = 2 * a - 1, 2 * a
+        zt, z = 2 * n + 2 * a, 2 * n + 2 * a + 1
+        re[0][zt], re[0][z] = 0.25 * x[b], 0.25 * x[t]
+        im[0][zt], im[0][z] = 0.25 * x[t], -0.25 * x[b]
+        re[1][b], re[1][t] = {zt: 0.25}, {z: 0.25}
+        im[1][t], im[1][b] = {zt: 0.25}, {z: -0.25}
+    return re, im
+
+
+def _eta(x, n: int, c: float):
+    """Jet of eta = dphi + sum_k (z_k dzt_k - zt_k dz_k) + 2c/(1 - |X|^2) Im(omega)."""
+    nx = 2 * n - 1
+    value, d, h = {nx: 1.0}, {}, {}
+    for k in range(n):
+        zt, z = nx + 1 + 2 * k, nx + 2 + 2 * k
+        value[zt], value[z] = x[z], -x[zt]
+        d[z], d[zt] = {zt: 1.0}, {z: -1.0}
+    if c:
+        h0, h1, h2 = _coefficient(x, n, 2.0 * c, (), 1)
+        im, im_d, _ = _omega(x, n)[1]
+        for i, v in im.items():
+            value[i] = h0 * v
+        for k in range(nx):
+            d[k] = _combo((h1[k], im), (h0, im_d.get(k, {})))
+        for (k, l), hkl in h2.items():
+            h[k, l] = _combo(
+                (hkl, im), (h1[k], im_d.get(l, {})), (h1[l], im_d.get(k, {}))
+            )
+    return value, d, h
+
+
+def _add_squares(g: dict, dg: dict, d2g: dict, coeff, forms):
+    """Add s * P and its derivatives to the upper triangles g[i, j],
+    dg[k][i, j] and d2g[k, l][i, j], for P = sum_r a_r (x) a_r:
+
+        d_k (s P) = s_k P + s P_k,
+        d_k d_l (s P) = s_kl P + s_k P_l + s_l P_k + s P_kl,
+
+    where P_k and P_kl collect the symmetrised outer products a d_k a and
+    a d_k d_l a + d_k a d_l a of each form; s P_kl goes straight into d2g.
+    The variables of a form's Hessian must be among those of its gradient.
     """
-    P0 = (v[:, :, None] * v[:, None, :]).sum(axis=0)  # exactly symmetric
-    Q = np.einsum("rks,rt->kst", d, v)
-    P1 = Q + Q.transpose(0, 2, 1)
-    R = np.tensordot(d, d, axes=(0, 0)).transpose(0, 2, 1, 3)
-    P2 = R + R.transpose(1, 0, 2, 3)
-    if h is not None:
-        nh = h.shape[1]
-        H = np.einsum("rkls,rt->klst", h, v)
-        P2[:nh, :nh] += H + H.transpose(0, 1, 3, 2)
-    return P0, P1, P2
-
-
-def _accumulate(g, dg, d2g, block, coeff, P0, P1=None, P2=None):
-    """Add coeff * P to (g, dg, d2g) on the index block and over the
-    variables the coefficient carries; P1 = P2 = None for a constant P0."""
     s0, s1, s2 = coeff
-    nv = len(s1)
-    g[block, block] += s0 * P0
-    dg[:nv, block, block] += s1[:, None, None] * P0
-    d2g[:nv, :nv, block, block] += s2[:, :, None, None] * P0
-    if P1 is not None:
-        dg[:nv, block, block] += s0 * P1
-        cross = s1[:, None, None, None] * P1
-        d2g[:nv, :nv, block, block] += cross + cross.transpose(1, 0, 2, 3) + s0 * P2
+    P0, P1 = {}, {}
+    for a, a1, a2 in forms:
+        a = {i: v for i, v in a.items() if v}
+        _sym_outer(P0, a, {i: 0.5 * v for i, v in a.items()})
+        for k, ak in a1.items():
+            _sym_outer(P1.setdefault(k, {}), a, ak)
+        for kl, akl in a2.items():
+            _sym_outer(d2g.setdefault(kl, {}), a, {i: s0 * v for i, v in akl.items()})
+        variables = sorted(a1)
+        for pos, k in enumerate(variables):
+            for l in variables[pos:]:
+                s0_a1l = {i: s0 * v for i, v in a1[l].items()}
+                _sym_outer(d2g.setdefault((k, l), {}), a1[k], s0_a1l)
+    _add_scaled(g, s0, P0)
+    variables = sorted(s1.keys() | P1.keys())
+    empty = {}
+    for pos, k in enumerate(variables):
+        s1k, P1k = s1.get(k, 0.0), P1.get(k, empty)
+        block = dg.setdefault(k, {})
+        _add_scaled(block, s1k, P0)
+        _add_scaled(block, s0, P1k)
+        for l in variables[pos:]:
+            block = d2g.setdefault((k, l), {})
+            _add_scaled(block, s2.get((k, l), 0.0), P0)
+            _add_scaled(block, s1k, P1.get(l, empty))
+            _add_scaled(block, s1.get(l, 0.0), P1k)
+
+
+def _dense(block: dict, m: int) -> tuple:
+    """The symmetric m x m matrix whose upper triangle is ``block``."""
+    rows = [[0.0] * m for _ in range(m)]
+    for (i, j), v in block.items():
+        rows[i][j] = rows[j][i] = v
+    return tuple(map(tuple, rows))
 
 
 class AmbientMetric:
@@ -142,104 +248,63 @@ class AmbientMetric:
             raise ValueError("c must be non-negative")
         self.n = n
         self.c = float(c)
-        self.dim = m = 4 * n
+        self.dim = 4 * n
         self._jets: dict = {}
-        # Derivatives [r, variable, index] of the affine one-forms: Re and Im of
-        # omega = sum conj(X^a) dX^a on the (b, t) block and of
-        # psi = dw_0 + sum X^a dw_a on the zeta block, both over (rho, b, t);
-        # and eta's linear part sum_k (z_k dzt_k - zt_k dz_k) on indices 1..m-1.
-        nx = 2 * n - 1  # rho and the (b, t) coordinates
-        self._omega = np.zeros((2, nx, nx - 1))
-        self._psi = np.zeros((2, nx, 2 * n))
-        self._psi0 = np.zeros((2, 2 * n))
-        self._psi0[0, 0] = self._psi0[1, 1] = 0.5
-        for a in range(1, n):
-            b, t = 2 * a - 1, 2 * a
-            self._omega[0, b, b - 1] = self._omega[0, t, t - 1] = 0.25
-            self._omega[1, t, b - 1], self._omega[1, b, t - 1] = -0.25, 0.25
-            self._psi[0, b, 2 * a] = self._psi[0, t, 2 * a + 1] = 0.25
-            self._psi[1, t, 2 * a], self._psi[1, b, 2 * a + 1] = 0.25, -0.25
-        self._eta = np.zeros((1, m, m - 1))
-        self._eta0 = np.zeros((1, m - 1))
-        self._eta0[0, nx - 1] = 1.0  # dphi
-        for k in range(n):
-            zt, z = nx + 1 + 2 * k, nx + 2 + 2 * k
-            self._eta[0, z, zt - 1], self._eta[0, zt, z - 1] = 1.0, -1.0
-        # -2/rho |dw_0|^2 + 2/rho sum_a |dw_a|^2, divided by 1/rho.
-        self._zeta_pairing = np.diag([-0.5] * 2 + [0.5] * (2 * n - 2))
 
-    def _assemble(self, x: np.ndarray):
+    def _assemble(self, x):
         """(g, dg, d2g) at x, summed term by term from the closed form."""
         n, c, m = self.n, self.c, self.dim
         nx = 2 * n - 1
-        g = np.zeros((m, m))
-        dg = np.zeros((m, m, m))
-        d2g = np.zeros((m, m, m, m))
-        rho, bt = x[0], x[1:nx]
-        bt_block, zeta, eta_block = slice(1, nx), slice(nx + 1, m), slice(1, m)
+        g, dg, d2g = {}, {}, {}
 
-        def add(block, coeff, *P):
-            _accumulate(g, dg, d2g, block, coeff, *P)
+        def add(coeff, forms):
+            _add_squares(g, dg, d2g, coeff, forms)
 
         # Warp term f drho^2, f = (rho + 2c) / (4 rho^2 (rho + c)).
-        f = _coefficient(1, rho, 0.25, ((0.0, -2), (c, -1), (2 * c, 1)))
-        add(slice(0, 1), f, np.ones((1, 1)))
+        add(_coefficient(x, n, 0.25, ((0.0, -2), (c, -1), (2 * c, 1))), [_unit(0)])
 
         # Fubini-Study-type block: (rho + c)/rho/(1 - |X|^2) sum_a |dX^a|^2
-        # + (rho + c)/rho/(1 - |X|^2)^2 |omega|^2.
-        omega = x[:nx] @ self._omega
-        if n > 1:
-            fs = ((0.0, -1), (c, 1))
-            add(bt_block, _coefficient(nx, rho, 1.0, fs, bt, 1), 0.25 * np.eye(nx - 1))
-            coeff = _coefficient(nx, rho, 1.0, fs, bt, 2)
-            add(bt_block, coeff, *_square(omega, self._omega))
+        # + (rho + c)/rho/(1 - |X|^2)^2 |omega|^2, with |dX^a|^2 = (db^2 + dt^2)/4.
+        fs = ((0.0, -1), (c, 1))
+        add(_coefficient(x, n, 1.0, fs, 1), [_unit(i, 0.5) for i in range(1, nx)])
+        add(_coefficient(x, n, 1.0, fs, 2), _omega(x, n))
 
-        # Connection one-form eta = dphi + sum_k (z_k dzt_k - zt_k dz_k)
-        # + 2c/(1 - |X|^2) Im(omega), squared with (rho + c)/((rho + 2c) 4 rho^2).
-        eta = self._eta0 + x @ self._eta
-        eta_d, eta_h = self._eta, None
-        if n > 1 and c:
-            h0, h1, h2 = _coefficient(nx, rho, 2.0 * c, (), bt, 1)
-            im, im_d = omega[1], self._omega[1]
-            eta = eta.copy()
-            eta[0, : nx - 1] += h0 * im
-            eta_d = eta_d.copy()
-            eta_d[0, :nx, : nx - 1] += np.outer(h1, im) + h0 * im_d
-            cross = h1[:, None, None] * im_d[None, :, :]
-            eta_h = np.zeros((1, nx, nx, m - 1))
-            eta_h[0, :, :, : nx - 1] = (
-                h2[:, :, None] * im + cross + cross.transpose(1, 0, 2)
-            )
-        coeff2 = _coefficient(m, rho, 0.25, ((0.0, -2), (c, 1), (2 * c, -1)))
-        add(eta_block, coeff2, *_square(eta, eta_d, eta_h))
+        # Connection one-form eta squared with (rho + c)/((rho + 2c) 4 rho^2).
+        coeff = _coefficient(x, n, 0.25, ((0.0, -2), (c, 1), (2 * c, -1)))
+        add(coeff, [_eta(x, n, c)])
 
-        # Indefinite-looking pairing, positivized by the last term.
-        add(zeta, _coefficient(1, rho, 1.0, ((0.0, -1),)), self._zeta_pairing)
+        # Indefinite-looking pairing -2/rho |dw_0|^2 + 2/rho sum_a |dw_a|^2,
+        # with |dw|^2 = (dzt^2 + dz^2)/4; positivized by the last term.
+        add(_coefficient(x, n, -0.5, ((0.0, -1),)), [_unit(nx + 1), _unit(nx + 2)])
+        add(_coefficient(x, n, 0.5, ((0.0, -1),)), [_unit(i) for i in range(nx + 3, m)])
 
         # 4 (rho + c)/(rho^2 (1 - |X|^2)) |psi|^2.
-        psi = self._psi0 + x[:nx] @ self._psi
-        coeff4 = _coefficient(nx, rho, 4.0, ((0.0, -2), (c, 1)), bt, 1)
-        add(zeta, coeff4, *_square(psi, self._psi))
-        return g, dg, d2g
+        add(_coefficient(x, n, 4.0, ((0.0, -2), (c, 1)), 1), _psi(x, n))
+
+        zero = _dense({}, m)
+        return (
+            _dense(g, m),
+            tuple(_dense(dg[k], m) if k in dg else zero for k in range(m)),
+            MappingProxyType({kl: MappingProxyType(b) for kl, b in d2g.items() if b}),
+        )
 
     def jets(self, point):
-        """(g, dg, d2g) with dg[k] = d_k g and d2g[k, l] = d_k d_l g.
+        """(g, dg, d2g) at the point, memoised per point and read-only.
 
-        Memoised per point; the arrays are shared and read-only.
+        ``g[i][j]`` and ``dg[k][i][j] = d_k g_ij`` are nested tuples.  The
+        second derivatives are sparse: ``d2g[k, l][i, j] = d_k d_l g_ij`` for
+        k <= l and i <= j, holding only the entries the closed form reaches;
+        the rest are zero or follow by symmetry.
         """
-        x = np.asarray(point, dtype=float)
-        key = tuple(x.tolist())
+        key = tuple(map(float, point))
         cached = self._jets.get(key)
         if cached is not None:
             return cached
-        validate_point(self.n, x)
-        jets = self._assemble(x)
-        for a in jets:
-            a.flags.writeable = False
-        self._jets[key] = jets
+        validate_point(self.n, key)
+        jets = self._jets[key] = self._assemble(key)
         return jets
 
-    def gram(self, point) -> np.ndarray:
+    def gram(self, point) -> tuple:
         return self.jets(point)[0]
 
 
@@ -247,12 +312,35 @@ def assemble_metric(n: int, c) -> AmbientMetric:
     return AmbientMetric(n, float(c))
 
 
-def ricci_from_jets(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
-    """Ricci tensor from g, dg[k] = d_k g and d2g[k, l] = d_k d_l g.
+def _inverse(a) -> list:
+    """Symmetrised inverse of a symmetric matrix, by Gauss-Jordan elimination
+    with partial pivoting; ZeroDivisionError on a zero pivot."""
+    m = len(a)
+    rows = [list(row) + [0.0] * m for row in a]
+    for i in range(m):
+        rows[i][m + i] = 1.0
+    for col in range(m):
+        best = max(range(col, m), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[best] = rows[best], rows[col]
+        pivot = rows[col][col]
+        if pivot == 0:
+            raise ZeroDivisionError("the metric is singular")
+        top = rows[col] = [v / pivot for v in rows[col]]
+        for r in range(m):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [v - f * t for v, t in zip(rows[r], top)]
+    inv = [row[m:] for row in rows]
+    return [[0.5 * (inv[i][j] + inv[j][i]) for j in range(m)] for i in range(m)]
+
+
+def ricci_from_jets(g, dg, d2g) -> list:
+    """Ricci tensor from g, dg[k][i][j] = d_k g_ij and the sparse
+    d2g[k, l][i, j] = d_k d_l g_ij (k <= l, i <= j) of :meth:`AmbientMetric.jets`.
 
     R_ij = d_k G^k_ij - d_j G^k_ik + G^k_kl G^l_ij - G^k_jl G^l_ik, with
     G^k_ij = g^kl S_lij / 2 and S_lij = d_i g_lj + d_j g_li - d_l g_ij.  Only
-    the two traces of dG are formed, each in O(m^4):
+    the two traces of dG are formed:
 
         d_k G^k_ij = ((d_k g^kl) S_lij + g^kl (d_k d_i g_lj + d_k d_j g_li
                       - d_k d_l g_ij)) / 2,
@@ -260,37 +348,99 @@ def ricci_from_jets(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarra
                    = (g^kl d_i d_j g_kl - tr(g^-1 d_i g g^-1 d_j g)) / 2,
 
     using that g, each d_k g and each d_k d_l g are symmetric and that d2g is
-    symmetric in its derivative indices.
+    symmetric in its derivative indices.  The three contractions with d2g
+    run over its stored entries; tr(E_i E_j) for E_i = g^-1 d_i g and
+    G^k_jl G^l_ik are dot products of flattened rows.
     """
-    m = g.shape[0]
-    ginv = np.linalg.inv(g)
-    flat = ginv.ravel()
-    s = (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg).reshape(m, m * m)
-    gamma = 0.5 * (ginv @ s)
-    div_ginv = -(flat @ dg.reshape(m * m, m)) @ ginv  # d_k g^kl
-    mixed = flat @ d2g.reshape(m, m * m, m)  # g^kl d_i d_k g_lj
-    d2 = d2g.reshape(m * m, m * m)
-    box = (flat @ d2).reshape(m, m)  # g^kl d_k d_l g_ij
-    dgamma_k_kij = 0.5 * ((div_ginv @ s).reshape(m, m) + mixed + mixed.T - box)
-    E = ginv @ dg  # E[i] = g^-1 d_i g
-    trace_ee = E.reshape(m, m * m) @ E.transpose(0, 2, 1).reshape(m, m * m).T
-    dgamma_j_kik = 0.5 * ((d2 @ flat).reshape(m, m) - trace_ee)
-    gamma = gamma.reshape(m, m, m)
-    t3 = (np.trace(gamma, axis1=0, axis2=1) @ gamma.reshape(m, m * m)).reshape(m, m)
-    t4 = np.tensordot(gamma, gamma, axes=([0, 2], [2, 0])).T
-    return dgamma_k_kij - dgamma_j_kik + t3 - t4
+    m = len(g)
+    rng = range(m)
+    ginv = _inverse(g)
+
+    zero = [0.0] * m
+
+    def times_ginv(row):
+        """g^-1 row, as a multiple of one row of g^-1 where row has one entry."""
+        nonzero = [(c, v) for c, v in enumerate(row) if v]
+        if len(nonzero) > 1:
+            return [sum(map(mul, ga, row)) for ga in ginv]
+        if nonzero:
+            ((c, v),) = nonzero
+            return [v * x for x in ginv[c]]
+        return zero
+
+    # ET[i][b][a] = (g^-1 d_i g)_ab: column b of E_i, from row b of d_i g.
+    ET = [[times_ginv(row) for row in dgi] for dgi in dg]
+    flat_e = [[v for col in zip(*et) for v in col] for et in ET]  # E_i by rows
+    flat_et = [[v for row in et for v in row] for et in ET]  # E_i^T by rows
+    q = [sum(ET[k][b][k] for k in rng) for b in rng]
+    div_ginv = [-sum(map(mul, gl, q)) for gl in ginv]  # d_k g^kl
+
+    # gam[i][j][k] = G^k_ij and div_s[i][j] = (d_k g^kl) S_lij, for i <= j.
+    gam = [[None] * m for _ in rng]
+    div_s = [[0.0] * m for _ in rng]
+    for i in rng:
+        dgi = dg[i]
+        cols = list(zip(*(dg[l][i] for l in rng)))  # cols[j][l] = d_l g_ij
+        for j in range(i, m):
+            s = [a + b - c for a, b, c in zip(dgi[j], dg[j][i], cols[j])]  # S_lij
+            gam[i][j] = gam[j][i] = [0.5 * sum(map(mul, gk, s)) for gk in ginv]
+            div_s[i][j] = sum(map(mul, div_ginv, s))
+    trace_gam = [sum(gam[k][l][k] for k in rng) for l in rng]  # G^k_kl
+    flat_p = [[v for row in gi for v in row] for gi in gam]  # G^l_ik at (k, l)
+    flat_q = [[v for col in zip(*gi) for v in col] for gi in gam]  # G^k_il
+
+    # Contractions with d2g: box = g^kl d_k d_l g_ij, hess = g^kl d_i d_j g_kl
+    # and mixed = g^kl d_i d_k g_lj.  A stored entry stands for up to four
+    # entries of the full tensor; ``half`` corrects the count on a diagonal.
+    weighted = [[(1.0 if i == j else 2.0) * ginv[i][j] for j in rng] for i in rng]
+    box = [[0.0] * m for _ in rng]
+    hess = [[0.0] * m for _ in rng]
+    mixed = [[0.0] * m for _ in rng]
+    for (k, l), block in d2g.items():
+        gk, gl, mk, ml = ginv[k], ginv[l], mixed[k], mixed[l]
+        wkl = weighted[k][l]
+        half = 0.5 if k == l else 1.0
+        h = 0.0
+        for (i, j), v in block.items():
+            box[i][j] += wkl * v
+            h += weighted[i][j] * v
+            f = half * v if i != j else 0.5 * half * v
+            mk[j] += gl[i] * f
+            ml[j] += gk[i] * f
+            mk[i] += gl[j] * f
+            ml[i] += gk[j] * f
+        hess[k][l] = h
+
+    ric = [[0.0] * m for _ in rng]
+    for i in rng:
+        for j in range(i, m):
+            dgamma_k_kij = 0.5 * (div_s[i][j] + mixed[i][j] + mixed[j][i] - box[i][j])
+            dgamma_j_kik = 0.5 * (hess[i][j] - sum(map(mul, flat_e[i], flat_et[j])))
+            t3 = sum(map(mul, trace_gam, gam[i][j]))
+            t4 = sum(map(mul, flat_p[i], flat_q[j]))
+            ric[i][j] = ric[j][i] = dgamma_k_kij - dgamma_j_kik + t3 - t4
+    return ric
+
+
+def _max_abs(values) -> float:
+    """Largest |x|, or nan if any x is not finite (max alone may skip a nan)."""
+    values = [abs(x) for x in values]
+    return max(values, default=0.0) if all(map(math.isfinite, values)) else math.nan
 
 
 def einstein_residual(M: AmbientMetric, point) -> float:
-    """max |Ric + 2(n+2) g| / max |g| at the point."""
+    """max |Ric + 2(n+2) g| / max |g| at the point; nan if not finite."""
     g, dg, d2g = M.jets(point)
     ric = ricci_from_jets(g, dg, d2g)
     lam = -2.0 * (M.n + 2)
-    return float(np.max(np.abs(ric - lam * g)) / np.max(np.abs(g)))
+    worst = _max_abs(r - lam * x for rr, gr in zip(ric, g) for r, x in zip(rr, gr))
+    return worst / _max_abs(x for row in g for x in row)
 
 
-# Tolerances of InducedReport.ok: the relative Gram error and the largest
-# error of a Ricci eigenvalue.
+# Tolerances of the einstein report: the relative Einstein residual, and for
+# InducedReport.ok the relative Gram error and the largest error of a Ricci
+# eigenvalue.
+RESIDUAL_TOL = 1e-6
 GRAM_TOL = 1e-12
 EIGENVALUE_TOL = 1e-8
 
@@ -313,8 +463,8 @@ class InducedReport:
         self,
         gram_max_error: float,
         eigenvalue_max_error: float,
-        eigenvalues: np.ndarray,
-        expected: np.ndarray,
+        eigenvalues: list,
+        expected: list,
     ):
         self.gram_max_error = gram_max_error
         self.eigenvalue_max_error = eigenvalue_max_error
@@ -328,10 +478,12 @@ class InducedReport:
         )
 
 
-def _off_diagonal_ratio(block: np.ndarray) -> float:
-    """Largest off-diagonal entry of a square block over its largest entry."""
-    off = np.abs(block - np.diag(np.diagonal(block)))
-    return float(np.max(off) / np.max(np.abs(block)))
+def _off_diagonal_ratio(entries) -> float:
+    """Largest off-diagonal entry of a symmetric block over its largest
+    entry, from the (i, j, value) triples of its upper triangle."""
+    entries = list(entries)
+    off = _max_abs(v for i, j, v in entries if i != j)
+    return off / _max_abs(v for _, _, v in entries)
 
 
 def induced_consistency(M: AmbientMetric, p: FamilyParams) -> InducedReport:
@@ -345,32 +497,37 @@ def induced_consistency(M: AmbientMetric, p: FamilyParams) -> InducedReport:
     """
     if M.n != p.n or abs(M.c - float(p.c)) > 0:
         raise ValueError("ambient metric and family parameters disagree")
-    n = p.n
-    pt = p_rho_point(n, float(p.rho))
-    g, dg, d2g = M.jets(pt)
-    G1, G2 = dg[0, 1:, 1:], d2g[0, 0, 1:, 1:]
+    n, m = p.n, M.dim
+    g, dg, d2g = M.jets(p_rho_point(n, float(p.rho)))
+    G1, G2 = dg[0], d2g.get((0, 0), {})
+    inner = range(1, m)
 
-    coord_values = np.array([float(x) for x in coordinate_gram_values(p)])
-    gram_err = max(
-        float(np.max(np.abs(g[1:, 1:] - np.diag(coord_values)))),
-        float(np.max(np.abs(g[0, 1:]))),
-    ) / float(np.max(np.abs(coord_values)))
-    gram_err = max(gram_err, _off_diagonal_ratio(G1), _off_diagonal_ratio(G2))
+    coord_values = [float(x) for x in coordinate_gram_values(p)]
+    slice_error = _max_abs(
+        g[i][j] - (coord_values[i - 1] if i == j else 0.0) for i in inner for j in inner
+    )
+    gram_err = _max_abs([slice_error, *g[0][1:]]) / _max_abs(coord_values)
+    gram_err = _max_abs(
+        [
+            gram_err,
+            _off_diagonal_ratio((i, j, G1[i][j]) for i in inner for j in range(i, m)),
+            _off_diagonal_ratio((i, j, v) for (i, j), v in G2.items() if i >= 1),
+        ]
+    )
 
-    ric = hypersurface_ricci_general(
-        np.diagonal(g)[1:],
-        np.diagonal(G1),
-        np.diagonal(G2),
-        g[0, 0],
-        dg[0, 0, 0],
+    eigs = hypersurface_ricci_general(
+        [g[i][i] for i in inner],
+        [G1[i][i] for i in inner],
+        [G2.get((i, i), 0.0) for i in inner],
+        g[0][0],
+        dg[0][0][0],
         -2.0 * (n + 2),
     )
-    eigs = np.array(ric)
     r1, r2, r3, r4 = (float(x) for x in ricci_eigenvalue_formulas(n, p.rho, p.c))
-    expected = np.array([r1] * (2 * n - 2) + [r2] + [r3] * 2 + [r4] * (2 * n - 2))
+    expected = [r1] * (2 * n - 2) + [r2] + [r3] * 2 + [r4] * (2 * n - 2)
     return InducedReport(
         gram_max_error=gram_err,
-        eigenvalue_max_error=float(np.max(np.abs(eigs - expected))),
+        eigenvalue_max_error=_max_abs(e - x for e, x in zip(eigs, expected)),
         eigenvalues=eigs,
         expected=expected,
     )
