@@ -52,7 +52,7 @@ def _three_way_ricci(p: family.FamilyParams, M: MetricLieAlgebra):
     """Koszul, closed-form, and coordinate-route Ricci endomorphisms."""
     koszul = ricci_endomorphism_koszul(M)
     expected = family.expected_ric_matrix(p)
-    emb = family.build_embedding(p)
+    emb = family.build_embedding(p, M.G)
     coords = hypersurface.ricci_endomorphism_coords(p)
     conjugated = emb.conjugate_to_family(coords)
     return koszul, expected, conjugated
@@ -62,6 +62,12 @@ def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):
     direct = soliton_check_direct(M)
     checklist = soliton_check_lauret(M, family.family_splitting(p.n))
     return direct, checklist
+
+
+def _principal_ricci(p: family.FamilyParams) -> tuple:
+    """(r1, r2, r3, r4), with the two absent for n = 1 left as None."""
+    r = family.ricci_eigenvalue_formulas(p.n, p.rho, p.c)
+    return (None, r[1], r[2], None) if p.n == 1 else r
 
 
 def _delta_multiple(p: family.FamilyParams, D):
@@ -122,7 +128,7 @@ def verify_report(p: family.FamilyParams) -> dict:
 
 
 def spectrum_report(p: family.FamilyParams) -> dict:
-    forms = family.expected_closed_forms(p)
+    r = _principal_ricci(p)
     shape = hypersurface.shape_operator(p)
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
@@ -131,9 +137,9 @@ def spectrum_report(p: family.FamilyParams) -> dict:
         "sigma_multiplicities": list(shape.multiplicities),
         "trace_shape": _exact(shape.trace),
         "trace_shape_approx": _approx(shape.trace),
-        "r": [_exact(r) or None for r in forms.r],
-        "r_approx": [None if r is None else _approx(r) for r in forms.r],
-        "r_multiplicities": list(forms.sigma_multiplicities),
+        "r": [_exact(x) or None for x in r],
+        "r_approx": [None if x is None else _approx(x) for x in r],
+        "r_multiplicities": list(shape.multiplicities),
         "note": "decimal fields are 12-digit approximations; exact strings are authoritative",
     }
 
@@ -170,7 +176,6 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
     for rho in rho_grid:
         for c in c_grid:
             p = family.FamilyParams(n, rho, c)
-            forms = family.expected_closed_forms(p)
             shape = hypersurface.shape_operator(p)
             direct = soliton_check_direct(family.metric_algebra(p))
             status = family.classify_status(n, direct.is_soliton)
@@ -184,7 +189,7 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
             for i, s in enumerate(shape.sigma, start=1):
                 row[f"sigma{i}"] = _exact(s)
                 row[f"sigma{i}_approx"] = "" if s is None else _approx(s)
-            for i, r in enumerate(forms.r, start=1):
+            for i, r in enumerate(_principal_ricci(p), start=1):
                 row[f"r{i}"] = _exact(r)
                 row[f"r{i}_approx"] = "" if r is None else _approx(r)
             row["trace_shape"] = _exact(shape.trace)

@@ -22,6 +22,7 @@ from types import MappingProxyType
 
 from .family import FamilyParams, coordinate_gram_values, ricci_eigenvalue_formulas
 from .hypersurface import hypersurface_ricci_general
+from .scalars import power_jet
 
 __all__ = [
     "AmbientMetric",
@@ -105,17 +106,13 @@ def _coefficient(x, n: int, scale: float, factors, u_power: int = 0):
         scale * prod (rho + a)^p * (1 - |X|^2)^(-u_power),   (a, p) in factors,
 
     where x[1 : 2n-1] holds the coordinates (b^a, t^a), so that
-    |X|^2 = |bt|^2 / 4.  Derivatives come from those of the logarithm.
+    |X|^2 = |bt|^2 / 4.  Derivatives come from those of the logarithm; the
+    rho part is the power rule shared with the exact slice jets.
     """
-    rho, nx = x[0], 2 * n - 1
-    s, l1, l2 = scale, 0.0, 0.0
-    for a, p in factors:
-        y = rho + a
-        # ** raises OverflowError where * would give inf silently: out of
-        # float range the check refuses the point.
-        s *= y**p
-        l1 += p / y
-        l2 += p / y**2
+    nx = 2 * n - 1
+    # power_jet raises OverflowError out of float range, where * would give
+    # inf silently: the check then refuses the point.
+    s, l1, d2 = power_jet(x[0], scale, factors)
     grad, hess = {}, {}
     if u_power:
         w = 1.0 / (1.0 - sum(v * v for v in x[1:nx]) / 4.0)
@@ -129,7 +126,7 @@ def _coefficient(x, n: int, scale: float, factors, u_power: int = 0):
                 hess[i, j] = quad * x[i] * x[j]
             hess[i, i] += su / 2.0
     grad[0] = s * l1
-    hess[0, 0] = s * (l1 * l1 - l2)
+    hess[0, 0] = s * d2
     return s, grad, hess
 
 
@@ -303,9 +300,6 @@ class AmbientMetric:
         validate_point(self.n, key)
         jets = self._jets[key] = self._assemble(key)
         return jets
-
-    def gram(self, point) -> tuple:
-        return self.jets(point)[0]
 
 
 def assemble_metric(n: int, c) -> AmbientMetric:

@@ -4,7 +4,9 @@ For a rank parameter n this module builds the (4n-1)-dimensional solvable
 Lie algebra b |x heis_{2n+1} (an Iwasawa subalgebra acting on a Heisenberg
 algebra), the two-parameter family of inner products g indexed by (rho, c),
 the grading derivation delta, the evaluation map onto coordinate tangent
-vectors, and every closed-form expected value used for cross-checking.
+vectors, the slice metric as products of powers of rho + a, and the
+closed-form Ricci endomorphism that the curvature routes are checked
+against.
 
 Ordered basis for n > 1:
 
@@ -23,15 +25,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lie_core import Splitting, StructureConstants, check_jacobi, is_derivation
-from .linalg import Matrix, is_positive_definite
+from .linalg import Matrix
 from .metric_lie import MetricLieAlgebra
-from .scalars import surd
+from .scalars import power_jet, surd
 
 __all__ = [
     "FamilyParams",
     "BasisEmbedding",
-    "ClosedForms",
-    "basis_labels",
     "build_lie_algebra",
     "real_from_complex_brackets",
     "build_gram",
@@ -41,16 +41,10 @@ __all__ = [
     "metric_algebra",
     "coordinate_names",
     "slice_diagonal",
+    "coordinate_gram",
     "coordinate_gram_values",
     "ricci_eigenvalue_formulas",
-    "expected_closed_forms",
     "expected_ric_matrix",
-    "expected_ad_b1r",
-    "expected_ad_b1r_star",
-    "expected_ad_h_sym",
-    "expected_killing_operator",
-    "expected_mean_curvature",
-    "expected_normality_commutator",
     "predicted_status",
     "classify_status",
 ]
@@ -114,18 +108,6 @@ def _idx_f(n: int, k: int) -> int:
 
 def _idx_z(n: int) -> int:
     return 4 * n - 2
-
-
-def basis_labels(n: int) -> list:
-    if n == 1:
-        return ["e0", "f0", "Z"]
-    labels = []
-    for a in range(1, n):
-        labels += [f"B{a}R", f"B{a}I"]
-    for k in range(n):
-        labels += [f"e{k}", f"f{k}"]
-    labels.append("Z")
-    return labels
 
 
 # --- complex-to-real bracket expansion --------------------------------------
@@ -243,7 +225,11 @@ def build_lie_algebra(n: int) -> StructureConstants:
 
 
 def build_gram(p: FamilyParams) -> Matrix:
-    """Gram matrix of the family inner product in the fixed basis."""
+    """Gram matrix of the family inner product in the fixed basis.
+
+    Positive definiteness is certified where it is used, by
+    :class:`MetricLieAlgebra`.
+    """
     n, rho, c = p.n, p.rho, p.c
     if n == 1:
         g = Matrix.diagonal(
@@ -268,8 +254,6 @@ def build_gram(p: FamilyParams) -> Matrix:
         if off:
             g.data[1][4 * n - 2] = off
             g.data[4 * n - 2][1] = off
-    if not is_positive_definite(g):
-        raise ValueError("family Gram matrix failed positive definiteness")
     return g
 
 
@@ -316,23 +300,35 @@ def coordinate_names(n: int) -> list:
     return names
 
 
-def slice_diagonal(n: int, rho, c) -> list:
-    """Diagonal of the slice metric g_rho in coordinate order.
+def slice_diagonal(n: int, c) -> list:
+    """Diagonal of the slice metric g_rho in coordinate order, each entry
+    K * prod (rho + a)^p given as its (K, ((a, p), ...)) for
+    :func:`~solvsoliton.scalars.power_jet`.  These are the only copies of
+    the four entry formulas:
 
-    Generic in ``rho``: a ``Fraction`` gives the values at the base point, a
-    ``Jet2`` in rho gives them with their first two rho-derivatives.  These
-    are the only copies of the four entry formulas.
+        b = (rho + c)/(4 rho),   phi = (rho + c)/(4 rho^2 (rho + 2c)),
+        z0 = (rho + 2c)/(2 rho^2),   zrest = 1/(2 rho).
     """
-    b = (rho + c) / (4 * rho)
-    phi = (rho + c) / (4 * rho**2 * (rho + 2 * c))
-    z0 = (rho + 2 * c) / (2 * rho**2)
-    zrest = 1 / (2 * rho)
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    b = (quarter, ((0, -1), (c, 1)))
+    phi = (quarter, ((0, -2), (c, 1), (2 * c, -1)))
+    z0 = (half, ((0, -2), (2 * c, 1)))
+    zrest = (half, ((0, -1),))
     return [b] * (2 * n - 2) + [phi] + [z0] * 2 + [zrest] * (2 * n - 2)
+
+
+def coordinate_gram(p: FamilyParams) -> list:
+    """Jets (g_i, g_i'/g_i, g_i''/g_i) of the slice metric's diagonal entries
+    at the working rho, in coordinate order; each distinct entry is
+    evaluated once."""
+    entries = slice_diagonal(p.n, p.c)
+    jets = {entry: power_jet(p.rho, *entry) for entry in set(entries)}
+    return [jets[entry] for entry in entries]
 
 
 def coordinate_gram_values(p: FamilyParams) -> list:
     """Diagonal of the coordinate Gram matrix at the base point."""
-    return slice_diagonal(p.n, p.rho, p.c)
+    return [g for g, _, _ in coordinate_gram(p)]
 
 
 class BasisEmbedding:
@@ -355,7 +351,9 @@ class BasisEmbedding:
         return inverse(self.P) @ endo_coords @ self.P
 
 
-def build_embedding(p: FamilyParams) -> BasisEmbedding:
+def build_embedding(p: FamilyParams, gram: Matrix) -> BasisEmbedding:
+    """The evaluation map P, checked against the family Gram matrix ``gram``
+    (that is, :func:`build_gram` of ``p``)."""
     n, c = p.n, p.c
     d = p.dim
     names = coordinate_names(n)
@@ -380,7 +378,7 @@ def build_embedding(p: FamilyParams) -> BasisEmbedding:
             P.data[row[f"z{j}"]][_idx_f(n, j)] = -half_rt2
         P.data[row["phi"]][_idx_z(n)] = Fraction(1)
     g_coord = Matrix.diagonal(coordinate_gram_values(p))
-    if P.transpose() @ g_coord @ P != build_gram(p):
+    if P.transpose() @ g_coord @ P != gram:
         raise AssertionError("embedding failed the Gram consistency identity")
     return BasisEmbedding(P, names)
 
@@ -409,63 +407,6 @@ def ricci_eigenvalue_formulas(n: int, rho: Fraction, c: Fraction):
     return r1, r2, r3, r4
 
 
-class ClosedForms:
-    """Shape-operator and Ricci spectra plus companion scalars.
-
-    sigma and r are ordered (sigma1..sigma4), (r1..r4) with multiplicities
-    (2n-2, 1, 2, 2n-2); for n = 1 the outer entries are None and their
-    multiplicities vanish.
-    """
-
-    __slots__ = (
-        "sigma",
-        "sigma_multiplicities",
-        "r",
-        "tr_shape",
-        "h_coeff",
-        "lambda_expected",
-    )
-
-    def __init__(self, sigma, sigma_multiplicities, r, tr_shape, h_coeff, lambda_expected):
-        self.sigma = sigma
-        self.sigma_multiplicities = sigma_multiplicities
-        self.r = r
-        self.tr_shape = tr_shape
-        self.h_coeff = h_coeff
-        self.lambda_expected = lambda_expected
-
-
-def expected_closed_forms(p: FamilyParams) -> ClosedForms:
-    n, rho, c = p.n, p.rho, p.c
-    q = (rho + c) / (rho + 2 * c)
-    s1 = surd(0, c / (rho + c), q)
-    s2 = surd(0, (2 * rho**2 + 5 * c * rho + 4 * c**2) / ((rho + 2 * c) * (rho + c)), q)
-    s3 = surd(0, (rho + 4 * c) / (rho + 2 * c), q)
-    s4 = surd(0, Fraction(1), q)
-    tr_shape = surd(
-        0,
-        ((2 * n + 2) * rho**2 + (8 * n + 7) * c * rho + (8 * n + 4) * c**2)
-        / ((rho + c) * (rho + 2 * c)),
-        q,
-    )
-    r1, r2, r3, r4 = ricci_eigenvalue_formulas(n, rho, c)
-    mult = (2 * n - 2, 1, 2, 2 * n - 2)
-    if n == 1:
-        sigma = (None, s2, s3, None)
-        r = (None, r2, r3, None)
-    else:
-        sigma = (s1, s2, s3, s4)
-        r = (r1, r2, r3, r4)
-    return ClosedForms(
-        sigma=sigma,
-        sigma_multiplicities=mult,
-        r=r,
-        tr_shape=tr_shape,
-        h_coeff=(2 * n - 2) * rho / (rho + c),
-        lambda_expected=Fraction(-2 * (n + 2)),
-    )
-
-
 def expected_ric_matrix(p: FamilyParams) -> Matrix:
     """Ricci endomorphism in the family basis, from the closed forms."""
     n, rho, c = p.n, p.rho, p.c
@@ -475,126 +416,6 @@ def expected_ric_matrix(p: FamilyParams) -> Matrix:
     diag = [r1] * (2 * n - 2) + [r3] * 2 + [r4] * (2 * n - 2) + [r2]
     out = Matrix.diagonal(diag)
     out.data[4 * n - 2][1] = 2 * c * (r1 - r2)
-    return out
-
-
-def _block_diag_entries(n: int, b1r, b1i, brest, heis0, heis1, z) -> Matrix:
-    """diag(b1r, b1i, brest*1, <4x4 heis block>, heis1*1, z) layout helper."""
-    d = 4 * n - 1
-    out = Matrix.zeros(d, d)
-    out.data[0][0] = b1r
-    out.data[1][1] = b1i
-    for i in range(2, 2 * n - 2):
-        out.data[i][i] = brest
-    for i in range(2 * n + 2, 4 * n - 2):
-        out.data[i][i] = heis1
-    out.data[d - 1][d - 1] = z
-    base = 2 * n - 2
-    for i in range(4):
-        out.data[base + i][base + i] = heis0
-    return out
-
-
-def expected_ad_b1r(n: int) -> Matrix:
-    """ad(B1R) block form: diag(0, 2, 1_{2n-4}, V4, 0_{2n-4}, 0)."""
-    if n < 2:
-        raise ValueError("the solvable part is empty for n = 1")
-    out = _block_diag_entries(
-        n, Fraction(0), Fraction(2), Fraction(1), Fraction(0), Fraction(0), Fraction(0)
-    )
-    base = 2 * n - 2
-    for i in range(4):
-        out.data[base + i][base + i] = Fraction(0)
-    out.data[base][base + 2] = Fraction(-1)
-    out.data[base + 1][base + 3] = Fraction(-1)
-    out.data[base + 2][base] = Fraction(-1)
-    out.data[base + 3][base + 1] = Fraction(-1)
-    return out
-
-
-def expected_ad_b1r_star(p: FamilyParams) -> Matrix:
-    """Metric adjoint of ad(B1R), in closed form."""
-    n, rho, c = p.n, p.rho, p.c
-    if n < 2:
-        raise ValueError("the solvable part is empty for n = 1")
-    out = _block_diag_entries(
-        n,
-        Fraction(0),
-        2 * (rho + c) ** 2 / (rho * (rho + 2 * c)),
-        Fraction(1),
-        Fraction(0),
-        Fraction(0),
-        -2 * c**2 / (rho * (rho + 2 * c)),
-    )
-    base = 2 * n - 2
-    ratio = rho / (rho + 2 * c)
-    out.data[base][base + 2] = -ratio
-    out.data[base + 1][base + 3] = -ratio
-    out.data[base + 2][base] = -(rho + 2 * c) / rho
-    out.data[base + 3][base + 1] = -(rho + 2 * c) / rho
-    out.data[1][4 * n - 2] = -c / (rho * (rho + 2 * c))
-    out.data[4 * n - 2][1] = 4 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
-    return out
-
-
-def expected_ad_h_sym(p: FamilyParams) -> Matrix:
-    """Closed form of the symmetric part of ad(H)."""
-    n, rho, c = p.n, p.rho, p.c
-    if n < 2:
-        raise ValueError("the solvable part is empty for n = 1")
-    m = Fraction(2 * n - 2)
-    out = _block_diag_entries(
-        n,
-        Fraction(0),
-        m * (2 * rho**2 + 4 * c * rho + c**2) / ((rho + c) * (rho + 2 * c)),
-        m * rho / (rho + c),
-        Fraction(0),
-        Fraction(0),
-        -m * c**2 / ((rho + c) * (rho + 2 * c)),
-    )
-    base = 2 * n - 2
-    ratio = rho / (rho + 2 * c)
-    out.data[base][base + 2] = -m * ratio
-    out.data[base + 1][base + 3] = -m * ratio
-    out.data[base + 2][base] = -m
-    out.data[base + 3][base + 1] = -m
-    out.data[1][4 * n - 2] = -m * c / (2 * (rho + c) * (rho + 2 * c))
-    out.data[4 * n - 2][1] = m * 2 * c * (rho + c) / (rho + 2 * c)
-    return out
-
-
-def expected_killing_operator(p: FamilyParams) -> Matrix:
-    """Killing endomorphism (2n+4) rho/(rho+c) E_{1,1} (zero for n = 1)."""
-    n, rho, c = p.n, p.rho, p.c
-    d = p.dim
-    out = Matrix.zeros(d, d)
-    if n > 1:
-        out.data[0][0] = (2 * n + 4) * rho / (rho + c)
-    return out
-
-
-def expected_mean_curvature(p: FamilyParams) -> list:
-    """(2n-2) rho/(rho+c) B1R as a coordinate vector (zero for n = 1)."""
-    out = [Fraction(0)] * p.dim
-    if p.n > 1:
-        out[0] = (2 * p.n - 2) * p.rho / (p.rho + p.c)
-    return out
-
-
-def expected_normality_commutator(p: FamilyParams) -> Matrix:
-    """[ad(B1R), ad(B1R)*] in closed form; zero exactly when c = 0."""
-    n, rho, c = p.n, p.rho, p.c
-    if n < 2:
-        raise ValueError("the solvable part is empty for n = 1")
-    d = p.dim
-    out = Matrix.zeros(d, d)
-    k1 = 4 * c * (rho + c) / (rho * (rho + 2 * c))
-    base = 2 * n - 2
-    for i in (0, 1):
-        out.data[base + i][base + i] = k1
-        out.data[base + 2 + i][base + 2 + i] = -k1
-    out.data[1][d - 1] = -2 * c / (rho * (rho + 2 * c))
-    out.data[d - 1][1] = -8 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
     return out
 
 

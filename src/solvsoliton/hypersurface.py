@@ -1,11 +1,13 @@
 """Hypersurface curvature of the deformed metrics, via exact order-2 jets.
 
 The ambient metric has the warped form f(rho) drho^2 + g_rho, and in the
-coordinate frame the slice metric g_rho is diagonal for every rho and c.  So
-each slice entry g_i is carried as an exact jet in rho, and every formula
-below works entry by entry.  The radial endomorphism is A_i = g_i'/(2 g_i),
-and the shape operator with respect to the unit normal is -A/sqrt(f), so its
-eigenvalues live in the quadratic extension by sqrt((rho+c)/(rho+2c)).  The
+coordinate frame the slice metric g_rho is diagonal for every rho and c.
+The warp factor and each slice entry g_i are products of powers of rho + a,
+so each is carried as the exact jet (g_i, g_i'/g_i, g_i''/g_i) of
+:func:`~solvsoliton.scalars.power_jet`, and every formula below works entry
+by entry.  The radial endomorphism is A_i = g_i'/(2 g_i), and the shape
+operator with respect to the unit normal is -A/sqrt(f), so its eigenvalues
+live in the quadratic extension by sqrt((rho+c)/(rho+2c)).  The
 Ricci endomorphism of a slice of an Einstein manifold with constant lambda is
 
     Ric_i/g_i = lambda + k g_i'/g_i - g_i'^2/(2 f g_i^2) + g_i''/(2 f g_i),
@@ -19,15 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .family import FamilyParams, slice_diagonal
+from .family import FamilyParams, coordinate_gram
 from .linalg import Matrix
-from .scalars import Jet2, sqrt_fraction
+from .scalars import power_jet, sqrt_fraction
 
 __all__ = [
-    "WarpData",
     "ShapeOperator",
     "warp_data",
-    "coordinate_gram",
     "shape_operator",
     "hypersurface_ricci_general",
     "ricci_endomorphism_coords",
@@ -35,34 +35,19 @@ __all__ = [
 ]
 
 
-class WarpData:
-    """Warp factor f at a working rho, as an exact jet, with f'/f."""
-
-    __slots__ = ("f", "fprime_over_f")
-
-    def __init__(self, f: Jet2, fprime_over_f: Fraction):
-        self.f = f
-        self.fprime_over_f = fprime_over_f
-
-
-def warp_data(p: FamilyParams) -> WarpData:
-    rv = Jet2.variable(p.rho)
-    f = (rv + 2 * p.c) / (4 * rv**2 * (rv + p.c))
-    return WarpData(f=f, fprime_over_f=f.d1 / f.v)
-
-
-def coordinate_gram(p: FamilyParams) -> list:
-    """Diagonal jets g_i(rho) of the slice metric, in coordinate order."""
-    return slice_diagonal(p.n, Jet2.variable(p.rho), p.c)
+def warp_data(p: FamilyParams) -> tuple:
+    """(f, f'/f, f''/f) at the working rho for the warp factor
+    f = (rho + 2c)/(4 rho^2 (rho + c))."""
+    c = p.c
+    return power_jet(p.rho, Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1)))
 
 
 class ShapeOperator:
-    """Diagonal shape operator with its spectrum and multiplicities."""
+    """Diagonal shape operator: its spectrum, multiplicities and trace."""
 
-    __slots__ = ("matrix", "sigma", "multiplicities", "trace")
+    __slots__ = ("sigma", "multiplicities", "trace")
 
-    def __init__(self, matrix: Matrix, sigma: tuple, multiplicities: tuple, trace):
-        self.matrix = matrix
+    def __init__(self, sigma: tuple, multiplicities: tuple, trace):
         self.sigma = sigma
         self.multiplicities = multiplicities
         self.trace = trace
@@ -70,20 +55,15 @@ class ShapeOperator:
 
 def shape_operator(p: FamilyParams) -> ShapeOperator:
     n = p.n
-    sqrt_f = sqrt_fraction(warp_data(p).f.v)
-    entries = [-(g.d1 / (2 * g.v)) / sqrt_f for g in coordinate_gram(p)]
+    sqrt_f = sqrt_fraction(warp_data(p)[0])
+    entries = [-(d1 / 2) / sqrt_f for _, d1, _ in coordinate_gram(p)]
     mult = (2 * n - 2, 1, 2, 2 * n - 2)
     if n == 1:
         sigma = (None, entries[0], entries[1], None)
     else:
         sigma = (entries[0], entries[2 * n - 2], entries[2 * n - 1], entries[-1])
     trace = sum(entries[1:], entries[0])
-    return ShapeOperator(
-        matrix=Matrix.diagonal(entries),
-        sigma=sigma,
-        multiplicities=mult,
-        trace=trace,
-    )
+    return ShapeOperator(sigma=sigma, multiplicities=mult, trace=trace)
 
 
 def hypersurface_ricci_general(g, dg, d2g, f, df, lam) -> list:
@@ -106,14 +86,14 @@ def hypersurface_ricci_general(g, dg, d2g, f, df, lam) -> list:
 
 def ricci_endomorphism_coords(p: FamilyParams) -> Matrix:
     """Ricci endomorphism of the slice in coordinate order (diagonal)."""
-    f = warp_data(p).f
+    f, f_d1, _ = warp_data(p)
     jets = coordinate_gram(p)
     ratios = hypersurface_ricci_general(
-        [x.v for x in jets],
-        [x.d1 for x in jets],
-        [x.d2 for x in jets],
-        f.v,
-        f.d1,
+        [g for g, _, _ in jets],
+        [g * d1 for g, d1, _ in jets],
+        [g * d2 for g, _, d2 in jets],
+        f,
+        f * f_d1,
         Fraction(-2 * (p.n + 2)),
     )
     return Matrix.diagonal(ratios)
@@ -121,6 +101,6 @@ def ricci_endomorphism_coords(p: FamilyParams) -> Matrix:
 
 def trace_identity_check(p: FamilyParams) -> bool:
     """Exact check of sum_i g_i'/g_i - f'/f = -8 n rho f at the working rho."""
-    w = warp_data(p)
-    lhs = sum(x.d1 / x.v for x in coordinate_gram(p)) - w.fprime_over_f
-    return lhs == -8 * p.n * p.rho * w.f.v
+    f, f_d1, _ = warp_data(p)
+    lhs = sum(d1 for _, d1, _ in coordinate_gram(p)) - f_d1
+    return lhs == -8 * p.n * p.rho * f

@@ -1,13 +1,14 @@
-"""Lie algebras presented by structure constants.
+"""Lie algebras presented by sparse structure constants.
 
-Brackets, adjoints, Jacobi verification, Killing form, derived algebra,
-unimodularity, complete solvability, the Leibniz test for derivations, and
-verification of a declared abelian-plus-nilpotent splitting.  Everything is
-exact.
+Adjoints, the Jacobi check with a witness, the Leibniz test for
+derivations, verification of a declared abelian-plus-nilpotent splitting,
+and the predicates behind the structural claims: derived algebra,
+unimodularity and complete solvability.  Everything is exact.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import Matrix, char_poly, real_rooted, rref
@@ -16,10 +17,9 @@ __all__ = [
     "StructureConstants",
     "Splitting",
     "SplittingReport",
-    "bracket",
+    "STRUCTURE_CLAIMS",
     "check_jacobi",
     "ad_matrix",
-    "killing_form",
     "derived_algebra",
     "is_unimodular",
     "is_solvable",
@@ -31,52 +31,26 @@ __all__ = [
 
 
 class StructureConstants:
-    """Bracket tensor c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """Sparse bracket table: [e_i, e_j] = sum_k c_ij^k e_k is stored as
+    ``_sparse[i][j] = [(k, c_ij^k), ...]``, nonzero entries in increasing k.
 
-    __slots__ = ("dim", "c", "_sparse", "_cache")
+    Built from {(i, j): {k: Fraction}} with i < j; :meth:`from_triples` is
+    the public constructor.
+    """
 
-    def __init__(self, dim: int, c):
-        entries = {}
-        for i in range(dim):
-            for j in range(dim):
-                row = c[i][j]
-                for k in range(dim):
-                    v = row[k]
-                    if v:
-                        v = Fraction(v)
-                        if v:
-                            entries[i, j, k] = v
-        upper: dict = {}
-        for (i, j, k), v in entries.items():
-            if entries.get((j, i, k)) != -v:
-                raise ValueError("structure constants are not antisymmetric")
-            if i < j:
-                upper.setdefault((i, j), {})[k] = v
-        self._assign(dim, upper)
+    __slots__ = ("dim", "_sparse", "_cache")
 
-    def _assign(self, dim: int, upper: dict) -> None:
-        """Fill ``c`` and ``_sparse`` from {(i, j): {k: Fraction}} with i < j."""
-        zero = Fraction(0)
-        c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        # sparse view: _sparse[i][j] = [(k, value), ...] in increasing k
+    def __init__(self, dim: int, upper: dict):
         sparse = [[[] for _ in range(dim)] for _ in range(dim)]
         for (i, j), row in upper.items():
             for k in sorted(row):
                 v = row[k]
                 if v:
-                    c[i][j][k], c[j][i][k] = v, -v
                     sparse[i][j].append((k, v))
                     sparse[j][i].append((k, -v))
         self.dim = dim
-        self.c = c
         self._sparse = sparse
         self._cache = {}
-
-    @classmethod
-    def _from_upper(cls, dim: int, upper: dict) -> "StructureConstants":
-        L = cls.__new__(cls)
-        L._assign(dim, upper)
-        return L
 
     @classmethod
     def from_triples(cls, dim: int, triples) -> "StructureConstants":
@@ -87,7 +61,7 @@ class StructureConstants:
                 raise ValueError(f"bad triple ({i}, {j}, {k})")
             row = upper.setdefault((i, j), {})
             row[k] = row.get(k, Fraction(0)) + Fraction(value)
-        return cls._from_upper(dim, upper)
+        return cls(dim, upper)
 
     def triples(self):
         out = []
@@ -100,34 +74,13 @@ class StructureConstants:
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
             return NotImplemented
-        return self.dim == other.dim and self.c == other.c
+        return self.dim == other.dim and self._sparse == other._sparse
 
     def __hash__(self):
         return hash((self.dim, tuple(self.triples())))
 
     def __repr__(self):
         return f"StructureConstants(dim={self.dim}, nonzero={len(self.triples())})"
-
-
-def bracket(L: StructureConstants, x, y) -> list:
-    """[x, y] for coordinate vectors x, y of length dim."""
-    d = L.dim
-    if len(x) != d or len(y) != d:
-        raise ValueError("vector length does not match the algebra dimension")
-    out = [Fraction(0)] * d
-    for i in range(d):
-        xi = x[i]
-        if not xi:
-            continue
-        row = L._sparse[i]
-        for j in range(d):
-            yj = y[j]
-            if not yj:
-                continue
-            f = xi * yj
-            for k, v in row[j]:
-                out[k] += f * v
-    return out
 
 
 def _basis_vector(d: int, i: int) -> list:
@@ -204,36 +157,6 @@ def ad_matrix(L: StructureConstants, x) -> Matrix:
     return Matrix._trusted(out)
 
 
-def _ad_basis(L: StructureConstants) -> list:
-    ads = L._cache.get("ad_basis")
-    if ads is None:
-        d = L.dim
-        ads = [ad_matrix(L, _basis_vector(d, i)) for i in range(d)]
-        L._cache["ad_basis"] = ads
-    return ads
-
-
-def killing_form(L: StructureConstants) -> Matrix:
-    """beta(X, Y) = trace(ad X . ad Y) on the basis."""
-    d = L.dim
-    ads = _ad_basis(L)
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            t = Fraction(0)
-            for r in range(d):
-                row = ads[i].data[r]
-                for s in range(d):
-                    a = row[s]
-                    if a:
-                        b = ads[j].data[s][r]
-                        if b:
-                            t += a * b
-            out[i][j] = t
-            out[j][i] = t
-    return Matrix(out)
-
-
 def _bracket_rows(L: StructureConstants, x: dict, y: dict) -> dict:
     """[x, y] for sparse {index: scalar} vectors, over the nonzero structure
     constants only; zero sums may be left in."""
@@ -268,7 +191,12 @@ def derived_algebra(L: StructureConstants) -> list:
 
 
 def is_unimodular(L: StructureConstants) -> bool:
-    return all(ad.trace() == 0 for ad in _ad_basis(L))
+    """tr(ad e_i) = sum_j c_ij^j vanishes for every basis vector e_i."""
+    sp = L._sparse
+    return all(
+        sum(v for j, row in enumerate(sp[i]) for k, v in row if k == j) == 0
+        for i in range(L.dim)
+    )
 
 
 def is_solvable(L: StructureConstants) -> bool:
@@ -453,4 +381,12 @@ def subalgebra(L: StructureConstants, indices) -> StructureConstants:
                     raise ValueError("index set does not span a subalgebra")
                 row[pos[k]] = v
             upper[a, b] = row
-    return StructureConstants._from_upper(len(indices), upper)
+    return StructureConstants(len(indices), upper)
+
+
+# The predicates behind the paper's structural claims, for a certificate to
+# call: the derived algebra (the Heisenberg nilradical at n = 1),
+# non-unimodularity for n > 1, and complete solvability.
+STRUCTURE_CLAIMS = namedtuple(
+    "StructureClaims", "derived_algebra is_unimodular is_completely_solvable"
+)(derived_algebra, is_unimodular, is_completely_solvable)

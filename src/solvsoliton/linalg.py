@@ -1,8 +1,8 @@
 """Exact linear algebra over rationals and surds.
 
-Solving, kernels, inverses and the Sylvester test all rest
-on one kernel, :func:`rref`: a sparse reduced row echelon form over
-{col: scalar} rows, with zero tolerance; floating point never enters.
+Solving, inverses and the Sylvester test all rest on one kernel,
+:func:`rref`: a sparse reduced row echelon form over {col: scalar} rows,
+with zero tolerance; floating point never enters.
 Characteristic polynomials are computed over the rationals via an exact
 Hessenberg reduction, and real-rootedness is decided by Sturm sequences on
 the square-free part.
@@ -19,8 +19,6 @@ __all__ = [
     "Polynomial",
     "rref",
     "solve_exact",
-    "nullspace",
-    "sparse_nullspace",
     "inverse",
     "is_positive_definite",
     "char_poly",
@@ -77,16 +75,9 @@ class Matrix:
             m.data[i][i] = _coerce_entry(e)
         return m
 
-    @classmethod
-    def column(cls, entries) -> "Matrix":
-        return cls([[e] for e in entries])
-
     def __getitem__(self, idx):
         i, j = idx
         return self.data[i][j]
-
-    def copy(self) -> "Matrix":
-        return Matrix._trusted([row[:] for row in self.data])
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted([list(col) for col in zip(*self.data)])
@@ -164,9 +155,6 @@ class Matrix:
             t = t + self.data[i][i]
         return t
 
-    def column_vector(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
-
     def to_strings(self):
         return [[str(x) for x in row] for row in self.data]
 
@@ -238,35 +226,6 @@ def rref(rows):
     return pivots, leads
 
 
-def _sparse_rows(A: Matrix) -> list:
-    return [dict(enumerate(row)) for row in A.data]
-
-
-def sparse_nullspace(rows, ncols: int) -> list:
-    """Kernel basis of a sparse exact system.
-
-    ``rows`` is an iterable of {col: Fraction} dictionaries.  Returns a list
-    of dense coefficient lists spanning the kernel.  Each basis vector
-    carries 1 at its own free column and 0 at every other free column.
-    """
-    pivots, _ = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in pivots.items():
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
-def nullspace(A: Matrix) -> list:
-    """Basis of {v : A v = 0} as column vectors (possibly empty)."""
-    return [Matrix.column(v) for v in sparse_nullspace(_sparse_rows(A), A.cols)]
-
-
 def solve_exact(A: Matrix, b: Matrix):
     """Solve A x = b exactly; returns None when the system is inconsistent.
 
@@ -304,7 +263,7 @@ def is_positive_definite(G: Matrix) -> bool:
     """
     if not G.is_symmetric():
         return False
-    _, leads = rref(_sparse_rows(G))
+    _, leads = rref(dict(enumerate(row)) for row in G.data)
     return all(
         lead is not None and lead[0] == k and lead[1] > 0
         for k, lead in enumerate(leads)

@@ -9,8 +9,7 @@ soliton equation ric = lambda*Id + D:
   abelian complement, normal adjoints, norm condition).
 
 The Ricci endomorphism itself comes from the Koszul formula for
-left-invariant metrics, and the classical decomposition
-ric = R - B/2 - sym(ad H) is reconstructed term by term.
+left-invariant metrics, summed over the nonzero structure constants only.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from .lie_core import (
     StructureConstants,
     _leibniz_defects,
     ad_matrix,
-    bracket,
     is_derivation,
-    killing_form,
     subalgebra,
     verify_splitting,
 )
@@ -37,10 +34,7 @@ __all__ = [
     "connection_coeffs",
     "ricci_bilinear",
     "ricci_endomorphism_koszul",
-    "mean_curvature_vector",
     "adjoint_operator",
-    "lauret_terms",
-    "curvature_operator_sums",
     "soliton_check_direct",
     "soliton_check_lauret",
 ]
@@ -196,97 +190,11 @@ def ricci_endomorphism_koszul(M: MetricLieAlgebra) -> Matrix:
     return ric
 
 
-def mean_curvature_vector(M: MetricLieAlgebra, s: Splitting) -> list:
-    """The unique H in the abelian part with <H, A> = tr(ad A) there."""
-    d = M.dim
-    a_idx = list(s.a_indices)
-    if not a_idx:
-        return [Fraction(0)] * d
-    sub = Matrix([[M.G.data[i][j] for j in a_idx] for i in a_idx])
-    rhs = Matrix.column(
-        [ad_matrix(M.L, [Fraction(int(r == i)) for r in range(d)]).trace() for i in a_idx]
-    )
-    from .linalg import solve_exact
-
-    sol = solve_exact(sub, rhs)
-    if sol is None:
-        raise ValueError("Gram restriction to the abelian part is singular")
-    H = [Fraction(0)] * d
-    for pos, i in enumerate(a_idx):
-        H[i] = sol.data[pos][0]
-    return H
-
-
 def adjoint_operator(M: MetricLieAlgebra, A: Matrix) -> Matrix:
     """Metric adjoint A* = G^{-1} A^T G."""
     if A.rows != M.dim or A.cols != M.dim:
         raise ValueError("operator size does not match the algebra")
     return M.gram_inverse() @ A.transpose() @ M.G
-
-
-def _symmetric_part(M: MetricLieAlgebra, A: Matrix) -> Matrix:
-    return (A + adjoint_operator(M, A)).scale(_HALF)
-
-
-def lauret_terms(M: MetricLieAlgebra, s: Splitting):
-    """(R, B_op, adHs) with ric = R - B_op/2 - adHs.
-
-    B_op is the Killing endomorphism G^{-1} beta, adHs the symmetric part of
-    ad(H) for the mean curvature vector H, and R is recovered from the
-    already-known Ricci endomorphism, fixing the sign conventions by
-    construction.
-    """
-    ric = ricci_endomorphism_koszul(M)
-    b_op = M.gram_inverse() @ killing_form(M.L)
-    H = mean_curvature_vector(M, s)
-    ad_h_s = _symmetric_part(M, ad_matrix(M.L, H))
-    r_term = ric + b_op.scale(_HALF) + ad_h_s
-    return r_term, b_op, ad_h_s
-
-
-def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
-    """The R term from its defining orthonormal-basis quadratic sums.
-
-    Valid only for diagonal Gram matrices, where the normalizing square
-    roots cancel inside the squares and the result stays rational.  Serves
-    as the independent route to the R of :func:`lauret_terms`.
-    """
-    d = M.dim
-    G = M.G
-    for i in range(d):
-        for j in range(d):
-            if i != j and G.data[i][j] != 0:
-                raise ValueError("quadratic-sum route requires a diagonal Gram matrix")
-    g = [G.data[i][i] for i in range(d)]
-    L = M.L
-    basis = [[Fraction(int(r == i)) for r in range(d)] for i in range(d)]
-
-    def quad(x):
-        total = Fraction(0)
-        for k in range(d):
-            v = bracket(L, x, basis[k])
-            for l in range(d):
-                if v[l]:
-                    total += -_HALF * (g[l] * v[l] * v[l]) / g[k]
-        for k in range(d):
-            for l in range(d):
-                s = Fraction(0)
-                for m, c in L._sparse[k][l]:
-                    if x[m]:
-                        s += c * g[m] * x[m]
-                if s:
-                    total += Fraction(1, 4) * s * s / (g[k] * g[l])
-        return total
-
-    bil = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            plus = [basis[i][r] + basis[j][r] for r in range(d)]
-            minus = [basis[i][r] - basis[j][r] for r in range(d)]
-            val = Fraction(1, 4) * (quad(plus) - quad(minus))
-            bil[i][j] = val
-            bil[j][i] = val
-    return M.gram_inverse() @ Matrix(bil)
 
 
 class SolitonVerdict:

@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic: rationals, quadratic surds, second-order jets.
+"""Exact scalars: rationals, quadratic surds, and the power rule for jets.
 
 Rational numbers are plain ``fractions.Fraction`` (always reduced, positive
 denominator, serialized as ``"p/q"`` or ``"p"``).  ``Surd`` models a + b*sqrt(q)
-over one fixed radicand q, and ``Jet2`` carries (value, d/drho, d2/drho2) with
-exact coefficients.
+over one fixed radicand q.  :func:`power_jet` gives a product of powers
+s = K * prod (rho + a)^p with s'/s and s''/s in rho, over ``Fraction`` or
+``float``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ __all__ = [
     "Fraction",
     "RadicandMismatchError",
     "Surd",
-    "Jet2",
+    "power_jet",
     "rational",
-    "rat_str",
     "surd",
     "sqrt_fraction",
-    "square_root_of_fraction",
 ]
 
 
@@ -42,19 +41,22 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_str(x: Fraction) -> str:
-    return str(Fraction(x))
+def power_jet(rho, scale, factors) -> tuple:
+    """(s, s'/s, s''/s) at rho for s = scale * prod (rho + a)^p over the
+    (a, p) in ``factors``, with integer powers p.
 
-
-def square_root_of_fraction(q: Fraction):
-    """Exact square root of q if q is a square of a rational, else None."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    From l1 = sum p/(rho + a) = s'/s and l2 = sum p/(rho + a)^2 = -(s'/s)',
+    s''/s = l1^2 - l2.  The arithmetic is that of the inputs: exact over
+    ``Fraction``, rounded over ``float``, where ``**`` raises OverflowError
+    out of range instead of giving inf.
+    """
+    s, l1, l2 = scale, 0, 0
+    for a, p in factors:
+        y = rho + a
+        s *= y**p
+        l1 += p / y
+        l2 += p / y**2
+    return s, l1, l1 * l1 - l2
 
 
 # Trial division strips the primes below _SMALL_LIMIT, so a cofactor below
@@ -309,9 +311,6 @@ class Surd:
             return other * self._inverse()
         return NotImplemented
 
-    def conjugate(self):
-        return Surd(self.a, -self.b, self.q)
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(q); never zero for a normalized surd."""
         a, b = self.a, self.b
@@ -362,114 +361,3 @@ class Surd:
         return f"{self.a} + {self.b}*sqrt({self.q})"
 
     __repr__ = __str__
-
-
-def _jet_coerce(x):
-    if isinstance(x, Jet2):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Jet2(Fraction(x), Fraction(0), Fraction(0))
-    return None
-
-
-class Jet2:
-    """Order-2 univariate jet (value, first, second derivative), exact."""
-
-    __slots__ = ("v", "d1", "d2")
-
-    def __init__(self, v, d1=0, d2=0):
-        object.__setattr__(self, "v", Fraction(v))
-        object.__setattr__(self, "d1", Fraction(d1))
-        object.__setattr__(self, "d2", Fraction(d2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet2 is immutable")
-
-    @classmethod
-    def lift(cls, r) -> "Jet2":
-        """Constant jet: derivatives vanish."""
-        return cls(Fraction(r), 0, 0)
-
-    @classmethod
-    def variable(cls, rho0) -> "Jet2":
-        """The coordinate itself, evaluated at rho0."""
-        return cls(Fraction(rho0), 1, 0)
-
-    def __add__(self, other):
-        o = _jet_coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.v, -self.d1, -self.d2)
-
-    def __sub__(self, other):
-        o = _jet_coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = _jet_coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2 * self.d1 * o.d1 + self.v * o.d2,
-        )
-
-    __rmul__ = __mul__
-
-    def _inverse(self):
-        if self.v == 0:
-            raise ZeroDivisionError("division by a jet with zero value")
-        v = self.v
-        return Jet2(1 / v, -self.d1 / v**2, (2 * self.d1**2 - v * self.d2) / v**3)
-
-    def __truediv__(self, other):
-        o = _jet_coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = _jet_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self._inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self._inverse() ** (-k)
-        out = Jet2(1, 0, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __bool__(self):
-        return bool(self.v or self.d1 or self.d2)
-
-    def __eq__(self, other):
-        o = _jet_coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.v, self.d1, self.d2) == (o.v, o.d1, o.d2)
-
-    def __hash__(self):
-        return hash((self.v, self.d1, self.d2))
-
-    def __repr__(self):
-        return f"Jet2({self.v}, {self.d1}, {self.d2})"

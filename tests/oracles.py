@@ -1,0 +1,466 @@
+"""Reference implementations that the tests check the package against.
+
+None of this runs in a CLI command.  ``Jet2`` is a general order-2 jet
+algebra, the reference for the power rule ``scalars.power_jet`` and for the
+displayed formulas of the slice metric.  The closed forms (shape spectra,
+adjoint blocks, Killing operator, mean curvature, normality commutator) are
+stated independently of the curvature routes, and the decomposition
+ric = R - B/2 - sym(ad H) is rebuilt term by term from the Killing form and
+the mean curvature vector.  ``nullspace`` and ``sparse_nullspace`` give
+kernels through the package's one elimination kernel, ``rref``.
+"""
+
+from fractions import Fraction
+
+from solvsoliton.family import FamilyParams, ricci_eigenvalue_formulas
+from solvsoliton.lie_core import Splitting, StructureConstants, ad_matrix
+from solvsoliton.linalg import Matrix, rref, solve_exact
+from solvsoliton.metric_lie import MetricLieAlgebra, adjoint_operator, ricci_endomorphism_koszul
+from solvsoliton.scalars import surd
+
+_HALF = Fraction(1, 2)
+
+
+def column(entries) -> Matrix:
+    """The column vector with the given entries."""
+    return Matrix([[e] for e in entries])
+
+
+def column_of(A: Matrix, j: int) -> list:
+    """Column j of A as a list."""
+    return [row[j] for row in A.data]
+
+
+def _jet_coerce(x):
+    if isinstance(x, Jet2):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Jet2(Fraction(x), Fraction(0), Fraction(0))
+    return None
+
+
+class Jet2:
+    """Order-2 univariate jet (value, first, second derivative), exact."""
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1=0, d2=0):
+        object.__setattr__(self, "v", Fraction(v))
+        object.__setattr__(self, "d1", Fraction(d1))
+        object.__setattr__(self, "d2", Fraction(d2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Jet2 is immutable")
+
+    @classmethod
+    def variable(cls, rho0) -> "Jet2":
+        """The coordinate itself, evaluated at rho0."""
+        return cls(Fraction(rho0), 1, 0)
+
+    def __add__(self, other):
+        o = _jet_coerce(other)
+        if o is None:
+            return NotImplemented
+        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet2(-self.v, -self.d1, -self.d2)
+
+    def __sub__(self, other):
+        o = _jet_coerce(other)
+        if o is None:
+            return NotImplemented
+        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = _jet_coerce(other)
+        if o is None:
+            return NotImplemented
+        return Jet2(
+            self.v * o.v,
+            self.d1 * o.v + self.v * o.d1,
+            self.d2 * o.v + 2 * self.d1 * o.d1 + self.v * o.d2,
+        )
+
+    __rmul__ = __mul__
+
+    def _inverse(self):
+        if self.v == 0:
+            raise ZeroDivisionError("division by a jet with zero value")
+        v = self.v
+        return Jet2(1 / v, -self.d1 / v**2, (2 * self.d1**2 - v * self.d2) / v**3)
+
+    def __truediv__(self, other):
+        o = _jet_coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o._inverse()
+
+    def __rtruediv__(self, other):
+        o = _jet_coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self._inverse()
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self._inverse() ** (-k)
+        out = Jet2(1, 0, 0)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __bool__(self):
+        return bool(self.v or self.d1 or self.d2)
+
+    def __eq__(self, other):
+        o = _jet_coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.v, self.d1, self.d2) == (o.v, o.d1, o.d2)
+
+    def __hash__(self):
+        return hash((self.v, self.d1, self.d2))
+
+    def __repr__(self):
+        return f"Jet2({self.v}, {self.d1}, {self.d2})"
+
+
+def sparse_nullspace(rows, ncols: int) -> list:
+    """Kernel basis of a sparse exact system.
+
+    ``rows`` is an iterable of {col: Fraction} dictionaries.  Returns a list
+    of dense coefficient lists spanning the kernel.  Each basis vector
+    carries 1 at its own free column and 0 at every other free column.
+    """
+    pivots, _ = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, row in pivots.items():
+            if fc in row:
+                v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def nullspace(A: Matrix) -> list:
+    """Basis of {v : A v = 0} as column vectors (possibly empty)."""
+    rows = [dict(enumerate(row)) for row in A.data]
+    return [column(v) for v in sparse_nullspace(rows, A.cols)]
+
+
+def bracket(L: StructureConstants, x, y) -> list:
+    """[x, y] for coordinate vectors x, y of length dim."""
+    d = L.dim
+    if len(x) != d or len(y) != d:
+        raise ValueError("vector length does not match the algebra dimension")
+    out = [Fraction(0)] * d
+    for i in range(d):
+        xi = x[i]
+        if not xi:
+            continue
+        row = L._sparse[i]
+        for j in range(d):
+            yj = y[j]
+            if not yj:
+                continue
+            f = xi * yj
+            for k, v in row[j]:
+                out[k] += f * v
+    return out
+
+
+def killing_form(L: StructureConstants) -> Matrix:
+    """beta(X, Y) = trace(ad X . ad Y) on the basis."""
+    d = L.dim
+    ads = [ad_matrix(L, [Fraction(int(r == i)) for r in range(d)]) for i in range(d)]
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            t = Fraction(0)
+            for r in range(d):
+                row = ads[i].data[r]
+                for s in range(d):
+                    a = row[s]
+                    if a:
+                        b = ads[j].data[s][r]
+                        if b:
+                            t += a * b
+            out[i][j] = t
+            out[j][i] = t
+    return Matrix(out)
+
+
+def mean_curvature_vector(M: MetricLieAlgebra, s: Splitting) -> list:
+    """The unique H in the abelian part with <H, A> = tr(ad A) there."""
+    d = M.dim
+    a_idx = list(s.a_indices)
+    if not a_idx:
+        return [Fraction(0)] * d
+    sub = Matrix([[M.G.data[i][j] for j in a_idx] for i in a_idx])
+    rhs = column(
+        [ad_matrix(M.L, [Fraction(int(r == i)) for r in range(d)]).trace() for i in a_idx]
+    )
+    sol = solve_exact(sub, rhs)
+    if sol is None:
+        raise ValueError("Gram restriction to the abelian part is singular")
+    H = [Fraction(0)] * d
+    for pos, i in enumerate(a_idx):
+        H[i] = sol.data[pos][0]
+    return H
+
+
+def _symmetric_part(M: MetricLieAlgebra, A: Matrix) -> Matrix:
+    return (A + adjoint_operator(M, A)).scale(_HALF)
+
+
+def lauret_terms(M: MetricLieAlgebra, s: Splitting):
+    """(R, B_op, adHs) with ric = R - B_op/2 - adHs.
+
+    B_op is the Killing endomorphism G^{-1} beta, adHs the symmetric part of
+    ad(H) for the mean curvature vector H, and R is recovered from the
+    already-known Ricci endomorphism, fixing the sign conventions by
+    construction.
+    """
+    ric = ricci_endomorphism_koszul(M)
+    b_op = M.gram_inverse() @ killing_form(M.L)
+    H = mean_curvature_vector(M, s)
+    ad_h_s = _symmetric_part(M, ad_matrix(M.L, H))
+    r_term = ric + b_op.scale(_HALF) + ad_h_s
+    return r_term, b_op, ad_h_s
+
+
+def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
+    """The R term from its defining orthonormal-basis quadratic sums.
+
+    Valid only for diagonal Gram matrices, where the normalizing square
+    roots cancel inside the squares and the result stays rational.  Serves
+    as the independent route to the R of :func:`lauret_terms`.
+    """
+    d = M.dim
+    G = M.G
+    for i in range(d):
+        for j in range(d):
+            if i != j and G.data[i][j] != 0:
+                raise ValueError("quadratic-sum route requires a diagonal Gram matrix")
+    g = [G.data[i][i] for i in range(d)]
+    L = M.L
+    basis = [[Fraction(int(r == i)) for r in range(d)] for i in range(d)]
+
+    def quad(x):
+        total = Fraction(0)
+        for k in range(d):
+            v = bracket(L, x, basis[k])
+            for l in range(d):
+                if v[l]:
+                    total += -_HALF * (g[l] * v[l] * v[l]) / g[k]
+        for k in range(d):
+            for l in range(d):
+                s = Fraction(0)
+                for m, c in L._sparse[k][l]:
+                    if x[m]:
+                        s += c * g[m] * x[m]
+                if s:
+                    total += Fraction(1, 4) * s * s / (g[k] * g[l])
+        return total
+
+    bil = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            plus = [basis[i][r] + basis[j][r] for r in range(d)]
+            minus = [basis[i][r] - basis[j][r] for r in range(d)]
+            val = Fraction(1, 4) * (quad(plus) - quad(minus))
+            bil[i][j] = val
+            bil[j][i] = val
+    return M.gram_inverse() @ Matrix(bil)
+
+
+class ClosedForms:
+    """Shape-operator and Ricci spectra plus companion scalars.
+
+    sigma and r are ordered (sigma1..sigma4), (r1..r4) with multiplicities
+    (2n-2, 1, 2, 2n-2); for n = 1 the outer entries are None and their
+    multiplicities vanish.
+    """
+
+    __slots__ = (
+        "sigma",
+        "sigma_multiplicities",
+        "r",
+        "tr_shape",
+        "h_coeff",
+        "lambda_expected",
+    )
+
+    def __init__(self, sigma, sigma_multiplicities, r, tr_shape, h_coeff, lambda_expected):
+        self.sigma = sigma
+        self.sigma_multiplicities = sigma_multiplicities
+        self.r = r
+        self.tr_shape = tr_shape
+        self.h_coeff = h_coeff
+        self.lambda_expected = lambda_expected
+
+
+def expected_closed_forms(p: FamilyParams) -> ClosedForms:
+    n, rho, c = p.n, p.rho, p.c
+    q = (rho + c) / (rho + 2 * c)
+    s1 = surd(0, c / (rho + c), q)
+    s2 = surd(0, (2 * rho**2 + 5 * c * rho + 4 * c**2) / ((rho + 2 * c) * (rho + c)), q)
+    s3 = surd(0, (rho + 4 * c) / (rho + 2 * c), q)
+    s4 = surd(0, Fraction(1), q)
+    tr_shape = surd(
+        0,
+        ((2 * n + 2) * rho**2 + (8 * n + 7) * c * rho + (8 * n + 4) * c**2)
+        / ((rho + c) * (rho + 2 * c)),
+        q,
+    )
+    r1, r2, r3, r4 = ricci_eigenvalue_formulas(n, rho, c)
+    mult = (2 * n - 2, 1, 2, 2 * n - 2)
+    if n == 1:
+        sigma = (None, s2, s3, None)
+        r = (None, r2, r3, None)
+    else:
+        sigma = (s1, s2, s3, s4)
+        r = (r1, r2, r3, r4)
+    return ClosedForms(
+        sigma=sigma,
+        sigma_multiplicities=mult,
+        r=r,
+        tr_shape=tr_shape,
+        h_coeff=(2 * n - 2) * rho / (rho + c),
+        lambda_expected=Fraction(-2 * (n + 2)),
+    )
+
+
+def _block_diag_entries(n: int, b1r, b1i, brest, heis0, heis1, z) -> Matrix:
+    """diag(b1r, b1i, brest*1, <4x4 heis block>, heis1*1, z) layout helper."""
+    d = 4 * n - 1
+    out = Matrix.zeros(d, d)
+    out.data[0][0] = b1r
+    out.data[1][1] = b1i
+    for i in range(2, 2 * n - 2):
+        out.data[i][i] = brest
+    for i in range(2 * n + 2, 4 * n - 2):
+        out.data[i][i] = heis1
+    out.data[d - 1][d - 1] = z
+    base = 2 * n - 2
+    for i in range(4):
+        out.data[base + i][base + i] = heis0
+    return out
+
+
+def expected_ad_b1r(n: int) -> Matrix:
+    """ad(B1R) block form: diag(0, 2, 1_{2n-4}, V4, 0_{2n-4}, 0)."""
+    if n < 2:
+        raise ValueError("the solvable part is empty for n = 1")
+    out = _block_diag_entries(
+        n, Fraction(0), Fraction(2), Fraction(1), Fraction(0), Fraction(0), Fraction(0)
+    )
+    base = 2 * n - 2
+    for i in range(4):
+        out.data[base + i][base + i] = Fraction(0)
+    out.data[base][base + 2] = Fraction(-1)
+    out.data[base + 1][base + 3] = Fraction(-1)
+    out.data[base + 2][base] = Fraction(-1)
+    out.data[base + 3][base + 1] = Fraction(-1)
+    return out
+
+
+def expected_ad_b1r_star(p: FamilyParams) -> Matrix:
+    """Metric adjoint of ad(B1R), in closed form."""
+    n, rho, c = p.n, p.rho, p.c
+    if n < 2:
+        raise ValueError("the solvable part is empty for n = 1")
+    out = _block_diag_entries(
+        n,
+        Fraction(0),
+        2 * (rho + c) ** 2 / (rho * (rho + 2 * c)),
+        Fraction(1),
+        Fraction(0),
+        Fraction(0),
+        -2 * c**2 / (rho * (rho + 2 * c)),
+    )
+    base = 2 * n - 2
+    ratio = rho / (rho + 2 * c)
+    out.data[base][base + 2] = -ratio
+    out.data[base + 1][base + 3] = -ratio
+    out.data[base + 2][base] = -(rho + 2 * c) / rho
+    out.data[base + 3][base + 1] = -(rho + 2 * c) / rho
+    out.data[1][4 * n - 2] = -c / (rho * (rho + 2 * c))
+    out.data[4 * n - 2][1] = 4 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
+    return out
+
+
+def expected_ad_h_sym(p: FamilyParams) -> Matrix:
+    """Closed form of the symmetric part of ad(H)."""
+    n, rho, c = p.n, p.rho, p.c
+    if n < 2:
+        raise ValueError("the solvable part is empty for n = 1")
+    m = Fraction(2 * n - 2)
+    out = _block_diag_entries(
+        n,
+        Fraction(0),
+        m * (2 * rho**2 + 4 * c * rho + c**2) / ((rho + c) * (rho + 2 * c)),
+        m * rho / (rho + c),
+        Fraction(0),
+        Fraction(0),
+        -m * c**2 / ((rho + c) * (rho + 2 * c)),
+    )
+    base = 2 * n - 2
+    ratio = rho / (rho + 2 * c)
+    out.data[base][base + 2] = -m * ratio
+    out.data[base + 1][base + 3] = -m * ratio
+    out.data[base + 2][base] = -m
+    out.data[base + 3][base + 1] = -m
+    out.data[1][4 * n - 2] = -m * c / (2 * (rho + c) * (rho + 2 * c))
+    out.data[4 * n - 2][1] = m * 2 * c * (rho + c) / (rho + 2 * c)
+    return out
+
+
+def expected_killing_operator(p: FamilyParams) -> Matrix:
+    """Killing endomorphism (2n+4) rho/(rho+c) E_{1,1} (zero for n = 1)."""
+    n, rho, c = p.n, p.rho, p.c
+    d = p.dim
+    out = Matrix.zeros(d, d)
+    if n > 1:
+        out.data[0][0] = (2 * n + 4) * rho / (rho + c)
+    return out
+
+
+def expected_mean_curvature(p: FamilyParams) -> list:
+    """(2n-2) rho/(rho+c) B1R as a coordinate vector (zero for n = 1)."""
+    out = [Fraction(0)] * p.dim
+    if p.n > 1:
+        out[0] = (2 * p.n - 2) * p.rho / (p.rho + p.c)
+    return out
+
+
+def expected_normality_commutator(p: FamilyParams) -> Matrix:
+    """[ad(B1R), ad(B1R)*] in closed form; zero exactly when c = 0."""
+    n, rho, c = p.n, p.rho, p.c
+    if n < 2:
+        raise ValueError("the solvable part is empty for n = 1")
+    d = p.dim
+    out = Matrix.zeros(d, d)
+    k1 = 4 * c * (rho + c) / (rho * (rho + 2 * c))
+    base = 2 * n - 2
+    for i in (0, 1):
+        out.data[base + i][base + i] = k1
+        out.data[base + 2 + i][base + 2 + i] = -k1
+    out.data[1][d - 1] = -2 * c / (rho * (rho + 2 * c))
+    out.data[d - 1][1] = -8 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
+    return out

@@ -3,23 +3,22 @@
 from fractions import Fraction
 
 import pytest
+from oracles import bracket, column_of, expected_closed_forms
 
 from solvsoliton.family import (
     FamilyParams,
-    basis_labels,
     build_delta,
     build_embedding,
     build_gram,
     build_lie_algebra,
     coordinate_gram_values,
     coordinate_names,
-    expected_closed_forms,
     expected_ric_matrix,
     predicted_status,
     real_from_complex_brackets,
     ricci_eigenvalue_formulas,
 )
-from solvsoliton.lie_core import bracket, is_derivation
+from solvsoliton.lie_core import is_derivation
 from solvsoliton.linalg import Matrix, is_positive_definite
 from solvsoliton.metric_lie import ricci_endomorphism_koszul
 from solvsoliton.scalars import surd
@@ -111,10 +110,6 @@ class TestBuildLieAlgebra:
         out = bracket(L, basis_vec(11, 2), basis_vec(11, 3))
         assert out[1] == Fraction(1, 2) and sum(1 for x in out if x) == 1
 
-    def test_labels(self):
-        assert basis_labels(2) == ["B1R", "B1I", "e0", "f0", "e1", "f1", "Z"]
-        assert basis_labels(1) == ["e0", "f0", "Z"]
-
 
 class TestBuildGram:
     def test_n1_c0(self):
@@ -159,14 +154,16 @@ class TestDelta:
 
 class TestEmbedding:
     def test_z_column(self):
-        emb = build_embedding(FamilyParams(2, Fraction(1), Fraction(1)))
+        p = FamilyParams(2, Fraction(1), Fraction(1))
+        emb = build_embedding(p, build_gram(p))
         phi_row = emb.coordinate_names.index("phi")
-        col = emb.P.column_vector(6)
+        col = column_of(emb.P, 6)
         assert col[phi_row] == 1 and sum(1 for x in col if x) == 1
 
     def test_b1i_column_carries_deformation(self):
-        emb = build_embedding(FamilyParams(2, Fraction(1), Fraction(1)))
-        col = emb.P.column_vector(1)
+        p = FamilyParams(2, Fraction(1), Fraction(1))
+        emb = build_embedding(p, build_gram(p))
+        col = column_of(emb.P, 1)
         assert col[emb.coordinate_names.index("t1")] == 2
         assert col[emb.coordinate_names.index("phi")] == -2
 
@@ -182,12 +179,15 @@ class TestEmbedding:
     )
     def test_gram_consistency_built_in(self, p):
         # build_embedding raises if P^T G_coord P != G_family
-        emb = build_embedding(p)
+        emb = build_embedding(p, build_gram(p))
         assert emb.P.rows == p.dim
+        wrong = build_gram(FamilyParams(p.n, p.rho + 1, p.c))
+        with pytest.raises(AssertionError):
+            build_embedding(p, wrong)
 
     def test_c0_no_mixing(self):
         p = FamilyParams(2, Fraction(1), Fraction(0))
-        emb = build_embedding(p)
+        emb = build_embedding(p, build_gram(p))
         g = Matrix.diagonal(coordinate_gram_values(p))
         product = emb.P.transpose() @ g @ emb.P
         for i in range(7):

@@ -1,12 +1,15 @@
-"""Canonical CLI output bytes against the digests recorded in perfbench/golden.json.
+"""Canonical CLI output bytes against recorded SHA-256 digests.
 
-A handful of the benchmark's recorded requests run in-process through
-``cli.main``; the SHA-256 of each stdout must equal its recorded digest, so a
-change to any output byte fails here without running the benchmark.
+A handful of the benchmark's recorded requests (perfbench/golden.json), and
+the ``spectrum``, ``ricci`` and ``soliton`` reports that the benchmark does
+not cover (tests/report_digests.json), run in-process through ``cli.main``;
+the SHA-256 of each stdout must equal its recorded digest, so a change to any
+output byte fails here without running the benchmark.
 """
 
 import hashlib
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from solvsoliton.cli import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+REPORTS = Path(__file__).resolve().parent / "report_digests.json"
 
 KEYS = [
     "verify --n 3 --rho 1 --c 0 --format json",
@@ -37,3 +41,27 @@ def test_stdout_matches_recorded_digest(capsys, digests, key):
     assert main(key.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key]
+
+
+REPORT_KEYS = [
+    f"{cmd} --n {n} --rho 11/13 --c {c} --format {fmt}"
+    for cmd, n, c, fmt in product(
+        ("spectrum", "ricci", "soliton"), (1, 2, 3), ("0", "9/14"), ("json", "text")
+    )
+]
+
+
+@pytest.fixture(scope="module")
+def report_digests():
+    return json.loads(REPORTS.read_text(encoding="utf-8"))["digests"]
+
+
+def test_report_digests_cover_exactly_the_report_keys(report_digests):
+    assert sorted(report_digests) == sorted(REPORT_KEYS)
+
+
+@pytest.mark.parametrize("key", REPORT_KEYS)
+def test_report_matches_recorded_digest(capsys, report_digests, key):
+    assert main(key.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == report_digests[key]

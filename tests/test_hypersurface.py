@@ -4,17 +4,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from oracles import Jet2, expected_closed_forms
 
 from solvsoliton.family import (
     FamilyParams,
     build_embedding,
-    expected_closed_forms,
+    coordinate_gram,
     expected_ric_matrix,
     metric_algebra,
     ricci_eigenvalue_formulas,
 )
 from solvsoliton.hypersurface import (
-    coordinate_gram,
     hypersurface_ricci_general,
     ricci_endomorphism_coords,
     shape_operator,
@@ -23,7 +23,6 @@ from solvsoliton.hypersurface import (
 )
 from solvsoliton.linalg import Matrix
 from solvsoliton.metric_lie import ricci_endomorphism_koszul
-from solvsoliton.scalars import Jet2
 
 # Pointwise checks on a grid with at least 6 distinct rho and 6 distinct c
 # values: every identity below is a rational-function identity of degree at
@@ -40,58 +39,88 @@ def displayed_h(p):
     h1 = c / (rv + c)
     h2 = (2 * rv**2 + 5 * c * rv + 4 * c**2) / ((rv + c) * (rv + 2 * c))
     h3 = (rv + 4 * c) / (rv + 2 * c)
-    one = Jet2.lift(1)
+    one = Jet2(1)
     return [h1, h1, h2, h3, h3, one, one]
+
+
+def displayed_slice(p):
+    """The displayed slice entries (b, phi, z0, zrest) as jets in rho, in
+    coordinate order."""
+    rv, c = Jet2.variable(p.rho), p.c
+    b = (rv + c) / (4 * rv)
+    phi = (rv + c) / (4 * rv**2 * (rv + 2 * c))
+    z0 = (rv + 2 * c) / (2 * rv**2)
+    zrest = 1 / (2 * rv)
+    return [b] * (2 * p.n - 2) + [phi] + [z0] * 2 + [zrest] * (2 * p.n - 2)
+
+
+def ratios(jet):
+    """(g, g'/g, g''/g) of a jet, the form the power rule returns."""
+    return jet.v, jet.d1 / jet.v, jet.d2 / jet.v
 
 
 class TestWarpData:
     def test_f_value(self):
-        w = warp_data(FamilyParams(2, Fraction(1), Fraction(1)))
-        assert w.f.v == Fraction(3, 8)
+        f, _, _ = warp_data(FamilyParams(2, Fraction(1), Fraction(1)))
+        assert f == Fraction(3, 8)
 
     def test_fprime_over_f(self):
         # f'/f = -(2 rho^2 + 7 c rho + 4 c^2)/(rho (rho+c) (rho+2c))
         p = FamilyParams(2, Fraction(2), Fraction(1))
-        w = warp_data(p)
+        _, fprime_over_f, _ = warp_data(p)
         rho, c = p.rho, p.c
-        assert w.fprime_over_f == -(2 * rho**2 + 7 * c * rho + 4 * c**2) / (
+        assert fprime_over_f == -(2 * rho**2 + 7 * c * rho + 4 * c**2) / (
             rho * (rho + c) * (rho + 2 * c)
         )
+
+    def test_matches_displayed_formula_on_grid(self):
+        for rho in RHO_GRID:
+            for c in C_GRID:
+                rv = Jet2.variable(rho)
+                f = (rv + 2 * c) / (4 * rv**2 * (rv + c))
+                assert warp_data(FamilyParams(1, rho, c)) == ratios(f)
 
 
 class TestCoordinateGram:
     def test_n1_values(self):
         G = coordinate_gram(FamilyParams(1, Fraction(1), Fraction(0)))
-        assert [g.v for g in G] == [
+        assert [g for g, _, _ in G] == [
             Fraction(1, 4),
             Fraction(1, 2),
             Fraction(1, 2),
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_displayed_entries_on_grid(self, n):
+        for rho in RHO_GRID:
+            for c in C_GRID:
+                p = FamilyParams(n, rho, c)
+                assert coordinate_gram(p) == [ratios(x) for x in displayed_slice(p)]
 
     def test_phi_entry_first_derivative(self):
         # d/drho of the phi entry equals the displayed
         # -(1/(4 rho^3)) (2 rho^2 + 5 c rho + 4 c^2)/(rho+2c)^2
         for rho in RHO_GRID:
             for c in C_GRID:
-                phi = coordinate_gram(FamilyParams(2, rho, c))[2]
+                phi, phi_d1, _ = coordinate_gram(FamilyParams(2, rho, c))[2]
                 display = -(2 * rho**2 + 5 * c * rho + 4 * c**2) / (
                     4 * rho**3 * (rho + 2 * c) ** 2
                 )
-                assert phi.d1 == display
+                assert phi * phi_d1 == display
 
     def test_derivative_matches_h_factorization(self):
         # d/drho g = -(1/rho) diag(h1 g_b, h2 g_phi, h3 g_z0, g_zrest)
         for rho in RHO_GRID[:3]:
             for c in C_GRID[:3]:
                 p = FamilyParams(2, rho, c)
-                for g, h in zip(coordinate_gram(p), displayed_h(p)):
-                    assert g.d1 == -h.v * g.v / rho
+                for (_, d1, _), h in zip(coordinate_gram(p), displayed_h(p)):
+                    assert d1 == -h.v / rho
 
     def test_entries_positive(self):
         for rho in RHO_GRID:
             for c in C_GRID:
                 G = coordinate_gram(FamilyParams(3, rho, c))
-                assert all(g.v > 0 for g in G)
+                assert all(g > 0 for g, _, _ in G)
 
 
 class TestRadialEndomorphism:
@@ -99,14 +128,12 @@ class TestRadialEndomorphism:
     @pytest.mark.parametrize("c", C_GRID[:3])
     def test_against_displayed_block_form(self, rho, c):
         # A_i = g_i'/(2 g_i) is -(1/2 rho) diag(h1 1_{2n-2}, h2, h3 1_2,
-        # 1_{2n-2}), and its rho-derivative (g_i'' g_i - g_i'^2)/(2 g_i^2) is
+        # 1_{2n-2}), and its rho-derivative (g_i''/g_i - (g_i'/g_i)^2)/2 is
         # (1/2 rho^2) diag(h_i - rho h_i', ..., 1)
         p = FamilyParams(2, rho, c)
-        for g, h in zip(coordinate_gram(p), displayed_h(p)):
-            assert g.d1 / (2 * g.v) == -h.v / (2 * rho)
-            assert (g.d2 * g.v - g.d1**2) / (2 * g.v**2) == (h.v - rho * h.d1) / (
-                2 * rho**2
-            )
+        for (_, d1, d2), h in zip(coordinate_gram(p), displayed_h(p)):
+            assert d1 / 2 == -h.v / (2 * rho)
+            assert (d2 - d1**2) / 2 == (h.v - rho * h.d1) / (2 * rho**2)
 
 
 class TestShapeOperator:
@@ -190,9 +217,10 @@ class TestGeneralRicciFormula:
         for rho in RHO_GRID[:3]:
             for c in C_GRID[:3]:
                 p = FamilyParams(n, rho, c)
-                emb = build_embedding(p)
+                M = metric_algebra(p)
+                emb = build_embedding(p, M.G)
                 conjugated = emb.conjugate_to_family(ricci_endomorphism_coords(p))
-                koszul = ricci_endomorphism_koszul(metric_algebra(p))
+                koszul = ricci_endomorphism_koszul(M)
                 assert conjugated == koszul == expected_ric_matrix(p)
 
 
@@ -237,5 +265,5 @@ class TestTraceIdentity:
         p = FamilyParams(1, Fraction(1), Fraction(1))
         rv = Jet2.variable(p.rho)
         bad_f = (rv + 2 * p.c) / (4 * rv**2)
-        lhs = sum(g.d1 / g.v for g in coordinate_gram(p)) - bad_f.d1 / bad_f.v
+        lhs = sum(d1 for _, d1, _ in coordinate_gram(p)) - bad_f.d1 / bad_f.v
         assert lhs != -8 * p.n * p.rho * bad_f.v

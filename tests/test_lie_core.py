@@ -4,6 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import (
+    bracket,
+    column,
+    column_of,
+    expected_ad_b1r,
+    killing_form,
+    sparse_nullspace,
+)
 
 from solvsoliton.family import (
     FamilyParams,
@@ -13,10 +21,10 @@ from solvsoliton.family import (
     family_splitting,
 )
 from solvsoliton.lie_core import (
+    STRUCTURE_CLAIMS,
     Splitting,
     StructureConstants,
     ad_matrix,
-    bracket,
     _jacobi_witness,
     _leibniz_defects,
     check_jacobi,
@@ -25,11 +33,10 @@ from solvsoliton.lie_core import (
     is_derivation,
     is_solvable,
     is_unimodular,
-    killing_form,
     subalgebra,
     verify_splitting,
 )
-from solvsoliton.linalg import Matrix, rref, solve_exact, sparse_nullspace
+from solvsoliton.linalg import Matrix, rref, solve_exact
 
 
 def basis_vec(d, i):
@@ -74,44 +81,41 @@ class TestBracket:
 
 
 class TestConstruction:
-    def test_dense_input_matches_triples(self):
-        L = build_lie_algebra(2)
-        d = L.dim
-        dense = [[[str(v) if v else 0 for v in L.c[i][j]] for j in range(d)] for i in range(d)]
-        M = StructureConstants(d, dense)
-        assert M == L and M._sparse == L._sparse and hash(M) == hash(L)
-        assert all(type(v) is Fraction for plane in M.c for row in plane for v in row)
-
     @pytest.mark.parametrize(
-        "entries",
-        [
-            {(0, 1, 2): 1},  # [e1, e0] left at 0
-            {(0, 1, 2): 1, (1, 0, 2): 2},
-            {(1, 1, 0): 1},
-            {(0, 1, 2): "0", (1, 0, 2): 3},
-        ],
-        ids=["one-sided", "mismatched", "diagonal", "zero-string"],
+        "triple",
+        [(1, 1, 0, 1), (1, 0, 2, 1), (0, 1, 3, 1), (-1, 1, 2, 1)],
+        ids=["diagonal", "lower", "k-out-of-range", "negative"],
     )
-    def test_rejects_non_antisymmetric(self, entries):
-        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-        for (i, j, k), v in entries.items():
-            c[i][j][k] = v
+    def test_rejects_triples_outside_the_upper_table(self, triple):
+        # only [e_i, e_j] with i < j is given; [e_j, e_i] follows by
+        # antisymmetry, so no input can break it
         with pytest.raises(ValueError):
-            StructureConstants(3, c)
+            StructureConstants.from_triples(3, [(0, 1, 2, 1), triple])
 
     def test_cancelling_triples_leave_no_entry(self):
         L = StructureConstants.from_triples(3, [(0, 1, 2, 1), (0, 1, 2, -1), (0, 2, 1, "1/2")])
         assert L.triples() == [(0, 2, 1, Fraction(1, 2))]
-        assert L.c[0][1][2] == 0 and L.c[2][0][1] == Fraction(-1, 2)
+        assert L._sparse[0][1] == [] and L._sparse[2][0] == [(1, Fraction(-1, 2))]
+
+    def test_equality_is_by_bracket_table(self):
+        L = build_lie_algebra(2)
+        M = StructureConstants.from_triples(L.dim, reversed(L.triples()))
+        assert M == L and M._sparse == L._sparse and hash(M) == hash(L)
+        assert M != build_lie_algebra(1)
+        assert M != StructureConstants.from_triples(L.dim, L.triples()[1:])
 
     def test_subalgebra_in_any_index_order(self):
         L = build_lie_algebra(3)
         indices = [10, 3, 1, 2, 9, 5, 8, 4, 7, 6]  # the nilradical, unsorted
         sub = subalgebra(L, indices)
+        pos = {g: i for i, g in enumerate(indices)}
+        # [e_a, e_b] for a, b in the index set, renumbered by position
         expected = [
-            [[L.c[a][b][k] for k in indices] for b in indices] for a in indices
+            (*sorted((pos[i], pos[j])), pos[k], v if pos[i] < pos[j] else -v)
+            for i, j, k, v in L.triples()
+            if i in pos and j in pos
         ]
-        assert sub == StructureConstants(len(indices), expected)
+        assert sub == StructureConstants.from_triples(len(indices), expected)
 
 
 class TestJacobi:
@@ -214,8 +218,6 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_ad_b1r_block_structure(self, n):
-        from solvsoliton.family import expected_ad_b1r
-
         L = build_lie_algebra(n)
         assert ad_matrix(L, basis_vec(L.dim, 0)) == expected_ad_b1r(n)
 
@@ -281,6 +283,24 @@ class TestUnimodularSolvable:
     def test_family_not_unimodular(self, n):
         assert not is_unimodular(build_lie_algebra(n))
 
+    def test_unimodular_is_tr_ad_zero(self):
+        # tr ad e0 = 1 - 1 on span(e1, e2) and tr ad e1 = tr ad e2 = 0:
+        # unimodular, though no adjoint vanishes.  [e1, e2] = e2 alone has
+        # tr ad e1 = 1, with e0 central.
+        L = StructureConstants.from_triples(3, [(0, 1, 1, 1), (0, 2, 2, -1), (1, 2, 0, 1)])
+        assert is_unimodular(L)
+        assert not is_unimodular(StructureConstants.from_triples(3, [(1, 2, 2, 1)]))
+        for x in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
+            assert ad_matrix(L, [Fraction(v) for v in x]).trace() == 0
+
+    def test_structure_claims_name_the_three_predicates(self):
+        assert STRUCTURE_CLAIMS == (derived_algebra, is_unimodular, is_completely_solvable)
+        assert STRUCTURE_CLAIMS._fields == (
+            "derived_algebra",
+            "is_unimodular",
+            "is_completely_solvable",
+        )
+
     def test_sl2_not_solvable(self):
         assert not is_solvable(sl2())
         with pytest.raises(ValueError):
@@ -329,7 +349,7 @@ def dense_leibniz_witness(L, D):
     """First pair i < j failing D[e_i,e_j] = [De_i,e_j] + [e_i,De_j], by bracket."""
     d = L.dim
     basis = [basis_vec(d, i) for i in range(d)]
-    cols = [D.column_vector(j) for j in range(d)]
+    cols = [column_of(D, j) for j in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             b = bracket(L, basis[i], basis[j])
@@ -365,7 +385,7 @@ class TestDerivationSpace:
         cols = Matrix(
             [[D.data[i][j] for D in ders] for i in range(d) for j in range(d)]
         )
-        rhs = Matrix.column([delta.data[i][j] for i in range(d) for j in range(d)])
+        rhs = column([delta.data[i][j] for i in range(d) for j in range(d)])
         assert solve_exact(cols, rhs) is not None
 
     @pytest.mark.parametrize("n", [2, 3])

@@ -4,16 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
-
-from solvsoliton.family import (
-    FamilyParams,
-    build_delta,
-    build_lie_algebra,
+from oracles import (
+    bracket,
+    column,
+    column_of,
+    curvature_operator_sums,
     expected_ad_b1r_star,
     expected_ad_h_sym,
     expected_killing_operator,
     expected_mean_curvature,
     expected_normality_commutator,
+    lauret_terms,
+    mean_curvature_vector,
+    nullspace,
+)
+
+from solvsoliton.family import (
+    FamilyParams,
+    build_delta,
+    build_lie_algebra,
     family_splitting,
     metric_algebra,
 )
@@ -21,18 +30,14 @@ from solvsoliton import lie_core, linalg
 from solvsoliton.lie_core import (
     StructureConstants,
     ad_matrix,
-    bracket,
     is_derivation,
     subalgebra,
 )
-from solvsoliton.linalg import Matrix, nullspace, solve_exact
+from solvsoliton.linalg import Matrix, solve_exact
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     adjoint_operator,
     connection_coeffs,
-    curvature_operator_sums,
-    lauret_terms,
-    mean_curvature_vector,
     ricci_bilinear,
     ricci_endomorphism_koszul,
     soliton_check_direct,
@@ -209,7 +214,7 @@ class TestDenseConnectionOracle:
         d = M.dim
         dense = dense_connection_oracle(M)
         assert connection_coeffs(M) == [
-            [{r: x for r, x in enumerate(dense[i].column_vector(j)) if x} for j in range(d)]
+            [{r: x for r, x in enumerate(column_of(dense[i], j)) if x} for j in range(d)]
             for i in range(d)
         ]
         assert ricci_bilinear(M) == dense_ricci_oracle(M)
@@ -437,7 +442,7 @@ def dense_soliton_oracle(M):
     A = Matrix(
         [[D[r * d + s] for D in ders] + [ident.data[r][s]] for r in range(d) for s in range(d)]
     )
-    sol = solve_exact(A, Matrix.column([x for row in ric.data for x in row]))
+    sol = solve_exact(A, column([x for row in ric.data for x in row]))
     if sol is None:
         return "not_soliton", None, None
     lam = sol.data[-1][0]

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, surds, jets."""
+"""Exact scalar arithmetic: rationals, surds, the power rule for jets."""
 
 import random
 import time
@@ -6,12 +6,15 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import Jet2
 
 from solvsoliton import scalars
 from solvsoliton.scalars import (
-    Jet2,
     RadicandMismatchError,
     Surd,
+    power_jet,
     rational,
     sqrt_fraction,
     surd,
@@ -131,10 +134,6 @@ class TestJet2:
         v = Jet2.variable(2)
         assert v * v == Jet2(4, 4, 2)
 
-    def test_lift_is_constant(self):
-        assert Jet2.lift(5).d2 == 0
-        assert Jet2.lift(5).d1 == 0
-
     def test_variable_definition(self):
         assert Jet2.variable(Fraction(3, 2)) == Jet2(Fraction(3, 2), 1, 0)
 
@@ -155,19 +154,43 @@ class TestJet2:
 
     def test_division_requires_nonzero_value(self):
         with pytest.raises(ZeroDivisionError):
-            Jet2.lift(1) / Jet2(0, 1, 0)
+            Jet2(1) / Jet2(0, 1, 0)
 
     def test_reciprocal_inverts(self):
         x = Jet2(Fraction(3), Fraction(-2), Fraction(7))
-        assert x * (1 / x) == Jet2.lift(1)
+        assert x * (1 / x) == Jet2(1)
 
     def test_negative_powers(self):
         x = Jet2.variable(Fraction(2))
         assert x ** (-1) == 1 / x
 
-    def test_jet_vs_exact_finite_differences(self):
+
+
+class TestPowerJet:
+    def test_warp_factor(self):
+        # f = (rho+2c)/(4 rho^2 (rho+c)) at rho=1, c=0 is 1/(4 rho^2):
+        # value 1/4, f'/f = -2, f''/f = 6
+        assert power_jet(Fraction(1), Fraction(1, 4), ((0, -2), (0, -1), (0, 1))) == (
+            Fraction(1, 4),
+            -2,
+            6,
+        )
+
+    def test_empty_product_is_the_constant(self):
+        assert power_jet(Fraction(3), Fraction(5), ()) == (5, 0, 0)
+
+    def test_float_range_is_refused(self):
+        # ** raises where * would give inf; an underflowed (rho + a)**2
+        # makes p/(rho + a)**2 raise as well
+        with pytest.raises(OverflowError):
+            power_jet(1e300, 1.0, ((0.0, 2),))
+        with pytest.raises(ZeroDivisionError):
+            power_jet(1e-200, 1.0, ((0.0, -1),))
+
+    def test_power_jet_vs_exact_finite_differences(self):
         # Central differences at step exactly 1/10^6, evaluated in rational
         # arithmetic so only the O(h^2) truncation remains; 1e-4 relative.
+        # (a x + b)^e enters the power rule as a^e (x + b/a)^e.
         rng = random.Random(12345)
         h = Fraction(1, 10**6)
         checked = 0
@@ -191,16 +214,36 @@ class TestJet2:
                     out *= (a * x + b) ** e
                 return out
 
-            rv = Jet2.variable(x0)
-            jet = Jet2.lift(1)
-            for a, b, e in factors:
-                jet = jet * (a * rv + b) ** e
-            d1 = float((value(x0 + h) - value(x0 - h)) / (2 * h))
-            d2 = float((value(x0 + h) - 2 * value(x0) + value(x0 - h)) / h**2)
-            assert abs(d1 - float(jet.d1)) <= 1e-4 * max(1.0, abs(float(jet.d1)))
-            assert abs(d2 - float(jet.d2)) <= 1e-4 * max(1.0, abs(float(jet.d2)))
+            scale = Fraction(1)
+            for a, _, e in factors:
+                scale *= a**e
+            s, d1, d2 = power_jet(x0, scale, [(b / a, e) for a, b, e in factors])
+            assert s == value(x0)
+            fd1 = float((value(x0 + h) - value(x0 - h)) / (2 * h))
+            fd2 = float((value(x0 + h) - 2 * value(x0) + value(x0 - h)) / h**2)
+            assert abs(fd1 - float(s * d1)) <= 1e-4 * max(1.0, abs(float(s * d1)))
+            assert abs(fd2 - float(s * d2)) <= 1e-4 * max(1.0, abs(float(s * d2)))
             checked += 1
         assert checked >= 40
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        rho=st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=1000),
+        c=st.fractions(min_value=0, max_value=100, max_denominator=1000),
+        scale=st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
+        factors=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-3, 3)), max_size=4
+        ),
+    )
+    def test_matches_the_jet_oracle_exactly(self, rho, c, scale, factors):
+        # The slice entries and the warp factor are products of powers of
+        # rho + k c; the general jet algebra must agree to the last bit.
+        factors = [(k * c, p) for k, p in factors]
+        s, d1, d2 = power_jet(rho, scale, factors)
+        jet = Jet2(scale)
+        for a, p in factors:
+            jet = jet * (Jet2.variable(rho) + a) ** p
+        assert (s, s * d1, s * d2) == (jet.v, jet.d1, jet.d2)
 
 
 def trial_division_decompose(k):
