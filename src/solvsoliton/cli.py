@@ -17,6 +17,7 @@ import sys
 
 from . import family, hypersurface
 from .lie_core import check_jacobi
+from .linalg import inverse
 from .metric_lie import (
     MetricLieAlgebra,
     ricci_endomorphism_koszul,
@@ -52,10 +53,9 @@ def _three_way_ricci(p: family.FamilyParams, M: MetricLieAlgebra):
     """Koszul, closed-form, and coordinate-route Ricci endomorphisms."""
     koszul = ricci_endomorphism_koszul(M)
     expected = family.expected_ric_matrix(p)
-    emb = family.build_embedding(p, M.G)
+    P = family.build_embedding(p, M.G)
     coords = hypersurface.ricci_endomorphism_coords(p)
-    conjugated = emb.conjugate_to_family(coords)
-    return koszul, expected, conjugated
+    return koszul, expected, inverse(P) @ coords @ P
 
 
 def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):

@@ -27,11 +27,10 @@ from functools import lru_cache
 from .lie_core import Splitting, StructureConstants, check_jacobi, is_derivation
 from .linalg import Matrix
 from .metric_lie import MetricLieAlgebra
-from .scalars import power_jet, surd
+from .scalars import power_jet
 
 __all__ = [
     "FamilyParams",
-    "BasisEmbedding",
     "build_lie_algebra",
     "real_from_complex_brackets",
     "build_gram",
@@ -331,38 +330,25 @@ def coordinate_gram_values(p: FamilyParams) -> list:
     return [g for g, _, _ in coordinate_gram(p)]
 
 
-class BasisEmbedding:
-    """Columns of P express the algebra basis in coordinate tangent vectors.
+def build_embedding(p: FamilyParams, gram: Matrix) -> Matrix:
+    """The evaluation map P: column j holds the coordinates of the j-th
+    algebra basis vector in the frame (d_b, d_t, d_phi, sqrt(2) d_zeta).
 
-    The consistency identity P^T G_coord P = G_family is verified exactly on
-    construction (the sqrt(2) normalizers square away).
+    In the rescaled zeta frame the e/f columns are +-1/2 rather than
+    +-1/sqrt(2), so P is rational.  The coordinate Ricci endomorphism is
+    diagonal, hence unchanged by the rescaling, and the Gram matrix of the
+    frame is the coordinate Gram with its 2n zeta entries doubled.
+    P^T G_frame P is checked against the family Gram matrix ``gram`` (that
+    is, :func:`build_gram` of ``p``).
     """
-
-    __slots__ = ("P", "coordinate_names")
-
-    def __init__(self, P: Matrix, coordinate_names: list):
-        self.P = P
-        self.coordinate_names = coordinate_names
-
-    def conjugate_to_family(self, endo_coords: Matrix) -> Matrix:
-        """Transport an endomorphism from coordinate to family basis."""
-        from .linalg import inverse
-
-        return inverse(self.P) @ endo_coords @ self.P
-
-
-def build_embedding(p: FamilyParams, gram: Matrix) -> BasisEmbedding:
-    """The evaluation map P, checked against the family Gram matrix ``gram``
-    (that is, :func:`build_gram` of ``p``)."""
     n, c = p.n, p.c
     d = p.dim
     names = coordinate_names(n)
     row = {name: i for i, name in enumerate(names)}
     P = Matrix.zeros(d, d)
-    half_rt2 = surd(0, _HALF, 2)  # 1/sqrt(2)
     if n == 1:
-        P.data[row["zt0"]][0] = half_rt2
-        P.data[row["z0"]][1] = half_rt2
+        P.data[row["zt0"]][0] = _HALF
+        P.data[row["z0"]][1] = _HALF
         P.data[row["phi"]][2] = Fraction(1)
     else:
         P.data[row["b1"]][0] = Fraction(2)
@@ -371,16 +357,19 @@ def build_embedding(p: FamilyParams, gram: Matrix) -> BasisEmbedding:
         for a in range(2, n):
             P.data[row[f"b{a}"]][_idx_br(n, a)] = Fraction(1)
             P.data[row[f"t{a}"]][_idx_bi(n, a)] = Fraction(1)
-        P.data[row["zt0"]][_idx_e(n, 0)] = half_rt2
-        P.data[row["z0"]][_idx_f(n, 0)] = half_rt2
+        P.data[row["zt0"]][_idx_e(n, 0)] = _HALF
+        P.data[row["z0"]][_idx_f(n, 0)] = _HALF
         for j in range(1, n):
-            P.data[row[f"zt{j}"]][_idx_e(n, j)] = half_rt2
-            P.data[row[f"z{j}"]][_idx_f(n, j)] = -half_rt2
+            P.data[row[f"zt{j}"]][_idx_e(n, j)] = _HALF
+            P.data[row[f"z{j}"]][_idx_f(n, j)] = -_HALF
         P.data[row["phi"]][_idx_z(n)] = Fraction(1)
-    g_coord = Matrix.diagonal(coordinate_gram_values(p))
-    if P.transpose() @ g_coord @ P != gram:
+    g_frame = Matrix.diagonal(
+        2 * g if name.startswith("z") else g
+        for name, g in zip(names, coordinate_gram_values(p))
+    )
+    if P.transpose() @ g_frame @ P != gram:
         raise AssertionError("embedding failed the Gram consistency identity")
-    return BasisEmbedding(P, names)
+    return P
 
 
 # --- closed forms ------------------------------------------------------------

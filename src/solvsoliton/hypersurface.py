@@ -6,8 +6,10 @@ The warp factor and each slice entry g_i are products of powers of rho + a,
 so each is carried as the exact jet (g_i, g_i'/g_i, g_i''/g_i) of
 :func:`~solvsoliton.scalars.power_jet`, and every formula below works entry
 by entry.  The radial endomorphism is A_i = g_i'/(2 g_i), and the shape
-operator with respect to the unit normal is -A/sqrt(f), so its eigenvalues
-live in the quadratic extension by sqrt((rho+c)/(rho+2c)).  The
+operator with respect to the unit normal is -A/sqrt(f).  Only that one
+radical leaves the rationals: 1/sqrt(f) = b*sqrt(q) with q the squarefree
+core of (rho+c)/(rho+2c), so each eigenvalue is a rational multiple of
+b*sqrt(q), computed over ``Fraction`` and wrapped as a ``Surd`` last.  The
 Ricci endomorphism of a slice of an Einstein manifold with constant lambda is
 
     Ric_i/g_i = lambda + k g_i'/g_i - g_i'^2/(2 f g_i^2) + g_i''/(2 f g_i),
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .family import FamilyParams, coordinate_gram
 from .linalg import Matrix
-from .scalars import power_jet, sqrt_fraction
+from .scalars import Surd, power_jet, sqrt_fraction
 
 __all__ = [
     "ShapeOperator",
@@ -54,16 +56,27 @@ class ShapeOperator:
 
 
 def shape_operator(p: FamilyParams) -> ShapeOperator:
+    """Principal curvatures sigma_i = -(g_i'/g_i)/2 * 1/sqrt(f) and their sum.
+
+    The canonical 1/sqrt(f) = b*sqrt(q) is taken once; each value is the
+    rational x*b times sqrt(q), a ``Fraction`` when x = 0 or q = 1.
+    """
     n = p.n
-    sqrt_f = sqrt_fraction(warp_data(p)[0])
-    entries = [-(d1 / 2) / sqrt_f for _, d1, _ in coordinate_gram(p)]
+    root = sqrt_fraction(1 / warp_data(p)[0])
+    b, q = (root.b, root.q) if isinstance(root, Surd) else (root, 1)
+
+    def value(x):
+        x *= b
+        return Surd(Fraction(0), x, q) if x and q != 1 else x
+
+    coeffs = [-d1 / 2 for _, d1, _ in coordinate_gram(p)]
     mult = (2 * n - 2, 1, 2, 2 * n - 2)
     if n == 1:
-        sigma = (None, entries[0], entries[1], None)
+        sigma = (None, coeffs[0], coeffs[1], None)
     else:
-        sigma = (entries[0], entries[2 * n - 2], entries[2 * n - 1], entries[-1])
-    trace = sum(entries[1:], entries[0])
-    return ShapeOperator(sigma=sigma, multiplicities=mult, trace=trace)
+        sigma = (coeffs[0], coeffs[2 * n - 2], coeffs[2 * n - 1], coeffs[-1])
+    sigma = tuple(None if x is None else value(x) for x in sigma)
+    return ShapeOperator(sigma=sigma, multiplicities=mult, trace=value(sum(coeffs)))
 
 
 def hypersurface_ricci_general(g, dg, d2g, f, df, lam) -> list:

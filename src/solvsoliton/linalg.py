@@ -1,7 +1,7 @@
-"""Exact linear algebra over rationals and surds.
+"""Exact linear algebra over the rationals.
 
 Solving, inverses and the Sylvester test all rest on one kernel,
-:func:`rref`: a sparse reduced row echelon form over {col: scalar} rows,
+:func:`rref`: a sparse reduced row echelon form over {col: Fraction} rows,
 with zero tolerance; floating point never enters.
 Characteristic polynomials are computed over the rationals via an exact
 Hessenberg reduction, and real-rootedness is decided by Sturm sequences on
@@ -11,8 +11,6 @@ the square-free part.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .scalars import Surd
 
 __all__ = [
     "Matrix",
@@ -29,13 +27,13 @@ __all__ = [
 def _coerce_entry(x):
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (Fraction, Surd)):
+    if isinstance(x, Fraction):
         return x
     raise TypeError(f"unsupported exact matrix entry: {type(x).__name__}")
 
 
 class Matrix:
-    """Dense matrix with exact scalar entries (row-major lists)."""
+    """Dense matrix with Fraction entries (row-major lists)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -48,7 +46,7 @@ class Matrix:
 
     @classmethod
     def _trusted(cls, data: list) -> "Matrix":
-        """Wrap rectangular rows of Fraction/Surd entries without copying or
+        """Wrap rectangular rows of Fraction entries without copying or
         coercing them; ``data`` is owned by the new matrix."""
         m = cls.__new__(cls)
         m.data = data
@@ -199,12 +197,12 @@ def _reduce(row: dict, pivots: dict) -> dict:
 def rref(rows):
     """Reduced row echelon form of exact sparse rows: (pivots, leads).
 
-    ``rows`` is an iterable of {col: scalar} dictionaries over Fraction or
-    Surd.  ``pivots`` maps each pivot column to its row, normalised to 1 at
-    the pivot, whose leftmost entry is the pivot and which is 0 at every
-    other pivot column.  ``leads`` holds, for each input row, the (col, value)
-    it led with after reduction by the rows before it, or None if it reduced
-    to zero.  The RREF is unique, so neither depends on elimination order.
+    ``rows`` is an iterable of {col: Fraction} dictionaries.  ``pivots``
+    maps each pivot column to its row, normalised to 1 at the pivot, whose
+    leftmost entry is the pivot and which is 0 at every other pivot column.
+    ``leads`` holds, for each input row, the (col, value) it led with after
+    reduction by the rows before it, or None if it reduced to zero.  The
+    RREF is unique, so neither depends on elimination order.
     """
     pivots: dict = {}
     leads = []
@@ -393,11 +391,7 @@ def char_poly(A: Matrix) -> Polynomial:
     if A.rows != A.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = A.rows
-    H = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in A.data]
-    for row in H:
-        for x in row:
-            if not isinstance(x, Fraction):
-                raise TypeError("char_poly requires rational entries")
+    H = [row[:] for row in A.data]
     # Exact Hessenberg form: eliminate below the first subdiagonal.
     for col in range(n - 2):
         piv = None

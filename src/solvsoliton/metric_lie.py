@@ -89,11 +89,7 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
     bracket.  By antisymmetry both of the last two terms are read from one
     index map, by_value[(a, c)] = {b: w_ab(c)}:
     w_jk(i) = by_value[(j, i)][k] and w_ki(j) = -by_value[(i, j)][k].
-    Cached on the metric algebra.
     """
-    cached = M._cache.get("gamma")
-    if cached is not None:
-        return cached
     L, G = M.L, M.G
     d = L.dim
     # Sparse rows of the symmetric G and G^{-1}.
@@ -126,7 +122,6 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
                 for r, g in ginv[k]:
                     col[r] = col.get(r, 0) + g * x
         gamma[i][j] = {r: x for r, x in col.items() if x}
-    M._cache["gamma"] = gamma
     return gamma
 
 
@@ -138,11 +133,7 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
     Ric_ij = sum_m t_m Gamma_ij^m - sum_{k,m} Gamma_im^k Gamma_kj^m
              - sum_{k,m} c_ki^m Gamma_mj^k,  t_m = sum_k Gamma_km^k,
     each sum taken over the nonzero entries of the sparse columns only.
-    Cached on the metric algebra.
     """
-    cached = M._cache.get("ricci_bilinear")
-    if cached is not None:
-        return cached
     L = M.L
     d = L.dim
     gamma = connection_coeffs(M)
@@ -175,13 +166,12 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
                 for j, y in by_row[m][k].items():
                     row[j] = row.get(j, 0) - v * y
         out.append([row.get(j, zero) for j in range(d)])
-    ric = Matrix._trusted(out)
-    M._cache["ricci_bilinear"] = ric
-    return ric
+    return Matrix._trusted(out)
 
 
 def ricci_endomorphism_koszul(M: MetricLieAlgebra) -> Matrix:
-    """Ricci endomorphism: Gram-inverse times the Ricci bilinear form."""
+    """Ricci endomorphism: Gram-inverse times the Ricci bilinear form.
+    Cached on the metric algebra."""
     cached = M._cache.get("ricci_endo")
     if cached is not None:
         return cached

@@ -1,8 +1,10 @@
 """Exact scalars: rationals, quadratic surds, and the power rule for jets.
 
 Rational numbers are plain ``fractions.Fraction`` (always reduced, positive
-denominator, serialized as ``"p/q"`` or ``"p"``).  ``Surd`` models a + b*sqrt(q)
-over one fixed radicand q.  :func:`power_jet` gives a product of powers
+denominator, serialized as ``"p/q"`` or ``"p"``), and the exact pipeline runs
+over them alone.  ``Surd`` is a value a + b*sqrt(q) with a canonical
+squarefree radicand q, built by :func:`surd` to be compared and rendered; it
+has no arithmetic.  :func:`power_jet` gives a product of powers
 s = K * prod (rho + a)^p with s'/s and s''/s in rho, over ``Fraction`` or
 ``float``.
 """
@@ -17,17 +19,12 @@ from math import gcd, isqrt
 
 __all__ = [
     "Fraction",
-    "RadicandMismatchError",
     "Surd",
     "power_jet",
     "rational",
     "surd",
     "sqrt_fraction",
 ]
-
-
-class RadicandMismatchError(ValueError):
-    """Raised when two surds over different radicands are combined."""
 
 
 def rational(value) -> Fraction:
@@ -195,7 +192,7 @@ def surd(a, b=0, q=1):
 
     Radicands are canonicalized to their squarefree integer core, so two
     presentations of the same value (say sqrt(3/8) and (1/4)sqrt(6)) compare
-    and combine exactly.  The result is a plain Fraction if b = 0 or q is a
+    equal.  The result is a plain Fraction if b = 0 or q is a
     rational square; otherwise a normalized Surd with b != 0 and q a
     squarefree integer > 1.
     """
@@ -221,29 +218,12 @@ def sqrt_fraction(x):
     return surd(0, 1, x)
 
 
-def _over(a: Fraction, b: Fraction, q: Fraction):
-    """a + b*sqrt(q) for a q that is already a squarefree integer > 1."""
-    return Surd(a, b, q) if b else a
-
-
-def _as_surd_parts(x, q):
-    """Coerce x to (a, b) parts over radicand q; None if incompatible."""
-    if isinstance(x, Surd):
-        if x.q != q:
-            raise RadicandMismatchError(f"radicands differ: {x.q} vs {q}")
-        return x.a, x.b
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x), Fraction(0)
-    return None
-
-
 class Surd:
-    """a + b*sqrt(q) with rational a, b and fixed non-square radicand q > 0.
+    """a + b*sqrt(q) with rational a, b != 0 and a squarefree integer q > 1.
 
-    Instances are produced by the :func:`surd` factory and are always
-    normalized: b != 0 and q a squarefree integer > 1.  Arithmetic keeps the
-    radicand, so its results are built without factoring q again; it
-    requires matching radicands between two surds.
+    Built by the :func:`surd` factory, or directly by a caller that already
+    holds a canonical q.  It compares, hashes, converts to float and
+    renders; it has no arithmetic.
     """
 
     __slots__ = ("a", "b", "q")
@@ -255,94 +235,6 @@ class Surd:
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
-
-    def __add__(self, other):
-        parts = _as_surd_parts(other, self.q)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return _over(self.a + oa, self.b + ob, self.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Surd(-self.a, -self.b, self.q)
-
-    def __sub__(self, other):
-        parts = _as_surd_parts(other, self.q)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return _over(self.a - oa, self.b - ob, self.q)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        parts = _as_surd_parts(other, self.q)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return _over(
-            self.a * oa + self.b * ob * self.q,
-            self.a * ob + self.b * oa,
-            self.q,
-        )
-
-    __rmul__ = __mul__
-
-    def _inverse(self):
-        # 1/(a + b*sqrt(q)) = (a - b*sqrt(q)) / (a^2 - b^2 q); the norm is
-        # nonzero because q is not a rational square.
-        norm = self.a * self.a - self.b * self.b * self.q
-        return _over(self.a / norm, -self.b / norm, self.q)
-
-    def __truediv__(self, other):
-        if isinstance(other, Surd):
-            return self * other._inverse()
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return _over(self.a / other, self.b / other, self.q)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return other * self._inverse()
-        return NotImplemented
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(q); never zero for a normalized surd."""
-        a, b = self.a, self.b
-        if a >= 0 and b > 0:
-            return 1
-        if a <= 0 and b < 0:
-            return -1
-        # a and b have opposite signs: compare a^2 with b^2 q.
-        if a * a > b * b * self.q:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
-
-    def __lt__(self, other):
-        diff = self - other
-        if isinstance(diff, Surd):
-            return diff.sign() < 0
-        return diff < 0
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        diff = self - other
-        if isinstance(diff, Surd):
-            return diff.sign() > 0
-        return diff > 0
-
-    def __ge__(self, other):
-        return self == other or self > other
-
-    def __bool__(self):
-        return True  # normalized surds are irrational, hence nonzero
 
     def __eq__(self, other):
         if isinstance(other, Surd):

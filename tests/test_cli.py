@@ -151,6 +151,15 @@ class TestSpectrum:
         assert report["r"][1] == "4/27"
         assert report["r"][0] is None  # no r1 eigenvalue at n = 1
 
+    def test_square_warp_factor_keeps_sigma_rational(self, capsys):
+        # at rho = 7, c = 9 the radicand (rho+c)/(rho+2c) = 16/25 is a square
+        _, out, _ = run(
+            capsys, "spectrum", "--n", "2", "--rho", "7", "--c", "9", "--format", "json"
+        )
+        report = json.loads(out)
+        assert report["sigma"] == ["9/20", "737/500", "172/125", "4/5"]
+        assert report["trace_shape"] == "3363/500"
+
     def test_text_includes_multiplicities(self, capsys):
         _, out, _ = run(capsys, "spectrum", "--n", "3", "--rho", "1", "--c", "1")
         assert "sigma_multiplicities" in out
@@ -420,8 +429,6 @@ class TestComputeOnce:
         assert calls == {"metric_algebra": 1, "verify_splitting": 1}
 
     def test_verify_inverts_each_gram_once(self, monkeypatch):
-        from solvsoliton import linalg
-
         calls = {}
 
         def counted(module):
@@ -434,8 +441,7 @@ class TestComputeOnce:
 
             return wrapper
 
-        # family imports inverse from linalg at call time
-        for module in (metric_lie, linalg):
+        for module in (metric_lie, cli):
             monkeypatch.setattr(module, "inverse", counted(module))
         p = family.FamilyParams(3, Fraction(7, 5), Fraction(9, 14))
         report = cli.verify_report(p)
@@ -443,7 +449,7 @@ class TestComputeOnce:
         # the Grams of the algebra and of its nilradical; the evaluation map
         # of the embedding.  The coordinate route is entrywise on a diagonal
         # Gram and inverts nothing.
-        assert calls == {"metric_lie": 2, "linalg": 1}
+        assert calls == {"metric_lie": 2, "cli": 1}
 
     def test_einstein_assembles_each_point_once(self, monkeypatch):
         from solvsoliton import coord_engine

@@ -155,17 +155,35 @@ class TestDelta:
 class TestEmbedding:
     def test_z_column(self):
         p = FamilyParams(2, Fraction(1), Fraction(1))
-        emb = build_embedding(p, build_gram(p))
-        phi_row = emb.coordinate_names.index("phi")
-        col = column_of(emb.P, 6)
-        assert col[phi_row] == 1 and sum(1 for x in col if x) == 1
+        P = build_embedding(p, build_gram(p))
+        col = column_of(P, 6)
+        assert col[coordinate_names(2).index("phi")] == 1
+        assert sum(1 for x in col if x) == 1
 
     def test_b1i_column_carries_deformation(self):
         p = FamilyParams(2, Fraction(1), Fraction(1))
-        emb = build_embedding(p, build_gram(p))
-        col = column_of(emb.P, 1)
-        assert col[emb.coordinate_names.index("t1")] == 2
-        assert col[emb.coordinate_names.index("phi")] == -2
+        P = build_embedding(p, build_gram(p))
+        col = column_of(P, 1)
+        assert col[coordinate_names(2).index("t1")] == 2
+        assert col[coordinate_names(2).index("phi")] == -2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_heisenberg_columns_are_halves_in_the_rescaled_frame(self, n):
+        # e_k, f_k = +-(1/sqrt(2)) d_zeta = +-(1/2) (sqrt(2) d_zeta)
+        p = FamilyParams(n, Fraction(3, 2), Fraction(1, 3))
+        P = build_embedding(p, build_gram(p))
+        row = {name: i for i, name in enumerate(coordinate_names(n))}
+        e0 = 0 if n == 1 else 2 * n - 2  # column of e_0; f_k follows e_k
+        half = Fraction(1, 2)
+        for k in range(n):
+            # [e_0, f_0] = Z but [e_k, f_k] = -Z for k >= 1
+            expected = {
+                (row[f"zt{k}"], e0 + 2 * k): half,
+                (row[f"z{k}"], e0 + 2 * k + 1): half if k == 0 else -half,
+            }
+            for (i, j), value in expected.items():
+                assert P.data[i][j] == value
+                assert sum(1 for x in P.data[i] if x) == 1
 
     @pytest.mark.parametrize(
         "p",
@@ -179,17 +197,17 @@ class TestEmbedding:
     )
     def test_gram_consistency_built_in(self, p):
         # build_embedding raises if P^T G_coord P != G_family
-        emb = build_embedding(p, build_gram(p))
-        assert emb.P.rows == p.dim
+        P = build_embedding(p, build_gram(p))
+        assert P.rows == p.dim
         wrong = build_gram(FamilyParams(p.n, p.rho + 1, p.c))
         with pytest.raises(AssertionError):
             build_embedding(p, wrong)
 
     def test_c0_no_mixing(self):
         p = FamilyParams(2, Fraction(1), Fraction(0))
-        emb = build_embedding(p, build_gram(p))
+        P = build_embedding(p, build_gram(p))
         g = Matrix.diagonal(coordinate_gram_values(p))
-        product = emb.P.transpose() @ g @ emb.P
+        product = P.transpose() @ g @ P
         for i in range(7):
             for j in range(7):
                 if i != j:

@@ -21,7 +21,7 @@ from solvsoliton.hypersurface import (
     trace_identity_check,
     warp_data,
 )
-from solvsoliton.linalg import Matrix
+from solvsoliton.linalg import Matrix, inverse
 from solvsoliton.metric_lie import ricci_endomorphism_koszul
 
 # Pointwise checks on a grid with at least 6 distinct rho and 6 distinct c
@@ -161,10 +161,31 @@ class TestShapeOperator:
     def test_strict_convexity_for_positive_c(self):
         from solvsoliton.scalars import Surd
 
+        # every value is b*sqrt(q) with a = 0, so its sign is that of b
         for c in C_GRID[1:]:
             sh = shape_operator(FamilyParams(2, Fraction(1), c))
             for s in sh.sigma:
-                assert (s.sign() if isinstance(s, Surd) else (s > 0) - (s < 0)) == 1
+                if isinstance(s, Surd):
+                    assert s.a == 0 and s.b > 0
+                else:
+                    assert s > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_radicand_factoring_per_shape_operator(self, n, monkeypatch):
+        from solvsoliton import scalars
+
+        calls = []
+        decompose = scalars._squarefree_decompose
+
+        def counted(k):
+            calls.append(k)
+            return decompose(k)
+
+        monkeypatch.setattr(scalars, "_squarefree_decompose", counted)
+        for c in C_GRID[1:]:
+            calls.clear()
+            shape_operator(FamilyParams(n, Fraction(11, 13), c))
+            assert len(calls) == 1
 
     def test_sigma1_vanishes_at_c0(self):
         for n in (2, 3):
@@ -218,8 +239,8 @@ class TestGeneralRicciFormula:
             for c in C_GRID[:3]:
                 p = FamilyParams(n, rho, c)
                 M = metric_algebra(p)
-                emb = build_embedding(p, M.G)
-                conjugated = emb.conjugate_to_family(ricci_endomorphism_coords(p))
+                P = build_embedding(p, M.G)
+                conjugated = inverse(P) @ ricci_endomorphism_coords(p) @ P
                 koszul = ricci_endomorphism_koszul(M)
                 assert conjugated == koszul == expected_ric_matrix(p)
 

@@ -1,7 +1,9 @@
 """Exact linear algebra: solving, kernels, characteristic polynomials, Sturm."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import bracket, column, nullspace, sparse_nullspace
@@ -18,13 +20,38 @@ from solvsoliton.linalg import (
     rref,
     solve_exact,
 )
-from solvsoliton.scalars import Surd, surd
+from solvsoliton.scalars import surd
 
 
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):
     return Matrix(
         [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+class TestEntries:
+    def test_entries_are_rational_only(self):
+        assert Matrix([[1, Fraction(1, 2)]]).data == [[Fraction(1), Fraction(1, 2)]]
+        for build in (
+            lambda: Matrix([[surd(0, 1, 2)]]),
+            lambda: Matrix.diagonal([surd(0, 1, 2)]),
+            lambda: Matrix([[0.5]]),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_linalg_imports_nothing_from_scalars(self):
+        from solvsoliton import linalg
+
+        tree = ast.parse(Path(linalg.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any(name.rsplit(".", 1)[-1] == "scalars" for name in imported)
 
 
 class TestSolve:
@@ -239,18 +266,6 @@ class TestPositiveDefinite:
             assert 0 in _leading_minors(G)
             assert not is_positive_definite(G)
 
-    def test_surd_gram(self):
-        r2 = surd(0, 1, 2)
-        grams = [
-            Matrix([[2, r2], [r2, 2]]),
-            Matrix([[1, r2], [r2, 1]]),
-            Matrix([[1 + r2, 1, 0], [1, 1, 0], [0, 0, r2]]),
-            Matrix([[1 - r2, 0], [0, 1]]),
-        ]
-        verdicts = [is_positive_definite(G) for G in grams]
-        assert verdicts == [all(m > 0 for m in _leading_minors(G)) for G in grams]
-        assert verdicts == [True, False, True, False]
-
 
 class TestDetInverse:
     def test_inverse_roundtrip(self):
@@ -263,12 +278,12 @@ class TestDetInverse:
             assert A @ inverse(A) == Matrix.identity(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_inverse_of_embedding_with_sqrt2_entries(self, n):
+    def test_embedding_and_its_inverse_are_rational(self, n):
         p = FamilyParams(n, Fraction(3, 2), Fraction(1, 3))
-        P = build_embedding(p, build_gram(p)).P
-        assert any(isinstance(x, Surd) for row in P.data for x in row)
+        P = build_embedding(p, build_gram(p))
         Pinv = inverse(P)
-        assert any(isinstance(x, Surd) for row in Pinv.data for x in row)
+        for M in (P, Pinv):
+            assert all(type(x) is Fraction for row in M.data for x in row)
         assert P @ Pinv == Matrix.identity(P.rows) == Pinv @ P
 
     def test_singular_inverse_raises(self):

@@ -12,7 +12,6 @@ from oracles import Jet2
 
 from solvsoliton import scalars
 from solvsoliton.scalars import (
-    RadicandMismatchError,
     Surd,
     power_jet,
     rational,
@@ -56,9 +55,10 @@ class TestRational:
 
 
 class TestSurd:
-    def test_square_collapses_to_rational(self):
+    def test_square_factor_leaves_the_radicand(self):
+        # sqrt(3/4) = (1/2) sqrt(3)
         x = surd(0, 1, Fraction(3, 4))
-        assert x * x == Fraction(3, 4)
+        assert (x.a, x.b, x.q) == (0, Fraction(1, 2), 3)
 
     def test_perfect_square_radicand_normalizes(self):
         assert surd(1, 2, Fraction(9, 4)) == Fraction(4)
@@ -71,12 +71,14 @@ class TestSurd:
         assert abs(float(s4) - (2 / 3) ** 0.5) < 1e-15
 
     def test_sigma_ratio_is_rational(self):
-        # sigma1 / sigma4 = c/(rho+c) at rho=1, c=1
+        # sigma1 / sigma4 = c/(rho+c) at rho=1, c=1: one radicand, rational
+        # coefficients in the ratio 1/2
         rho, c = Fraction(1), Fraction(1)
         q = (rho + c) / (rho + 2 * c)
         s1 = surd(0, c / (rho + c), q)
         s4 = surd(0, 1, q)
-        assert s1 / s4 == Fraction(1, 2)
+        assert s1.q == s4.q
+        assert s1.b / s4.b == Fraction(1, 2)
 
     def test_presentation_independent_equality(self):
         # sqrt(3/8) = (1/4) sqrt(6): canonical radicands make these identical
@@ -84,38 +86,17 @@ class TestSurd:
             0, Fraction(1, 2), Fraction(2, 3)
         )
 
-    def test_mismatched_radicands_error(self):
-        with pytest.raises(RadicandMismatchError):
-            surd(0, 1, 2) + surd(0, 1, 3)
-        with pytest.raises(RadicandMismatchError):
-            surd(0, 1, 2) * surd(0, 1, 5)
-
-    def test_multiplication_rule(self):
-        # (a1 + b1 sqrt(q))(a2 + b2 sqrt(q)) with q = 5
-        x = surd(1, 2, 5)
-        y = surd(3, -1, 5)
-        assert x * y == surd(1 * 3 + 2 * (-1) * 5, 1 * (-1) + 2 * 3, 5)
-
-    def test_division_and_sign(self):
-        x = surd(1, 1, 2)
-        assert x / x == Fraction(1)
-        assert (Fraction(1) / x) * x == Fraction(1)
-        assert surd(-3, 1, 2).sign() == -1  # -3 + sqrt(2) < 0
-        assert surd(-1, 1, 2).sign() == 1  # -1 + sqrt(2) > 0
-        assert surd(0, 1, 2) > 0
-
-    def test_surd_vs_double_randomized(self):
-        # multiplication agrees with float evaluation to 1e-12 relative
-        rng = random.Random(4242)
-        for _ in range(300):
-            q = Fraction(rng.randint(1, 40), rng.randint(1, 8))
-            if q > 10 or q == 0:
-                continue
-            x = surd(Fraction(rng.randint(-8, 8), rng.randint(1, 5)), Fraction(rng.randint(-8, 8), rng.randint(1, 5)), q)
-            y = surd(Fraction(rng.randint(-8, 8), rng.randint(1, 5)), Fraction(rng.randint(-8, 8), rng.randint(1, 5)), q)
-            exact = float(x * y) if isinstance(x * y, Surd) else float(x * y)
-            approx = float(x) * float(y)
-            assert abs(exact - approx) <= 1e-12 * max(1.0, abs(approx))
+    def test_no_arithmetic_or_ordering(self):
+        names = {
+            "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+            "__rmul__", "__truediv__", "__rtruediv__",
+            "__lt__", "__le__", "__gt__", "__ge__", "sign",
+        }
+        assert not names & set(vars(Surd))
+        with pytest.raises(TypeError):
+            surd(0, 1, 2) + 1
+        with pytest.raises(AttributeError):
+            surd(0, 1, 2).b = 3
 
     def test_string_form(self):
         assert str(surd(Fraction(1, 2), Fraction(3, 4), 2)) == "1/2 + 3/4*sqrt(2)"
@@ -123,8 +104,9 @@ class TestSurd:
     def test_sqrt_fraction(self):
         assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
         assert sqrt_fraction(0) == 0
-        root = sqrt_fraction(Fraction(2, 3))
-        assert root * root == Fraction(2, 3)
+        root = sqrt_fraction(Fraction(2, 3))  # (1/3) sqrt(6)
+        assert (root.a, root.b, root.q) == (0, Fraction(1, 3), 6)
+        assert root.b**2 * root.q == Fraction(2, 3)
         with pytest.raises(ValueError):
             sqrt_fraction(-1)
 
@@ -316,27 +298,3 @@ class TestSquarefreeDecompose:
         start = time.perf_counter()
         assert scalars._squarefree_decompose(k) == (1, k)
         assert time.perf_counter() - start < 1.0
-
-    def test_surd_arithmetic_never_factors(self, monkeypatch):
-        x = surd(Fraction(1, 3), 2, Fraction(5, 7))
-        y = surd(-1, Fraction(1, 2), 35)
-        assert x.q == y.q == 35
-        a, b = x.a, x.b
-        norm = a * a - 35 * b * b
-        expected = [
-            surd(a - 1, b + Fraction(1, 2), 35),
-            surd(a + 1, b - Fraction(1, 2), 35),
-            surd(-a + 35 * b / 2, a / 2 - b, 35),
-            surd(a / norm, -b / norm, 35),
-            surd(a / 3, b / 3, 35),
-            Fraction(0),
-        ]
-
-        def refuse(k):
-            raise AssertionError("normalized radicand factored again")
-
-        monkeypatch.setattr(scalars, "_squarefree_decompose", refuse)
-        got = [x + y, x - y, x * y, 1 / x, x / 3, x - x]
-        assert got == expected
-        assert [type(g) for g in got] == [Surd] * 5 + [Fraction]
-        assert x / y * y == x and x * 0 == 0
