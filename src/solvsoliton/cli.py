@@ -10,6 +10,7 @@ are authoritative; decimal columns are 12-significant-digit approximations.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import math
 import os
@@ -26,7 +27,7 @@ from .metric_lie import (
 )
 from .scalars import rational
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 DEFAULT_MAX_N = 16
 EINSTEIN_MAX_N = 8
@@ -449,5 +450,16 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+def run():
+    """Process entry point, for ``python -m solvsoliton.cli`` and the
+    ``solvsoliton`` script: exit with :func:`main`'s code.  Freezing the heap
+    first spares the interpreter's final collections a walk over every
+    object left from start-up; in-process callers of :func:`main` keep
+    their collector as it was."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

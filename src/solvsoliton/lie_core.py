@@ -8,10 +8,11 @@ unimodularity and complete solvability.  Everything is exact.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import Matrix, char_poly, real_rooted, rref
+from .linalg import Matrix, _cleared, char_poly, real_rooted, rref
 
 __all__ = [
     "StructureConstants",
@@ -62,6 +63,21 @@ class StructureConstants:
             row = upper.setdefault((i, j), {})
             row[k] = row.get(k, Fraction(0)) + Fraction(value)
         return cls(dim, upper)
+
+    def _integer_table(self) -> tuple:
+        """(table, C): the bracket table as integers over the structure
+        constants' one common denominator C, c_ij^k = table[i][j][k] / C.
+        Cached on the algebra."""
+        cached = self._cache.get("integer")
+        if cached is None:
+            sp = self._sparse
+            C = math.lcm(*(v.denominator for row in sp for col in row for _, v in col))
+            table = [
+                [[(k, v.numerator * (C // v.denominator)) for k, v in col] for col in row]
+                for row in sp
+            ]
+            cached = self._cache["integer"] = (table, C)
+        return cached
 
     def triples(self):
         out = []
@@ -244,17 +260,21 @@ def is_completely_solvable(L: StructureConstants) -> bool:
     )
 
 
-def _leibniz_defects(L: StructureConstants, X: Matrix):
-    """Nonzero Leibniz defects of X, as ((i, j), {k: value}) in i < j order.
+def _leibniz_defects(L: StructureConstants, X: list):
+    """Nonzero Leibniz defects of the integer matrix rows X, times C, as
+    ((i, j), {k: int}) in i < j order; C is the structure constants'
+    denominator (:meth:`StructureConstants._integer_table`).
 
     The defect X[e_i, e_j] - [X e_i, e_j] - [e_i, X e_j] is linear in X and
     summed over the nonzero structure constants and entries of X only.
     Pairs with i >= j are omitted: the defect is antisymmetric in (i, j).
+    A rational matrix enters cleared once, as its integer rows over one
+    denominator, so no zero test or witness needs a division.
     """
     d = L.dim
-    sp = L._sparse
+    sp, _ = L._integer_table()
     # cols[m] = nonzero (r, X[r][m]) of X e_m.
-    cols = [[(r, row[m]) for r, row in enumerate(X.data) if row[m]] for m in range(d)]
+    cols = [[(r, row[m]) for r, row in enumerate(X) if row[m]] for m in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             out: dict = {}
@@ -274,7 +294,7 @@ def _leibniz_defects(L: StructureConstants, X: Matrix):
 
 def is_derivation(L: StructureConstants, D: Matrix):
     """(ok, witness): witness is the first failing basis pair (i, j), i < j."""
-    first = next(_leibniz_defects(L, D), None)
+    first = next(_leibniz_defects(L, _cleared(D.data)[0]), None)
     return (True, None) if first is None else (False, first[0])
 
 

@@ -10,6 +10,7 @@ the square-free part.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -159,6 +160,13 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{self.rows}x{self.cols}]({body})"
+
+
+def _cleared(rows) -> tuple:
+    """(integer rows, D): rational ``rows`` as integer rows over their one
+    positive common denominator D, the lcm of the entries' denominators."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ from .lie_core import (
     StructureConstants,
     _leibniz_defects,
     ad_matrix,
-    is_derivation,
     subalgebra,
     verify_splitting,
 )
-from .linalg import Matrix, inverse, is_positive_definite
+from .linalg import Matrix, _cleared, inverse, is_positive_definite
 
 __all__ = [
     "MetricLieAlgebra",
@@ -79,9 +78,23 @@ class MetricLieAlgebra:
         return report
 
 
-def connection_coeffs(M: MetricLieAlgebra) -> list:
-    """Levi-Civita connection as sparse columns: gamma[i][j] = {r: value}
-    holds the nonzero coordinates of nabla_{e_i} e_j.
+def _cleared_inverse(M: MetricLieAlgebra) -> tuple:
+    """G^{-1} as (integer rows, D_H), cached on the metric algebra."""
+    cleared = M._cache.get("Ginv_int")
+    if cleared is None:
+        cleared = M._cache["Ginv_int"] = _cleared(M.gram_inverse().data)
+    return cleared
+
+
+def _sparse_rows(rows) -> list:
+    """The nonzero (column, value) pairs of each row."""
+    return [[(k, v) for k, v in enumerate(row) if v] for row in rows]
+
+
+def connection_coeffs(M: MetricLieAlgebra) -> tuple:
+    """Levi-Civita connection as integer sparse columns over one denominator:
+    (gamma, S), where gamma[i][j] = {r: value} holds the nonzero coordinates
+    of S * nabla_{e_i} e_j.
 
     Built from the left-invariant Koszul formula
     2<nabla_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y>
@@ -89,20 +102,26 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
     bracket.  By antisymmetry both of the last two terms are read from one
     index map, by_value[(a, c)] = {b: w_ab(c)}:
     w_jk(i) = by_value[(j, i)][k] and w_ki(j) = -by_value[(i, j)][k].
+    G, G^{-1} and the structure constants enter as integers over their
+    denominators D_G, D_H and C, so S = 2 D_G D_H C and every sum is over
+    Python ints.
     """
-    L, G = M.L, M.G
+    L = M.L
     d = L.dim
+    sp, C = L._integer_table()
+    g_int, DG = _cleared(M.G.data)
+    h_int, DH = _cleared_inverse(M)
     # Sparse rows of the symmetric G and G^{-1}.
-    g_rows = [[(k, v) for k, v in enumerate(row) if v] for row in G.data]
-    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in M.gram_inverse().data]
+    g_rows = _sparse_rows(g_int)
+    ginv = _sparse_rows(h_int)
     w: dict = {}
     by_value: dict = {}
     for i in range(d):
         for j in range(d):
-            if not L._sparse[i][j]:
+            if not sp[i][j]:
                 continue
             wij: dict = {}
-            for m, v in L._sparse[i][j]:
+            for m, v in sp[i][j]:
                 for k, g in g_rows[m]:
                     wij[k] = wij.get(k, 0) + v * g
             wij = w[i, j] = {k: x for k, x in wij.items() if x}
@@ -110,7 +129,7 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
                 by_value.setdefault((i, k), {})[j] = x
     gamma = [[{} for _ in range(d)] for _ in range(d)]
     for i, j in w.keys() | by_value.keys() | {(j, i) for i, j in by_value}:
-        # rhs[k] = 2<nabla_{e_i} e_j, e_k>
+        # rhs[k] = 2 C D_G <nabla_{e_i} e_j, e_k>
         rhs = dict(w.get((i, j), ()))
         for part in (by_value.get((j, i), {}), by_value.get((i, j), {})):
             for k, x in part.items():
@@ -118,11 +137,10 @@ def connection_coeffs(M: MetricLieAlgebra) -> list:
         col: dict = {}
         for k, x in rhs.items():
             if x:
-                x = _HALF * x
                 for r, g in ginv[k]:
                     col[r] = col.get(r, 0) + g * x
         gamma[i][j] = {r: x for r, x in col.items() if x}
-    return gamma
+    return gamma, 2 * DG * DH * C
 
 
 def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
@@ -133,10 +151,15 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
     Ric_ij = sum_m t_m Gamma_ij^m - sum_{k,m} Gamma_im^k Gamma_kj^m
              - sum_{k,m} c_ki^m Gamma_mj^k,  t_m = sum_k Gamma_km^k,
     each sum taken over the nonzero entries of the sparse columns only.
+    The sums run in integers, on S Gamma and C c (see
+    :func:`connection_coeffs`), as S^2 Ric; each entry becomes a Fraction
+    once, at the end.
     """
     L = M.L
     d = L.dim
-    gamma = connection_coeffs(M)
+    gamma, S = connection_coeffs(M)
+    sp, C = L._integer_table()
+    f = S // C
     # by_row[k][m] = {j: Gamma_kj^m}
     by_row = [[{} for _ in range(d)] for _ in range(d)]
     trace: dict = {}
@@ -148,6 +171,7 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
             x = gamma[k][m].get(k)
             if x:
                 trace[m] = trace.get(m, 0) + x
+    den = S * S
     zero = Fraction(0)
     out = []
     for i in range(d):
@@ -162,21 +186,33 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
                 for j, y in by_row[k][m].items():
                     row[j] = row.get(j, 0) - x * y
         for k in range(d):
-            for m, v in L._sparse[k][i]:
+            for m, v in sp[k][i]:
+                v *= f
                 for j, y in by_row[m][k].items():
                     row[j] = row.get(j, 0) - v * y
-        out.append([row.get(j, zero) for j in range(d)])
+        out.append([Fraction(row[j], den) if row.get(j) else zero for j in range(d)])
     return Matrix._trusted(out)
 
 
 def ricci_endomorphism_koszul(M: MetricLieAlgebra) -> Matrix:
-    """Ricci endomorphism: Gram-inverse times the Ricci bilinear form.
+    """Ricci endomorphism: Gram-inverse times the Ricci bilinear form,
+    multiplied in integers over D_H and the form's denominator.
     Cached on the metric algebra."""
     cached = M._cache.get("ricci_endo")
     if cached is not None:
         return cached
-    ric = M.gram_inverse() @ ricci_bilinear(M)
-    M._cache["ricci_endo"] = ric
+    R, DR = _cleared(ricci_bilinear(M).data)
+    h_int, DH = _cleared_inverse(M)
+    den = DH * DR
+    zero = Fraction(0)
+    out = []
+    for hrow in _sparse_rows(h_int):
+        acc = [0] * len(R)
+        for k, h in hrow:
+            for j, x in enumerate(R[k]):
+                acc[j] += h * x
+        out.append([Fraction(x, den) if x else zero for x in acc])
+    ric = M._cache["ricci_endo"] = Matrix._trusted(out)
     return ric
 
 
@@ -238,8 +274,9 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
     Id.  On a non-abelian algebra lambda is read off at the first nonzero
     defect entry of Id; on an abelian one every endomorphism is a
     derivation and lambda is taken to be 0.  D = ric - lambda*Id is then
-    tested with :func:`is_derivation`.  No basis of Der(L) is built.
-    Cached on the metric algebra.
+    put through the Leibniz test, in integers: ric is cleared once, and
+    lambda and D are the only Fractions formed.  No basis of Der(L) is
+    built.  Cached on the metric algebra.
     """
     verdict = M._cache.get("soliton_direct")
     if verdict is None:
@@ -249,25 +286,34 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
 
 def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     L = M.L
-    ident = Matrix.identity(L.dim)
+    d = L.dim
     ric = ricci_endomorphism_koszul(M)
+    R, DR = _cleared(ric.data)
     lam = Fraction(0)
+    ident = [[int(r == s) for s in range(d)] for r in range(d)]
     first = next(_leibniz_defects(L, ident), None)
     if first is not None:
-        # lambda = Lambda(ric) / Lambda(Id) at Id's first nonzero defect entry
+        # lambda = Lambda(ric) / Lambda(Id) at Id's first nonzero defect
+        # entry; ric's defects also carry its denominator DR.
         pair, id_row = first
         k = min(id_row)
-        upto = takewhile(lambda entry: entry[0] <= pair, _leibniz_defects(L, ric))
-        lam = dict(upto).get(pair, {}).get(k, 0) / id_row[k]
-    # Lambda(ric - lambda*Id) = Lambda(ric) - lambda*Lambda(Id) by linearity.
-    D = Matrix(
+        upto = takewhile(lambda entry: entry[0] <= pair, _leibniz_defects(L, R))
+        lam = Fraction(dict(upto).get(pair, {}).get(k, 0), id_row[k] * DR)
+    # Lambda(ric - lambda*Id) = Lambda(ric) - lambda*Lambda(Id) by linearity;
+    # with lambda = p/q, q DR (ric - lambda*Id) = q R - p DR Id is integral.
+    p, q = lam.numerator, lam.denominator
+    scaled = [
+        [q * x - p * DR if r == s else q * x for s, x in enumerate(row)]
+        for r, row in enumerate(R)
+    ]
+    if next(_leibniz_defects(L, scaled), None) is not None:
+        return SolitonVerdict(status="not_soliton")
+    D = Matrix._trusted(
         [
             [x - lam if r == s else x for s, x in enumerate(row)]
             for r, row in enumerate(ric.data)
         ]
     )
-    if not is_derivation(L, D)[0]:
-        return SolitonVerdict(status="not_soliton")
     return SolitonVerdict(
         status="soliton",
         lambda_=lam,

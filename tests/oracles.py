@@ -7,15 +7,24 @@ adjoint blocks, Killing operator, mean curvature, normality commutator) are
 stated independently of the curvature routes, and the decomposition
 ric = R - B/2 - sym(ad H) is rebuilt term by term from the Killing form and
 the mean curvature vector.  ``nullspace`` and ``sparse_nullspace`` give
-kernels through the package's one elimination kernel, ``rref``.
+kernels through the package's one elimination kernel, ``rref``.  The
+``fraction_*`` functions are the exact curvature kernels summed over
+``Fraction`` entries, as they stood before the package moved them onto
+integers over cleared denominators; the integer kernels must equal them.
 """
 
 from fractions import Fraction
+from itertools import takewhile
 
 from solvsoliton.family import FamilyParams, ricci_eigenvalue_formulas
 from solvsoliton.lie_core import Splitting, StructureConstants, ad_matrix
 from solvsoliton.linalg import Matrix, rref, solve_exact
-from solvsoliton.metric_lie import MetricLieAlgebra, adjoint_operator, ricci_endomorphism_koszul
+from solvsoliton.metric_lie import (
+    MetricLieAlgebra,
+    SolitonVerdict,
+    adjoint_operator,
+    ricci_endomorphism_koszul,
+)
 from solvsoliton.scalars import surd
 
 _HALF = Fraction(1, 2)
@@ -464,3 +473,167 @@ def expected_normality_commutator(p: FamilyParams) -> Matrix:
     out.data[1][d - 1] = -2 * c / (rho * (rho + 2 * c))
     out.data[d - 1][1] = -8 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The curvature kernels over Fraction entries
+# ---------------------------------------------------------------------------
+
+
+def fraction_connection_coeffs(M: MetricLieAlgebra) -> list:
+    """Levi-Civita connection as sparse columns: gamma[i][j] = {r: value}
+    holds the nonzero coordinates of nabla_{e_i} e_j.
+
+    Built from the left-invariant Koszul formula
+    2<nabla_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y>
+    with w_ij(k) = <[e_i, e_j], e_k> kept only for pairs with a nonzero
+    bracket.  By antisymmetry both of the last two terms are read from one
+    index map, by_value[(a, c)] = {b: w_ab(c)}:
+    w_jk(i) = by_value[(j, i)][k] and w_ki(j) = -by_value[(i, j)][k].
+    """
+    L, G = M.L, M.G
+    d = L.dim
+    # Sparse rows of the symmetric G and G^{-1}.
+    g_rows = [[(k, v) for k, v in enumerate(row) if v] for row in G.data]
+    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in M.gram_inverse().data]
+    w: dict = {}
+    by_value: dict = {}
+    for i in range(d):
+        for j in range(d):
+            if not L._sparse[i][j]:
+                continue
+            wij: dict = {}
+            for m, v in L._sparse[i][j]:
+                for k, g in g_rows[m]:
+                    wij[k] = wij.get(k, 0) + v * g
+            wij = w[i, j] = {k: x for k, x in wij.items() if x}
+            for k, x in wij.items():
+                by_value.setdefault((i, k), {})[j] = x
+    gamma = [[{} for _ in range(d)] for _ in range(d)]
+    for i, j in w.keys() | by_value.keys() | {(j, i) for i, j in by_value}:
+        # rhs[k] = 2<nabla_{e_i} e_j, e_k>
+        rhs = dict(w.get((i, j), ()))
+        for part in (by_value.get((j, i), {}), by_value.get((i, j), {})):
+            for k, x in part.items():
+                rhs[k] = rhs.get(k, 0) - x
+        col: dict = {}
+        for k, x in rhs.items():
+            if x:
+                x = _HALF * x
+                for r, g in ginv[k]:
+                    col[r] = col.get(r, 0) + g * x
+        gamma[i][j] = {r: x for r, x in col.items() if x}
+    return gamma
+
+
+def fraction_ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
+    """Gram matrix of the Ricci form: Ric(e_i, e_j) = tr(v -> R(v, e_i) e_j).
+
+    With Gamma_ij^m the coordinates of nabla_{e_i} e_j and c_ki^m the
+    structure constants,
+    Ric_ij = sum_m t_m Gamma_ij^m - sum_{k,m} Gamma_im^k Gamma_kj^m
+             - sum_{k,m} c_ki^m Gamma_mj^k,  t_m = sum_k Gamma_km^k,
+    each sum taken over the nonzero entries of the sparse columns only.
+    """
+    L = M.L
+    d = L.dim
+    gamma = fraction_connection_coeffs(M)
+    # by_row[k][m] = {j: Gamma_kj^m}
+    by_row = [[{} for _ in range(d)] for _ in range(d)]
+    trace: dict = {}
+    for k in range(d):
+        for j, col in enumerate(gamma[k]):
+            for m, x in col.items():
+                by_row[k][m][j] = x
+        for m in range(d):
+            x = gamma[k][m].get(k)
+            if x:
+                trace[m] = trace.get(m, 0) + x
+    zero = Fraction(0)
+    out = []
+    for i in range(d):
+        row: dict = {}
+        for j, col in enumerate(gamma[i]):
+            for m, x in col.items():
+                t = trace.get(m)
+                if t:
+                    row[j] = row.get(j, 0) + t * x
+        for m, col in enumerate(gamma[i]):
+            for k, x in col.items():
+                for j, y in by_row[k][m].items():
+                    row[j] = row.get(j, 0) - x * y
+        for k in range(d):
+            for m, v in L._sparse[k][i]:
+                for j, y in by_row[m][k].items():
+                    row[j] = row.get(j, 0) - v * y
+        out.append([row.get(j, zero) for j in range(d)])
+    return Matrix._trusted(out)
+
+
+def fraction_ricci_endomorphism(M: MetricLieAlgebra) -> Matrix:
+    """Ricci endomorphism: Gram-inverse times the Ricci bilinear form."""
+    return M.gram_inverse() @ fraction_ricci_bilinear(M)
+
+
+def fraction_leibniz_defects(L: StructureConstants, X: Matrix):
+    """Nonzero Leibniz defects of X, as ((i, j), {k: value}) in i < j order.
+
+    The defect X[e_i, e_j] - [X e_i, e_j] - [e_i, X e_j] is linear in X and
+    summed over the nonzero structure constants and entries of X only.
+    Pairs with i >= j are omitted: the defect is antisymmetric in (i, j).
+    """
+    d = L.dim
+    sp = L._sparse
+    # cols[m] = nonzero (r, X[r][m]) of X e_m.
+    cols = [[(r, row[m]) for r, row in enumerate(X.data) if row[m]] for m in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            out: dict = {}
+            for m, v in sp[i][j]:
+                for k, x in cols[m]:
+                    out[k] = out.get(k, 0) + v * x
+            for m, x in cols[i]:
+                for k, v in sp[m][j]:
+                    out[k] = out.get(k, 0) - x * v
+            for m, x in cols[j]:
+                for k, v in sp[i][m]:
+                    out[k] = out.get(k, 0) - x * v
+            out = {k: v for k, v in out.items() if v}
+            if out:
+                yield (i, j), out
+
+
+def fraction_is_derivation(L: StructureConstants, D: Matrix):
+    """(ok, witness): witness is the first failing basis pair (i, j), i < j."""
+    first = next(fraction_leibniz_defects(L, D), None)
+    return (True, None) if first is None else (False, first[0])
+
+
+def fraction_direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
+    """``soliton_check_direct`` over Fraction entries, uncached."""
+    L = M.L
+    ident = Matrix.identity(L.dim)
+    ric = fraction_ricci_endomorphism(M)
+    lam = Fraction(0)
+    first = next(fraction_leibniz_defects(L, ident), None)
+    if first is not None:
+        # lambda = Lambda(ric) / Lambda(Id) at Id's first nonzero defect entry
+        pair, id_row = first
+        k = min(id_row)
+        upto = takewhile(lambda entry: entry[0] <= pair, fraction_leibniz_defects(L, ric))
+        lam = dict(upto).get(pair, {}).get(k, 0) / id_row[k]
+    # Lambda(ric - lambda*Id) = Lambda(ric) - lambda*Lambda(Id) by linearity.
+    D = Matrix(
+        [
+            [x - lam if r == s else x for s, x in enumerate(row)]
+            for r, row in enumerate(ric.data)
+        ]
+    )
+    if not fraction_is_derivation(L, D)[0]:
+        return SolitonVerdict(status="not_soliton")
+    return SolitonVerdict(
+        status="soliton",
+        lambda_=lam,
+        D=D,
+        lambda_source="direct",
+    )

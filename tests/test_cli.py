@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report content, formats."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvsoliton
 from solvsoliton import cli, family, lie_core, metric_lie
@@ -506,3 +510,140 @@ def test_exact_commands_load_only_what_they_use(argv, module):
 def test_einstein_does_not_load_numpy():
     argv = ["einstein", "--n", "4", "--rho", "11/13", "--c", "9/14", "--format", "json"]
     assert_module_not_loaded(argv, "numpy")
+
+
+# ---------------------------------------------------------------------------
+# property tests over random instances
+# ---------------------------------------------------------------------------
+
+# Fields whose strings are labels, not exact numbers.
+LABEL_KEYS = frozenset({"status", "predicted_status", "lambda_source"})
+
+
+def main_captured(argv: list):
+    """(exit code, stdout, stderr) of an in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def exact_strings(payload, key=None):
+    """Every string of a report outside the label fields."""
+    if isinstance(payload, dict):
+        for k, v in payload.items():
+            yield from exact_strings(v, k)
+    elif isinstance(payload, list):
+        for v in payload:
+            yield from exact_strings(v, key)
+    elif isinstance(payload, str) and key not in LABEL_KEYS:
+        yield payload
+
+
+rationals = st.builds(Fraction, st.integers(1, 4095), st.integers(1, 4095))
+
+
+class TestVerifyProperties:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        st.integers(1, 4),
+        rationals,
+        st.one_of(st.just(Fraction(0)), rationals),
+    )
+    def test_verify_agrees_and_round_trips(self, n, rho, c):
+        argv = ["verify", "--n", str(n), f"--rho={rho}", f"--c={c}", "--format", "json"]
+        code, out, err = main_captured(argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["checks"]["checkers_agree"] is True
+        assert report["status"] == report["predicted_status"]
+        strings = list(exact_strings(report))
+        assert {report["params"]["rho"], report["params"]["c"]} <= set(strings)
+        for text in strings:
+            assert str(Fraction(text)) == text
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        st.integers(1, 4),
+        rationals,
+        st.one_of(st.just(Fraction(0)), rationals.map(lambda x: -x)),
+        rationals.map(lambda x: -x),
+        st.booleans(),
+    )
+    def test_out_of_domain_exits_2_without_traceback(self, n, good, bad_rho, bad_c, rho_is_bad):
+        rho, c = (bad_rho, good) if rho_is_bad else (good, bad_c)
+        argv = ["verify", "--n", str(n), f"--rho={rho}", f"--c={c}", "--format", "json"]
+        code, out, err = main_captured(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the process exit path
+# ---------------------------------------------------------------------------
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    run(capsys, "verify", "--n", "2", "--rho", "11/13", "--c", "0", "--format", "json")
+    run(capsys, "sweep", "--n", "2", "--rho-grid", "1", "--c-grid", "0,1", "--format", "csv")
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def module_run(argv: list):
+    src = str(Path(solvsoliton.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "solvsoliton.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--n", "3", "--rho", "11/13", "--c", "9/14", "--format", "json"], 0),
+        (["sweep", "--n", "2", "--rho-grid", "1,5/3", "--c-grid", "0,9/14", "--format", "csv"], 0),
+        (["einstein", "--n", "2", "--rho", "11/13", "--c", "9/14", "--format", "text"], 0),
+        # the float residual at this scale exceeds its tolerance
+        (["einstein", "--n", "4", "--rho", "1e10", "--c", "1e10", "--format", "json"], 1),
+        (["verify", "--n", "2", "--rho", "0", "--c", "1"], 2),
+        (["verify", "--n", "2"], 2),  # usage error
+    ],
+)
+def test_module_entry_matches_in_process_main(capsys, argv, code):
+    proc = module_run(argv)
+    got = run(capsys, *argv)
+    assert proc.returncode == got[0] == code
+    assert proc.stdout == got[1].encode()
+    assert proc.stderr == got[2].encode()
+
+
+def test_module_entry_writes_the_same_output_file(capsys, tmp_path):
+    argv = ["soliton", "--n", "2", "--rho", "5/3", "--c", "0", "--format", "json"]
+    proc = module_run([*argv, "--output", str(tmp_path / "module.json")])
+    code = main([*argv, "--output", str(tmp_path / "main.json")])
+    assert proc.returncode == code == 0 and proc.stdout == b""
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_run_freezes_only_on_the_way_out():
+    script = (
+        "import gc, sys\n"
+        "from solvsoliton import cli\n"
+        "cli.main = lambda: print(gc.get_freeze_count()) or 1\n"
+        "try:\n"
+        "    cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    src = str(Path(solvsoliton.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["0", "1", "True"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import bracket, column_of, expected_closed_forms
 
+from solvsoliton import family
 from solvsoliton.family import (
     FamilyParams,
     build_delta,
@@ -14,6 +15,7 @@ from solvsoliton.family import (
     coordinate_gram_values,
     coordinate_names,
     expected_ric_matrix,
+    metric_algebra,
     predicted_status,
     real_from_complex_brackets,
     ricci_eigenvalue_formulas,
@@ -302,3 +304,87 @@ class TestPredictedStatus:
         assert predicted_status(1, Fraction(3)) == "nilsoliton"
         assert predicted_status(2, Fraction(0)) == "solvsoliton"
         assert predicted_status(4, Fraction(1, 2)) == "not_soliton"
+
+
+def delta_weights(n: int) -> list:
+    """The eigenvalues w_i of the grading derivation delta, in basis order."""
+    delta = build_delta(n)
+    return [delta.data[i][i] for i in range(delta.rows)]
+
+
+def exact_power(rho: Fraction, twice_exponent) -> Fraction:
+    """rho ** (twice_exponent / 2), for an even twice_exponent only."""
+    assert twice_exponent % 2 == 0, "half-integer power of rho"
+    return rho ** int(twice_exponent // 2)
+
+
+class TestReductionToT:
+    """exp(s delta) is an automorphism and an isometry from G(rho, c) onto
+    G(1, c/rho), so the family depends on t = c/rho alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "rho, c",
+        [
+            (Fraction(11, 13), Fraction(9, 14)),
+            (Fraction(4), Fraction(0)),
+            (Fraction(229, 161), Fraction(203, 157)),
+        ],
+    )
+    def test_gram_and_ricci_scale_by_integer_powers_of_rho(self, n, rho, c):
+        w = delta_weights(n)
+        M = metric_algebra(FamilyParams(n, rho, c))
+        M1 = metric_algebra(FamilyParams(n, Fraction(1), c / rho))
+        ric, ric1 = ricci_endomorphism_koszul(M), ricci_endomorphism_koszul(M1)
+        d = M.dim
+        for i in range(d):
+            for j in range(d):
+                g, g1 = M.G.data[i][j], M1.G.data[i][j]
+                assert (g == 0) == (g1 == 0)
+                if g:
+                    assert g == exact_power(rho, -(w[i] + w[j])) * g1
+                r, r1 = ric.data[i][j], ric1.data[i][j]
+                assert (r == 0) == (r1 == 0)
+                if r:
+                    assert r == exact_power(rho, w[i] - w[j]) * r1
+
+
+def block_labels(n: int) -> list:
+    """Block a (2 <= a <= n-1) of each basis index: (B_aR, B_aI, e_a, f_a);
+    None on the core (B1R, B1I, e0, f0, e1, f1, Z)."""
+    labels = [None] * (4 * n - 1)
+    for a in range(2, n):
+        for idx in (
+            family._idx_br(n, a),
+            family._idx_bi(n, a),
+            family._idx_e(n, a),
+            family._idx_f(n, a),
+        ):
+            labels[idx] = a
+    return labels
+
+
+class TestBlockDecoupling:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_blocks_partition_the_basis(self, n):
+        labels = block_labels(n)
+        assert labels.count(None) == 7
+        assert all(labels.count(a) == 4 for a in range(2, n))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(9, 14)])
+    def test_no_constant_or_gram_entry_couples_two_blocks(self, n, c):
+        labels = block_labels(n)
+        triples = build_lie_algebra(n).triples()
+        # every block has brackets, so the check below is not vacuous
+        assert {labels[x] for t in triples for x in t[:3]} == {None, *range(2, n)}
+        coupled = [t[:3] for t in triples if len({labels[x] for x in t[:3]} - {None}) > 1]
+        assert coupled == []
+        G = build_gram(FamilyParams(n, Fraction(11, 13), c))
+        d = G.rows
+        assert not [
+            (i, j)
+            for i in range(d)
+            for j in range(d)
+            if G.data[i][j] and None not in (labels[i], labels[j]) and labels[i] != labels[j]
+        ]

@@ -333,12 +333,12 @@ def unit_matrix(d, r, s):
 
 def derivation_basis(L):
     """Der(L) as matrices: the kernel of the Leibniz system whose column
-    r*d + s holds the defects of the unit matrix E_rs."""
+    r*d + s holds the defects of the unit matrix E_rs (all scaled alike)."""
     d = L.dim
     rows = {}  # (i, j, k) -> {r*d + s: defect}
     for r in range(d):
         for s in range(d):
-            for (i, j), defect in _leibniz_defects(L, unit_matrix(d, r, s)):
+            for (i, j), defect in _leibniz_defects(L, unit_matrix(d, r, s).data):
                 for k, v in defect.items():
                     rows.setdefault((i, j, k), {})[r * d + s] = v
     kernel = sparse_nullspace(rows.values(), d * d)

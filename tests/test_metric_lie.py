@@ -73,18 +73,33 @@ def gram_pairing(G, x: dict, k: int):
     return sum((v * G.data[r][k] for r, v in x.items()), Fraction(0))
 
 
+def connection_columns(M):
+    """The sparse columns of :func:`connection_coeffs` divided by their
+    common denominator S."""
+    gamma, S = connection_coeffs(M)
+    assert all(type(x) is int for row in gamma for col in row for x in col.values())
+    return [[{r: Fraction(x, S) for r, x in col.items()} for col in row] for row in gamma]
+
+
 class TestConnection:
     def test_abelian_connection_vanishes(self):
         L = StructureConstants.from_triples(3, [])
         M = MetricLieAlgebra(L, Matrix.diagonal([2, 3, 5]))
-        assert connection_coeffs(M) == [[{}] * 3] * 3
+        assert connection_columns(M) == [[{}] * 3] * 3
+
+    def test_denominator_is_2_DG_DH_C(self):
+        # G = diag(2/3, 1/5, 7), so D_G = 15 and G^{-1} = diag(3/2, 5, 1/7)
+        # has D_H = 14; the structure constants 1/2 and 1/3 give C = 6.
+        L = StructureConstants.from_triples(3, [(0, 1, 2, Fraction(1, 2)), (0, 2, 1, Fraction(1, 3))])
+        M = MetricLieAlgebra(L, Matrix.diagonal([Fraction(2, 3), Fraction(1, 5), 7]))
+        assert connection_coeffs(M)[1] == 2 * 15 * 14 * 6
 
     def test_heis3_koszul_by_hand(self):
         # [e1,e2] = e3 with the flat Gram: nabla_1 e2 = e3/2,
         # nabla_1 e3 = -e2/2, nabla_2 e3 = e1/2 and the rest follow by
         # torsion-freeness; frozen from the hand Koszul computation.
         M = heis3_flat_metric()
-        g = connection_coeffs(M)
+        g = connection_columns(M)
         assert g[0][1] == {2: HALF}
         assert g[0][2] == {1: -HALF}
         assert g[1][2] == {0: HALF}
@@ -95,7 +110,7 @@ class TestConnection:
     def test_metric_and_torsion_free(self, p):
         M = metric_algebra(p)
         L, G, d = M.L, M.G, M.dim
-        gamma = connection_coeffs(M)
+        gamma = connection_columns(M)
         for i in range(d):
             for j in range(d):
                 # metric: <nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0
@@ -213,7 +228,7 @@ class TestDenseConnectionOracle:
     def test_sparse_kernels_match_dense_oracle(self, M):
         d = M.dim
         dense = dense_connection_oracle(M)
-        assert connection_coeffs(M) == [
+        assert connection_columns(M) == [
             [{r: x for r, x in enumerate(column_of(dense[i], j)) if x} for j in range(d)]
             for i in range(d)
         ]

@@ -87,6 +87,6 @@ def test_every_public_definition_has_a_live_caller():
 
 def test_the_scan_sees_the_entry_point_and_the_claims():
     definitions, roots = _scan()
-    assert {"main", "STRUCTURE_CLAIMS", "is_unimodular"} <= roots
+    assert {"run", "STRUCTURE_CLAIMS", "is_unimodular"} <= roots
     names = {qualified for qualified, _, _, _ in definitions}
-    assert {"cli.main", "linalg.Matrix.__matmul__", "coord_engine.AmbientMetric.jets"} <= names
+    assert {"cli.run", "cli.main", "linalg.Matrix.__matmul__", "coord_engine.AmbientMetric.jets"} <= names
