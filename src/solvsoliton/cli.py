@@ -9,7 +9,6 @@ are authoritative; decimal columns are 12-significant-digit approximations.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import math
@@ -247,10 +246,72 @@ def einstein_report(p: family.FamilyParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _render_json(payload) -> str:
-    import json
+_JSON_ESCAPES = {
+    '"': '\\"',
+    "\\": "\\\\",
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+    "\b": "\\b",
+    "\f": "\\f",
+}
 
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+def _json_string(text: str) -> str:
+    """A JSON string literal with every character outside printable ASCII
+    escaped, as ``json.dumps`` with ``ensure_ascii`` writes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code > 0xFFFF:  # a surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+        else:
+            out.append(f"\\u{code:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json_value(value, pad: str) -> str:
+    """``value`` in the canonical form of ``json.dumps(value,
+    sort_keys=True, indent=2)``, its nested lines indented past ``pad``.
+    Reports hold dicts with string keys, lists, strings, ints, bools and
+    None; anything else raises TypeError."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{inner}{_json_string(key)}: {_json_value(value[key], inner)}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [inner + _json_value(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_json(payload) -> str:
+    return _json_value(payload, "") + "\n"
 
 
 def _is_matrix(value) -> bool:
@@ -313,53 +374,164 @@ def _emit(text: str, output: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="solvsoliton",
-        description="Exact curvature and Ricci-soliton certification for the "
-        "one-loop deformed solvable family.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+PROG = "solvsoliton"
+DESCRIPTION = (
+    "Exact curvature and Ricci-soliton certification for the one-loop "
+    "deformed solvable family."
+)
+COMMANDS = {
+    "verify": "full consistency run for one instance",
+    "ricci": "Ricci endomorphism and the agreement of its three routes",
+    "soliton": "both soliton decision procedures",
+    "spectrum": "shape and Ricci spectra",
+    "einstein": "numeric ambient Einstein check",
+    "sweep": "one row per point of a rho x c grid",
+}
+FORMATS = ("text", "json", "csv")
+REQUIRED = None  # the default of an option that must be given
 
-    def common(sp, grid=False):
-        sp.add_argument("--n", type=int, required=True, help="rank parameter n >= 1")
-        if grid:
-            sp.add_argument("--rho", default="1", help="rational, e.g. 5/2 (ignored with --rho-grid)")
-            sp.add_argument("--c", default="0", help="rational >= 0 (ignored with --c-grid)")
-            sp.add_argument("--rho-grid", default=None, help="comma-separated rationals")
-            sp.add_argument("--c-grid", default=None, help="comma-separated rationals")
-        else:
-            sp.add_argument("--rho", required=True, help="rational, e.g. 5/2")
-            sp.add_argument("--c", required=True, help="rational >= 0")
-        sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        sp.add_argument("--output", default=None, help="write the report to a file")
+# Per command, each option's default (REQUIRED when it must be given),
+# metavar and help line.
+_N = ("--n", REQUIRED, "N", "rank parameter n >= 1")
+_OUTPUT = (
+    ("--format", "text", "{text,json,csv}", "report format (default: text)"),
+    ("--output", "", "OUTPUT", "write the report to a file"),
+)
+_INSTANCE = (
+    _N,
+    ("--rho", REQUIRED, "RHO", "rational, e.g. 5/2"),
+    ("--c", REQUIRED, "C", "rational >= 0"),
+    *_OUTPUT,
+)
+OPTIONS = {name: _INSTANCE for name in COMMANDS}
+OPTIONS["sweep"] = (
+    _N,
+    ("--rho", "1", "RHO", "rational, e.g. 5/2 (ignored with --rho-grid)"),
+    ("--c", "0", "C", "rational >= 0 (ignored with --c-grid)"),
+    ("--rho-grid", "", "RHO_GRID", "comma-separated rationals"),
+    ("--c-grid", "", "C_GRID", "comma-separated rationals"),
+    *_OUTPUT,
+)
 
-    for name in ("verify", "ricci", "soliton", "spectrum", "einstein"):
-        common(sub.add_parser(name))
-    common(sub.add_parser("sweep"), grid=True)
-    return parser
+
+class _Exit(Exception):
+    """Stop parsing: help text (code 0, for stdout) or a usage error
+    (code 2, for stderr)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
 
 
-def _parse_config(argv) -> argparse.Namespace:
-    """Parsed arguments, with ``rho``, ``c`` and the grids (None when not
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ...\n"
+    parts = [f"usage: {PROG} {command} [-h]"]
+    for name, default, metavar, _ in OPTIONS[command]:
+        parts.append(f"{name} {metavar}" if default is REQUIRED else f"[{name} {metavar}]")
+    return " ".join(parts) + "\n"
+
+
+def _help(command) -> str:
+    if command is None:
+        rows = list(COMMANDS.items())
+        heading = f"\n{DESCRIPTION}\n\ncommands:\n"
+        tail = f"\nRun '{PROG} COMMAND -h' for the options of a command.\n"
+    else:
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(f"{name} {metavar}", text) for name, _, metavar, text in OPTIONS[command]]
+        heading = f"\n{COMMANDS[command]}\n\noptions:\n"
+        tail = ""
+    width = max(len(left) for left, _ in rows) + 2
+    body = "".join(f"  {left.ljust(width)}{text}\n" for left, text in rows)
+    return _usage(command) + heading + body + tail
+
+
+def _error(command, message: str):
+    return _Exit(2, f"{_usage(command)}{PROG}: error: {message}\n")
+
+
+def _is_option(token: str) -> bool:
+    """Whether a token names an option rather than a value; a negative
+    number such as -1 or -.5 is a value."""
+    return token[:1] == "-" and token != "-" and not (token[1:2].isdigit() or token[1:2] == ".")
+
+
+def _parse_options(argv) -> tuple:
+    """(command, {option: text}) for ``argv``, with every default filled
+    in.  Options take ``--opt value`` or ``--opt=value``, the last repeat
+    wins, and -h/--help anywhere asks for help."""
+    if not argv:
+        raise _error(None, "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        raise _Exit(0, _help(None))
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise _error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    table = {name: default for name, default, _, _ in OPTIONS[command]}
+    given: dict = {}
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token in ("-h", "--help"):
+            raise _Exit(0, _help(command))
+        name, eq, value = token.partition("=")
+        if name not in table:
+            raise _error(command, f"unrecognized arguments: {token}")
+        if not eq:
+            if i == len(rest) or _is_option(rest[i]):
+                raise _error(command, f"argument {name}: expected one argument")
+            value = rest[i]
+            i += 1
+        given[name] = value
+    missing = [name for name, default in table.items() if default is REQUIRED and name not in given]
+    if missing:
+        raise _error(command, "the following arguments are required: " + ", ".join(missing))
+    return command, {**table, **given}
+
+
+class _Config:
+    """A parsed command line: ``rho``, ``c`` and the grids (None when not
     given) as exact rationals."""
-    args = _build_parser().parse_args(argv)
+
+    __slots__ = ("command", "n", "rho", "c", "rho_grid", "c_grid", "format", "output")
+
+
+def _parse_config(argv) -> _Config:
+    command, opts = _parse_options(list(argv))
+    cfg = _Config()
+    cfg.command = command
+    try:
+        cfg.n = int(opts["--n"])
+    except ValueError:
+        raise _error(command, f"argument --n: invalid int value: {opts['--n']!r}") from None
+    cfg.format = opts["--format"]
+    if cfg.format not in FORMATS:
+        choices = ", ".join(map(repr, FORMATS))
+        raise _error(
+            command, f"argument --format: invalid choice: {cfg.format!r} (choose from {choices})"
+        )
+    cfg.output = opts["--output"] or None
 
     def grid(text):
         return [rational(part) for part in text.split(",")] if text else None
 
-    args.rho = rational(args.rho)
-    args.c = rational(args.c)
-    args.rho_grid = grid(getattr(args, "rho_grid", None))
-    args.c_grid = grid(getattr(args, "c_grid", None))
-    return args
+    cfg.rho = rational(opts["--rho"])
+    cfg.c = rational(opts["--c"])
+    cfg.rho_grid = grid(opts.get("--rho-grid"))
+    cfg.c_grid = grid(opts.get("--c-grid"))
+    return cfg
 
 
 def main(argv=None) -> int:
     try:
-        cfg = _parse_config(argv if argv is not None else sys.argv[1:])
-    except SystemExit as exc:  # argparse usage error
-        return int(exc.code or 0)
+        cfg = _parse_config(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:  # help, or a usage error
+        (sys.stdout if exc.code == 0 else sys.stderr).write(exc.text)
+        return exc.code
     except (ValueError, ZeroDivisionError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
@@ -428,7 +600,7 @@ def main(argv=None) -> int:
                 print(f"parameter error: {exc}", file=sys.stderr)
                 return 2
             ok = report["ok"]
-        else:  # pragma: no cover - argparse restricts the choices
+        else:  # pragma: no cover - the parser restricts the choices
             return 2
         if cfg.command == "einstein" and cfg.format == "csv":
             text = _render_csv(report["_residual_rows"])

@@ -54,15 +54,17 @@ _HALF = Fraction(1, 2)
 class FamilyParams:
     """Family parameters: rank n >= 1, slice rho > 0, deformation c >= 0.
 
-    A value object: equal parameters compare and hash alike.
+    A value object: equal parameters compare and hash alike.  ``_cache``
+    holds the jets computed from them (see :func:`coordinate_gram`).
     """
 
-    __slots__ = ("n", "rho", "c")
+    __slots__ = ("n", "rho", "c", "_cache")
 
     def __init__(self, n: int, rho, c):
         self.n = n
         self.rho = Fraction(rho)
         self.c = Fraction(c)
+        self._cache: dict = {}
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.rho <= 0:
@@ -127,11 +129,12 @@ def real_from_complex_brackets(n: int, rows: dict) -> list:
     """
 
     def cleaned(row):
-        return {
-            j: (Fraction(re), Fraction(im))
-            for j, (re, im) in row.items()
-            if Fraction(re) or Fraction(im)
-        }
+        out = {}
+        for j, (re, im) in row.items():
+            re, im = Fraction(re), Fraction(im)
+            if re or im:
+                out[j] = (re, im)
+        return out
 
     out = []
     for k in range(n):
@@ -319,10 +322,15 @@ def slice_diagonal(n: int, c) -> list:
 def coordinate_gram(p: FamilyParams) -> list:
     """Jets (g_i, g_i'/g_i, g_i''/g_i) of the slice metric's diagonal entries
     at the working rho, in coordinate order; each distinct entry is
-    evaluated once."""
-    entries = slice_diagonal(p.n, p.c)
-    jets = {entry: power_jet(p.rho, *entry) for entry in set(entries)}
-    return [jets[entry] for entry in entries]
+    evaluated once.  Cached on the parameters: ``verify`` reads the jets for
+    the evaluation map, the coordinate Ricci route and the trace identity.
+    Callers must not modify the list."""
+    cached = p._cache.get("coordinate_gram")
+    if cached is None:
+        entries = slice_diagonal(p.n, p.c)
+        jets = {entry: power_jet(p.rho, *entry) for entry in set(entries)}
+        cached = p._cache["coordinate_gram"] = [jets[entry] for entry in entries]
+    return cached
 
 
 def coordinate_gram_values(p: FamilyParams) -> list:

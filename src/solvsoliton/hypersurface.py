@@ -39,9 +39,14 @@ __all__ = [
 
 def warp_data(p: FamilyParams) -> tuple:
     """(f, f'/f, f''/f) at the working rho for the warp factor
-    f = (rho + 2c)/(4 rho^2 (rho + c))."""
-    c = p.c
-    return power_jet(p.rho, Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1)))
+    f = (rho + 2c)/(4 rho^2 (rho + c)), cached on the parameters."""
+    cached = p._cache.get("warp")
+    if cached is None:
+        c = p.c
+        cached = p._cache["warp"] = power_jet(
+            p.rho, Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1))
+        )
+    return cached
 
 
 class ShapeOperator:

@@ -61,7 +61,8 @@ class StructureConstants:
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"bad triple ({i}, {j}, {k})")
             row = upper.setdefault((i, j), {})
-            row[k] = row.get(k, Fraction(0)) + Fraction(value)
+            value = Fraction(value)
+            row[k] = row[k] + value if k in row else value
         return cls(dim, upper)
 
     def _integer_table(self) -> tuple:
@@ -113,9 +114,11 @@ def _jacobi_witness(L: StructureConstants):
     as a sparse {index: value} defect per triple, and only for the triples
     that some nonzero bracket [[e_a, e_b], e_e] reaches.  A repeated index
     gives a zero Jacobiator by antisymmetry, so those terms are skipped.
+    The sums run on the integer table (times C^2); only a witness becomes
+    ``Fraction``s.
     """
     d = L.dim
-    sp = L._sparse
+    sp, C = L._integer_table()
     # outer[m] = the indices e with a nonzero [e_m, e_e].
     outer = [[e for e in range(d) if sp[m][e]] for m in range(d)]
     defects: dict = {}
@@ -142,8 +145,7 @@ def _jacobi_witness(L: StructureConstants):
     for key in sorted(defects):
         out = defects[key]
         if any(out.values()):
-            zero = Fraction(0)
-            return (*key, [out.get(r, zero) for r in range(d)])
+            return (*key, [Fraction(out.get(r, 0), C * C) for r in range(d)])
     return None
 
 
@@ -173,10 +175,10 @@ def ad_matrix(L: StructureConstants, x) -> Matrix:
     return Matrix._trusted(out)
 
 
-def _bracket_rows(L: StructureConstants, x: dict, y: dict) -> dict:
-    """[x, y] for sparse {index: scalar} vectors, over the nonzero structure
-    constants only; zero sums may be left in."""
-    sp = L._sparse
+def _bracket_rows(sp: list, x: dict, y: dict) -> dict:
+    """C [x, y] for sparse integer {index: value} vectors, over the nonzero
+    entries of the integer table ``sp`` only (see
+    :meth:`StructureConstants._integer_table`); zero sums may be left in."""
     out: dict = {}
     for a, xa in x.items():
         row = sp[a]
@@ -188,22 +190,22 @@ def _bracket_rows(L: StructureConstants, x: dict, y: dict) -> dict:
 
 
 def _span_rows(rows) -> list:
-    """RREF rows ({index: scalar}, 1 at the pivot) of the span, in pivot order."""
+    """Primitive integer RREF rows ({index: int}) of the span of integer
+    rows, in pivot order."""
     pivots, _ = rref(rows)
     return [pivots[pc] for pc in sorted(pivots)]
 
 
 def _basis_rows(indices) -> list:
-    return [{i: Fraction(1)} for i in indices]
+    return [{i: 1} for i in indices]
 
 
 def derived_algebra(L: StructureConstants) -> list:
-    """RREF basis of [L, L]."""
+    """RREF basis of [L, L], each row 1 at its pivot."""
     d = L.dim
-    rows = _span_rows(
-        dict(L._sparse[i][j]) for i in range(d) for j in range(i + 1, d)
-    )
-    return [[row.get(k, Fraction(0)) for k in range(d)] for row in rows]
+    sp, _ = L._integer_table()
+    rows = _span_rows(dict(sp[i][j]) for i in range(d) for j in range(i + 1, d))
+    return [[Fraction(row.get(k, 0), row[min(row)]) for k in range(d)] for row in rows]
 
 
 def is_unimodular(L: StructureConstants) -> bool:
@@ -217,10 +219,11 @@ def is_unimodular(L: StructureConstants) -> bool:
 
 def is_solvable(L: StructureConstants) -> bool:
     """Derived series reaches zero."""
+    sp, _ = L._integer_table()
     current = _basis_rows(range(L.dim))
     while current:
         nxt = _span_rows(
-            _bracket_rows(L, x, y)
+            _bracket_rows(sp, x, y)
             for a, x in enumerate(current)
             for y in current[a + 1 :]
         )
@@ -232,14 +235,18 @@ def is_solvable(L: StructureConstants) -> bool:
 
 def _lower_central_series_vanishes(L: StructureConstants, indices) -> bool:
     """Nilpotency of the span of the basis vectors ``indices`` (assumed a
-    subalgebra): the series n, [n, n], [n, [n, n]], ... reaches zero."""
+    subalgebra): the series n, [n, n], [n, [n, n]], ... reaches zero.
+    [n, n] is spanned by the brackets of the pairs i < j, by antisymmetry."""
+    sp, _ = L._integer_table()
+    indices = list(indices)
     basis = _basis_rows(indices)
-    current = basis
+    size = len(basis)
+    current = _span_rows(dict(sp[i][j]) for a, i in enumerate(indices) for j in indices[a + 1 :])
     while current:
-        nxt = _span_rows(_bracket_rows(L, x, y) for x in basis for y in current)
-        if len(nxt) >= len(current):
+        if len(current) >= size:
             return False
-        current = nxt
+        size = len(current)
+        current = _span_rows(_bracket_rows(sp, x, y) for x in basis for y in current)
     return True
 
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Solving, inverses and the Sylvester test all rest on one kernel,
-:func:`rref`: a sparse reduced row echelon form over {col: Fraction} rows,
-with zero tolerance; floating point never enters.
+Inverses and the Sylvester test rest on one kernel,
+:func:`rref`: a fraction-free sparse reduced row echelon form over
+{col: int} rows, each kept primitive, with zero tolerance; floating point
+never enters.
 Characteristic polynomials are computed over the rationals via an exact
 Hessenberg reduction, and real-rootedness is decided by Sturm sequences on
 the square-free part.
@@ -17,12 +18,16 @@ __all__ = [
     "Matrix",
     "Polynomial",
     "rref",
-    "solve_exact",
     "inverse",
     "is_positive_definite",
     "char_poly",
     "real_rooted",
 ]
+
+
+# The one shared zero entry: equal lists of rows then compare untouched
+# zeros by identity.
+_ZERO = Fraction(0)
 
 
 def _coerce_entry(x):
@@ -57,14 +62,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return cls._trusted([[_ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
@@ -100,38 +98,31 @@ class Matrix:
 
     def scale(self, s) -> "Matrix":
         s = _coerce_entry(s)
-        return Matrix._trusted([[s * x for x in row] for row in self.data])
+        return Matrix._trusted(
+            [[_ZERO if x is _ZERO else s * x for x in row] for row in self.data]
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed in integers over the nonzero entries of the
+        two operands cleared to one denominator each; one ``Fraction`` per
+        nonzero entry of the result."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return Matrix._trusted(out)
+        A, da = _cleared(self.data)
+        B, db = _cleared(other.data)
+        den = da * db
+        cols = range(other.cols)
+        return Matrix._trusted(
+            [
+                [Fraction(row[j], den) if j in row else _ZERO for j in cols]
+                for row in _row_product(_sparse_rows(A), _sparse_rows(B))
+            ]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
     def __hash__(self):
         return hash(tuple(tuple(row) for row in self.data))
@@ -140,11 +131,7 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and self.data == self.transpose().data
 
     def trace(self):
         if self.rows != self.cols:
@@ -165,8 +152,11 @@ class Matrix:
 def _cleared(rows) -> tuple:
     """(integer rows, D): rational ``rows`` as integer rows over their one
     positive common denominator D, the lcm of the entries' denominators."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+    den = math.lcm(*(x.denominator for row in rows for x in row if x is not _ZERO))
+    return [
+        [0 if x is _ZERO else x.numerator * (den // x.denominator) for x in row]
+        for row in rows
+    ], den
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +164,67 @@ def _cleared(rows) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _int_row(entries) -> tuple:
+    """(row, den): the nonzero entries of a rational row as {col: int} over
+    den, the lcm of their denominators.  The shared zero is skipped by
+    identity, before any ``Fraction`` method runs."""
+    nonzero = [(c, x) for c, x in enumerate(entries) if x is not _ZERO and x]
+    den = math.lcm(*(x.denominator for _, x in nonzero))
+    return {c: x.numerator * (den // x.denominator) for c, x in nonzero}, den
+
+
+def _sparse_rows(rows) -> list:
+    """The nonzero entries of each row, as {col: value}."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _row_product(X: list, Y: list) -> list:
+    """X Y for matrices given as sparse integer rows {col: int}."""
+    out = []
+    for xrow in X:
+        acc: dict = {}
+        for k, x in xrow.items():
+            for j, y in Y[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _make_primitive(row: dict) -> None:
+    """Divide the integer ``row`` in place by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
 def _eliminate(row: dict, pc, prow: dict) -> None:
-    """Clear column pc of ``row`` in place with ``prow``, which is 1 at pc."""
+    """Clear column pc of the integer ``row`` in place with ``prow``, which is
+    positive at pc: row <- a*row - f*prow with a/f = prow[pc]/row[pc] in
+    lowest terms, so row is scaled by the positive a."""
     f = row.pop(pc)
+    a = prow[pc]
+    g = math.gcd(f, a)
+    if g > 1:
+        f //= g
+        a //= g
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, v in prow.items():
         if c == pc:
             continue
-        nv = row[c] - f * v if c in row else -(f * v)
+        nv = row.get(c, 0) - f * v
         if nv:
             row[c] = nv
         else:
-            del row[c]
+            row.pop(c, None)
 
 
 def _reduce(row: dict, pivots: dict) -> dict:
-    """A copy of ``row`` with every pivot column cleared by its pivot row.
+    """A primitive copy of ``row`` with every pivot column cleared by its
+    pivot row, a positive multiple of the row that rational elimination
+    would leave.
 
     Each pivot row leads at its own column and holds no column of a pivot
     made before it, so clearing one pivot column can only bring in columns
@@ -198,19 +234,27 @@ def _reduce(row: dict, pivots: dict) -> dict:
     while True:
         pc = next((c for c in row if c in pivots), None)
         if pc is None:
-            return row
+            break
         _eliminate(row, pc, pivots[pc])
+    if row:
+        _make_primitive(row)
+    return row
 
 
 def rref(rows):
-    """Reduced row echelon form of exact sparse rows: (pivots, leads).
+    """Reduced row echelon form of sparse integer rows: (pivots, leads).
 
-    ``rows`` is an iterable of {col: Fraction} dictionaries.  ``pivots``
-    maps each pivot column to its row, normalised to 1 at the pivot, whose
-    leftmost entry is the pivot and which is 0 at every other pivot column.
+    ``rows`` is an iterable of {col: int} dictionaries; a rational system
+    enters with each row cleared of its denominators, which leaves the
+    row space unchanged.  The elimination is fraction-free.  ``pivots``
+    maps each pivot column to its row, primitive (entries with gcd 1) and
+    positive at the pivot, whose leftmost entry is the pivot and which is 0
+    at every other pivot column: the one positive primitive multiple of the
+    rational RREF row, so it does not depend on elimination order.
     ``leads`` holds, for each input row, the (col, value) it led with after
-    reduction by the rows before it, or None if it reduced to zero.  The
-    RREF is unique, so neither depends on elimination order.
+    reduction by the rows before it, or None if it reduced to zero; value is
+    a positive multiple of the lead that rational elimination would give,
+    so it has the same sign.  A caller divides once, on the way out.
     """
     pivots: dict = {}
     leads = []
@@ -220,43 +264,51 @@ def rref(rows):
             leads.append(None)
             continue
         pc = min(row)
-        d = row[pc]
-        leads.append((pc, d))
-        pivots[pc] = {c: v / d for c, v in row.items()}
+        v = row[pc]
+        leads.append((pc, v))
+        if v < 0:
+            for c in row:
+                row[c] = -row[c]
+        pivots[pc] = row
     # Back-substitute, rightmost pivot first, so each row is cleared against
-    # rows that are already reduced.
+    # rows that are already reduced; each elimination keeps the pivot
+    # positive.
     for pc in sorted(pivots, reverse=True):
         row = pivots[pc]
-        for qc in [c for c in row if c != pc and c in pivots]:
+        others = [c for c in row if c != pc and c in pivots]
+        for qc in others:
             _eliminate(row, qc, pivots[qc])
+        if others:
+            _make_primitive(row)
     return pivots, leads
 
 
-def solve_exact(A: Matrix, b: Matrix):
-    """Solve A x = b exactly; returns None when the system is inconsistent.
-
-    Works for rectangular A; when the solution is underdetermined the free
-    variables are set to zero.
-    """
-    if A.rows != b.rows:
-        raise ValueError("A and b must have the same number of rows")
-    n = A.cols
-    pivots, _ = rref(dict(enumerate(a + r)) for a, r in zip(A.data, b.data))
-    if any(pc >= n for pc in pivots):
-        return None  # a row of A reduced to zero with a nonzero right-hand side
-    x = Matrix.zeros(n, b.cols)
-    for pc, row in pivots.items():
-        x.data[pc] = [row.get(n + j, Fraction(0)) for j in range(b.cols)]
-    return x
-
-
 def inverse(A: Matrix) -> Matrix:
+    """A^{-1}, from the RREF of the integer rows of [A | I].
+
+    With L the lcm of the pivots, L A^{-1} is an integer matrix X, and
+    A X = L I is checked in integers on the cleared rows of A before any
+    ``Fraction`` is formed.
+    """
     if A.rows != A.cols:
         raise ValueError("inverse of a non-square matrix")
-    x = solve_exact(A, Matrix.identity(A.rows))
-    if x is None or (A @ x) != Matrix.identity(A.rows):
+    n = A.rows
+    cleared = [_int_row(entries) for entries in A.data]
+    pivots, _ = rref({**row, n + i: den} for i, (row, den) in enumerate(cleared))
+    if len(pivots) != n or max(pivots) >= n:
         raise ValueError("matrix is singular")
-    return x
+    L = math.lcm(*(row[pc] for pc, row in pivots.items()))
+    X = [None] * n
+    for pc, row in pivots.items():
+        f = L // row[pc]
+        X[pc] = {c - n: f * v for c, v in row.items() if c >= n}
+    # Row i of A, cleared by den_i, times X is den_i * L * e_i.
+    products = _row_product([row for row, _ in cleared], X)
+    if any(prod != {i: den * L} for i, (prod, (_, den)) in enumerate(zip(products, cleared))):
+        raise ValueError("matrix is singular")
+    return Matrix._trusted(
+        [[Fraction(xrow[j], L) if j in xrow else _ZERO for j in range(n)] for xrow in X]
+    )
 
 
 def is_positive_definite(G: Matrix) -> bool:
@@ -264,12 +316,13 @@ def is_positive_definite(G: Matrix) -> bool:
 
     Row k of G, reduced by the rows before it, leads at column k with the
     ratio of the (k+1)-th to the k-th leading minor exactly when those k
-    minors are nonzero; so G is positive definite iff every row does, with
-    a positive value.
+    minors are nonzero; the integer elimination keeps that value's sign, so
+    G is positive definite iff every row leads at its own column with a
+    positive value.
     """
     if not G.is_symmetric():
         return False
-    _, leads = rref(dict(enumerate(row)) for row in G.data)
+    _, leads = rref(_int_row(row)[0] for row in G.data)
     return all(
         lead is not None and lead[0] == k and lead[1] > 0
         for k, lead in enumerate(leads)

@@ -14,6 +14,7 @@ left-invariant metrics, summed over the nonzero structure constants only.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import takewhile
 
@@ -21,11 +22,18 @@ from .lie_core import (
     Splitting,
     StructureConstants,
     _leibniz_defects,
-    ad_matrix,
     subalgebra,
     verify_splitting,
 )
-from .linalg import Matrix, _cleared, inverse, is_positive_definite
+from .linalg import (
+    _ZERO,
+    Matrix,
+    _cleared,
+    _row_product,
+    _sparse_rows,
+    inverse,
+    is_positive_definite,
+)
 
 __all__ = [
     "MetricLieAlgebra",
@@ -33,13 +41,9 @@ __all__ = [
     "connection_coeffs",
     "ricci_bilinear",
     "ricci_endomorphism_koszul",
-    "adjoint_operator",
     "soliton_check_direct",
     "soliton_check_lauret",
 ]
-
-_HALF = Fraction(1, 2)
-
 
 class MetricLieAlgebra:
     """Structure constants plus a symmetric positive-definite Gram matrix."""
@@ -79,16 +83,13 @@ class MetricLieAlgebra:
 
 
 def _cleared_inverse(M: MetricLieAlgebra) -> tuple:
-    """G^{-1} as (integer rows, D_H), cached on the metric algebra."""
+    """G^{-1} as (sparse integer rows {col: int}, D_H), cached on the
+    metric algebra."""
     cleared = M._cache.get("Ginv_int")
     if cleared is None:
-        cleared = M._cache["Ginv_int"] = _cleared(M.gram_inverse().data)
+        rows, DH = _cleared(M.gram_inverse().data)
+        cleared = M._cache["Ginv_int"] = (_sparse_rows(rows), DH)
     return cleared
-
-
-def _sparse_rows(rows) -> list:
-    """The nonzero (column, value) pairs of each row."""
-    return [[(k, v) for k, v in enumerate(row) if v] for row in rows]
 
 
 def connection_coeffs(M: MetricLieAlgebra) -> tuple:
@@ -110,10 +111,9 @@ def connection_coeffs(M: MetricLieAlgebra) -> tuple:
     d = L.dim
     sp, C = L._integer_table()
     g_int, DG = _cleared(M.G.data)
-    h_int, DH = _cleared_inverse(M)
     # Sparse rows of the symmetric G and G^{-1}.
     g_rows = _sparse_rows(g_int)
-    ginv = _sparse_rows(h_int)
+    ginv, DH = _cleared_inverse(M)
     w: dict = {}
     by_value: dict = {}
     for i in range(d):
@@ -122,7 +122,7 @@ def connection_coeffs(M: MetricLieAlgebra) -> tuple:
                 continue
             wij: dict = {}
             for m, v in sp[i][j]:
-                for k, g in g_rows[m]:
+                for k, g in g_rows[m].items():
                     wij[k] = wij.get(k, 0) + v * g
             wij = w[i, j] = {k: x for k, x in wij.items() if x}
             for k, x in wij.items():
@@ -137,14 +137,17 @@ def connection_coeffs(M: MetricLieAlgebra) -> tuple:
         col: dict = {}
         for k, x in rhs.items():
             if x:
-                for r, g in ginv[k]:
+                for r, g in ginv[k].items():
                     col[r] = col.get(r, 0) + g * x
         gamma[i][j] = {r: x for r, x in col.items() if x}
     return gamma, 2 * DG * DH * C
 
 
-def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
-    """Gram matrix of the Ricci form: Ric(e_i, e_j) = tr(v -> R(v, e_i) e_j).
+def ricci_bilinear(M: MetricLieAlgebra) -> tuple:
+    """Gram matrix of the Ricci form, Ric(e_i, e_j) = tr(v -> R(v, e_i) e_j),
+    as integer rows over one denominator: (rows, den) with
+    Ric_ij = rows[i][j] / den, and den the lcm of the entries' reduced
+    denominators.
 
     With Gamma_ij^m the coordinates of nabla_{e_i} e_j and c_ki^m the
     structure constants,
@@ -152,8 +155,8 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
              - sum_{k,m} c_ki^m Gamma_mj^k,  t_m = sum_k Gamma_km^k,
     each sum taken over the nonzero entries of the sparse columns only.
     The sums run in integers, on S Gamma and C c (see
-    :func:`connection_coeffs`), as S^2 Ric; each entry becomes a Fraction
-    once, at the end.
+    :func:`connection_coeffs`), as S^2 Ric, which is divided once by the
+    gcd of its entries and S^2.
     """
     L = M.L
     d = L.dim
@@ -171,8 +174,6 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
             x = gamma[k][m].get(k)
             if x:
                 trace[m] = trace.get(m, 0) + x
-    den = S * S
-    zero = Fraction(0)
     out = []
     for i in range(d):
         row: dict = {}
@@ -190,37 +191,53 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
                 v *= f
                 for j, y in by_row[m][k].items():
                     row[j] = row.get(j, 0) - v * y
-        out.append([Fraction(row[j], den) if row.get(j) else zero for j in range(d)])
-    return Matrix._trusted(out)
+        out.append([row.get(j, 0) for j in range(d)])
+    return _lowest_terms(out, S * S)
+
+
+def _lowest_terms(rows: list, den: int) -> tuple:
+    """(rows, den) divided by the gcd of den and every entry, so that den
+    is the lcm of the reduced denominators of the entries rows/den."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    return rows, den
+
+
+def _fraction_rows(rows: list, den: int) -> list:
+    """The ``Fraction`` rows of the integer rows over den."""
+    return [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
+
+
+def _ricci_endomorphism_rows(M: MetricLieAlgebra) -> tuple:
+    """The Ricci endomorphism as integer rows over one denominator,
+    (rows, den), multiplied out from G^{-1} over D_H and the Ricci form
+    over its denominator.  Cached on the metric algebra."""
+    cached = M._cache.get("ricci_int")
+    if cached is None:
+        R, DR = ricci_bilinear(M)
+        h_rows, DH = _cleared_inverse(M)
+        out = []
+        for hrow in h_rows:
+            acc = [0] * len(R)
+            for k, h in hrow.items():
+                for j, x in enumerate(R[k]):
+                    acc[j] += h * x
+            out.append(acc)
+        cached = M._cache["ricci_int"] = _lowest_terms(out, DH * DR)
+    return cached
 
 
 def ricci_endomorphism_koszul(M: MetricLieAlgebra) -> Matrix:
     """Ricci endomorphism: Gram-inverse times the Ricci bilinear form,
-    multiplied in integers over D_H and the form's denominator.
-    Cached on the metric algebra."""
-    cached = M._cache.get("ricci_endo")
-    if cached is not None:
-        return cached
-    R, DR = _cleared(ricci_bilinear(M).data)
-    h_int, DH = _cleared_inverse(M)
-    den = DH * DR
-    zero = Fraction(0)
-    out = []
-    for hrow in _sparse_rows(h_int):
-        acc = [0] * len(R)
-        for k, h in hrow:
-            for j, x in enumerate(R[k]):
-                acc[j] += h * x
-        out.append([Fraction(x, den) if x else zero for x in acc])
-    ric = M._cache["ricci_endo"] = Matrix._trusted(out)
+    multiplied in integers; one ``Fraction`` per nonzero entry.  Cached on
+    the metric algebra."""
+    ric = M._cache.get("ricci_endo")
+    if ric is None:
+        rows, den = _ricci_endomorphism_rows(M)
+        ric = M._cache["ricci_endo"] = Matrix._trusted(_fraction_rows(rows, den))
     return ric
-
-
-def adjoint_operator(M: MetricLieAlgebra, A: Matrix) -> Matrix:
-    """Metric adjoint A* = G^{-1} A^T G."""
-    if A.rows != M.dim or A.cols != M.dim:
-        raise ValueError("operator size does not match the algebra")
-    return M.gram_inverse() @ A.transpose() @ M.G
 
 
 class SolitonVerdict:
@@ -287,8 +304,7 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
 def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     L = M.L
     d = L.dim
-    ric = ricci_endomorphism_koszul(M)
-    R, DR = _cleared(ric.data)
+    R, DR = _ricci_endomorphism_rows(M)
     lam = Fraction(0)
     ident = [[int(r == s) for s in range(d)] for r in range(d)]
     first = next(_leibniz_defects(L, ident), None)
@@ -311,7 +327,7 @@ def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     D = Matrix._trusted(
         [
             [x - lam if r == s else x for s, x in enumerate(row)]
-            for r, row in enumerate(ric.data)
+            for r, row in enumerate(ricci_endomorphism_koszul(M).data)
         ]
     )
     return SolitonVerdict(
@@ -332,7 +348,10 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
 
     The splitting must verify first.  The verdict's checklist keys are
     "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
-    the first failing matrix.
+    the first failing matrix.  For each basis vector A of the abelian part,
+    ad A, its metric adjoint ad A* = G^{-1} (ad A)^T G, their commutator and
+    tr(sym(ad A)^2) are formed as sparse integer rows over one denominator,
+    E = C D_G D_H for ad A and ad A*; only a witness becomes ``Fraction``s.
     """
     report = M.splitting_report(s)
     if not report.ok:
@@ -346,18 +365,33 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     cond_abelian = report.a_is_abelian
     witness = None
 
+    sp, C = M.L._integer_table()
+    g_int, DG = _cleared(M.G.data)
+    g_rows = _sparse_rows(g_int)
+    h_rows, DH = _cleared_inverse(M)
+    scale = DG * DH
+    E = C * scale
     cond_normal = True
     a_ads = []
     for i in s.a_indices:
-        x = [Fraction(int(r == i)) for r in range(d)]
-        ad_a = ad_matrix(M.L, x)
-        ad_a_star = adjoint_operator(M, ad_a)
-        a_ads.append((i, ad_a, ad_a_star))
-        comm = ad_a @ ad_a_star - ad_a_star @ ad_a
-        if not comm.is_zero():
+        # Row j of C (ad A)^T holds C [e_i, e_j]; E ad A is its transpose
+        # times D_G D_H, and E ad A* = H (C (ad A)^T) G in integers.
+        ad_t = [dict(col) for col in sp[i]]
+        ad = [{} for _ in range(d)]
+        for j, col in enumerate(ad_t):
+            for k, v in col.items():
+                ad[k][j] = v * scale
+        star = _row_product(h_rows, _row_product(ad_t, g_rows))
+        a_ads.append((i, ad, star))
+        ad_star, star_ad = _row_product(ad, star), _row_product(star, ad)
+        if ad_star != star_ad:
             cond_normal = False
             if witness is None:
-                witness = comm
+                comm = [
+                    [x.get(j, 0) - y.get(j, 0) for j in range(d)]
+                    for x, y in zip(ad_star, star_ad)
+                ]
+                witness = Matrix._trusted(_fraction_rows(comm, E * E))
 
     direct = soliton_check_direct(M)
     if direct.is_soliton:
@@ -371,10 +405,16 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     if lam is None or lam == 0:
         cond_norm = not a_ads  # vacuous only when the abelian part is empty
     else:
-        for i, ad_a, ad_a_star in a_ads:
-            sym = (ad_a + ad_a_star).scale(_HALF)
-            target = -(sym @ sym).trace() / lam
-            if M.G.data[i][i] != target:
+        for i, ad, star in a_ads:
+            # sym(ad A) = (ad + star) / (2E), so tr(sym^2) = T / (4 E^2)
+            # with T = tr((ad + star)^2).
+            sym = [dict(row) for row in ad]
+            for r, row in enumerate(star):
+                srow = sym[r]
+                for j, v in row.items():
+                    srow[j] = srow.get(j, 0) + v
+            T = sum(v * sym[j].get(r, 0) for r, row in enumerate(sym) for j, v in row.items())
+            if M.G.data[i][i] != Fraction(-T, 4 * E * E) / lam:
                 cond_norm = False
     checklist = {
         "nilsoliton": cond_nil,

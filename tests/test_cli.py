@@ -128,6 +128,12 @@ class TestUsageErrors:
     )
     def test_einstein_metric_not_finite_or_singular(self, capsys, n, rho, c):
         code, out, err = run(capsys, "einstein", "--n", n, "--rho", rho, "--c", c)
+        if (n, rho, c) == ("1", "1", "1e300"):
+            # every float of this metric is finite; only the square of
+            # rho + 2c inside a jet's l2 sum overflows, and that term is 0
+            assert (code, err) == (0, "")
+            assert "max_residual: 1.318410e-15" in out
+            return
         assert code == 2
         assert out == ""
         assert err.startswith("parameter error: ") and err.count("\n") == 1
@@ -507,6 +513,31 @@ def test_exact_commands_load_only_what_they_use(argv, module):
     assert_module_not_loaded(argv, module)
 
 
+@pytest.mark.parametrize("module", ["argparse", "gettext", "locale", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2", "--rho", "1", "--c", "0", "--format", "json"],
+        ["einstein", "--n", "2", "--rho", "1", "--c", "0", "--format", "json"],
+        ["sweep", "--n", "2", "--rho-grid", "1", "--c-grid", "0,1", "--format", "csv"],
+    ],
+)
+def test_commands_load_no_parser_or_json_module(argv, module):
+    assert_module_not_loaded(argv, module)
+
+
+def test_importing_the_cli_loads_no_argparse():
+    src = str(Path(solvsoliton.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, solvsoliton.cli; print('argparse' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_einstein_does_not_load_numpy():
     argv = ["einstein", "--n", "4", "--rho", "11/13", "--c", "9/14", "--format", "json"]
     assert_module_not_loaded(argv, "numpy")
@@ -647,3 +678,133 @@ def test_run_freezes_only_on_the_way_out():
         timeout=120,
     )
     assert proc.stdout.split() == ["0", "1", "True"]
+
+
+# ---------------------------------------------------------------------------
+# the front end: option syntax, usage errors, help
+# ---------------------------------------------------------------------------
+
+INSTANCE = ["--n", "2", "--rho", "11/13", "--c", "9/14"]
+
+
+def both_entries(capsys, argv: list):
+    """(code, stdout, stderr) of ``main``, checked equal to the module entry's."""
+    proc = module_run(argv)
+    got = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        got[0],
+        got[1].encode(),
+        got[2].encode(),
+    )
+    return got
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["frobnicate", *INSTANCE], id="unknown-command"),
+        pytest.param(["verify", *INSTANCE, "--bogus", "1"], id="unknown-option"),
+        pytest.param(["verify", *INSTANCE, "--format"], id="option-without-value"),
+        pytest.param(["verify", "--rho", "--c", "0", "--n", "2"], id="value-is-an-option"),
+        pytest.param(["verify", "--n", "x", "--rho", "1", "--c", "0"], id="n-not-an-int"),
+        pytest.param(["verify", *INSTANCE, "--format", "xml"], id="unknown-format"),
+        pytest.param(["verify", "--n", "2", "--c", "0"], id="missing-rho"),
+        pytest.param(["verify", *INSTANCE, "extra"], id="stray-argument"),
+        pytest.param(["verify", "--form", "json", *INSTANCE], id="abbreviated-option"),
+    ],
+)
+def test_usage_errors_exit_2_with_usage_and_error_lines(capsys, argv):
+    code, out, err = both_entries(capsys, argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("usage: solvsoliton")
+    assert lines[1].startswith("solvsoliton: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", "--n", "2", "--c", "0"], "the following arguments are required: --rho"),
+        (["verify", *INSTANCE, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["verify", "--n", "x", "--rho", "1", "--c", "0"], "argument --n: invalid int value: 'x'"),
+        (["verify", *INSTANCE, "--format"], "argument --format: expected one argument"),
+        (["verify", "--rho", "--c", "0", "--n", "2"], "argument --rho: expected one argument"),
+    ],
+)
+def test_usage_error_names_the_fault(capsys, argv, expected):
+    _, _, err = run(capsys, *argv)
+    assert expected in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "3", "--rho", "11/13", "--c", "9/14", "--format", "json"],
+        ["sweep", "--n", "3", "--rho-grid", "1,5/3", "--c-grid", "0,9/14", "--format", "csv"],
+    ],
+)
+def test_equals_form_gives_the_same_bytes(capsys, argv):
+    joined = [argv[0]] + [f"{k}={v}" for k, v in zip(argv[1::2], argv[2::2])]
+    assert both_entries(capsys, joined) == run(capsys, *argv)
+    assert run(capsys, *joined)[0] == 0
+
+
+def test_the_last_repeat_wins(capsys):
+    argv = ["verify", "--n", "5", *INSTANCE, "--format", "text", "--format", "json"]
+    assert run(capsys, *argv) == run(capsys, "verify", *INSTANCE, "--format", "json")
+
+
+def test_negative_number_is_a_value(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--rho", "1", "--c", "-1/2")
+    assert code == 2 and out == ""
+    assert err == "parameter error: need n >= 1, rho > 0, c >= 0\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize(
+    "command", [None, "verify", "ricci", "soliton", "spectrum", "einstein", "sweep"]
+)
+def test_help_exits_0(capsys, command, flag):
+    argv = [flag] if command is None else [command, "--n", "2", flag]
+    code, out, err = both_entries(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: solvsoliton ")
+    if command is None:
+        assert all(name in out for name in cli.COMMANDS)
+    else:
+        assert "--rho RHO" in out and "--format {text,json,csv}" in out
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against the standard library
+# ---------------------------------------------------------------------------
+
+json_strings = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\x80\xe9\u2028\ud800\udfff\U0001f600\U0010ffff'),
+    )
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), json_strings),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(json_strings, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(json_values)
+def test_json_writer_equals_the_standard_library(value):
+    assert cli._render_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {2}}, Fraction(1, 2)])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._render_json(value)
+

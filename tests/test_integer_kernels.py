@@ -1,35 +1,65 @@
-"""The integer curvature kernels equal their Fraction references exactly.
+"""The integer kernels equal their Fraction references exactly.
 
 ``connection_coeffs``, ``ricci_bilinear``, ``ricci_endomorphism_koszul``,
-the direct soliton verdict and ``is_derivation`` run on integers over
-cleared denominators; ``tests/oracles.py`` keeps the same loops over
-``Fraction`` entries.  The draws cover the family at n = 1..4 with rho and c
-of 1 to 12 bits (c = 0 in part of them), and random rational Gram matrices
-with non-diagonal inverses.
+the direct soliton verdict, ``is_derivation``, the Jacobi witness, the
+lower central series behind ``verify_splitting``, ``rref``, ``inverse``,
+``Matrix.__matmul__`` and the checklist route ``soliton_check_lauret`` run
+on integers over cleared denominators; ``tests/oracles.py`` keeps the same
+loops over ``Fraction`` entries.  The draws cover the family at n = 1..5
+with rho and c of 1 to 12 bits (c = 0 in part of them), random rational
+Gram matrices B^T B + I with non-diagonal inverses, and random structure
+constants that break the Jacobi identity.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     fraction_connection_coeffs,
     fraction_direct_verdict,
+    fraction_inverse,
     fraction_is_derivation,
+    fraction_jacobi_witness,
+    fraction_matmul,
     fraction_ricci_bilinear,
     fraction_ricci_endomorphism,
+    fraction_rref,
+    fraction_soliton_check_lauret,
+    fraction_verify_splitting,
+    identity,
 )
 
-from solvsoliton.family import FamilyParams, build_lie_algebra, metric_algebra
-from solvsoliton.lie_core import is_derivation
-from solvsoliton.linalg import Matrix
+from solvsoliton import cli
+from solvsoliton.family import (
+    FamilyParams,
+    build_embedding,
+    build_lie_algebra,
+    family_splitting,
+    metric_algebra,
+)
+from solvsoliton.hypersurface import ricci_endomorphism_coords
+from solvsoliton.lie_core import (
+    Splitting,
+    StructureConstants,
+    _jacobi_witness,
+    is_derivation,
+    verify_splitting,
+)
+from solvsoliton.linalg import Matrix, _int_row, inverse, rref
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     connection_coeffs,
     ricci_bilinear,
     ricci_endomorphism_koszul,
     soliton_check_direct,
+    soliton_check_lauret,
 )
+
+SLOW = settings(derandomize=True, deadline=None, max_examples=15)
+FAST = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 @st.composite
@@ -44,22 +74,56 @@ def bits_rational(draw):
 
 
 @st.composite
-def family_metrics(draw):
-    n = draw(st.integers(1, 4))
+def family_params(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
     rho = draw(bits_rational())
     c = draw(st.one_of(st.just(Fraction(0)), bits_rational()))
-    return metric_algebra(FamilyParams(n, rho, c))
+    return FamilyParams(n, rho, c)
+
+
+def family_metrics(max_n=4):
+    return family_params(max_n).map(metric_algebra)
+
+
+small_fractions = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 9))
+
+
+def square_matrices(d: int):
+    return st.lists(
+        st.lists(small_fractions, min_size=d, max_size=d), min_size=d, max_size=d
+    ).map(Matrix)
+
+
+@st.composite
+def random_grams(draw, d: int):
+    """B^T B + I for a random rational B: every row of the inverse is dense."""
+    B = draw(square_matrices(d))
+    return B.transpose() @ B + identity(d)
 
 
 @st.composite
 def random_gram_metrics(draw):
-    """The family algebra at n = 1 or 2 under G = B^T B + I for a random
-    rational B, so that every row of G^{-1} is dense."""
+    """The family algebra at n = 1 or 2 under a random Gram B^T B + I."""
     L = build_lie_algebra(draw(st.integers(1, 2)))
-    d = L.dim
-    entry = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 9))
-    B = Matrix(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)))
-    return MetricLieAlgebra(L, B.transpose() @ B + Matrix.identity(d))
+    return MetricLieAlgebra(L, draw(random_grams(L.dim)))
+
+
+@st.composite
+def random_algebras(draw):
+    """Random sparse structure constants on 3 to 6 basis vectors; the
+    Jacobi identity fails for most of them."""
+    d = draw(st.integers(3, 6))
+    triple = st.tuples(
+        st.integers(0, d - 2), st.integers(1, d - 1), st.integers(0, d - 1), small_fractions
+    ).filter(lambda t: t[0] < t[1])
+    return StructureConstants.from_triples(d, draw(st.lists(triple, max_size=8)))
+
+
+@st.composite
+def random_splittings(draw, d: int):
+    """A random partition of range(d) into an abelian and a nilpotent part."""
+    a = draw(st.sets(st.integers(0, d - 1), max_size=2))
+    return Splitting(sorted(a), [i for i in range(d) if i not in a])
 
 
 def assert_kernels_match(M: MetricLieAlgebra, r: int, s: int):
@@ -69,7 +133,12 @@ def assert_kernels_match(M: MetricLieAlgebra, r: int, s: int):
     assert [
         [{k: Fraction(x, S) for k, x in col.items()} for col in row] for row in gamma
     ] == fraction_connection_coeffs(M)
-    assert ricci_bilinear(M) == fraction_ricci_bilinear(M)
+    rows, den = ricci_bilinear(M)
+    assert all(type(x) is int for row in rows for x in row)
+    want = fraction_ricci_bilinear(M)
+    assert Matrix([[Fraction(x, den) for x in row] for row in rows]) == want
+    # den is the lcm of the entries' reduced denominators
+    assert den == math.lcm(*(x.denominator for row in want.data for x in row))
     ric = ricci_endomorphism_koszul(M)
     assert ric == fraction_ricci_endomorphism(M)
 
@@ -88,13 +157,155 @@ def assert_kernels_match(M: MetricLieAlgebra, r: int, s: int):
         assert is_derivation(L, X) == fraction_is_derivation(L, X)
 
 
+def assert_same_verdict(got, want):
+    assert got.status == want.status
+    assert got.lambda_ == want.lambda_
+    assert got.lambda_source == want.lambda_source
+    assert got.checklist == want.checklist
+    assert got.D == want.D
+    assert got.witness == want.witness
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(family_metrics(), st.integers(0, 15), st.integers(0, 15))
 def test_family_kernels_equal_the_fraction_oracle(M, r, s):
     assert_kernels_match(M, r, s)
 
 
-@settings(derandomize=True, deadline=None, max_examples=15)
+@SLOW
 @given(random_gram_metrics(), st.integers(0, 7), st.integers(0, 7))
 def test_random_gram_kernels_equal_the_fraction_oracle(M, r, s):
     assert_kernels_match(M, r, s)
+
+
+# --- the Jacobi witness ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_family_has_no_jacobi_witness(n):
+    L = build_lie_algebra(n)
+    assert _jacobi_witness(L) is None is fraction_jacobi_witness(L)
+
+
+@FAST
+@given(random_algebras())
+def test_jacobi_witness_equals_the_fraction_oracle(L):
+    got = _jacobi_witness(L)
+    assert got == fraction_jacobi_witness(L)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got[3])
+
+
+# --- the splitting report ------------------------------------------------------
+
+
+def assert_same_report(L, s, G):
+    got, want = verify_splitting(L, s, G), fraction_verify_splitting(L, s, G)
+    fields = type(got).__slots__
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+@SLOW
+@given(family_params(), st.data())
+def test_family_splitting_report_equals_the_fraction_oracle(p, data):
+    M = metric_algebra(p)
+    assert_same_report(M.L, family_splitting(p.n), M.G)
+    assert_same_report(M.L, data.draw(random_splittings(M.dim)), M.G)
+
+
+@FAST
+@given(random_algebras(), st.data())
+def test_random_splitting_report_equals_the_fraction_oracle(L, data):
+    assert_same_report(L, data.draw(random_splittings(L.dim)), identity(L.dim))
+
+
+# --- rref, inverse and products ----------------------------------------------
+
+
+@FAST
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(small_fractions, min_size=n, max_size=n), min_size=1, max_size=6
+)))
+def test_rref_equals_the_fraction_oracle(rows):
+    pivots, leads = rref(_int_row(row)[0] for row in rows)
+    want, want_leads = fraction_rref(dict(enumerate(row)) for row in rows)
+    assert {
+        pc: {c: Fraction(v, row[pc]) for c, v in row.items()} for pc, row in pivots.items()
+    } == want
+    assert [None if lead is None else lead[0] for lead in leads] == [
+        None if lead is None else lead[0] for lead in want_leads
+    ]
+    assert all(
+        (a is None) == (b is None) and (a is None or (a[1] > 0) == (b[1] > 0))
+        for a, b in zip(leads, want_leads)
+    )
+
+
+@SLOW
+@given(family_params())
+def test_family_inverse_equals_the_fraction_oracle(p):
+    M = metric_algebra(p)
+    assert inverse(M.G) == fraction_inverse(M.G) == M.gram_inverse()
+    P = build_embedding(p, M.G)
+    assert inverse(P) == fraction_inverse(P)
+
+
+@FAST
+@given(st.integers(1, 6).flatmap(random_grams))
+def test_random_gram_inverse_equals_the_fraction_oracle(G):
+    assert inverse(G) == fraction_inverse(G)
+
+
+@FAST
+@given(st.integers(1, 4).flatmap(square_matrices))
+def test_singular_or_not_as_the_fraction_oracle(A):
+    try:
+        want = fraction_inverse(A)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(A)
+    else:
+        assert inverse(A) == want
+
+
+@FAST
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(square_matrices(d), square_matrices(d))))
+def test_matmul_equals_the_fraction_oracle(pair):
+    A, B = pair
+    assert A @ B == fraction_matmul(A, B)
+
+
+@SLOW
+@given(family_params())
+def test_coordinate_route_equals_the_fraction_oracle(p):
+    M = metric_algebra(p)
+    P = build_embedding(p, M.G)
+    coords = ricci_endomorphism_coords(p)
+    want = fraction_matmul(fraction_matmul(fraction_inverse(P), coords), P)
+    assert cli._three_way_ricci(p, M)[2] == want
+    assert want == ricci_endomorphism_koszul(M)
+
+
+# --- the checklist route ---------------------------------------------------------
+
+
+@SLOW
+@given(family_params())
+def test_family_lauret_verdict_equals_the_fraction_oracle(p):
+    M = metric_algebra(p)
+    s = family_splitting(p.n)
+    assert_same_verdict(soliton_check_lauret(M, s), fraction_soliton_check_lauret(M, s))
+
+
+@SLOW
+@given(st.integers(1, 2), st.data())
+def test_random_gram_lauret_verdict_equals_the_fraction_oracle(n, data):
+    L = build_lie_algebra(n)
+    G = data.draw(random_grams(L.dim))
+    s = family_splitting(n)
+    # the checklist needs the abelian part orthogonal to the nilradical
+    for i in s.a_indices:
+        for j in s.n_indices:
+            G.data[i][j] = G.data[j][i] = Fraction(0)
+    M = MetricLieAlgebra(L, G)
+    assert_same_verdict(soliton_check_lauret(M, s), fraction_soliton_check_lauret(M, s))

@@ -9,7 +9,9 @@ from oracles import (
     column,
     column_of,
     expected_ad_b1r,
+    identity,
     killing_form,
+    solve_exact,
     sparse_nullspace,
 )
 
@@ -36,7 +38,7 @@ from solvsoliton.lie_core import (
     subalgebra,
     verify_splitting,
 )
-from solvsoliton.linalg import Matrix, rref, solve_exact
+from solvsoliton.linalg import Matrix, _int_row, rref
 
 
 def basis_vec(d, i):
@@ -265,11 +267,11 @@ class TestDerivedAlgebra:
     def test_derived_is_an_ideal(self):
         L = build_lie_algebra(3)
         vecs = derived_algebra(L)
-        rows = [dict(enumerate(v)) for v in vecs]
+        rows = [_int_row(v)[0] for v in vecs]
         for i in range(L.dim):
             for v in vecs:
                 w = bracket(L, basis_vec(L.dim, i), v)
-                assert len(rref([*rows, dict(enumerate(w))])[0]) == len(vecs)
+                assert len(rref([*rows, _int_row(w)[0]])[0]) == len(vecs)
 
 
 class TestUnimodularSolvable:
@@ -398,7 +400,7 @@ class TestDerivationSpace:
 
     def test_non_derivation_detected(self):
         L = heis3()
-        D = Matrix.identity(3)
+        D = identity(3)
         ok, witness = is_derivation(L, D)
         assert not ok and witness == (0, 1)
 
@@ -452,7 +454,7 @@ class TestSplitting:
     @staticmethod
     def flags(L, a, n, G=None):
         if G is None:
-            G = Matrix.identity(L.dim)
+            G = identity(L.dim)
         report = verify_splitting(L, Splitting(a, n), G)
         assert not report.ok
         return (
@@ -482,7 +484,7 @@ class TestSplitting:
         assert self.flags(heis3(), (0, 1), (2,)) == (True, True, True, False, True)
 
     def test_a_not_orthogonal_to_n(self):
-        G = Matrix.identity(7)
+        G = identity(7)
         G.data[0][3] = G.data[3][0] = Fraction(1, 2)
         s = family_splitting(2)
         flags = self.flags(build_lie_algebra(2), s.a_indices, s.n_indices, G)

@@ -1,13 +1,15 @@
 """Exact linear algebra: solving, kernels, characteristic polynomials, Sturm."""
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import bracket, column, nullspace, sparse_nullspace
+from oracles import bracket, column, identity, nullspace, solve_exact, sparse_nullspace
 
+from solvsoliton import linalg
 from solvsoliton.family import FamilyParams, build_embedding, build_gram, build_lie_algebra
 from solvsoliton.lie_core import ad_matrix
 from solvsoliton.linalg import (
@@ -18,7 +20,6 @@ from solvsoliton.linalg import (
     is_positive_definite,
     real_rooted,
     rref,
-    solve_exact,
 )
 from solvsoliton.scalars import surd
 
@@ -56,7 +57,7 @@ class TestEntries:
 
 class TestSolve:
     def test_identity(self):
-        x = solve_exact(Matrix.identity(3), column([1, 2, 3]))
+        x = solve_exact(identity(3), column([1, 2, 3]))
         assert x == column([1, 2, 3])
 
     def test_inconsistent_rank_deficient(self):
@@ -72,7 +73,7 @@ class TestSolve:
 
         M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
         ric = ricci_endomorphism_koszul(M)
-        D = ric - Matrix.identity(7).scale(Fraction(-8))
+        D = ric - identity(7).scale(Fraction(-8))
         assert D == build_delta(2).scale(Fraction(6))
 
     def test_roundtrip_randomized(self):
@@ -210,26 +211,34 @@ class TestRref:
         rng = random.Random(3)
         for _ in range(20):
             m, n = rng.randint(1, 7), rng.randint(1, 7)
-            rows = [dict(enumerate(r)) for r in rand_matrix(rng, m, n, -2, 2).data]
+            rows = [
+                {c: rng.randint(-2, 2) for c in range(n)} for _ in range(m)
+            ]
             pivots, _ = rref(rows)
             rng.shuffle(rows)
             assert rref(rows)[0] == pivots
             assert len(pivots) == _row_rank(Matrix([list(r.values()) for r in rows]))
             for pc, row in pivots.items():
-                assert min(row) == pc and row[pc] == 1
+                assert min(row) == pc and row[pc] > 0
+                assert all(type(v) is int and v for v in row.values())
+                assert math.gcd(*row.values()) == 1
                 assert not any(qc in row for qc in pivots if qc != pc)
 
     def test_leads_are_ratios_of_leading_minors(self):
+        # up to a positive factor per row: the integer elimination scales a
+        # row only by positive multipliers, so each lead keeps the sign of
+        # the ratio of consecutive leading minors
         rng = random.Random(11)
         for _ in range(10):
             n = rng.randint(1, 5)
-            G = _gram(rand_matrix(rng, n, n), Matrix.identity(n))
+            G = _gram(rand_matrix(rng, n, n), identity(n))
             minors = _leading_minors(G)
             if not all(minors):
                 continue
-            _, leads = rref([dict(enumerate(r)) for r in G.data])
+            _, leads = rref([{c: int(x) for c, x in enumerate(r)} for r in G.data])
             ratios = [minors[0]] + [b / a for a, b in zip(minors, minors[1:])]
-            assert leads == list(enumerate(ratios))
+            assert [k for k, _ in leads] == list(range(n))
+            assert all(value * ratio > 0 for (_, value), ratio in zip(leads, ratios))
 
 
 class TestPositiveDefinite:
@@ -240,13 +249,13 @@ class TestPositiveDefinite:
             n = rng.randint(1, 5)
             kind = rng.choice(["definite", "semidefinite", "indefinite", "symmetric"])
             if kind == "definite":
-                G = _gram(rand_matrix(rng, n, n), Matrix.identity(n))
-                G = G + Matrix.identity(n)
+                G = _gram(rand_matrix(rng, n, n), identity(n))
+                G = G + identity(n)
             elif kind == "semidefinite":
                 r = rng.randint(0, n - 1)  # rank r < n
                 G = Matrix.zeros(n, n)
                 if r:
-                    G = _gram(rand_matrix(rng, r, n), Matrix.identity(r))
+                    G = _gram(rand_matrix(rng, r, n), identity(r))
             elif kind == "indefinite":
                 signs = [1] * n
                 signs[rng.randrange(n)] = -1
@@ -275,7 +284,7 @@ class TestDetInverse:
             A = rand_matrix(rng, n, n)
             if _row_rank(A) < n:
                 continue
-            assert A @ inverse(A) == Matrix.identity(n)
+            assert A @ inverse(A) == identity(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_embedding_and_its_inverse_are_rational(self, n):
@@ -284,11 +293,23 @@ class TestDetInverse:
         Pinv = inverse(P)
         for M in (P, Pinv):
             assert all(type(x) is Fraction for row in M.data for x in row)
-        assert P @ Pinv == Matrix.identity(P.rows) == Pinv @ P
+        assert P @ Pinv == identity(P.rows) == Pinv @ P
 
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
             inverse(Matrix([[1, 1], [1, 1]]))
+
+    def test_inverse_checks_the_elimination_in_integers(self, monkeypatch):
+        # a corrupted right-hand entry of one pivot row must fail A X = L I
+        def corrupted(rows, _rref=linalg.rref):
+            pivots, leads = _rref(rows)
+            row = pivots[0]
+            row[max(row)] += 1
+            return pivots, leads
+
+        monkeypatch.setattr(linalg, "rref", corrupted)
+        with pytest.raises(ValueError, match="singular"):
+            inverse(Matrix([[2, 1], [1, 3]]))
 
     def test_positive_definite(self):
         assert is_positive_definite(Matrix([[2, 1], [1, 2]]))
@@ -299,7 +320,7 @@ class TestDetInverse:
 
 class TestCharPoly:
     def test_identity(self):
-        p = char_poly(Matrix.identity(2))
+        p = char_poly(identity(2))
         assert p == Polynomial([1, -2, 1])  # (t-1)^2
 
     def test_nilpotent_center(self):
@@ -335,7 +356,7 @@ class TestCharPoly:
             A = rand_matrix(rng, n, n, -2, 2)
             p = char_poly(A)
             acc = Matrix.zeros(n, n)
-            power = Matrix.identity(n)
+            power = identity(n)
             for coeff in p.coeffs:
                 if coeff:
                     acc = acc + power.scale(coeff)

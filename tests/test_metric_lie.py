@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    adjoint_operator,
     bracket,
     column,
     column_of,
@@ -14,9 +15,12 @@ from oracles import (
     expected_killing_operator,
     expected_mean_curvature,
     expected_normality_commutator,
+    identity,
     lauret_terms,
     mean_curvature_vector,
     nullspace,
+    ricci_form,
+    solve_exact,
 )
 
 from solvsoliton.family import (
@@ -33,12 +37,10 @@ from solvsoliton.lie_core import (
     is_derivation,
     subalgebra,
 )
-from solvsoliton.linalg import Matrix, solve_exact
+from solvsoliton.linalg import Matrix
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
-    adjoint_operator,
     connection_coeffs,
-    ricci_bilinear,
     ricci_endomorphism_koszul,
     soliton_check_direct,
     soliton_check_lauret,
@@ -48,7 +50,7 @@ HALF = Fraction(1, 2)
 
 
 def heis3_flat_metric():
-    return MetricLieAlgebra(build_lie_algebra(1), Matrix.identity(3))
+    return MetricLieAlgebra(build_lie_algebra(1), identity(3))
 
 
 def grid(ns=(1, 2, 3), rhos=(1, Fraction(5, 2)), cs=(0, Fraction(1, 2))):
@@ -217,7 +219,7 @@ def dense_oracle_cases():
         yield f"{name}-off", MetricLieAlgebra(StructureConstants.from_triples(3, triples), off)
     rng = random.Random(5)
     B = Matrix([[Fraction(rng.randint(-2, 2)) for _ in range(7)] for _ in range(7)])
-    full = B.transpose() @ B + Matrix.identity(7)
+    full = B.transpose() @ B + identity(7)
     yield "family-n2-full-gram", MetricLieAlgebra(build_lie_algebra(2), full)
 
 
@@ -232,7 +234,7 @@ class TestDenseConnectionOracle:
             [{r: x for r, x in enumerate(column_of(dense[i], j)) if x} for j in range(d)]
             for i in range(d)
         ]
-        assert ricci_bilinear(M) == dense_ricci_oracle(M)
+        assert ricci_form(M) == dense_ricci_oracle(M)
 
 
 class TestRicci:
@@ -251,15 +253,15 @@ class TestRicci:
     def test_gram_times_ric_is_symmetric(self, p):
         M = metric_algebra(p)
         assert (M.G @ ricci_endomorphism_koszul(M)).is_symmetric()
-        assert ricci_bilinear(M).is_symmetric()
+        assert ricci_form(M).is_symmetric()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_hyperbolic_space_model(self, d):
         # [e0, ei] = ei with the flat Gram is the solvable model of
         # hyperbolic d-space: constant curvature, ric = -(d-1) Id, Einstein
         L = StructureConstants.from_triples(d, [(0, i, i, 1) for i in range(1, d)])
-        M = MetricLieAlgebra(L, Matrix.identity(d))
-        assert ricci_endomorphism_koszul(M) == Matrix.identity(d).scale(
+        M = MetricLieAlgebra(L, identity(d))
+        assert ricci_endomorphism_koszul(M) == identity(d).scale(
             Fraction(-(d - 1))
         )
         v = soliton_check_direct(M)
@@ -290,7 +292,7 @@ class TestAdjointOperator:
             B = Matrix(
                 [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
             )
-            G = B.transpose() @ B + Matrix.identity(3)
+            G = B.transpose() @ B + identity(3)
             M = MetricLieAlgebra(L, G)
             A = Matrix(
                 [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
@@ -392,7 +394,7 @@ class TestSolitonDirect:
         v = soliton_check_direct(M)
         ok, _ = is_derivation(M.L, v.D)
         assert ok
-        assert v.D == ricci_endomorphism_koszul(M) - Matrix.identity(7).scale(v.lambda_)
+        assert v.D == ricci_endomorphism_koszul(M) - identity(7).scale(v.lambda_)
 
     def test_no_row_reduction_once_ricci_is_known(self, monkeypatch):
         M = metric_algebra(FamilyParams(3, Fraction(7, 5), Fraction(9, 14)))
@@ -453,7 +455,7 @@ def dense_soliton_oracle(M):
     d = M.dim
     ric = ricci_endomorphism_koszul(M)
     ders = dense_derivation_basis(M.L)
-    ident = Matrix.identity(d)
+    ident = identity(d)
     A = Matrix(
         [[D[r * d + s] for D in ders] + [ident.data[r][s]] for r in range(d) for s in range(d)]
     )
@@ -476,7 +478,7 @@ def oracle_cases():
     half, third = Fraction(1, 2), Fraction(1, 3)
     off = Matrix([[2, half, 0], [half, 1, third], [0, third, 3]])
     yield "abelian", MetricLieAlgebra(abelian, Matrix.diagonal([1, 2, 3]))
-    yield "heis3-flat", MetricLieAlgebra(heis, Matrix.identity(3))
+    yield "heis3-flat", MetricLieAlgebra(heis, identity(3))
     yield "heis3-off", MetricLieAlgebra(heis, off)
     yield "rot-diag", MetricLieAlgebra(rot, Matrix.diagonal([1, 1, 2]))
     yield "rot-off", MetricLieAlgebra(rot, off)
