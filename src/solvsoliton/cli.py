@@ -362,11 +362,15 @@ def _render_csv(rows: list) -> str:
 
 
 def _emit(text: str, output: str | None):
+    """Write the report, ended by one newline, to ``output`` or stdout: the
+    file gets the bytes that stdout would."""
+    if not text.endswith("\n"):
+        text += "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ Ordered basis for n > 1:
      e0, f0, e1, f1, ..., e_{n-1}, f_{n-1}, Z)
 
 and (e0, f0, Z) for n = 1.  The mixed brackets between the solvable part and
-the Heisenberg part are stated over the complex combinations E_k = e_k - i f_k
-and expanded to the real basis by :func:`real_from_complex_brackets`; the
-expansion is cross-validated elsewhere against the printed adjoint blocks.
+the Heisenberg part are stated as in the paper, over the complex combinations
+E_k = e_k - i f_k: one coefficient table per generator, expanded to the real
+basis by one rule in :func:`_mixed_triples`.  The tests check the expansion
+against the printed adjoint blocks (``TestAdjoint`` in test_lie_core.py, and
+``TestRealFromComplex`` and ``TestBuildLieAlgebra`` in test_family.py).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .scalars import power_jet
 __all__ = [
     "FamilyParams",
     "build_lie_algebra",
-    "real_from_complex_brackets",
     "build_gram",
     "build_delta",
     "build_embedding",
@@ -111,80 +112,35 @@ def _idx_z(n: int) -> int:
     return 4 * n - 2
 
 
-# --- complex-to-real bracket expansion --------------------------------------
+# --- brackets --------------------------------------------------------------
 
 
-def real_from_complex_brackets(n: int, rows: dict) -> list:
-    """Expand brackets stated over E_k = e_k - i f_k into the real basis.
+def _mixed_triples(n: int):
+    """Triples (X, source, target, coefficient) of the mixed brackets of the
+    solvable generators X = B_aR, B_aI with the e_k and f_k.
 
-    ``rows`` maps ("E", k) and ("Ebar", k) to {j: (re, im)} coefficient
-    dictionaries over the E_j (conjugate rows are coefficients over Ebar_j).
-    The conjugate rows must match the E rows exactly (same re, negated im);
-    any mismatch raises, since the source table lists them redundantly.
-
-    Returns triples ((src_kind, k), (tgt_kind, j), coefficient) over the real
-    basis with kinds "e"/"f", using
-    [X, e_k] = sum_j Re(c_j) e_j + Im(c_j) f_j and
-    [X, f_k] = sum_j -Im(c_j) e_j + Re(c_j) f_j.
+    Each X has one table {(k, j): (Re c, Im c)} of [X, E_k] = sum_j c E_j
+    over E_k = e_k - i f_k.  X is real, so [X, e_k] and -[X, f_k] are the
+    real and imaginary parts of [X, E_k], which expands each entry by one
+    rule: [X, e_k] = re e_j + im f_j and [X, f_k] = -im e_j + re f_j.
     """
-
-    def cleaned(row):
-        out = {}
-        for j, (re, im) in row.items():
-            re, im = Fraction(re), Fraction(im)
-            if re or im:
-                out[j] = (re, im)
-        return out
-
-    out = []
-    for k in range(n):
-        erow = cleaned(rows.get(("E", k), {}))
-        expected_conj = {j: (re, -im) for j, (re, im) in erow.items()}
-        if ("Ebar", k) in rows and cleaned(rows[("Ebar", k)]) != expected_conj:
-            raise ValueError(f"conjugate bracket row for k={k} is inconsistent")
-        for j, (re, im) in erow.items():
-            if re:
-                out.append((("e", k), ("e", j), re))
-                out.append((("f", k), ("f", j), re))
-            if im:
-                out.append((("e", k), ("f", j), im))
-                out.append((("f", k), ("e", j), -im))
-    return out
-
-
-def _complex_rows_for_generator(n: int, kind: str, a: int) -> dict:
-    """Bracket rows [X, E_k] for X among the solvable-part generators."""
-    rows: dict = {}
-
-    def put(k, j, re, im):
-        rows.setdefault(("E", k), {})[j] = (Fraction(re), Fraction(im))
-
-    if kind == "R" and a == 1:
-        put(0, 1, -1, 0)
-        put(1, 0, -1, 0)
-    elif kind == "I" and a == 1:
-        for k in (0, 1):
-            put(k, 0, 0, -1)
-            put(k, 1, 0, 1)
-    elif kind == "R":
-        put(0, a, -_HALF, 0)
-        put(1, a, -_HALF, 0)
-        put(a, 0, -_HALF, 0)
-        put(a, 1, _HALF, 0)
-    elif kind == "I":
-        put(0, a, 0, _HALF)
-        put(1, a, 0, _HALF)
-        put(a, 0, 0, -_HALF)
-        put(a, 1, 0, _HALF)
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    # Conjugate rows, listed redundantly so the expander can cross-check.
-    for (tag, k), row in list(rows.items()):
-        rows[("Ebar", k)] = {j: (re, -im) for j, (re, im) in row.items()}
-    for k in range(n):
-        rows.setdefault(("E", k), {})
-        rows.setdefault(("Ebar", k), {})
-    return rows
+    h = _HALF
+    for a in range(1, n):
+        if a == 1:
+            r_table = {(0, 1): (-1, 0), (1, 0): (-1, 0)}
+            i_table = {(0, 0): (0, -1), (0, 1): (0, 1), (1, 0): (0, -1), (1, 1): (0, 1)}
+        else:
+            r_table = {(0, a): (-h, 0), (1, a): (-h, 0), (a, 0): (-h, 0), (a, 1): (h, 0)}
+            i_table = {(0, a): (0, h), (1, a): (0, h), (a, 0): (0, -h), (a, 1): (0, h)}
+        for x, table in ((_idx_br(n, a), r_table), (_idx_bi(n, a), i_table)):
+            for (k, j), (re, im) in table.items():
+                ek, fk, ej, fj = _idx_e(n, k), _idx_f(n, k), _idx_e(n, j), _idx_f(n, j)
+                if re:
+                    yield x, ek, ej, re
+                    yield x, fk, fj, re
+                if im:
+                    yield x, ek, fj, im
+                    yield x, fk, ej, -im
 
 
 @lru_cache(maxsize=None)
@@ -208,17 +164,8 @@ def build_lie_algebra(n: int) -> StructureConstants:
             triples.append((_idx_br(n, 1), _idx_br(n, a), _idx_br(n, a), Fraction(1)))
             triples.append((_idx_br(n, 1), _idx_bi(n, a), _idx_bi(n, a), Fraction(1)))
             triples.append((_idx_br(n, a), _idx_bi(n, a), _idx_bi(n, 1), _HALF))
-        # Mixed action on the Heisenberg part, via the complex table.
-        real_idx = {"e": lambda k: _idx_e(n, k), "f": lambda k: _idx_f(n, k)}
-        for a in range(1, n):
-            for kind, gen_idx in (("R", _idx_br(n, a)), ("I", _idx_bi(n, a))):
-                rows = _complex_rows_for_generator(n, kind, a)
-                for (src_kind, k), (tgt_kind, j), coeff in real_from_complex_brackets(
-                    n, rows
-                ):
-                    triples.append(
-                        (gen_idx, real_idx[src_kind](k), real_idx[tgt_kind](j), coeff)
-                    )
+        # Mixed action on the Heisenberg part, from the complex tables.
+        triples += _mixed_triples(n)
     L = StructureConstants.from_triples(d, triples)
     ok, witness = check_jacobi(L)
     if not ok:

@@ -1,9 +1,11 @@
 """Lie algebras presented by sparse structure constants.
 
-Adjoints, the Jacobi check with a witness, the Leibniz test for
-derivations, verification of a declared abelian-plus-nilpotent splitting,
-and the predicates behind the structural claims: derived algebra,
-unimodularity and complete solvability.  Everything is exact.
+One table per algebra: the structure constants are stored once, as
+integers over their one common denominator, and every kernel sums over
+those integers.  Adjoints, the Jacobi check with a witness, the Leibniz
+test for derivations, verification of a declared abelian-plus-nilpotent
+splitting, and the predicates behind the structural claims: derived
+algebra, unimodularity and complete solvability.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -32,25 +34,22 @@ __all__ = [
 
 
 class StructureConstants:
-    """Sparse bracket table: [e_i, e_j] = sum_k c_ij^k e_k is stored as
-    ``_sparse[i][j] = [(k, c_ij^k), ...]``, nonzero entries in increasing k.
+    """Sparse bracket table over one denominator: [e_i, e_j] = sum_k c_ij^k e_k
+    with c_ij^k = v / den is stored as ``table[i][j] = [(k, v), ...]``, the
+    nonzero integers v in increasing k, in both orientations.  ``den`` is
+    the lcm of the reduced denominators of the c_ij^k, so the stored form is
+    canonical: equal algebras have equal (dim, den, table).
 
-    Built from {(i, j): {k: Fraction}} with i < j; :meth:`from_triples` is
-    the public constructor.
+    :meth:`from_triples` is the public constructor; the kernels read
+    ``table`` and ``den`` directly.
     """
 
-    __slots__ = ("dim", "_sparse", "_cache")
+    __slots__ = ("dim", "table", "den", "_cache")
 
-    def __init__(self, dim: int, upper: dict):
-        sparse = [[[] for _ in range(dim)] for _ in range(dim)]
-        for (i, j), row in upper.items():
-            for k in sorted(row):
-                v = row[k]
-                if v:
-                    sparse[i][j].append((k, v))
-                    sparse[j][i].append((k, -v))
+    def __init__(self, dim: int, table: list, den: int):
         self.dim = dim
-        self._sparse = sparse
+        self.table = table
+        self.den = den
         self._cache = {}
 
     @classmethod
@@ -63,35 +62,30 @@ class StructureConstants:
             row = upper.setdefault((i, j), {})
             value = Fraction(value)
             row[k] = row[k] + value if k in row else value
-        return cls(dim, upper)
-
-    def _integer_table(self) -> tuple:
-        """(table, C): the bracket table as integers over the structure
-        constants' one common denominator C, c_ij^k = table[i][j][k] / C.
-        Cached on the algebra."""
-        cached = self._cache.get("integer")
-        if cached is None:
-            sp = self._sparse
-            C = math.lcm(*(v.denominator for row in sp for col in row for _, v in col))
-            table = [
-                [[(k, v.numerator * (C // v.denominator)) for k, v in col] for col in row]
-                for row in sp
-            ]
-            cached = self._cache["integer"] = (table, C)
-        return cached
+        den = math.lcm(*(v.denominator for row in upper.values() for v in row.values()))
+        table = [[[] for _ in range(dim)] for _ in range(dim)]
+        for (i, j), row in upper.items():
+            for k in sorted(row):
+                v = row[k]
+                if v:
+                    v = v.numerator * (den // v.denominator)
+                    table[i][j].append((k, v))
+                    table[j][i].append((k, -v))
+        return cls(dim, table, den)
 
     def triples(self):
-        out = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k, v in self._sparse[i][j]:
-                    out.append((i, j, k, v))
-        return out
+        den = self.den
+        return [
+            (i, j, k, Fraction(v, den))
+            for i, row in enumerate(self.table)
+            for j in range(i + 1, self.dim)
+            for k, v in row[j]
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
             return NotImplemented
-        return self.dim == other.dim and self._sparse == other._sparse
+        return (self.dim, self.den, self.table) == (other.dim, other.den, other.table)
 
     def __hash__(self):
         return hash((self.dim, tuple(self.triples())))
@@ -114,11 +108,11 @@ def _jacobi_witness(L: StructureConstants):
     as a sparse {index: value} defect per triple, and only for the triples
     that some nonzero bracket [[e_a, e_b], e_e] reaches.  A repeated index
     gives a zero Jacobiator by antisymmetry, so those terms are skipped.
-    The sums run on the integer table (times C^2); only a witness becomes
-    ``Fraction``s.
+    The sums run on the integer table, times C^2 with C = ``L.den``; only a
+    witness becomes ``Fraction``s.
     """
     d = L.dim
-    sp, C = L._integer_table()
+    sp, C = L.table, L.den
     # outer[m] = the indices e with a nonzero [e_m, e_e].
     outer = [[e for e in range(d) if sp[m][e]] for m in range(d)]
     defects: dict = {}
@@ -163,22 +157,22 @@ def check_jacobi(L: StructureConstants):
 
 def ad_matrix(L: StructureConstants, x) -> Matrix:
     """Matrix of y -> [x, y] in the fixed basis."""
-    d = L.dim
+    d, den = L.dim, L.den
     out = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         xi = x[i]
         if not xi:
             continue
         for j in range(d):
-            for k, v in L._sparse[i][j]:
+            for k, v in L.table[i][j]:
                 out[k][j] += xi * v
-    return Matrix._trusted(out)
+    return Matrix._trusted([[v / den for v in row] for row in out])
 
 
 def _bracket_rows(sp: list, x: dict, y: dict) -> dict:
-    """C [x, y] for sparse integer {index: value} vectors, over the nonzero
-    entries of the integer table ``sp`` only (see
-    :meth:`StructureConstants._integer_table`); zero sums may be left in."""
+    """den [x, y] for sparse integer {index: value} vectors, over the
+    nonzero entries of the integer table ``sp`` only (see
+    :class:`StructureConstants`); zero sums may be left in."""
     out: dict = {}
     for a, xa in x.items():
         row = sp[a]
@@ -203,14 +197,14 @@ def _basis_rows(indices) -> list:
 def derived_algebra(L: StructureConstants) -> list:
     """RREF basis of [L, L], each row 1 at its pivot."""
     d = L.dim
-    sp, _ = L._integer_table()
+    sp = L.table
     rows = _span_rows(dict(sp[i][j]) for i in range(d) for j in range(i + 1, d))
     return [[Fraction(row.get(k, 0), row[min(row)]) for k in range(d)] for row in rows]
 
 
 def is_unimodular(L: StructureConstants) -> bool:
     """tr(ad e_i) = sum_j c_ij^j vanishes for every basis vector e_i."""
-    sp = L._sparse
+    sp = L.table
     return all(
         sum(v for j, row in enumerate(sp[i]) for k, v in row if k == j) == 0
         for i in range(L.dim)
@@ -219,7 +213,7 @@ def is_unimodular(L: StructureConstants) -> bool:
 
 def is_solvable(L: StructureConstants) -> bool:
     """Derived series reaches zero."""
-    sp, _ = L._integer_table()
+    sp = L.table
     current = _basis_rows(range(L.dim))
     while current:
         nxt = _span_rows(
@@ -237,7 +231,7 @@ def _lower_central_series_vanishes(L: StructureConstants, indices) -> bool:
     """Nilpotency of the span of the basis vectors ``indices`` (assumed a
     subalgebra): the series n, [n, n], [n, [n, n]], ... reaches zero.
     [n, n] is spanned by the brackets of the pairs i < j, by antisymmetry."""
-    sp, _ = L._integer_table()
+    sp = L.table
     indices = list(indices)
     basis = _basis_rows(indices)
     size = len(basis)
@@ -268,9 +262,9 @@ def is_completely_solvable(L: StructureConstants) -> bool:
 
 
 def _leibniz_defects(L: StructureConstants, X: list):
-    """Nonzero Leibniz defects of the integer matrix rows X, times C, as
-    ((i, j), {k: int}) in i < j order; C is the structure constants'
-    denominator (:meth:`StructureConstants._integer_table`).
+    """Nonzero Leibniz defects of the integer matrix rows X, times the
+    structure constants' denominator ``L.den``, as ((i, j), {k: int}) in
+    i < j order.
 
     The defect X[e_i, e_j] - [X e_i, e_j] - [e_i, X e_j] is linear in X and
     summed over the nonzero structure constants and entries of X only.
@@ -279,7 +273,7 @@ def _leibniz_defects(L: StructureConstants, X: list):
     denominator, so no zero test or witness needs a division.
     """
     d = L.dim
-    sp, _ = L._integer_table()
+    sp = L.table
     # cols[m] = nonzero (r, X[r][m]) of X e_m.
     cols = [[(r, row[m]) for r, row in enumerate(X) if row[m]] for m in range(d)]
     for i in range(d):
@@ -371,7 +365,7 @@ def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> Splittin
         raise ValueError("splitting index sets must partition the basis")
     # The parts are spans of basis vectors, so a bracket lies in n exactly
     # when its nonzero structure constants all land on n's indices.
-    sp = L._sparse
+    sp = L.table
     in_n = [False] * d
     for i in s.n_indices:
         in_n[i] = True
@@ -396,19 +390,24 @@ def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> Splittin
 
 
 def subalgebra(L: StructureConstants, indices) -> StructureConstants:
-    """Restriction to the span of the given basis indices (must be closed)."""
+    """Restriction to the span of the given basis indices (must be closed).
+
+    The parent's integer rows are renumbered by position in ``indices`` and
+    divided by the gcd of the parent's denominator and their entries, so
+    the restriction's ``den`` is canonical too."""
     indices = list(indices)
     pos = {g: i for i, g in enumerate(indices)}
-    upper = {}
-    for a, ga in enumerate(indices):
-        for b in range(a + 1, len(indices)):
-            row = {}
-            for k, v in L._sparse[ga][indices[b]]:
-                if k not in pos:
-                    raise ValueError("index set does not span a subalgebra")
-                row[pos[k]] = v
-            upper[a, b] = row
-    return StructureConstants(len(indices), upper)
+    try:
+        table = [
+            [sorted([(pos[k], v) for k, v in row[gb]]) for gb in indices]
+            for row in (L.table[i] for i in indices)
+        ]
+    except KeyError:
+        raise ValueError("index set does not span a subalgebra") from None
+    g = math.gcd(L.den, *(v for row in table for col in row for _, v in col))
+    if g > 1:
+        table = [[[(k, v // g) for k, v in col] for col in row] for row in table]
+    return StructureConstants(len(indices), table, L.den // g)
 
 
 # The predicates behind the paper's structural claims, for a certificate to

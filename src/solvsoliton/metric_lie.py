@@ -109,7 +109,7 @@ def connection_coeffs(M: MetricLieAlgebra) -> tuple:
     """
     L = M.L
     d = L.dim
-    sp, C = L._integer_table()
+    sp, C = L.table, L.den
     g_int, DG = _cleared(M.G.data)
     # Sparse rows of the symmetric G and G^{-1}.
     g_rows = _sparse_rows(g_int)
@@ -161,7 +161,7 @@ def ricci_bilinear(M: MetricLieAlgebra) -> tuple:
     L = M.L
     d = L.dim
     gamma, S = connection_coeffs(M)
-    sp, C = L._integer_table()
+    sp, C = L.table, L.den
     f = S // C
     # by_row[k][m] = {j: Gamma_kj^m}
     by_row = [[{} for _ in range(d)] for _ in range(d)]
@@ -365,7 +365,7 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     cond_abelian = report.a_is_abelian
     witness = None
 
-    sp, C = M.L._integer_table()
+    sp, C = M.L.table, M.L.den
     g_int, DG = _cleared(M.G.data)
     g_rows = _sparse_rows(g_int)
     h_rows, DH = _cleared_inverse(M)

@@ -11,6 +11,8 @@ kernels through the package's one elimination kernel, ``rref``.  The
 ``fraction_*`` functions are the exact curvature kernels summed over
 ``Fraction`` entries, as they stood before the package moved them onto
 integers over cleared denominators; the integer kernels must equal them.
+They read the bracket table through :func:`fraction_table`, the one
+``Fraction`` view of ``StructureConstants.table`` over its ``den``.
 """
 
 from fractions import Fraction
@@ -213,8 +215,17 @@ def nullspace(A: Matrix) -> list:
     return [column(v) for v in sparse_nullspace(rows, A.cols)]
 
 
+def fraction_table(L: StructureConstants) -> list:
+    """The bracket table as ``Fraction``s, ``[i][j] = [(k, c_ij^k), ...]``:
+    the integer ``L.table`` over ``L.den``, which the reference kernels sum
+    over.  A fresh copy each call, so a kernel builds it once."""
+    den = L.den
+    return [[[(k, Fraction(v, den)) for k, v in col] for col in row] for row in L.table]
+
+
 def bracket(L: StructureConstants, x, y) -> list:
-    """[x, y] for coordinate vectors x, y of length dim."""
+    """[x, y] for coordinate vectors x, y of length dim, summed over the
+    integer table and divided by its denominator once."""
     d = L.dim
     if len(x) != d or len(y) != d:
         raise ValueError("vector length does not match the algebra dimension")
@@ -223,7 +234,7 @@ def bracket(L: StructureConstants, x, y) -> list:
         xi = x[i]
         if not xi:
             continue
-        row = L._sparse[i]
+        row = L.table[i]
         for j in range(d):
             yj = y[j]
             if not yj:
@@ -231,7 +242,7 @@ def bracket(L: StructureConstants, x, y) -> list:
             f = xi * yj
             for k, v in row[j]:
                 out[k] += f * v
-    return out
+    return [v / L.den for v in out]
 
 
 def killing_form(L: StructureConstants) -> Matrix:
@@ -309,6 +320,7 @@ def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
                 raise ValueError("quadratic-sum route requires a diagonal Gram matrix")
     g = [G.data[i][i] for i in range(d)]
     L = M.L
+    sp = fraction_table(L)
     basis = [[Fraction(int(r == i)) for r in range(d)] for i in range(d)]
 
     def quad(x):
@@ -321,7 +333,7 @@ def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
         for k in range(d):
             for l in range(d):
                 s = Fraction(0)
-                for m, c in L._sparse[k][l]:
+                for m, c in sp[k][l]:
                     if x[m]:
                         s += c * g[m] * x[m]
                 if s:
@@ -534,6 +546,7 @@ def fraction_connection_coeffs(M: MetricLieAlgebra) -> list:
     """
     L, G = M.L, M.G
     d = L.dim
+    sp = fraction_table(L)
     # Sparse rows of the symmetric G and G^{-1}.
     g_rows = [[(k, v) for k, v in enumerate(row) if v] for row in G.data]
     ginv = [[(k, v) for k, v in enumerate(row) if v] for row in fraction_inverse(G).data]
@@ -541,10 +554,10 @@ def fraction_connection_coeffs(M: MetricLieAlgebra) -> list:
     by_value: dict = {}
     for i in range(d):
         for j in range(d):
-            if not L._sparse[i][j]:
+            if not sp[i][j]:
                 continue
             wij: dict = {}
-            for m, v in L._sparse[i][j]:
+            for m, v in sp[i][j]:
                 for k, g in g_rows[m]:
                     wij[k] = wij.get(k, 0) + v * g
             wij = w[i, j] = {k: x for k, x in wij.items() if x}
@@ -579,6 +592,7 @@ def fraction_ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
     L = M.L
     d = L.dim
     gamma = fraction_connection_coeffs(M)
+    sp = fraction_table(L)
     # by_row[k][m] = {j: Gamma_kj^m}
     by_row = [[{} for _ in range(d)] for _ in range(d)]
     trace: dict = {}
@@ -604,7 +618,7 @@ def fraction_ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
                 for j, y in by_row[k][m].items():
                     row[j] = row.get(j, 0) - x * y
         for k in range(d):
-            for m, v in L._sparse[k][i]:
+            for m, v in sp[k][i]:
                 for j, y in by_row[m][k].items():
                     row[j] = row.get(j, 0) - v * y
         out.append([row.get(j, zero) for j in range(d)])
@@ -630,7 +644,7 @@ def fraction_leibniz_defects(L: StructureConstants, X: Matrix):
     Pairs with i >= j are omitted: the defect is antisymmetric in (i, j).
     """
     d = L.dim
-    sp = L._sparse
+    sp = fraction_table(L)
     # cols[m] = nonzero (r, X[r][m]) of X e_m.
     cols = [[(r, row[m]) for r, row in enumerate(X.data) if row[m]] for m in range(d)]
     for i in range(d):
@@ -806,7 +820,7 @@ def fraction_jacobi_witness(L: StructureConstants):
     gives a zero Jacobiator by antisymmetry, so those terms are skipped.
     """
     d = L.dim
-    sp = L._sparse
+    sp = fraction_table(L)
     # outer[m] = the indices e with a nonzero [e_m, e_e].
     outer = [[e for e in range(d) if sp[m][e]] for m in range(d)]
     defects: dict = {}
@@ -838,10 +852,9 @@ def fraction_jacobi_witness(L: StructureConstants):
     return None
 
 
-def _fraction_bracket_rows(L: StructureConstants, x: dict, y: dict) -> dict:
-    """[x, y] for sparse {index: scalar} vectors, over the nonzero structure
-    constants only; zero sums may be left in."""
-    sp = L._sparse
+def _fraction_bracket_rows(sp: list, x: dict, y: dict) -> dict:
+    """[x, y] for sparse {index: scalar} vectors, over the nonzero entries
+    of the ``Fraction`` table ``sp`` only; zero sums may be left in."""
     out: dict = {}
     for a, xa in x.items():
         row = sp[a]
@@ -865,10 +878,11 @@ def _fraction_basis_rows(indices) -> list:
 def fraction_lower_central_series_vanishes(L: StructureConstants, indices) -> bool:
     """Nilpotency of the span of the basis vectors ``indices`` (assumed a
     subalgebra): the series n, [n, n], [n, [n, n]], ... reaches zero."""
+    sp = fraction_table(L)
     basis = _fraction_basis_rows(indices)
     current = basis
     while current:
-        nxt = _fraction_span_rows(_fraction_bracket_rows(L, x, y) for x in basis for y in current)
+        nxt = _fraction_span_rows(_fraction_bracket_rows(sp, x, y) for x in basis for y in current)
         if len(nxt) >= len(current):
             return False
         current = nxt
@@ -887,7 +901,7 @@ def fraction_verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) ->
         raise ValueError("splitting index sets must partition the basis")
     # The parts are spans of basis vectors, so a bracket lies in n exactly
     # when its nonzero structure constants all land on n's indices.
-    sp = L._sparse
+    sp = fraction_table(L)
     in_n = [False] * d
     for i in s.n_indices:
         in_n[i] = True

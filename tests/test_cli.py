@@ -376,6 +376,23 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["status"] == "nilsoliton"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(f"verify --n 1 --rho 1 --c 0 --format {fmt}" for fmt in cli.FORMATS),
+            *(
+                f"sweep --n 2 --rho-grid 1,11/13 --c-grid 0,9/14 --format {fmt}"
+                for fmt in cli.FORMATS
+            ),
+            "einstein --n 2 --rho 11/13 --c 9/14 --format csv",
+        ],
+    )
+    def test_file_holds_the_stdout_bytes(self, capsys, tmp_path, args):
+        code, out, _ = run(capsys, *args.split())
+        target = tmp_path / "report"
+        assert run(capsys, *args.split(), "--output", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
     def test_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run(

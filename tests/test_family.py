@@ -17,7 +17,6 @@ from solvsoliton.family import (
     expected_ric_matrix,
     metric_algebra,
     predicted_status,
-    real_from_complex_brackets,
     ricci_eigenvalue_formulas,
 )
 from solvsoliton.lie_core import is_derivation
@@ -53,30 +52,24 @@ class TestParams:
 
 class TestRealFromComplex:
     def test_b1r_on_e0(self):
-        # [X, E0] = -E1 expands to [X, e0] = -e1 and [X, f0] = -f1
-        rows = {
-            ("E", 0): {1: (Fraction(-1), Fraction(0))},
-            ("Ebar", 0): {1: (Fraction(-1), Fraction(0))},
-        }
-        out = real_from_complex_brackets(2, rows)
-        assert (("e", 0), ("e", 1), Fraction(-1)) in out
-        assert (("f", 0), ("f", 1), Fraction(-1)) in out
-        assert len(out) == 2
+        # [B1R, E0] = -E1 and [B1R, E1] = -E0: a real coefficient gives
+        # [X, e_k] = re e_j and [X, f_k] = re f_j, and nothing else
+        b1r, e0, f0, e1, f1 = 0, 2, 3, 4, 5
+        out = [t for t in family._mixed_triples(2) if t[0] == b1r]
+        assert sorted(out) == [
+            (b1r, e0, e1, -1), (b1r, f0, f1, -1), (b1r, e1, e0, -1), (b1r, f1, f0, -1),
+        ]
 
     def test_imaginary_coefficient(self):
-        # [X, E0] = (i/2) E2 expands to [X, e0] = f2/2, [X, f0] = -e2/2
-        rows = {("E", 0): {2: (Fraction(0), Fraction(1, 2))}}
-        out = real_from_complex_brackets(3, rows)
-        assert (("e", 0), ("f", 2), Fraction(1, 2)) in out
-        assert (("f", 0), ("e", 2), Fraction(-1, 2)) in out
-
-    def test_inconsistent_conjugate_row_raises(self):
-        rows = {
-            ("E", 0): {1: (Fraction(-1), Fraction(1))},
-            ("Ebar", 0): {1: (Fraction(-1), Fraction(1))},  # im must flip sign
-        }
-        with pytest.raises(ValueError):
-            real_from_complex_brackets(2, rows)
+        # [B2I, E0] = (i/2) E2 expands to [B2I, e0] = f2/2, [B2I, f0] = -e2/2
+        L = build_lie_algebra(3)
+        b2i, e0, f0, e2, f2 = 3, 4, 5, 8, 9
+        assert bracket(L, basis_vec(11, b2i), basis_vec(11, e0)) == [
+            Fraction(1, 2) if r == f2 else 0 for r in range(11)
+        ]
+        assert bracket(L, basis_vec(11, b2i), basis_vec(11, f0)) == [
+            Fraction(-1, 2) if r == e2 else 0 for r in range(11)
+        ]
 
 
 class TestBuildLieAlgebra:

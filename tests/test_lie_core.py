@@ -9,6 +9,7 @@ from oracles import (
     column,
     column_of,
     expected_ad_b1r,
+    fraction_table,
     identity,
     killing_form,
     solve_exact,
@@ -97,14 +98,37 @@ class TestConstruction:
     def test_cancelling_triples_leave_no_entry(self):
         L = StructureConstants.from_triples(3, [(0, 1, 2, 1), (0, 1, 2, -1), (0, 2, 1, "1/2")])
         assert L.triples() == [(0, 2, 1, Fraction(1, 2))]
-        assert L._sparse[0][1] == [] and L._sparse[2][0] == [(1, Fraction(-1, 2))]
+        assert L.den == 2 and L.table[0][1] == [] and L.table[2][0] == [(1, -1)]
 
     def test_equality_is_by_bracket_table(self):
         L = build_lie_algebra(2)
         M = StructureConstants.from_triples(L.dim, reversed(L.triples()))
-        assert M == L and M._sparse == L._sparse and hash(M) == hash(L)
+        assert M == L and (M.den, M.table) == (L.den, L.table) and hash(M) == hash(L)
         assert M != build_lie_algebra(1)
         assert M != StructureConstants.from_triples(L.dim, L.triples()[1:])
+
+    def test_equal_values_store_one_canonical_table(self):
+        # 1/2 given as 2/4, or as 1/3 + 1/6, is stored as 1 over den = 2
+        half = StructureConstants.from_triples(3, [(0, 1, 2, Fraction(1, 2)), (0, 2, 1, 3)])
+        for triples in (
+            [(0, 1, 2, "2/4"), (0, 2, 1, 3)],
+            [(0, 1, 2, Fraction(1, 3)), (0, 2, 1, 3), (0, 1, 2, Fraction(1, 6))],
+        ):
+            L = StructureConstants.from_triples(3, triples)
+            assert L == half and hash(L) == hash(half)
+            assert (L.den, L.table) == (half.den, half.table)
+        assert half.den == 2 and half.table[0][1] == [(2, 1)] and half.table[2][0] == [(1, -6)]
+
+    def test_subalgebra_clears_the_halves_it_leaves_out(self):
+        # every 1/2 of L_3 involves the B generators; the Heisenberg part
+        # (e0, f0, e1, f1, e2, f2, Z) has integer brackets only
+        L = build_lie_algebra(3)
+        sub = subalgebra(L, range(4, 11))
+        assert L.den == 2 and sub.den == 1
+        heis = StructureConstants.from_triples(7, [(0, 1, 6, 1), (2, 3, 6, -1), (4, 5, 6, -1)])
+        assert sub == heis and sub.table == heis.table and hash(sub) == hash(heis)
+        nil = subalgebra(L, family_splitting(3).n_indices)
+        assert nil.den == 2
 
     def test_subalgebra_in_any_index_order(self):
         L = build_lie_algebra(3)
@@ -160,7 +184,7 @@ def dense_jacobi_witness(L):
     """The earlier Jacobi loop, kept as an exact oracle: every basis triple in
     i < j < k order, each defect summed into a dense vector."""
     d = L.dim
-    sp = L._sparse
+    sp = fraction_table(L)
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
@@ -501,3 +525,5 @@ class TestSplitting:
     def test_subalgebra_closure_required(self):
         with pytest.raises(ValueError):
             subalgebra(build_lie_algebra(2), [2, 3])  # [e0,f0] = Z escapes
+        with pytest.raises(ValueError):
+            subalgebra(build_lie_algebra(3), [2, 3])  # [B2R,B2I] = B1I/2 escapes

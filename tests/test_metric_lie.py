@@ -15,6 +15,7 @@ from oracles import (
     expected_killing_operator,
     expected_mean_curvature,
     expected_normality_commutator,
+    fraction_table,
     identity,
     lauret_terms,
     mean_curvature_vector,
@@ -113,6 +114,7 @@ class TestConnection:
         M = metric_algebra(p)
         L, G, d = M.L, M.G, M.dim
         gamma = connection_columns(M)
+        sp = fraction_table(L)
         for i in range(d):
             for j in range(d):
                 # metric: <nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0
@@ -125,7 +127,7 @@ class TestConnection:
                     r: gamma[i][j].get(r, 0) - gamma[j][i].get(r, 0)
                     for r in gamma[i][j].keys() | gamma[j][i].keys()
                 }
-                assert {r: v for r, v in torsion.items() if v} == dict(L._sparse[i][j])
+                assert {r: v for r, v in torsion.items() if v} == dict(sp[i][j])
 
 
 def dense_connection_oracle(M):
@@ -134,10 +136,11 @@ def dense_connection_oracle(M):
     L, G = M.L, M.G
     d = L.dim
     ginv = [[(k, v) for k, v in enumerate(row) if v] for row in M.gram_inverse().data]
+    sp = fraction_table(L)
     w = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            for m, v in L._sparse[i][j]:
+            for m, v in sp[i][j]:
                 row = G.data[m]
                 wij = w[i][j]
                 for k in range(d):
@@ -168,6 +171,7 @@ def dense_ricci_oracle(M):
     L = M.L
     d = L.dim
     dense = [g.data for g in dense_connection_oracle(M)]
+    sp = fraction_table(L)
     col = [
         [[(m, dense[k][m][j]) for m in range(d) if dense[k][m][j]] for j in range(d)]
         for k in range(d)
@@ -193,7 +197,7 @@ def dense_ricci_oracle(M):
                         term2 += gik[m] * v
             term3 = Fraction(0)
             for k in range(d):
-                for m, v in L._sparse[k][i]:
+                for m, v in sp[k][i]:
                     if dense[m][k][j]:
                         term3 += v * dense[m][k][j]
             out[i][j] = term1 - term2 - term3
