@@ -24,7 +24,7 @@ from .metric_lie import (
     soliton_check_direct,
     soliton_check_lauret,
 )
-from .scalars import rational
+from .scalars import FactoringRefused, rational
 
 __all__ = ["main", "run"]
 
@@ -75,15 +75,10 @@ def _delta_multiple(p: family.FamilyParams, D):
     if D is None:
         return None
     delta = family.build_delta(p.n)
-    candidates = [
-        (D.data[i][j] / delta.data[i][j])
-        for i in range(D.rows)
-        for j in range(D.cols)
-        if delta.data[i][j]
-    ]
-    if not candidates:
+    first = min(((i, j) for i, row in enumerate(delta.table) for j in row), default=None)
+    if first is None:
         return None
-    k = candidates[0]
+    k = D[first] / delta[first]
     return k if D == delta.scale(k) else None
 
 
@@ -573,7 +568,11 @@ def main(argv=None) -> int:
         return 2
 
     if cfg.command == "sweep":
-        rows = sweep_rows(cfg.n, rho_grid, c_grid)
+        try:
+            rows = sweep_rows(cfg.n, rho_grid, c_grid)
+        except FactoringRefused as exc:
+            print(f"factoring refused: {exc}", file=sys.stderr)
+            return 2
         if cfg.format == "csv":
             text = _render_csv(rows)
         elif cfg.format == "json":
@@ -595,7 +594,11 @@ def main(argv=None) -> int:
             report = soliton_report(p)
             ok = report["direct"]["status"] == report["checklist"]["status"]
         elif cfg.command == "spectrum":
-            report = spectrum_report(p)
+            try:
+                report = spectrum_report(p)
+            except FactoringRefused as exc:
+                print(f"factoring refused: {exc}", file=sys.stderr)
+                return 2
             ok = True
         elif cfg.command == "einstein":
             try:

@@ -181,13 +181,11 @@ def build_gram(p: FamilyParams) -> Matrix:
     """
     n, rho, c = p.n, p.rho, p.c
     if n == 1:
-        g = Matrix.diagonal(
-            [
-                (2 * c + rho) / (4 * rho**2),
-                (2 * c + rho) / (4 * rho**2),
-                (c + rho) / (4 * (2 * c + rho) * rho**2),
-            ]
-        )
+        entries = [
+            (2 * c + rho) / (4 * rho**2),
+            (2 * c + rho) / (4 * rho**2),
+            (c + rho) / (4 * (2 * c + rho) * rho**2),
+        ]
     else:
         entries = [
             (rho + c) / rho,
@@ -198,22 +196,16 @@ def build_gram(p: FamilyParams) -> Matrix:
         entries += [Fraction(1) / (4 * rho)] * 2
         entries += [Fraction(1) / (4 * rho)] * (2 * n - 4)
         entries.append((rho + c) / (4 * rho**2) / (rho + 2 * c))
-        g = Matrix.diagonal(entries)
-        off = -(c / (2 * rho**2)) * ((rho + c) / (rho + 2 * c))
-        if off:
-            g.data[1][4 * n - 2] = off
-            g.data[4 * n - 2][1] = off
-    return g
+    d = len(entries)
+    g = [[e if i == j else 0 for j in range(d)] for i, e in enumerate(entries)]
+    if n > 1:
+        g[1][d - 1] = g[d - 1][1] = -(c / (2 * rho**2)) * ((rho + c) / (rho + 2 * c))
+    return Matrix(g)
 
 
 def build_delta(n: int) -> Matrix:
     """The grading derivation: 0 on the solvable part, 1 on e/f, 2 on Z."""
-    d = 4 * n - 1
-    out = Matrix.zeros(d, d)
-    for k in range(n):
-        out.data[_idx_e(n, k)][_idx_e(n, k)] = Fraction(1)
-        out.data[_idx_f(n, k)][_idx_f(n, k)] = Fraction(1)
-    out.data[_idx_z(n)][_idx_z(n)] = Fraction(2)
+    out = Matrix.diagonal([0] * (2 * n - 2) + [1] * (2 * n) + [2])
     ok, witness = is_derivation(build_lie_algebra(n), out)
     if not ok:
         raise AssertionError(f"delta failed the Leibniz identity at pair {witness}")
@@ -300,24 +292,25 @@ def build_embedding(p: FamilyParams, gram: Matrix) -> Matrix:
     d = p.dim
     names = coordinate_names(n)
     row = {name: i for i, name in enumerate(names)}
-    P = Matrix.zeros(d, d)
+    P = [[0] * d for _ in range(d)]
     if n == 1:
-        P.data[row["zt0"]][0] = _HALF
-        P.data[row["z0"]][1] = _HALF
-        P.data[row["phi"]][2] = Fraction(1)
+        P[row["zt0"]][0] = _HALF
+        P[row["z0"]][1] = _HALF
+        P[row["phi"]][2] = 1
     else:
-        P.data[row["b1"]][0] = Fraction(2)
-        P.data[row["t1"]][1] = Fraction(2)
-        P.data[row["phi"]][1] = -2 * c
+        P[row["b1"]][0] = 2
+        P[row["t1"]][1] = 2
+        P[row["phi"]][1] = -2 * c
         for a in range(2, n):
-            P.data[row[f"b{a}"]][_idx_br(n, a)] = Fraction(1)
-            P.data[row[f"t{a}"]][_idx_bi(n, a)] = Fraction(1)
-        P.data[row["zt0"]][_idx_e(n, 0)] = _HALF
-        P.data[row["z0"]][_idx_f(n, 0)] = _HALF
+            P[row[f"b{a}"]][_idx_br(n, a)] = 1
+            P[row[f"t{a}"]][_idx_bi(n, a)] = 1
+        P[row["zt0"]][_idx_e(n, 0)] = _HALF
+        P[row["z0"]][_idx_f(n, 0)] = _HALF
         for j in range(1, n):
-            P.data[row[f"zt{j}"]][_idx_e(n, j)] = _HALF
-            P.data[row[f"z{j}"]][_idx_f(n, j)] = -_HALF
-        P.data[row["phi"]][_idx_z(n)] = Fraction(1)
+            P[row[f"zt{j}"]][_idx_e(n, j)] = _HALF
+            P[row[f"z{j}"]][_idx_f(n, j)] = -_HALF
+        P[row["phi"]][_idx_z(n)] = 1
+    P = Matrix(P)
     g_frame = Matrix.diagonal(
         2 * g if name.startswith("z") else g
         for name, g in zip(names, coordinate_gram_values(p))
@@ -358,9 +351,10 @@ def expected_ric_matrix(p: FamilyParams) -> Matrix:
     if n == 1:
         return Matrix.diagonal([r3, r3, r2])
     diag = [r1] * (2 * n - 2) + [r3] * 2 + [r4] * (2 * n - 2) + [r2]
-    out = Matrix.diagonal(diag)
-    out.data[4 * n - 2][1] = 2 * c * (r1 - r2)
-    return out
+    d = len(diag)
+    out = [[e if i == j else 0 for j in range(d)] for i, e in enumerate(diag)]
+    out[d - 1][1] = 2 * c * (r1 - r2)
+    return Matrix(out)
 
 
 def predicted_status(n: int, c: Fraction) -> str:

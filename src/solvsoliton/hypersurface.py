@@ -103,13 +103,16 @@ def hypersurface_ricci_general(g, dg, d2g, f, df, lam) -> list:
 
 
 def ricci_endomorphism_coords(p: FamilyParams) -> Matrix:
-    """Ricci endomorphism of the slice in coordinate order (diagonal)."""
+    """Ricci endomorphism of the slice in coordinate order (diagonal).
+
+    Ric_i/g_i reads g_i only through g_i'/g_i and g_i''/g_i, so the jets'
+    ratios go in as the derivatives of a unit entry."""
     f, f_d1, _ = warp_data(p)
     jets = coordinate_gram(p)
     ratios = hypersurface_ricci_general(
-        [g for g, _, _ in jets],
-        [g * d1 for g, d1, _ in jets],
-        [g * d2 for g, _, d2 in jets],
+        [1] * len(jets),
+        [d1 for _, d1, _ in jets],
+        [d2 for _, _, d2 in jets],
         f,
         f * f_d1,
         Fraction(-2 * (p.n + 2)),

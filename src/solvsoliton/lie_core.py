@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import Matrix, _cleared, char_poly, real_rooted, rref
+from .linalg import Matrix, char_poly, real_rooted, rref
 
 __all__ = [
     "StructureConstants",
@@ -156,17 +156,20 @@ def check_jacobi(L: StructureConstants):
 
 
 def ad_matrix(L: StructureConstants, x) -> Matrix:
-    """Matrix of y -> [x, y] in the fixed basis."""
-    d, den = L.dim, L.den
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        xi = x[i]
+    """Matrix of y -> [x, y] in the fixed basis, summed on the integer table
+    with x cleared to integers over the lcm of its denominators."""
+    d = L.dim
+    xden = math.lcm(*(xi.denominator for xi in x if xi))
+    out = [{} for _ in range(d)]
+    for i, xi in enumerate(x):
         if not xi:
             continue
-        for j in range(d):
-            for k, v in L.table[i][j]:
-                out[k][j] += xi * v
-    return Matrix._trusted([[v / den for v in row] for row in out])
+        xi = xi.numerator * (xden // xi.denominator)
+        for j, col in enumerate(L.table[i]):
+            for k, v in col:
+                out[k][j] = out[k].get(j, 0) + xi * v
+    table = [{j: v for j, v in row.items() if v} for row in out]
+    return Matrix.from_table(table, L.den * xden, d)
 
 
 def _bracket_rows(sp: list, x: dict, y: dict) -> dict:
@@ -262,20 +265,23 @@ def is_completely_solvable(L: StructureConstants) -> bool:
 
 
 def _leibniz_defects(L: StructureConstants, X: list):
-    """Nonzero Leibniz defects of the integer matrix rows X, times the
-    structure constants' denominator ``L.den``, as ((i, j), {k: int}) in
-    i < j order.
+    """Nonzero Leibniz defects of the integer matrix rows X ({col: int}, no
+    stored zeros), times the structure constants' denominator ``L.den``, as
+    ((i, j), {k: int}) in i < j order.
 
     The defect X[e_i, e_j] - [X e_i, e_j] - [e_i, X e_j] is linear in X and
     summed over the nonzero structure constants and entries of X only.
     Pairs with i >= j are omitted: the defect is antisymmetric in (i, j).
-    A rational matrix enters cleared once, as its integer rows over one
+    A ``Matrix`` enters as its ``table``, the integer rows over its one
     denominator, so no zero test or witness needs a division.
     """
     d = L.dim
     sp = L.table
     # cols[m] = nonzero (r, X[r][m]) of X e_m.
-    cols = [[(r, row[m]) for r, row in enumerate(X) if row[m]] for m in range(d)]
+    cols = [[] for _ in range(d)]
+    for r, row in enumerate(X):
+        for m, x in row.items():
+            cols[m].append((r, x))
     for i in range(d):
         for j in range(i + 1, d):
             out: dict = {}
@@ -295,7 +301,7 @@ def _leibniz_defects(L: StructureConstants, X: list):
 
 def is_derivation(L: StructureConstants, D: Matrix):
     """(ok, witness): witness is the first failing basis pair (i, j), i < j."""
-    first = next(_leibniz_defects(L, _cleared(D.data)[0]), None)
+    first = next(_leibniz_defects(L, D.table), None)
     return (True, None) if first is None else (False, first[0])
 
 
@@ -379,7 +385,7 @@ def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> Splittin
         lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
     )
     a_is_abelian = not any(sp[i][j] for i in s.a_indices for j in s.a_indices)
-    ortho = all(G.data[i][j] == 0 for i in s.a_indices for j in s.n_indices)
+    ortho = not any(j in G.table[i] for i in s.a_indices for j in s.n_indices)
     return SplittingReport(
         n_is_ideal=n_is_ideal,
         n_is_nilpotent=n_is_nilpotent,

@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Inverses and the Sylvester test rest on one kernel,
+A :class:`Matrix` is stored as integer rows over one denominator, the form
+every kernel reads.  Inverses and the Sylvester test rest on one kernel,
 :func:`rref`: a fraction-free sparse reduced row echelon form over
 {col: int} rows, each kept primitive, with zero tolerance; floating point
 never enters.
@@ -25,157 +26,119 @@ __all__ = [
 ]
 
 
-# The one shared zero entry: equal lists of rows then compare untouched
-# zeros by identity.
-_ZERO = Fraction(0)
-
-
-def _coerce_entry(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError(f"unsupported exact matrix entry: {type(x).__name__}")
-
-
 class Matrix:
-    """Dense matrix with Fraction entries (row-major lists)."""
+    """Exact rational matrix, stored once: ``table[i] = {col: int}`` holds
+    the nonzero entries of row i as integers over one positive denominator
+    ``den``, in lowest terms (gcd(den, every entry) = 1), so equal matrices
+    have equal (rows, cols, den, table) and ``==`` compares exactly that.
 
-    __slots__ = ("rows", "cols", "data")
+    ``Matrix(data)`` builds one from nested lists of ``int``/``Fraction``
+    entries, and :meth:`from_table` from integer rows; the kernels read
+    ``table`` and ``den`` directly.  ``Fraction``s are formed only where
+    values leave: ``M[i, j]`` and :meth:`to_strings`.
+    """
+
+    __slots__ = ("rows", "cols", "table", "den")
 
     def __init__(self, data):
-        self.data = [[_coerce_entry(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
+        data = [list(row) for row in data]
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
+        for row in data:
+            for x in row:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"unsupported exact matrix entry: {type(x).__name__}")
+        # The lcm of the reduced denominators leaves the integer entries
+        # with gcd 1 together with it.
+        den = math.lcm(*(x.denominator for row in data for x in row if x))
+        self.rows = len(data)
+        self.cols = cols
+        self.den = den
+        self.table = [
+            {c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
+            for row in data
+        ]
 
     @classmethod
-    def _trusted(cls, data: list) -> "Matrix":
-        """Wrap rectangular rows of Fraction entries without copying or
-        coercing them; ``data`` is owned by the new matrix."""
+    def from_table(cls, table: list, den: int, cols: int) -> "Matrix":
+        """The matrix of the integer rows ``table`` ({col: int}, no stored
+        zeros) over the positive ``den``, divided to lowest terms; ``table``
+        is owned by the new matrix."""
+        g = math.gcd(den, *(v for row in table for v in row.values()))
+        if g > 1:
+            table = [{c: v // g for c, v in row.items()} for row in table]
+            den //= g
         m = cls.__new__(cls)
-        m.data = data
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else 0
+        m.rows = len(table)
+        m.cols = cols
+        m.table = table
+        m.den = den
         return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted([[_ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
         entries = list(entries)
-        m = cls.zeros(len(entries), len(entries))
-        for i, e in enumerate(entries):
-            m.data[i][i] = _coerce_entry(e)
-        return m
+        d = len(entries)
+        return cls([[e if i == j else 0 for j in range(d)] for i, e in enumerate(entries)])
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.data[i][j]
+        return Fraction(self.table[i].get(j, 0), self.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted([list(col) for col in zip(*self.data)])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix._trusted(
-            [[x + y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix._trusted(
-            [[x - y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.table):
+            for j, v in row.items():
+                out[j][i] = v
+        return Matrix.from_table(out, self.den, self.rows)
 
     def scale(self, s) -> "Matrix":
-        s = _coerce_entry(s)
-        return Matrix._trusted(
-            [[_ZERO if x is _ZERO else s * x for x in row] for row in self.data]
+        p, q = s.numerator, s.denominator
+        if not p:
+            return Matrix.from_table([{} for _ in self.table], 1, self.cols)
+        return Matrix.from_table(
+            [{c: p * v for c, v in row.items()} for row in self.table], q * self.den, self.cols
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product, summed in integers over the nonzero entries of the
-        two operands cleared to one denominator each; one ``Fraction`` per
-        nonzero entry of the result."""
+        two operands, over the product of their denominators."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        A, da = _cleared(self.data)
-        B, db = _cleared(other.data)
-        den = da * db
-        cols = range(other.cols)
-        return Matrix._trusted(
-            [
-                [Fraction(row[j], den) if j in row else _ZERO for j in cols]
-                for row in _row_product(_sparse_rows(A), _sparse_rows(B))
-            ]
+        return Matrix.from_table(
+            _row_product(self.table, other.table), self.den * other.den, other.cols
         )
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
+        return (self.rows, self.cols, self.den, self.table) == (
+            other.rows,
+            other.cols,
+            other.den,
+            other.table,
+        )
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.data))
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        rows = tuple(frozenset(row.items()) for row in self.table)
+        return hash((self.rows, self.cols, self.den, rows))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.data == self.transpose().data
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        t = Fraction(0)
-        for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
+        return self.rows == self.cols and self.table == self.transpose().table
 
     def to_strings(self):
-        return [[str(x) for x in row] for row in self.data]
+        den, cols = self.den, range(self.cols)
+        return [[str(Fraction(row[j], den)) if j in row else "0" for j in cols] for row in self.table]
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(row) for row in self.to_strings())
         return f"Matrix[{self.rows}x{self.cols}]({body})"
-
-
-def _cleared(rows) -> tuple:
-    """(integer rows, D): rational ``rows`` as integer rows over their one
-    positive common denominator D, the lcm of the entries' denominators."""
-    den = math.lcm(*(x.denominator for row in rows for x in row if x is not _ZERO))
-    return [
-        [0 if x is _ZERO else x.numerator * (den // x.denominator) for x in row]
-        for row in rows
-    ], den
 
 
 # ---------------------------------------------------------------------------
 # The sparse exact row-reduction kernel
 # ---------------------------------------------------------------------------
-
-
-def _int_row(entries) -> tuple:
-    """(row, den): the nonzero entries of a rational row as {col: int} over
-    den, the lcm of their denominators.  The shared zero is skipped by
-    identity, before any ``Fraction`` method runs."""
-    nonzero = [(c, x) for c, x in enumerate(entries) if x is not _ZERO and x]
-    den = math.lcm(*(x.denominator for _, x in nonzero))
-    return {c: x.numerator * (den // x.denominator) for c, x in nonzero}, den
-
-
-def _sparse_rows(rows) -> list:
-    """The nonzero entries of each row, as {col: value}."""
-    return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
 def _row_product(X: list, Y: list) -> list:
@@ -284,17 +247,16 @@ def rref(rows):
 
 
 def inverse(A: Matrix) -> Matrix:
-    """A^{-1}, from the RREF of the integer rows of [A | I].
+    """A^{-1}, from the RREF of the integer rows of [A | I] over A's
+    denominator.
 
     With L the lcm of the pivots, L A^{-1} is an integer matrix X, and
-    A X = L I is checked in integers on the cleared rows of A before any
-    ``Fraction`` is formed.
+    A X = L I is checked in integers on A's rows.
     """
     if A.rows != A.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = A.rows
-    cleared = [_int_row(entries) for entries in A.data]
-    pivots, _ = rref({**row, n + i: den} for i, (row, den) in enumerate(cleared))
+    n, den = A.rows, A.den
+    pivots, _ = rref({**row, n + i: den} for i, row in enumerate(A.table))
     if len(pivots) != n or max(pivots) >= n:
         raise ValueError("matrix is singular")
     L = math.lcm(*(row[pc] for pc, row in pivots.items()))
@@ -302,13 +264,10 @@ def inverse(A: Matrix) -> Matrix:
     for pc, row in pivots.items():
         f = L // row[pc]
         X[pc] = {c - n: f * v for c, v in row.items() if c >= n}
-    # Row i of A, cleared by den_i, times X is den_i * L * e_i.
-    products = _row_product([row for row, _ in cleared], X)
-    if any(prod != {i: den * L} for i, (prod, (_, den)) in enumerate(zip(products, cleared))):
+    # Row i of A, times its denominator, times X is den * L * e_i.
+    if any(prod != {i: den * L} for i, prod in enumerate(_row_product(A.table, X))):
         raise ValueError("matrix is singular")
-    return Matrix._trusted(
-        [[Fraction(xrow[j], L) if j in xrow else _ZERO for j in range(n)] for xrow in X]
-    )
+    return Matrix.from_table(X, L, n)
 
 
 def is_positive_definite(G: Matrix) -> bool:
@@ -322,7 +281,7 @@ def is_positive_definite(G: Matrix) -> bool:
     """
     if not G.is_symmetric():
         return False
-    _, leads = rref(_int_row(row)[0] for row in G.data)
+    _, leads = rref(G.table)
     return all(
         lead is not None and lead[0] == k and lead[1] > 0
         for k, lead in enumerate(leads)
@@ -452,7 +411,7 @@ def char_poly(A: Matrix) -> Polynomial:
     if A.rows != A.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = A.rows
-    H = [row[:] for row in A.data]
+    H = [[A[i, j] for j in range(n)] for i in range(n)]
     # Exact Hessenberg form: eliminate below the first subdiagonal.
     for col in range(n - 2):
         piv = None

@@ -14,7 +14,6 @@ left-invariant metrics, summed over the nonzero structure constants only.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import takewhile
 
@@ -25,15 +24,7 @@ from .lie_core import (
     subalgebra,
     verify_splitting,
 )
-from .linalg import (
-    _ZERO,
-    Matrix,
-    _cleared,
-    _row_product,
-    _sparse_rows,
-    inverse,
-    is_positive_definite,
-)
+from .linalg import Matrix, _row_product, inverse, is_positive_definite
 
 __all__ = [
     "MetricLieAlgebra",
@@ -82,16 +73,6 @@ class MetricLieAlgebra:
         return report
 
 
-def _cleared_inverse(M: MetricLieAlgebra) -> tuple:
-    """G^{-1} as (sparse integer rows {col: int}, D_H), cached on the
-    metric algebra."""
-    cleared = M._cache.get("Ginv_int")
-    if cleared is None:
-        rows, DH = _cleared(M.gram_inverse().data)
-        cleared = M._cache["Ginv_int"] = (_sparse_rows(rows), DH)
-    return cleared
-
-
 def connection_coeffs(M: MetricLieAlgebra) -> tuple:
     """Levi-Civita connection as integer sparse columns over one denominator:
     (gamma, S), where gamma[i][j] = {r: value} holds the nonzero coordinates
@@ -110,10 +91,10 @@ def connection_coeffs(M: MetricLieAlgebra) -> tuple:
     L = M.L
     d = L.dim
     sp, C = L.table, L.den
-    g_int, DG = _cleared(M.G.data)
-    # Sparse rows of the symmetric G and G^{-1}.
-    g_rows = _sparse_rows(g_int)
-    ginv, DH = _cleared_inverse(M)
+    # Integer rows of the symmetric G and G^{-1}.
+    g_rows, DG = M.G.table, M.G.den
+    Ginv = M.gram_inverse()
+    ginv, DH = Ginv.table, Ginv.den
     w: dict = {}
     by_value: dict = {}
     for i in range(d):
@@ -143,11 +124,8 @@ def connection_coeffs(M: MetricLieAlgebra) -> tuple:
     return gamma, 2 * DG * DH * C
 
 
-def ricci_bilinear(M: MetricLieAlgebra) -> tuple:
-    """Gram matrix of the Ricci form, Ric(e_i, e_j) = tr(v -> R(v, e_i) e_j),
-    as integer rows over one denominator: (rows, den) with
-    Ric_ij = rows[i][j] / den, and den the lcm of the entries' reduced
-    denominators.
+def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
+    """Gram matrix of the Ricci form, Ric(e_i, e_j) = tr(v -> R(v, e_i) e_j).
 
     With Gamma_ij^m the coordinates of nabla_{e_i} e_j and c_ki^m the
     structure constants,
@@ -155,8 +133,7 @@ def ricci_bilinear(M: MetricLieAlgebra) -> tuple:
              - sum_{k,m} c_ki^m Gamma_mj^k,  t_m = sum_k Gamma_km^k,
     each sum taken over the nonzero entries of the sparse columns only.
     The sums run in integers, on S Gamma and C c (see
-    :func:`connection_coeffs`), as S^2 Ric, which is divided once by the
-    gcd of its entries and S^2.
+    :func:`connection_coeffs`), as the integer rows of S^2 Ric over S^2.
     """
     L = M.L
     d = L.dim
@@ -191,52 +168,16 @@ def ricci_bilinear(M: MetricLieAlgebra) -> tuple:
                 v *= f
                 for j, y in by_row[m][k].items():
                     row[j] = row.get(j, 0) - v * y
-        out.append([row.get(j, 0) for j in range(d)])
-    return _lowest_terms(out, S * S)
-
-
-def _lowest_terms(rows: list, den: int) -> tuple:
-    """(rows, den) divided by the gcd of den and every entry, so that den
-    is the lcm of the reduced denominators of the entries rows/den."""
-    g = math.gcd(den, *(x for row in rows for x in row))
-    if g > 1:
-        rows = [[x // g for x in row] for row in rows]
-        den //= g
-    return rows, den
-
-
-def _fraction_rows(rows: list, den: int) -> list:
-    """The ``Fraction`` rows of the integer rows over den."""
-    return [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
-
-
-def _ricci_endomorphism_rows(M: MetricLieAlgebra) -> tuple:
-    """The Ricci endomorphism as integer rows over one denominator,
-    (rows, den), multiplied out from G^{-1} over D_H and the Ricci form
-    over its denominator.  Cached on the metric algebra."""
-    cached = M._cache.get("ricci_int")
-    if cached is None:
-        R, DR = ricci_bilinear(M)
-        h_rows, DH = _cleared_inverse(M)
-        out = []
-        for hrow in h_rows:
-            acc = [0] * len(R)
-            for k, h in hrow.items():
-                for j, x in enumerate(R[k]):
-                    acc[j] += h * x
-            out.append(acc)
-        cached = M._cache["ricci_int"] = _lowest_terms(out, DH * DR)
-    return cached
+        out.append({j: v for j, v in row.items() if v})
+    return Matrix.from_table(out, S * S, d)
 
 
 def ricci_endomorphism_koszul(M: MetricLieAlgebra) -> Matrix:
     """Ricci endomorphism: Gram-inverse times the Ricci bilinear form,
-    multiplied in integers; one ``Fraction`` per nonzero entry.  Cached on
-    the metric algebra."""
+    multiplied in integers.  Cached on the metric algebra."""
     ric = M._cache.get("ricci_endo")
     if ric is None:
-        rows, den = _ricci_endomorphism_rows(M)
-        ric = M._cache["ricci_endo"] = Matrix._trusted(_fraction_rows(rows, den))
+        ric = M._cache["ricci_endo"] = M.gram_inverse() @ ricci_bilinear(M)
     return ric
 
 
@@ -291,9 +232,9 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
     Id.  On a non-abelian algebra lambda is read off at the first nonzero
     defect entry of Id; on an abelian one every endomorphism is a
     derivation and lambda is taken to be 0.  D = ric - lambda*Id is then
-    put through the Leibniz test, in integers: ric is cleared once, and
-    lambda and D are the only Fractions formed.  No basis of Der(L) is
-    built.  Cached on the metric algebra.
+    put through the Leibniz test on ric's integer rows; lambda is the only
+    Fraction formed.  No basis of Der(L) is built.  Cached on the metric
+    algebra.
     """
     verdict = M._cache.get("soliton_direct")
     if verdict is None:
@@ -304,9 +245,10 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
 def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     L = M.L
     d = L.dim
-    R, DR = _ricci_endomorphism_rows(M)
+    ric = ricci_endomorphism_koszul(M)
+    R, DR = ric.table, ric.den
     lam = Fraction(0)
-    ident = [[int(r == s) for s in range(d)] for r in range(d)]
+    ident = [{r: 1} for r in range(d)]
     first = next(_leibniz_defects(L, ident), None)
     if first is not None:
         # lambda = Lambda(ric) / Lambda(Id) at Id's first nonzero defect
@@ -316,30 +258,34 @@ def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
         upto = takewhile(lambda entry: entry[0] <= pair, _leibniz_defects(L, R))
         lam = Fraction(dict(upto).get(pair, {}).get(k, 0), id_row[k] * DR)
     # Lambda(ric - lambda*Id) = Lambda(ric) - lambda*Lambda(Id) by linearity;
-    # with lambda = p/q, q DR (ric - lambda*Id) = q R - p DR Id is integral.
+    # with lambda = p/q, q DR (ric - lambda*Id) = q R - p DR Id is integral,
+    # and D is those rows over q DR.
     p, q = lam.numerator, lam.denominator
-    scaled = [
-        [q * x - p * DR if r == s else q * x for s, x in enumerate(row)]
-        for r, row in enumerate(R)
-    ]
+    scaled = []
+    for r, row in enumerate(R):
+        srow = {s: q * x for s, x in row.items()}
+        x = srow.get(r, 0) - p * DR
+        if x:
+            srow[r] = x
+        else:
+            srow.pop(r, None)
+        scaled.append(srow)
     if next(_leibniz_defects(L, scaled), None) is not None:
         return SolitonVerdict(status="not_soliton")
-    D = Matrix._trusted(
-        [
-            [x - lam if r == s else x for s, x in enumerate(row)]
-            for r, row in enumerate(ricci_endomorphism_koszul(M).data)
-        ]
-    )
     return SolitonVerdict(
         status="soliton",
         lambda_=lam,
-        D=D,
+        D=Matrix.from_table(scaled, q * DR, d),
         lambda_source="direct",
     )
 
 
 def _restrict_gram(G: Matrix, indices) -> Matrix:
-    return Matrix([[G.data[i][j] for j in indices] for i in indices])
+    """G restricted to the basis vectors ``indices``, its integer rows
+    renumbered by position in ``indices``."""
+    pos = {g: i for i, g in enumerate(indices)}
+    table = [{pos[c]: v for c, v in G.table[g].items() if c in pos} for g in indices]
+    return Matrix.from_table(table, G.den, len(table))
 
 
 def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
@@ -351,7 +297,8 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     the first failing matrix.  For each basis vector A of the abelian part,
     ad A, its metric adjoint ad A* = G^{-1} (ad A)^T G, their commutator and
     tr(sym(ad A)^2) are formed as sparse integer rows over one denominator,
-    E = C D_G D_H for ad A and ad A*; only a witness becomes ``Fraction``s.
+    E = C D_G D_H for ad A and ad A*; a witness is the commutator's rows
+    over E^2.
     """
     report = M.splitting_report(s)
     if not report.ok:
@@ -366,9 +313,9 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     witness = None
 
     sp, C = M.L.table, M.L.den
-    g_int, DG = _cleared(M.G.data)
-    g_rows = _sparse_rows(g_int)
-    h_rows, DH = _cleared_inverse(M)
+    g_rows, DG = M.G.table, M.G.den
+    Ginv = M.gram_inverse()
+    h_rows, DH = Ginv.table, Ginv.den
     scale = DG * DH
     E = C * scale
     cond_normal = True
@@ -387,11 +334,13 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
         if ad_star != star_ad:
             cond_normal = False
             if witness is None:
-                comm = [
-                    [x.get(j, 0) - y.get(j, 0) for j in range(d)]
-                    for x, y in zip(ad_star, star_ad)
-                ]
-                witness = Matrix._trusted(_fraction_rows(comm, E * E))
+                comm = []
+                for x, y in zip(ad_star, star_ad):
+                    row = dict(x)
+                    for j, v in y.items():
+                        row[j] = row.get(j, 0) - v
+                    comm.append({j: v for j, v in row.items() if v})
+                witness = Matrix.from_table(comm, E * E, d)
 
     direct = soliton_check_direct(M)
     if direct.is_soliton:
@@ -414,7 +363,7 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
                 for j, v in row.items():
                     srow[j] = srow.get(j, 0) + v
             T = sum(v * sym[j].get(r, 0) for r, row in enumerate(sym) for j, v in row.items())
-            if M.G.data[i][i] != Fraction(-T, 4 * E * E) / lam:
+            if M.G[i, i] != Fraction(-T, 4 * E * E) / lam:
                 cond_norm = False
     checklist = {
         "nilsoliton": cond_nil,

@@ -18,6 +18,7 @@ from itertools import compress, count
 from math import gcd, isqrt
 
 __all__ = [
+    "FactoringRefused",
     "Fraction",
     "Surd",
     "power_jet",
@@ -80,6 +81,16 @@ _SMALL_PRIMES = _primes_below(_SMALL_LIMIT)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_BOUND = 3317044064679887385961981
 _RHO_BATCH = 128
+# Pollard-Brent squarings allowed per radicand: a fixed count, so whether a
+# radicand is refused does not depend on the machine.  On 2 vCPUs they take
+# about 3 s on 80-160-bit cofactors and 8 s on a 278-bit one.
+_RHO_BUDGET = 2**23
+
+
+class FactoringRefused(ArithmeticError):
+    """A radicand whose squarefree part could not be settled: splitting it
+    ran past :data:`_RHO_BUDGET`, or a cofactor beyond the proven range of
+    the Miller-Rabin bases is probably prime without a proof."""
 
 
 def _miller_rabin(n: int) -> bool:
@@ -101,19 +112,35 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _brent_factor(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard rho in Brent's form
-    (Brent, BIT 20, 1980), with gcds batched over _RHO_BATCH steps."""
+def _brent_factor(n: int, budget: int) -> tuple:
+    """(d, steps): a proper factor d of the odd composite n, by Pollard rho
+    in Brent's form (Brent, BIT 20, 1980) with gcds batched over _RHO_BATCH
+    steps, and the squarings it took.  Raises FactoringRefused rather than
+    start a run of squarings that would take more than ``budget``."""
+    steps = 0
+
+    def spend(k):
+        nonlocal steps
+        steps += k
+        if steps > budget:
+            raise FactoringRefused(
+                f"a {n.bit_length()}-bit cofactor was not split within "
+                f"{_RHO_BUDGET} squarings"
+            )
+
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
+                batch = min(_RHO_BATCH, r - k)
+                spend(batch)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)
@@ -122,48 +149,41 @@ def _brent_factor(n: int) -> int:
         if g == n:  # the batch overshot: replay it one step at a time
             g = 1
             while g == 1:
+                spend(1)
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g
-
-
-def _trial_division(k: int) -> list:
-    """Prime factors of k with multiplicity, by trial division."""
-    factors = []
-    p = 2
-    while p * p <= k:
-        while k % p == 0:
-            factors.append(p)
-            k //= p
-        p += 1 if p == 2 else 2
-    if k > 1:
-        factors.append(k)
-    return factors
+            return g, steps
 
 
 @lru_cache(maxsize=1024)
 def _cofactor_primes(k: int) -> tuple:
     """Prime factors of k > 1, which has no prime factor below _SMALL_LIMIT.
 
-    Composites are split by rho.  A factor is called prime only with a
-    proof: below _SMALL_LIMIT**2, by a Miller-Rabin pass below _MR_BOUND, or
-    else by trial division.  Cached, because related radicands (q and the
-    warp factor of one instance) share their hard cofactor.
+    Composites are split by rho, within _RHO_BUDGET squarings in all.  A
+    factor is called prime only with a proof: below _SMALL_LIMIT**2, or by
+    a Miller-Rabin pass below _MR_BOUND; a larger factor that passes is
+    refused, since trial division to its square root cannot finish.
+    Cached, because related radicands (q and the warp factor of one
+    instance) share their hard cofactor.
     """
     factors = []
     pending = [k]
+    budget = _RHO_BUDGET
     while pending:
         f = pending.pop()
         if f < _SMALL_LIMIT**2:
             factors.append(f)
         elif not _miller_rabin(f):
-            d = _brent_factor(f)
+            d, steps = _brent_factor(f, budget)
+            budget -= steps
             pending += [d, f // d]
         elif f < _MR_BOUND:
             factors.append(f)
         else:
-            factors += _trial_division(f)
+            raise FactoringRefused(
+                f"a {f.bit_length()}-bit cofactor passes Miller-Rabin beyond its proven range"
+            )
     return tuple(factors)
 
 

@@ -12,9 +12,13 @@ kernels through the package's one elimination kernel, ``rref``.  The
 ``Fraction`` entries, as they stood before the package moved them onto
 integers over cleared denominators; the integer kernels must equal them.
 They read the bracket table through :func:`fraction_table`, the one
-``Fraction`` view of ``StructureConstants.table`` over its ``den``.
+``Fraction`` view of ``StructureConstants.table`` over its ``den``, and
+every matrix through :func:`dense`, the one ``Fraction`` view of a
+``Matrix``, read entry by entry; sums, traces and zero tests of matrices
+(:func:`add`, :func:`trace`, :func:`is_zero`) are taken on that view.
 """
 
+import math
 from fractions import Fraction
 from itertools import takewhile
 
@@ -26,12 +30,11 @@ from solvsoliton.lie_core import (
     ad_matrix,
     subalgebra,
 )
-from solvsoliton.linalg import _ZERO, Matrix, _int_row, rref
+from solvsoliton.linalg import Matrix, rref
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     SolitonVerdict,
     _restrict_gram,
-    ricci_bilinear,
     ricci_endomorphism_koszul,
     soliton_check_direct,
 )
@@ -40,9 +43,44 @@ from solvsoliton.scalars import surd
 _HALF = Fraction(1, 2)
 
 
+def dense(M: Matrix) -> list:
+    """M as dense rows of ``Fraction`` entries, each read as ``M[i, j]``."""
+    return [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
+
+
+def add(*terms: Matrix) -> Matrix:
+    """The entrywise sum of matrices of one shape, over their dense views."""
+    if len({(t.rows, t.cols) for t in terms}) != 1:
+        raise ValueError("shape mismatch")
+    views = [dense(t) for t in terms]
+    return Matrix([[sum(xs) for xs in zip(*rows)] for rows in zip(*views)])
+
+
+def trace(M: Matrix) -> Fraction:
+    if M.rows != M.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum((M[i, i] for i in range(M.rows)), Fraction(0))
+
+
+def is_zero(M: Matrix) -> bool:
+    return not any(x for row in dense(M) for x in row)
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
 def identity(n: int) -> Matrix:
     """The n x n identity matrix."""
     return Matrix.diagonal([1] * n)
+
+
+def int_row(entries) -> dict:
+    """The nonzero entries of a rational row as {col: int}, cleared by the
+    lcm of their denominators: the row ``rref`` takes for it."""
+    nonzero = [(c, Fraction(x)) for c, x in enumerate(entries) if x]
+    den = math.lcm(*(x.denominator for _, x in nonzero))
+    return {c: x.numerator * (den // x.denominator) for c, x in nonzero}
 
 
 def solve_exact(A: Matrix, b: Matrix):
@@ -55,16 +93,14 @@ def solve_exact(A: Matrix, b: Matrix):
     if A.rows != b.rows:
         raise ValueError("A and b must have the same number of rows")
     n = A.cols
-    pivots, _ = rref(_int_row(a + r)[0] for a, r in zip(A.data, b.data))
+    pivots, _ = rref(int_row(a + r) for a, r in zip(dense(A), dense(b)))
     if any(pc >= n for pc in pivots):
         return None  # a row of A reduced to zero with a nonzero right-hand side
-    x = Matrix.zeros(n, b.cols)
+    x = [[0] * b.cols for _ in range(n)]
     for pc, row in pivots.items():
         p = row[pc]
-        x.data[pc] = [
-            Fraction(row[n + j], p) if n + j in row else _ZERO for j in range(b.cols)
-        ]
-    return x
+        x[pc] = [Fraction(row.get(n + j, 0), p) for j in range(b.cols)]
+    return Matrix(x)
 
 
 def column(entries) -> Matrix:
@@ -74,7 +110,7 @@ def column(entries) -> Matrix:
 
 def column_of(A: Matrix, j: int) -> list:
     """Column j of A as a list."""
-    return [row[j] for row in A.data]
+    return [A[i, j] for i in range(A.rows)]
 
 
 def _jet_coerce(x):
@@ -194,7 +230,7 @@ def sparse_nullspace(rows, ncols: int) -> list:
     cleared = []
     for row in rows:
         cols = sorted(row)
-        ints, _ = _int_row([Fraction(row[c]) for c in cols])
+        ints = int_row([row[c] for c in cols])
         cleared.append({cols[k]: v for k, v in ints.items()})
     pivots, _ = rref(cleared)
     free = [c for c in range(ncols) if c not in pivots]
@@ -211,7 +247,7 @@ def sparse_nullspace(rows, ncols: int) -> list:
 
 def nullspace(A: Matrix) -> list:
     """Basis of {v : A v = 0} as column vectors (possibly empty)."""
-    rows = [dict(enumerate(row)) for row in A.data]
+    rows = [dict(enumerate(row)) for row in dense(A)]
     return [column(v) for v in sparse_nullspace(rows, A.cols)]
 
 
@@ -248,17 +284,17 @@ def bracket(L: StructureConstants, x, y) -> list:
 def killing_form(L: StructureConstants) -> Matrix:
     """beta(X, Y) = trace(ad X . ad Y) on the basis."""
     d = L.dim
-    ads = [ad_matrix(L, [Fraction(int(r == i)) for r in range(d)]) for i in range(d)]
+    ads = [dense(ad_matrix(L, [Fraction(int(r == i)) for r in range(d)])) for i in range(d)]
     out = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
             t = Fraction(0)
             for r in range(d):
-                row = ads[i].data[r]
+                row = ads[i][r]
                 for s in range(d):
                     a = row[s]
                     if a:
-                        b = ads[j].data[s][r]
+                        b = ads[j][s][r]
                         if b:
                             t += a * b
             out[i][j] = t
@@ -272,21 +308,21 @@ def mean_curvature_vector(M: MetricLieAlgebra, s: Splitting) -> list:
     a_idx = list(s.a_indices)
     if not a_idx:
         return [Fraction(0)] * d
-    sub = Matrix([[M.G.data[i][j] for j in a_idx] for i in a_idx])
+    sub = Matrix([[M.G[i, j] for j in a_idx] for i in a_idx])
     rhs = column(
-        [ad_matrix(M.L, [Fraction(int(r == i)) for r in range(d)]).trace() for i in a_idx]
+        [trace(ad_matrix(M.L, [Fraction(int(r == i)) for r in range(d)])) for i in a_idx]
     )
     sol = solve_exact(sub, rhs)
     if sol is None:
         raise ValueError("Gram restriction to the abelian part is singular")
     H = [Fraction(0)] * d
     for pos, i in enumerate(a_idx):
-        H[i] = sol.data[pos][0]
+        H[i] = sol[pos, 0]
     return H
 
 
 def _symmetric_part(M: MetricLieAlgebra, A: Matrix) -> Matrix:
-    return (A + adjoint_operator(M, A)).scale(_HALF)
+    return add(A, adjoint_operator(M, A)).scale(_HALF)
 
 
 def lauret_terms(M: MetricLieAlgebra, s: Splitting):
@@ -298,10 +334,10 @@ def lauret_terms(M: MetricLieAlgebra, s: Splitting):
     construction.
     """
     ric = ricci_endomorphism_koszul(M)
-    b_op = M.gram_inverse() @ killing_form(M.L)
+    b_op = fraction_matmul(fraction_inverse(M.G), killing_form(M.L))
     H = mean_curvature_vector(M, s)
     ad_h_s = _symmetric_part(M, ad_matrix(M.L, H))
-    r_term = ric + b_op.scale(_HALF) + ad_h_s
+    r_term = add(ric, b_op.scale(_HALF), ad_h_s)
     return r_term, b_op, ad_h_s
 
 
@@ -313,12 +349,12 @@ def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
     as the independent route to the R of :func:`lauret_terms`.
     """
     d = M.dim
-    G = M.G
+    G = dense(M.G)
     for i in range(d):
         for j in range(d):
-            if i != j and G.data[i][j] != 0:
+            if i != j and G[i][j] != 0:
                 raise ValueError("quadratic-sum route requires a diagonal Gram matrix")
-    g = [G.data[i][i] for i in range(d)]
+    g = [G[i][i] for i in range(d)]
     L = M.L
     sp = fraction_table(L)
     basis = [[Fraction(int(r == i)) for r in range(d)] for i in range(d)]
@@ -348,7 +384,7 @@ def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
             val = Fraction(1, 4) * (quad(plus) - quad(minus))
             bil[i][j] = val
             bil[j][i] = val
-    return M.gram_inverse() @ Matrix(bil)
+    return fraction_matmul(fraction_inverse(M.G), Matrix(bil))
 
 
 class ClosedForms:
@@ -408,20 +444,21 @@ def expected_closed_forms(p: FamilyParams) -> ClosedForms:
     )
 
 
-def _block_diag_entries(n: int, b1r, b1i, brest, heis0, heis1, z) -> Matrix:
-    """diag(b1r, b1i, brest*1, <4x4 heis block>, heis1*1, z) layout helper."""
+def _block_diag_entries(n: int, b1r, b1i, brest, heis0, heis1, z) -> list:
+    """diag(b1r, b1i, brest*1, <4x4 heis block>, heis1*1, z) layout helper,
+    as dense rows for the caller to fill in."""
     d = 4 * n - 1
-    out = Matrix.zeros(d, d)
-    out.data[0][0] = b1r
-    out.data[1][1] = b1i
+    out = [[0] * d for _ in range(d)]
+    out[0][0] = b1r
+    out[1][1] = b1i
     for i in range(2, 2 * n - 2):
-        out.data[i][i] = brest
+        out[i][i] = brest
     for i in range(2 * n + 2, 4 * n - 2):
-        out.data[i][i] = heis1
-    out.data[d - 1][d - 1] = z
+        out[i][i] = heis1
+    out[d - 1][d - 1] = z
     base = 2 * n - 2
     for i in range(4):
-        out.data[base + i][base + i] = heis0
+        out[base + i][base + i] = heis0
     return out
 
 
@@ -429,17 +466,13 @@ def expected_ad_b1r(n: int) -> Matrix:
     """ad(B1R) block form: diag(0, 2, 1_{2n-4}, V4, 0_{2n-4}, 0)."""
     if n < 2:
         raise ValueError("the solvable part is empty for n = 1")
-    out = _block_diag_entries(
-        n, Fraction(0), Fraction(2), Fraction(1), Fraction(0), Fraction(0), Fraction(0)
-    )
+    out = _block_diag_entries(n, 0, 2, 1, 0, 0, 0)
     base = 2 * n - 2
-    for i in range(4):
-        out.data[base + i][base + i] = Fraction(0)
-    out.data[base][base + 2] = Fraction(-1)
-    out.data[base + 1][base + 3] = Fraction(-1)
-    out.data[base + 2][base] = Fraction(-1)
-    out.data[base + 3][base + 1] = Fraction(-1)
-    return out
+    out[base][base + 2] = -1
+    out[base + 1][base + 3] = -1
+    out[base + 2][base] = -1
+    out[base + 3][base + 1] = -1
+    return Matrix(out)
 
 
 def expected_ad_b1r_star(p: FamilyParams) -> Matrix:
@@ -449,22 +482,22 @@ def expected_ad_b1r_star(p: FamilyParams) -> Matrix:
         raise ValueError("the solvable part is empty for n = 1")
     out = _block_diag_entries(
         n,
-        Fraction(0),
+        0,
         2 * (rho + c) ** 2 / (rho * (rho + 2 * c)),
-        Fraction(1),
-        Fraction(0),
-        Fraction(0),
+        1,
+        0,
+        0,
         -2 * c**2 / (rho * (rho + 2 * c)),
     )
     base = 2 * n - 2
     ratio = rho / (rho + 2 * c)
-    out.data[base][base + 2] = -ratio
-    out.data[base + 1][base + 3] = -ratio
-    out.data[base + 2][base] = -(rho + 2 * c) / rho
-    out.data[base + 3][base + 1] = -(rho + 2 * c) / rho
-    out.data[1][4 * n - 2] = -c / (rho * (rho + 2 * c))
-    out.data[4 * n - 2][1] = 4 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
-    return out
+    out[base][base + 2] = -ratio
+    out[base + 1][base + 3] = -ratio
+    out[base + 2][base] = -(rho + 2 * c) / rho
+    out[base + 3][base + 1] = -(rho + 2 * c) / rho
+    out[1][4 * n - 2] = -c / (rho * (rho + 2 * c))
+    out[4 * n - 2][1] = 4 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
+    return Matrix(out)
 
 
 def expected_ad_h_sym(p: FamilyParams) -> Matrix:
@@ -475,32 +508,32 @@ def expected_ad_h_sym(p: FamilyParams) -> Matrix:
     m = Fraction(2 * n - 2)
     out = _block_diag_entries(
         n,
-        Fraction(0),
+        0,
         m * (2 * rho**2 + 4 * c * rho + c**2) / ((rho + c) * (rho + 2 * c)),
         m * rho / (rho + c),
-        Fraction(0),
-        Fraction(0),
+        0,
+        0,
         -m * c**2 / ((rho + c) * (rho + 2 * c)),
     )
     base = 2 * n - 2
     ratio = rho / (rho + 2 * c)
-    out.data[base][base + 2] = -m * ratio
-    out.data[base + 1][base + 3] = -m * ratio
-    out.data[base + 2][base] = -m
-    out.data[base + 3][base + 1] = -m
-    out.data[1][4 * n - 2] = -m * c / (2 * (rho + c) * (rho + 2 * c))
-    out.data[4 * n - 2][1] = m * 2 * c * (rho + c) / (rho + 2 * c)
-    return out
+    out[base][base + 2] = -m * ratio
+    out[base + 1][base + 3] = -m * ratio
+    out[base + 2][base] = -m
+    out[base + 3][base + 1] = -m
+    out[1][4 * n - 2] = -m * c / (2 * (rho + c) * (rho + 2 * c))
+    out[4 * n - 2][1] = m * 2 * c * (rho + c) / (rho + 2 * c)
+    return Matrix(out)
 
 
 def expected_killing_operator(p: FamilyParams) -> Matrix:
     """Killing endomorphism (2n+4) rho/(rho+c) E_{1,1} (zero for n = 1)."""
     n, rho, c = p.n, p.rho, p.c
     d = p.dim
-    out = Matrix.zeros(d, d)
+    out = [[0] * d for _ in range(d)]
     if n > 1:
-        out.data[0][0] = (2 * n + 4) * rho / (rho + c)
-    return out
+        out[0][0] = (2 * n + 4) * rho / (rho + c)
+    return Matrix(out)
 
 
 def expected_mean_curvature(p: FamilyParams) -> list:
@@ -517,15 +550,15 @@ def expected_normality_commutator(p: FamilyParams) -> Matrix:
     if n < 2:
         raise ValueError("the solvable part is empty for n = 1")
     d = p.dim
-    out = Matrix.zeros(d, d)
+    out = [[0] * d for _ in range(d)]
     k1 = 4 * c * (rho + c) / (rho * (rho + 2 * c))
     base = 2 * n - 2
     for i in (0, 1):
-        out.data[base + i][base + i] = k1
-        out.data[base + 2 + i][base + 2 + i] = -k1
-    out.data[1][d - 1] = -2 * c / (rho * (rho + 2 * c))
-    out.data[d - 1][1] = -8 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
-    return out
+        out[base + i][base + i] = k1
+        out[base + 2 + i][base + 2 + i] = -k1
+    out[1][d - 1] = -2 * c / (rho * (rho + 2 * c))
+    out[d - 1][1] = -8 * c * (rho + c) ** 2 / (rho * (rho + 2 * c))
+    return Matrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +581,8 @@ def fraction_connection_coeffs(M: MetricLieAlgebra) -> list:
     d = L.dim
     sp = fraction_table(L)
     # Sparse rows of the symmetric G and G^{-1}.
-    g_rows = [[(k, v) for k, v in enumerate(row) if v] for row in G.data]
-    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in fraction_inverse(G).data]
+    g_rows = [[(k, v) for k, v in enumerate(row) if v] for row in dense(G)]
+    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in dense(fraction_inverse(G))]
     w: dict = {}
     by_value: dict = {}
     for i in range(d):
@@ -622,13 +655,7 @@ def fraction_ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
                 for j, y in by_row[m][k].items():
                     row[j] = row.get(j, 0) - v * y
         out.append([row.get(j, zero) for j in range(d)])
-    return Matrix._trusted(out)
-
-
-def ricci_form(M: MetricLieAlgebra) -> Matrix:
-    """The Ricci form of ``ricci_bilinear``'s integer rows, as a Matrix."""
-    rows, den = ricci_bilinear(M)
-    return Matrix([[Fraction(x, den) for x in row] for row in rows])
+    return Matrix(out)
 
 
 def fraction_ricci_endomorphism(M: MetricLieAlgebra) -> Matrix:
@@ -646,7 +673,7 @@ def fraction_leibniz_defects(L: StructureConstants, X: Matrix):
     d = L.dim
     sp = fraction_table(L)
     # cols[m] = nonzero (r, X[r][m]) of X e_m.
-    cols = [[(r, row[m]) for r, row in enumerate(X.data) if row[m]] for m in range(d)]
+    cols = [[(r, row[m]) for r, row in enumerate(dense(X)) if row[m]] for m in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             out: dict = {}
@@ -687,7 +714,7 @@ def fraction_direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     D = Matrix(
         [
             [x - lam if r == s else x for s, x in enumerate(row)]
-            for r, row in enumerate(ric.data)
+            for r, row in enumerate(dense(ric))
         ]
     )
     if not fraction_is_derivation(L, D)[0]:
@@ -709,20 +736,21 @@ def fraction_matmul(self: Matrix, other: Matrix) -> Matrix:
     """The matrix product summed over Fraction entries."""
     if self.cols != other.rows:
         raise ValueError("shape mismatch")
+    A, B = dense(self), dense(other)
     out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
     for i in range(self.rows):
-        arow = self.data[i]
+        arow = A[i]
         orow = out[i]
         for k in range(self.cols):
             a = arow[k]
             if not a:
                 continue
-            brow = other.data[k]
+            brow = B[k]
             for j in range(other.cols):
                 b = brow[j]
                 if b:
                     orow[j] = orow[j] + a * b
-    return Matrix._trusted(out)
+    return Matrix(out)
 
 
 def _fraction_eliminate(row: dict, pc, prow: dict) -> None:
@@ -792,13 +820,13 @@ def fraction_solve_exact(A: Matrix, b: Matrix):
     if A.rows != b.rows:
         raise ValueError("A and b must have the same number of rows")
     n = A.cols
-    pivots, _ = fraction_rref(dict(enumerate(a + r)) for a, r in zip(A.data, b.data))
+    pivots, _ = fraction_rref(dict(enumerate(a + r)) for a, r in zip(dense(A), dense(b)))
     if any(pc >= n for pc in pivots):
         return None  # a row of A reduced to zero with a nonzero right-hand side
-    x = Matrix.zeros(n, b.cols)
+    x = [[0] * b.cols for _ in range(n)]
     for pc, row in pivots.items():
-        x.data[pc] = [row.get(n + j, Fraction(0)) for j in range(b.cols)]
-    return x
+        x[pc] = [row.get(n + j, 0) for j in range(b.cols)]
+    return Matrix(x)
 
 
 def fraction_inverse(A: Matrix) -> Matrix:
@@ -915,7 +943,7 @@ def fraction_verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) ->
         lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
     )
     a_is_abelian = not any(sp[i][j] for i in s.a_indices for j in s.a_indices)
-    ortho = all(G.data[i][j] == 0 for i in s.a_indices for j in s.n_indices)
+    ortho = all(G[i, j] == 0 for i in s.a_indices for j in s.n_indices)
     return SplittingReport(
         n_is_ideal=n_is_ideal,
         n_is_nilpotent=n_is_nilpotent,
@@ -959,8 +987,8 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
         ad_a = ad_matrix(M.L, x)
         ad_a_star = adjoint_operator(M, ad_a)
         a_ads.append((i, ad_a, ad_a_star))
-        comm = fraction_matmul(ad_a, ad_a_star) - fraction_matmul(ad_a_star, ad_a)
-        if not comm.is_zero():
+        comm = add(fraction_matmul(ad_a, ad_a_star), fraction_matmul(ad_a_star, ad_a).scale(-1))
+        if not is_zero(comm):
             cond_normal = False
             if witness is None:
                 witness = comm
@@ -978,9 +1006,9 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
         cond_norm = not a_ads  # vacuous only when the abelian part is empty
     else:
         for i, ad_a, ad_a_star in a_ads:
-            sym = (ad_a + ad_a_star).scale(_HALF)
-            target = -fraction_matmul(sym, sym).trace() / lam
-            if M.G.data[i][i] != target:
+            sym = add(ad_a, ad_a_star).scale(_HALF)
+            target = -trace(fraction_matmul(sym, sym)) / lam
+            if M.G[i, i] != target:
                 cond_norm = False
     checklist = {
         "nilsoliton": cond_nil,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solvsoliton
-from solvsoliton import cli, family, lie_core, metric_lie
+from solvsoliton import cli, family, lie_core, metric_lie, scalars
 from solvsoliton.cli import main
 from solvsoliton.metric_lie import SolitonVerdict
 
@@ -89,6 +89,21 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "--n", "17", "--rho", "1", "--c", "0")
         assert code == 2 and out == ""
         assert err == "n=17 exceeds SOLV_MAX_N=16 for the exact path\n"
+
+    def test_factoring_past_its_budget_exits_2(self, capsys):
+        # The radicand of 1/sqrt(f) at c = 1e-40 has a 207-bit cofactor that
+        # Pollard-Brent does not split within its budget.
+        code, out, err = run(capsys, "sweep", "--n", "1", "--rho-grid", "2", "--c-grid", "1e-40")
+        assert code == 2 and out == ""
+        assert err == (
+            "factoring refused: a 207-bit cofactor was not split within 8388608 squarings\n"
+        )
+
+    def test_factoring_refusal_in_spectrum(self, capsys, monkeypatch):
+        monkeypatch.setattr(scalars, "_RHO_BUDGET", 2**12)
+        code, out, err = run(capsys, "spectrum", "--n", "2", "--rho", "1e-30", "--c", "1e30")
+        assert code == 2 and out == ""
+        assert err.startswith("factoring refused: ") and err.count("\n") == 1
 
     def test_einstein_cost_guard(self, capsys):
         code, out, err = run(capsys, "einstein", "--n", "9", "--rho", "1", "--c", "1")
@@ -454,6 +469,28 @@ class TestComputeOnce:
         report = cli.verify_report(family.FamilyParams(3, Fraction(5, 2), Fraction(c)))
         assert report["ok"] is True
         assert calls == {"metric_algebra": 1, "verify_splitting": 1}
+
+    @pytest.mark.parametrize("c", ["0", "1/3"])
+    def test_verify_caches_one_entry_per_object(self, monkeypatch, c):
+        built = []
+        cls = metric_lie.MetricLieAlgebra
+
+        def recorded(*args):
+            built.append(cls(*args))
+            return built[-1]
+
+        for module in (family, metric_lie):
+            monkeypatch.setattr(module, "MetricLieAlgebra", recorded)
+        p = family.FamilyParams(3, Fraction(5, 2), Fraction(c))
+        assert cli.verify_report(p)["ok"] is True
+        algebra, nilradical = built
+        assert algebra._cache.keys() == {
+            "Ginv",
+            "ricci_endo",
+            "soliton_direct",
+            ("splitting", family.family_splitting(3)),
+        }
+        assert nilradical._cache.keys() == {"Ginv", "ricci_endo", "soliton_direct"}
 
     def test_verify_inverts_each_gram_once(self, monkeypatch):
         calls = {}

@@ -210,6 +210,24 @@ class TestGeneralRicciFormula:
         with pytest.raises(ZeroDivisionError):
             hypersurface_ricci_general([Fraction(1)], [0], [0], Fraction(0), 1, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_jet_ratios_give_the_ricci_of_the_jets(self, n):
+        # Ric_i/g_i reads g_i only through g_i'/g_i and g_i''/g_i, so passing
+        # the ratios with a unit entry equals passing g, g' and g''.
+        for rho, c in ((Fraction(11, 13), Fraction(9, 14)), (Fraction(5, 3), 0), (7, Fraction(2, 9))):
+            p = FamilyParams(n, rho, c)
+            f, f_d1, _ = warp_data(p)
+            jets = coordinate_gram(p)
+            ric = hypersurface_ricci_general(
+                [g for g, _, _ in jets],
+                [g * d1 for g, d1, _ in jets],
+                [g * d2 for g, _, d2 in jets],
+                f,
+                f * f_d1,
+                Fraction(-2 * (n + 2)),
+            )
+            assert ricci_endomorphism_coords(p) == Matrix.diagonal(ric)
+
     def test_family_n2_c0_coordinate_diagonal(self):
         endo = ricci_endomorphism_coords(FamilyParams(2, Fraction(1), Fraction(0)))
         assert endo == Matrix.diagonal([-8, -8, 4, -2, -2, -2, -2])

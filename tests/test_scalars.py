@@ -280,6 +280,50 @@ class TestSquarefreeDecompose:
         assert scalars._squarefree_decompose(k) == (1093 * 3511, 7)
         assert trial_division_decompose(k) == (1093 * 3511, 7)
 
+    def test_budget_counts_squarings_deterministically(self):
+        p, q = 1000003, 1000033  # primes just above _SMALL_LIMIT**2
+        d, steps = scalars._brent_factor(p * q, scalars._RHO_BUDGET)
+        assert d in (p, q) and 0 < steps <= scalars._RHO_BUDGET
+        assert scalars._brent_factor(p * q, steps) == (d, steps)
+        with pytest.raises(scalars.FactoringRefused):
+            scalars._brent_factor(p * q, steps - 1)
+
+    def test_budget_is_per_radicand(self, monkeypatch):
+        # Three primes just above _SMALL_LIMIT**2: two splits, which share one
+        # budget.
+        primes = [1000003, 1000033, 1000037]
+        k = primes[0] * primes[1] * primes[2]
+        spent = []
+        brent = scalars._brent_factor
+
+        def counted(n, budget):
+            d, steps = brent(n, budget)
+            spent.append(steps)
+            return d, steps
+
+        monkeypatch.setattr(scalars, "_brent_factor", counted)
+        scalars._cofactor_primes.cache_clear()
+        assert sorted(scalars._cofactor_primes(k)) == primes
+        assert len(spent) == 2
+        total = sum(spent)
+        monkeypatch.setattr(scalars, "_RHO_BUDGET", total - 1)
+        scalars._cofactor_primes.cache_clear()
+        with pytest.raises(scalars.FactoringRefused, match=f"within {total - 1} squarings"):
+            scalars._cofactor_primes(k)
+        monkeypatch.setattr(scalars, "_RHO_BUDGET", total)
+        assert sorted(scalars._cofactor_primes(k)) == primes
+        scalars._cofactor_primes.cache_clear()
+
+    def test_unproven_probable_prime_is_refused(self):
+        # 2^89 - 1 is prime and above the Miller-Rabin bound, where no proof
+        # is at hand; trial division to its square root could not finish.
+        k = 2**89 - 1
+        assert k > scalars._MR_BOUND
+        with pytest.raises(scalars.FactoringRefused, match="89-bit cofactor passes Miller-Rabin"):
+            scalars._cofactor_primes(k)
+        with pytest.raises(scalars.FactoringRefused):
+            surd(0, 1, k)
+
     def test_200_bit_radicand_in_under_a_second(self):
         # q = (rho + c)/(rho + 2c) at rho = 1, c = 1e-30
         c = Fraction(1, 10**30)
