@@ -65,9 +65,10 @@ def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):
 
 
 def _principal_ricci(p: family.FamilyParams) -> tuple:
-    """(r1, r2, r3, r4), with the two absent for n = 1 left as None."""
+    """(r1, r2, r3, r4), each None on an empty slice block (r1 and r4 at
+    n = 1)."""
     r = family.ricci_eigenvalue_formulas(p.n, p.rho, p.c)
-    return (None, r[1], r[2], None) if p.n == 1 else r
+    return tuple(x if m else None for x, m in zip(r, family.slice_multiplicities(p.n)))
 
 
 def _delta_multiple(p: family.FamilyParams, D):
@@ -192,8 +193,9 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
     return rows
 
 
-def einstein_report(p: family.FamilyParams) -> dict:
-    """Numeric ambient checks; a ValueError if the float metric at the point
+def einstein_report(p: family.FamilyParams) -> tuple:
+    """Numeric ambient checks: the report, and the CSV rows of its
+    residuals at 12 digits.  A ValueError if the float metric at the point
     is not finite or not invertible."""
     from .coord_engine import (
         RESIDUAL_TOL,
@@ -222,7 +224,7 @@ def einstein_report(p: family.FamilyParams) -> dict:
             f"rho={float(p.rho):.6g}, c={float(p.c):.6g}"
         )
     worst = max(residuals.values())
-    return {
+    report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "einstein_constant": -2 * (p.n + 2),
         "residuals": {k: f"{v:.6e}" for k, v in residuals.items()},
@@ -230,10 +232,8 @@ def einstein_report(p: family.FamilyParams) -> dict:
         "induced_gram_error": f"{induced.gram_max_error:.6e}",
         "induced_eigenvalue_error": f"{induced.eigenvalue_max_error:.6e}",
         "ok": bool(worst < RESIDUAL_TOL and induced.ok()),
-        "_residual_rows": [
-            {"point": name, "residual": f"{val:.12e}"} for name, val in residuals.items()
-        ],
     }
+    return report, [{"point": k, "residual": f"{v:.12e}"} for k, v in residuals.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +322,6 @@ def _render_text(payload, indent=0) -> str:
     lines = []
     if isinstance(payload, dict):
         for key, value in payload.items():
-            if key.startswith("_"):
-                continue
             if _is_matrix(value):
                 lines.append(f"{pad}{key}:")
                 for row in value:
@@ -602,7 +600,7 @@ def main(argv=None) -> int:
             ok = True
         elif cfg.command == "einstein":
             try:
-                report = einstein_report(p)
+                report, residual_rows = einstein_report(p)
             except ValueError as exc:
                 print(f"parameter error: {exc}", file=sys.stderr)
                 return 2
@@ -610,7 +608,7 @@ def main(argv=None) -> int:
         else:  # pragma: no cover - the parser restricts the choices
             return 2
         if cfg.command == "einstein" and cfg.format == "csv":
-            text = _render_csv(report["_residual_rows"])
+            text = _render_csv(residual_rows)
         elif cfg.format == "json":
             text = _render_json(report)
         elif cfg.format == "csv":

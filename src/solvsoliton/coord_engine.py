@@ -20,7 +20,12 @@ import random
 from operator import mul
 from types import MappingProxyType
 
-from .family import FamilyParams, coordinate_gram_values, ricci_eigenvalue_formulas
+from .family import (
+    FamilyParams,
+    coordinate_gram_values,
+    ricci_eigenvalue_formulas,
+    slice_multiplicities,
+)
 from .hypersurface import hypersurface_ricci_general
 from .scalars import power_jet
 
@@ -517,8 +522,8 @@ def induced_consistency(M: AmbientMetric, p: FamilyParams) -> InducedReport:
         dg[0][0][0],
         -2.0 * (n + 2),
     )
-    r1, r2, r3, r4 = (float(x) for x in ricci_eigenvalue_formulas(n, p.rho, p.c))
-    expected = [r1] * (2 * n - 2) + [r2] + [r3] * 2 + [r4] * (2 * n - 2)
+    r = ricci_eigenvalue_formulas(n, p.rho, p.c)
+    expected = [float(x) for x, m in zip(r, slice_multiplicities(n)) for _ in range(m)]
     return InducedReport(
         gram_max_error=gram_err,
         eigenvalue_max_error=_max_abs(e - x for e, x in zip(eigs, expected)),

@@ -8,15 +8,17 @@ vectors, the slice metric as products of powers of rho + a, and the
 closed-form Ricci endomorphism that the curvature routes are checked
 against.
 
-Ordered basis for n > 1:
+Ordered basis:
 
     (B1R, B1I, B2R, B2I, ..., B_{n-1}R, B_{n-1}I,
      e0, f0, e1, f1, ..., e_{n-1}, f_{n-1}, Z)
 
-and (e0, f0, Z) for n = 1.  The mixed brackets between the solvable part and
-the Heisenberg part are stated as in the paper, over the complex combinations
-E_k = e_k - i f_k: one coefficient table per generator, expanded to the real
-basis by one rule in :func:`_mixed_triples`.  The tests check the expansion
+n = 1, the Heisenberg algebra (e0, f0, Z), has an empty solvable part; only
+the brackets, the splitting and the verdict label single it out.  The mixed
+brackets between the solvable part and the Heisenberg part are stated as in
+the paper, over the complex combinations E_k = e_k - i f_k: one coefficient
+table per generator, expanded to the real basis by one rule in
+:func:`_mixed_triples`.  The tests check the expansion
 against the printed adjoint blocks (``TestAdjoint`` in test_lie_core.py, and
 ``TestRealFromComplex`` and ``TestBuildLieAlgebra`` in test_family.py).
 """
@@ -40,6 +42,7 @@ __all__ = [
     "family_splitting",
     "metric_algebra",
     "coordinate_names",
+    "slice_multiplicities",
     "slice_diagonal",
     "coordinate_gram",
     "coordinate_gram_values",
@@ -101,7 +104,7 @@ def _idx_bi(n: int, a: int) -> int:
 
 
 def _idx_e(n: int, k: int) -> int:
-    return (2 * n - 2 if n > 1 else 0) + 2 * k
+    return 2 * n - 2 + 2 * k
 
 
 def _idx_f(n: int, k: int) -> int:
@@ -180,22 +183,13 @@ def build_gram(p: FamilyParams) -> Matrix:
     :class:`MetricLieAlgebra`.
     """
     n, rho, c = p.n, p.rho, p.c
-    if n == 1:
-        entries = [
-            (2 * c + rho) / (4 * rho**2),
-            (2 * c + rho) / (4 * rho**2),
-            (c + rho) / (4 * (2 * c + rho) * rho**2),
-        ]
-    else:
-        entries = [
-            (rho + c) / rho,
-            (rho + c) ** 3 / (rho**2 * (rho + 2 * c)),
-        ]
+    entries = []
+    if n > 1:
+        entries += [(rho + c) / rho, (rho + c) ** 3 / (rho**2 * (rho + 2 * c))]
         entries += [(rho + c) / (4 * rho)] * (2 * n - 4)
-        entries += [(rho + 2 * c) / (4 * rho**2)] * 2
-        entries += [Fraction(1) / (4 * rho)] * 2
-        entries += [Fraction(1) / (4 * rho)] * (2 * n - 4)
-        entries.append((rho + c) / (4 * rho**2) / (rho + 2 * c))
+    entries += [(rho + 2 * c) / (4 * rho**2)] * 2
+    entries += [Fraction(1) / (4 * rho)] * (2 * n - 2)
+    entries.append((rho + c) / (4 * rho**2) / (rho + 2 * c))
     d = len(entries)
     g = [[e if i == j else 0 for j in range(d)] for i, e in enumerate(entries)]
     if n > 1:
@@ -229,8 +223,6 @@ def metric_algebra(p: FamilyParams) -> MetricLieAlgebra:
 
 def coordinate_names(n: int) -> list:
     """Hypersurface coordinate order: (b^a, t^a, phi, zeta~_0, zeta^0, ...)."""
-    if n == 1:
-        return ["phi", "zt0", "z0"]
     names = []
     for a in range(1, n):
         names += [f"b{a}", f"t{a}"]
@@ -239,6 +231,13 @@ def coordinate_names(n: int) -> list:
     for j in range(1, n):
         names += [f"zt{j}", f"z{j}"]
     return names
+
+
+def slice_multiplicities(n: int) -> tuple:
+    """Sizes of the slice's four blocks b, phi, z0 and zrest in coordinate
+    order, the multiplicities of the shape and Ricci spectra; the b and
+    zrest blocks are empty at n = 1."""
+    return (2 * n - 2, 1, 2, 2 * n - 2)
 
 
 def slice_diagonal(n: int, c) -> list:
@@ -255,7 +254,8 @@ def slice_diagonal(n: int, c) -> list:
     phi = (quarter, ((0, -2), (c, 1), (2 * c, -1)))
     z0 = (half, ((0, -2), (2 * c, 1)))
     zrest = (half, ((0, -1),))
-    return [b] * (2 * n - 2) + [phi] + [z0] * 2 + [zrest] * (2 * n - 2)
+    blocks = zip((b, phi, z0, zrest), slice_multiplicities(n))
+    return [entry for entry, m in blocks for _ in range(m)]
 
 
 def coordinate_gram(p: FamilyParams) -> list:
@@ -293,23 +293,19 @@ def build_embedding(p: FamilyParams, gram: Matrix) -> Matrix:
     names = coordinate_names(n)
     row = {name: i for i, name in enumerate(names)}
     P = [[0] * d for _ in range(d)]
-    if n == 1:
-        P[row["zt0"]][0] = _HALF
-        P[row["z0"]][1] = _HALF
-        P[row["phi"]][2] = 1
-    else:
+    if n > 1:
         P[row["b1"]][0] = 2
         P[row["t1"]][1] = 2
         P[row["phi"]][1] = -2 * c
-        for a in range(2, n):
-            P[row[f"b{a}"]][_idx_br(n, a)] = 1
-            P[row[f"t{a}"]][_idx_bi(n, a)] = 1
-        P[row["zt0"]][_idx_e(n, 0)] = _HALF
-        P[row["z0"]][_idx_f(n, 0)] = _HALF
-        for j in range(1, n):
-            P[row[f"zt{j}"]][_idx_e(n, j)] = _HALF
-            P[row[f"z{j}"]][_idx_f(n, j)] = -_HALF
-        P[row["phi"]][_idx_z(n)] = 1
+    for a in range(2, n):
+        P[row[f"b{a}"]][_idx_br(n, a)] = 1
+        P[row[f"t{a}"]][_idx_bi(n, a)] = 1
+    P[row["zt0"]][_idx_e(n, 0)] = _HALF
+    P[row["z0"]][_idx_f(n, 0)] = _HALF
+    for j in range(1, n):
+        P[row[f"zt{j}"]][_idx_e(n, j)] = _HALF
+        P[row[f"z{j}"]][_idx_f(n, j)] = -_HALF
+    P[row["phi"]][_idx_z(n)] = 1
     P = Matrix(P)
     g_frame = Matrix.diagonal(
         2 * g if name.startswith("z") else g
@@ -348,12 +344,11 @@ def expected_ric_matrix(p: FamilyParams) -> Matrix:
     """Ricci endomorphism in the family basis, from the closed forms."""
     n, rho, c = p.n, p.rho, p.c
     r1, r2, r3, r4 = ricci_eigenvalue_formulas(n, rho, c)
-    if n == 1:
-        return Matrix.diagonal([r3, r3, r2])
     diag = [r1] * (2 * n - 2) + [r3] * 2 + [r4] * (2 * n - 2) + [r2]
     d = len(diag)
     out = [[e if i == j else 0 for j in range(d)] for i, e in enumerate(diag)]
-    out[d - 1][1] = 2 * c * (r1 - r2)
+    if n > 1:
+        out[d - 1][1] = 2 * c * (r1 - r2)
     return Matrix(out)
 
 

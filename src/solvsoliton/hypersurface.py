@@ -22,8 +22,9 @@ and over ``float`` in the ambient cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
-from .family import FamilyParams, coordinate_gram
+from .family import FamilyParams, coordinate_gram, slice_multiplicities
 from .linalg import Matrix
 from .scalars import Surd, power_jet, sqrt_fraction
 
@@ -64,9 +65,10 @@ def shape_operator(p: FamilyParams) -> ShapeOperator:
     """Principal curvatures sigma_i = -(g_i'/g_i)/2 * 1/sqrt(f) and their sum.
 
     The canonical 1/sqrt(f) = b*sqrt(q) is taken once; each value is the
-    rational x*b times sqrt(q), a ``Fraction`` when x = 0 or q = 1.
+    rational x*b times sqrt(q), a ``Fraction`` when x = 0 or q = 1.  Each
+    slice block carries one sigma_k, None on an empty block (b and zrest at
+    n = 1).
     """
-    n = p.n
     root = sqrt_fraction(1 / warp_data(p)[0])
     b, q = (root.b, root.q) if isinstance(root, Surd) else (root, 1)
 
@@ -75,12 +77,9 @@ def shape_operator(p: FamilyParams) -> ShapeOperator:
         return Surd(Fraction(0), x, q) if x and q != 1 else x
 
     coeffs = [-d1 / 2 for _, d1, _ in coordinate_gram(p)]
-    mult = (2 * n - 2, 1, 2, 2 * n - 2)
-    if n == 1:
-        sigma = (None, coeffs[0], coeffs[1], None)
-    else:
-        sigma = (coeffs[0], coeffs[2 * n - 2], coeffs[2 * n - 1], coeffs[-1])
-    sigma = tuple(None if x is None else value(x) for x in sigma)
+    mult = slice_multiplicities(p.n)
+    starts = accumulate(mult, initial=0)
+    sigma = tuple(value(coeffs[i]) if m else None for i, m in zip(starts, mult))
     return ShapeOperator(sigma=sigma, multiplicities=mult, trace=value(sum(coeffs)))
 
 

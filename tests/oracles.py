@@ -16,6 +16,8 @@ They read the bracket table through :func:`fraction_table`, the one
 every matrix through :func:`dense`, the one ``Fraction`` view of a
 ``Matrix``, read entry by entry; sums, traces and zero tests of matrices
 (:func:`add`, :func:`trace`, :func:`is_zero`) are taken on that view.
+The ``heisenberg_*`` functions state the n = 1 case apart, the reference
+for the general builders at n = 1.
 """
 
 import math
@@ -23,6 +25,7 @@ from fractions import Fraction
 from itertools import takewhile
 
 from solvsoliton.family import FamilyParams, ricci_eigenvalue_formulas
+from solvsoliton.hypersurface import ShapeOperator, warp_data
 from solvsoliton.lie_core import (
     Splitting,
     SplittingReport,
@@ -38,7 +41,7 @@ from solvsoliton.metric_lie import (
     ricci_endomorphism_koszul,
     soliton_check_direct,
 )
-from solvsoliton.scalars import surd
+from solvsoliton.scalars import Surd, power_jet, sqrt_fraction, surd
 
 _HALF = Fraction(1, 2)
 
@@ -1025,3 +1028,81 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
         witness=witness,
         lambda_source=lam_source,
     )
+
+
+# ---------------------------------------------------------------------------
+# The Heisenberg case n = 1, stated apart
+# ---------------------------------------------------------------------------
+#
+# The n = 1 bodies of the family builders, the shape operator and the CLI's
+# principal Ricci curvatures, written for n = 1 alone: the reference that
+# the package's general bodies must equal at n = 1.
+
+
+def heisenberg_gram(p: FamilyParams) -> Matrix:
+    """``family.build_gram`` at n = 1."""
+    rho, c = p.rho, p.c
+    entries = [
+        (2 * c + rho) / (4 * rho**2),
+        (2 * c + rho) / (4 * rho**2),
+        (c + rho) / (4 * (2 * c + rho) * rho**2),
+    ]
+    d = len(entries)
+    g = [[e if i == j else 0 for j in range(d)] for i, e in enumerate(entries)]
+    return Matrix(g)
+
+
+def heisenberg_coordinate_names() -> list:
+    """``family.coordinate_names`` at n = 1."""
+    return ["phi", "zt0", "z0"]
+
+
+def heisenberg_embedding(p: FamilyParams) -> Matrix:
+    """``family.build_embedding`` at n = 1 (its Gram identity is the
+    package's to check)."""
+    names = heisenberg_coordinate_names()
+    row = {name: i for i, name in enumerate(names)}
+    P = [[0] * p.dim for _ in range(p.dim)]
+    P[row["zt0"]][0] = _HALF
+    P[row["z0"]][1] = _HALF
+    P[row["phi"]][2] = 1
+    return Matrix(P)
+
+
+def heisenberg_ric_matrix(p: FamilyParams) -> Matrix:
+    """``family.expected_ric_matrix`` at n = 1."""
+    r1, r2, r3, r4 = ricci_eigenvalue_formulas(p.n, p.rho, p.c)
+    return Matrix.diagonal([r3, r3, r2])
+
+
+def heisenberg_principal_ricci(p: FamilyParams) -> tuple:
+    """``cli._principal_ricci`` at n = 1: (r1, r2, r3, r4) with the two
+    absent curvatures left as None."""
+    r = ricci_eigenvalue_formulas(p.n, p.rho, p.c)
+    return (None, r[1], r[2], None)
+
+
+def heisenberg_slice_diagonal(c) -> list:
+    """The slice diagonal (phi, zeta~_0, zeta^0) at n = 1, in the
+    (K, ((a, p), ...)) form of ``family.slice_diagonal``."""
+    phi = (Fraction(1, 4), ((0, -2), (c, 1), (2 * c, -1)))
+    z0 = (Fraction(1, 2), ((0, -2), (2 * c, 1)))
+    return [phi, z0, z0]
+
+
+def heisenberg_shape_operator(p: FamilyParams) -> ShapeOperator:
+    """``hypersurface.shape_operator`` at n = 1, over the jets of
+    :func:`heisenberg_slice_diagonal`."""
+    root = sqrt_fraction(1 / warp_data(p)[0])
+    b, q = (root.b, root.q) if isinstance(root, Surd) else (root, 1)
+
+    def value(x):
+        x *= b
+        return Surd(Fraction(0), x, q) if x and q != 1 else x
+
+    jets = [power_jet(p.rho, *entry) for entry in heisenberg_slice_diagonal(p.c)]
+    coeffs = [-d1 / 2 for _, d1, _ in jets]
+    mult = (0, 1, 2, 0)
+    sigma = (None, coeffs[0], coeffs[1], None)
+    sigma = tuple(None if x is None else value(x) for x in sigma)
+    return ShapeOperator(sigma=sigma, multiplicities=mult, trace=value(sum(coeffs)))

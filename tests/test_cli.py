@@ -199,6 +199,26 @@ class TestJsonRoundTrip:
         )
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    @pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+    def test_no_private_keys(self, capsys, cmd, n):
+        if cmd == "sweep":
+            point = ("--rho-grid", "1,11/13", "--c-grid", "0,9/14")
+        else:
+            point = ("--rho", "11/13", "--c", "9/14")
+        code, out, _ = run(capsys, cmd, "--n", n, *point, "--format", "json")
+        assert code == 0
+
+        def keys(value):
+            if isinstance(value, dict):
+                yield from value
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    yield from keys(item)
+
+        assert [key for key in keys(json.loads(out)) if key.startswith("_")] == []
+
 
 class TestSweep:
     def test_verdict_column(self, capsys):
@@ -526,7 +546,7 @@ class TestComputeOnce:
             return assemble(self, point)
 
         monkeypatch.setattr(coord_engine.AmbientMetric, "_assemble", counted)
-        report = cli.einstein_report(family.FamilyParams(2, Fraction(1), Fraction(1)))
+        report, _ = cli.einstein_report(family.FamilyParams(2, Fraction(1), Fraction(1)))
         assert report["ok"] is True
         # p_rho and the two off-center points; induced_consistency reuses p_rho
         assert len(calls) == len(set(calls)) == 3

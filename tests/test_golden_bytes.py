@@ -1,10 +1,11 @@
 """Canonical CLI output bytes against recorded SHA-256 digests.
 
 A handful of the benchmark's recorded requests (perfbench/golden.json), and
-the ``spectrum``, ``ricci`` and ``soliton`` reports that the benchmark does
-not cover (tests/report_digests.json), run in-process through ``cli.main``;
-the SHA-256 of each stdout must equal its recorded digest, so a change to any
-output byte fails here without running the benchmark.
+the reports that the benchmark does not cover (tests/report_digests.json:
+``spectrum``, ``ricci`` and ``soliton`` at n = 1-3, ``verify`` and ``sweep``
+at n = 1-2), run in-process through ``cli.main``; the SHA-256 of each stdout
+must equal its recorded digest, so a change to any output byte fails here
+without running the benchmark.
 """
 
 import hashlib
@@ -48,6 +49,12 @@ REPORT_KEYS = [
     for cmd, n, c, fmt in product(
         ("spectrum", "ricci", "soliton"), (1, 2, 3), ("0", "9/14"), ("json", "text")
     )
+] + [
+    f"verify --n {n} --rho 11/13 --c {c} --format {fmt}"
+    for n, c, fmt in product((1, 2), ("0", "9/14"), ("json", "text", "csv"))
+] + [
+    f"sweep --n {n} --rho-grid 1,11/13 --c-grid 0,9/14 --format {fmt}"
+    for n, fmt in product((1, 2), ("json", "text", "csv"))
 ]
 
 

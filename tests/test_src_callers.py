@@ -3,11 +3,15 @@
 The modules of ``src/solvsoliton`` are parsed with ``ast``.  Module-level
 statements (``cli``'s ``__main__`` entry point, constants, and the one named
 tuple ``lie_core.STRUCTURE_CLAIMS`` that holds the predicates behind the
-paper's structural claims) are live.  A definition becomes live once live
-code refers to its name, as a plain name or an attribute; a method also
-needs its class to be live, and dunder methods of a live class are live.
-``__init__.py`` only re-exports, so its imports call nothing.  What is left
-is code that only tests could call: it belongs in ``tests/`` or nowhere.
+paper's structural claims) are live.  Only reads count as references: a name
+or attribute that is assigned or deleted refers to nothing.  A function or
+class becomes live once live code reads its name, as a plain name or an
+attribute; a method only once live code reads it as an attribute ``.name``,
+so a local variable or a module function of the same name does not keep it
+alive.  A method also needs its class to be live, and dunder methods of a
+live class are live.  ``__init__.py`` only re-exports, so its imports call
+nothing.  What is left is code that only tests could call: it belongs in
+``tests/`` or nowhere.
 """
 
 import ast
@@ -21,26 +25,33 @@ def _is_dunder(name: str) -> bool:
 
 
 def _names(nodes) -> set:
-    """Names and attribute names referred to anywhere under ``nodes``."""
+    """What the code under ``nodes`` reads: each plain name as ``name`` and
+    each attribute as ``.name``."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                out.add("." + sub.attr)
     return out
 
 
-def _scan():
+def _sources() -> dict:
+    """{module: source} of the package, without ``__init__.py``."""
+    return {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _scan(sources: dict):
     """(definitions, root names): each definition is
-    (qualified name, name, owning class or None, names its own code uses)."""
+    (qualified name, name, owning class or None, names its own code reads)."""
     definitions, roots = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = path.stem
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef):
                 definitions.append((f"{module}.{node.name}", node.name, None, _names([node])))
             elif isinstance(node, ast.ClassDef):
@@ -56,9 +67,9 @@ def _scan():
     return definitions, roots
 
 
-def dead_definitions() -> list:
-    """Public, non-dunder definitions that no live code refers to."""
-    definitions, reached = _scan()
+def dead_definitions(sources: dict) -> list:
+    """Public, non-dunder definitions that no live code reads."""
+    definitions, reached = _scan(sources)
     live: set = set()
     changed = True
     while changed:
@@ -67,9 +78,10 @@ def dead_definitions() -> list:
             if qualified in live:
                 continue
             if owner is None:
-                is_live = name in reached
+                is_live = name in reached or "." + name in reached
             else:
-                is_live = owner in reached and (_is_dunder(name) or name in reached)
+                owner_live = owner in reached or "." + owner in reached
+                is_live = owner_live and (_is_dunder(name) or "." + name in reached)
             if is_live:
                 live.add(qualified)
                 reached |= uses
@@ -82,11 +94,33 @@ def dead_definitions() -> list:
 
 
 def test_every_public_definition_has_a_live_caller():
-    assert dead_definitions() == []
+    assert dead_definitions(_sources()) == []
+
+
+def test_a_shadowed_method_is_dead():
+    # Only a local variable and a module function share the method's name,
+    # and the attribute ``.trace`` is only assigned.
+    source = (
+        "class Box:\n"
+        "    def trace(self):\n"
+        "        return 0\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "def trace(items):\n"
+        "    return sum(items)\n"
+        "def run(box):\n"
+        "    trace = box.size()\n"
+        "    box.trace = trace\n"
+        "    return trace\n"
+        "run(Box())\n"
+        "print(trace([1]))\n"
+    )
+    assert dead_definitions({"toy": source}) == ["toy.Box.trace"]
 
 
 def test_the_scan_sees_the_entry_point_and_the_claims():
-    definitions, roots = _scan()
-    assert {"run", "STRUCTURE_CLAIMS", "is_unimodular"} <= roots
+    definitions, roots = _scan(_sources())
+    # STRUCTURE_CLAIMS is only assigned; the predicates it holds are read.
+    assert {"run", "derived_algebra", "is_unimodular", "is_completely_solvable"} <= roots
     names = {qualified for qualified, _, _, _ in definitions}
     assert {"cli.run", "cli.main", "linalg.Matrix.__matmul__", "coord_engine.AmbientMetric.jets"} <= names
