@@ -24,7 +24,7 @@ from .metric_lie import (
     soliton_check_direct,
     soliton_check_lauret,
 )
-from .scalars import FactoringRefused, rational
+from .scalars import rational
 
 __all__ = ["main", "run"]
 
@@ -142,7 +142,6 @@ def spectrum_report(p: family.FamilyParams) -> dict:
 
 def ricci_report(p: family.FamilyParams) -> dict:
     koszul, expected, conjugated = _three_way_ricci(p, family.metric_algebra(p))
-    r1, r2, r3, r4 = family.ricci_eigenvalue_formulas(p.n, p.rho, p.c)
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "ricci_endomorphism": koszul.to_strings(),
@@ -150,7 +149,7 @@ def ricci_report(p: family.FamilyParams) -> dict:
             "koszul_vs_closed_form": koszul == expected,
             "koszul_vs_coordinates": koszul == conjugated,
         },
-        "principal_curvatures": [str(r) for r in (r1, r2, r3, r4)],
+        "principal_curvatures": [_exact(r) or None for r in _principal_ricci(p)],
         "trace_identity": hypersurface.trace_identity_check(p),
     }
 
@@ -566,11 +565,7 @@ def main(argv=None) -> int:
         return 2
 
     if cfg.command == "sweep":
-        try:
-            rows = sweep_rows(cfg.n, rho_grid, c_grid)
-        except FactoringRefused as exc:
-            print(f"factoring refused: {exc}", file=sys.stderr)
-            return 2
+        rows = sweep_rows(cfg.n, rho_grid, c_grid)
         if cfg.format == "csv":
             text = _render_csv(rows)
         elif cfg.format == "json":
@@ -592,11 +587,7 @@ def main(argv=None) -> int:
             report = soliton_report(p)
             ok = report["direct"]["status"] == report["checklist"]["status"]
         elif cfg.command == "spectrum":
-            try:
-                report = spectrum_report(p)
-            except FactoringRefused as exc:
-                print(f"factoring refused: {exc}", file=sys.stderr)
-                return 2
+            report = spectrum_report(p)
             ok = True
         elif cfg.command == "einstein":
             try:

@@ -7,9 +7,10 @@ so each is carried as the exact jet (g_i, g_i'/g_i, g_i''/g_i) of
 :func:`~solvsoliton.scalars.power_jet`, and every formula below works entry
 by entry.  The radial endomorphism is A_i = g_i'/(2 g_i), and the shape
 operator with respect to the unit normal is -A/sqrt(f).  Only that one
-radical leaves the rationals: 1/sqrt(f) = b*sqrt(q) with q the squarefree
-core of (rho+c)/(rho+2c), so each eigenvalue is a rational multiple of
-b*sqrt(q), computed over ``Fraction`` and wrapped as a ``Surd`` last.  The
+radical leaves the rationals: 1/sqrt(f) = 2 rho sqrt((rho+c)/(rho+2c)) =
+b*sqrt(q), with rho taken out of the root before the radicand is reduced,
+so each eigenvalue is a rational multiple of b*sqrt(q), computed over
+``Fraction`` and wrapped as a ``Surd`` last.  The
 Ricci endomorphism of a slice of an Einstein manifold with constant lambda is
 
     Ric_i/g_i = lambda + k g_i'/g_i - g_i'^2/(2 f g_i^2) + g_i''/(2 f g_i),
@@ -38,15 +39,17 @@ __all__ = [
 ]
 
 
+def _warp_factor(c) -> tuple:
+    """The only copy of f = (rho + 2c)/(4 rho^2 (rho + c)), as its
+    (K, ((a, p), ...)) for :func:`~solvsoliton.scalars.power_jet`."""
+    return Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1))
+
+
 def warp_data(p: FamilyParams) -> tuple:
-    """(f, f'/f, f''/f) at the working rho for the warp factor
-    f = (rho + 2c)/(4 rho^2 (rho + c)), cached on the parameters."""
+    """(f, f'/f, f''/f) at the working rho, cached on the parameters."""
     cached = p._cache.get("warp")
     if cached is None:
-        c = p.c
-        cached = p._cache["warp"] = power_jet(
-            p.rho, Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1))
-        )
+        cached = p._cache["warp"] = power_jet(p.rho, *_warp_factor(p.c))
     return cached
 
 
@@ -64,13 +67,20 @@ class ShapeOperator:
 def shape_operator(p: FamilyParams) -> ShapeOperator:
     """Principal curvatures sigma_i = -(g_i'/g_i)/2 * 1/sqrt(f) and their sum.
 
-    The canonical 1/sqrt(f) = b*sqrt(q) is taken once; each value is the
-    rational x*b times sqrt(q), a ``Fraction`` when x = 0 or q = 1.  Each
-    slice block carries one sigma_k, None on an empty block (b and zrest at
-    n = 1).
+    1/sqrt(f) = b*sqrt(q) is taken once: each factor (rho + a)^e of f leaves
+    (rho + a)^h, h = -e/2 rounded toward zero, outside the root, so rho^2
+    never reaches the radicand.  Each value is the rational x*b times
+    sqrt(q), a ``Fraction`` when x = 0 or q = 1.  Each slice block carries
+    one sigma_k, None on an empty block (b and zrest at n = 1).
     """
-    root = sqrt_fraction(1 / warp_data(p)[0])
-    b, q = (root.b, root.q) if isinstance(root, Surd) else (root, 1)
+    scale, factors = _warp_factor(p.c)
+    b, radicand = Fraction(1), 1 / scale
+    for a, e in factors:
+        h = int(-e / 2)
+        b *= (p.rho + a) ** h
+        radicand *= (p.rho + a) ** (-e - 2 * h)
+    root = sqrt_fraction(radicand)
+    b, q = (b * root.b, root.q) if isinstance(root, Surd) else (b * root, 1)
 
     def value(x):
         x *= b

@@ -2,23 +2,22 @@
 
 Rational numbers are plain ``fractions.Fraction`` (always reduced, positive
 denominator, serialized as ``"p/q"`` or ``"p"``), and the exact pipeline runs
-over them alone.  ``Surd`` is a value a + b*sqrt(q) with a canonical
-squarefree radicand q, built by :func:`surd` to be compared and rendered; it
-has no arithmetic.  :func:`power_jet` gives a product of powers
-s = K * prod (rho + a)^p with s'/s and s''/s in rho, over ``Fraction`` or
-``float``.
+over them alone.  ``Surd`` is a value a + b*sqrt(q) with an integer radicand
+q > 1 that is not a perfect square, built by :func:`surd` to be compared and
+rendered; it has no arithmetic.  Whether a root is rational is decided
+exactly, without factoring: the squares of the primes below 1000 leave the
+radicand, and a square of a larger prime stays inside it.
+:func:`power_jet` gives a product of powers s = K * prod (rho + a)^p with
+s'/s and s''/s in rho, over ``Fraction`` or ``float``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, count
-from math import gcd, isqrt
+from itertools import compress
+from math import isqrt
 
 __all__ = [
-    "FactoringRefused",
     "Fraction",
     "Surd",
     "power_jet",
@@ -59,8 +58,6 @@ def power_jet(rho, scale, factors) -> tuple:
     return s, l1, l1 * l1 - l2
 
 
-# Trial division strips the primes below _SMALL_LIMIT, so a cofactor below
-# _SMALL_LIMIT**2 that is left over is prime.
 _SMALL_LIMIT = 1000
 
 
@@ -75,148 +72,37 @@ def _primes_below(limit: int) -> list:
 
 
 _SMALL_PRIMES = _primes_below(_SMALL_LIMIT)
-# Miller-Rabin over the first 13 prime bases proves primality below
-# _MR_BOUND (Sorenson & Webster, Math. Comp. 86, 2017); a failed round proves
-# compositeness at any size.
-_MR_BASES = _SMALL_PRIMES[:13]
-_MR_BOUND = 3317044064679887385961981
-_RHO_BATCH = 128
-# Pollard-Brent squarings allowed per radicand: a fixed count, so whether a
-# radicand is refused does not depend on the machine.  On 2 vCPUs they take
-# about 3 s on 80-160-bit cofactors and 8 s on a 278-bit one.
-_RHO_BUDGET = 2**23
-
-
-class FactoringRefused(ArithmeticError):
-    """A radicand whose squarefree part could not be settled: splitting it
-    ran past :data:`_RHO_BUDGET`, or a cofactor beyond the proven range of
-    the Miller-Rabin bases is probably prime without a proof."""
-
-
-def _miller_rabin(n: int) -> bool:
-    """False if some base proves the odd n > 41 composite; True otherwise."""
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_factor(n: int, budget: int) -> tuple:
-    """(d, steps): a proper factor d of the odd composite n, by Pollard rho
-    in Brent's form (Brent, BIT 20, 1980) with gcds batched over _RHO_BATCH
-    steps, and the squarings it took.  Raises FactoringRefused rather than
-    start a run of squarings that would take more than ``budget``."""
-    steps = 0
-
-    def spend(k):
-        nonlocal steps
-        steps += k
-        if steps > budget:
-            raise FactoringRefused(
-                f"a {n.bit_length()}-bit cofactor was not split within "
-                f"{_RHO_BUDGET} squarings"
-            )
-
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            spend(r)
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                batch = min(_RHO_BATCH, r - k)
-                spend(batch)
-                for _ in range(batch):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += _RHO_BATCH
-            r *= 2
-        if g == n:  # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                spend(1)
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-        if g != n:
-            return g, steps
-
-
-@lru_cache(maxsize=1024)
-def _cofactor_primes(k: int) -> tuple:
-    """Prime factors of k > 1, which has no prime factor below _SMALL_LIMIT.
-
-    Composites are split by rho, within _RHO_BUDGET squarings in all.  A
-    factor is called prime only with a proof: below _SMALL_LIMIT**2, or by
-    a Miller-Rabin pass below _MR_BOUND; a larger factor that passes is
-    refused, since trial division to its square root cannot finish.
-    Cached, because related radicands (q and the warp factor of one
-    instance) share their hard cofactor.
-    """
-    factors = []
-    pending = [k]
-    budget = _RHO_BUDGET
-    while pending:
-        f = pending.pop()
-        if f < _SMALL_LIMIT**2:
-            factors.append(f)
-        elif not _miller_rabin(f):
-            d, steps = _brent_factor(f, budget)
-            budget -= steps
-            pending += [d, f // d]
-        elif f < _MR_BOUND:
-            factors.append(f)
-        else:
-            raise FactoringRefused(
-                f"a {f.bit_length()}-bit cofactor passes Miller-Rabin beyond its proven range"
-            )
-    return tuple(factors)
 
 
 def _squarefree_decompose(k: int):
-    """k = s^2 * m with m squarefree; returns (s, m).
+    """k = s^2 * m for k >= 1; returns (s, m).
 
-    Small primes are divided out; the cofactor goes to :func:`_cofactor_primes`.
+    The squares of the primes below _SMALL_LIMIT are divided out, and m = 1
+    exactly when k is a perfect square, which ``math.isqrt`` decides for the
+    cofactor without factoring it.  m is squarefree unless the square of a
+    prime above _SMALL_LIMIT divides it.
     """
-    factors = []
+    s = 1
     for p in _SMALL_PRIMES:
-        if p * p > k:
+        pp = p * p
+        if pp > k:
             break
-        while k % p == 0:
-            factors.append(p)
-            k //= p
-    if k > 1:
-        factors += _cofactor_primes(k)
-    s, m = 1, 1
-    for p, e in Counter(factors).items():
-        s *= p ** (e // 2)
-        if e % 2:
-            m *= p
-    return s, m
+        while k % pp == 0:
+            s *= p
+            k //= pp
+    root = isqrt(k)
+    if root * root == k:
+        return s * root, 1
+    return s, k
 
 
 def surd(a, b=0, q=1):
     """Build a + b*sqrt(q), collapsing to a Fraction whenever exact.
 
-    Radicands are canonicalized to their squarefree integer core, so two
-    presentations of the same value (say sqrt(3/8) and (1/4)sqrt(6)) compare
-    equal.  The result is a plain Fraction if b = 0 or q is a
-    rational square; otherwise a normalized Surd with b != 0 and q a
-    squarefree integer > 1.
+    The radicand becomes an integer with the squares of the primes below
+    1000 taken out (:func:`_squarefree_decompose`).  The result is a plain
+    Fraction if b = 0 or q is a rational square; otherwise a Surd with
+    b != 0 and q an integer > 1 that is not a perfect square.
     """
     a, b, q = Fraction(a), Fraction(b), Fraction(q)
     if b == 0 or q == 0:
@@ -241,11 +127,13 @@ def sqrt_fraction(x):
 
 
 class Surd:
-    """a + b*sqrt(q) with rational a, b != 0 and a squarefree integer q > 1.
+    """a + b*sqrt(q) with rational a, b != 0 and an integer q > 1 that is not
+    a perfect square.
 
     Built by the :func:`surd` factory, or directly by a caller that already
-    holds a canonical q.  It compares, hashes, converts to float and
-    renders; it has no arithmetic.
+    holds such a q.  It compares and hashes by value, so two presentations
+    of one number (say (1/4)sqrt(24) and (1/2)sqrt(6)) are equal; it
+    converts to float and renders; it has no arithmetic.
     """
 
     __slots__ = ("a", "b", "q")
@@ -260,16 +148,24 @@ class Surd:
 
     def __eq__(self, other):
         if isinstance(other, Surd):
-            return (self.a, self.b, self.q) == (other.a, other.b, other.q)
+            return self._value_key() == other._value_key()
         if isinstance(other, (int, Fraction)):
-            return False  # irrational by normalization
+            return False  # irrational, as q is not a perfect square
         return NotImplemented
 
+    def _value_key(self):
+        # b*sqrt(q) is determined by the sign of b and by b^2 q
+        return self.a, self.b > 0, self.b * self.b * self.q
+
     def __hash__(self):
-        return hash((self.a, self.b, self.q))
+        return hash(self._value_key())
 
     def __float__(self):
-        return float(self.a) + float(self.b) * float(self.q) ** 0.5
+        try:
+            root = float(self.q) ** 0.5
+        except OverflowError:  # q >= 2^1024, so isqrt errs by 2^-512 at most
+            return float(self.a + self.b * isqrt(int(self.q)))
+        return float(self.a) + float(self.b) * root
 
     def __str__(self):
         return f"{self.a} + {self.b}*sqrt({self.q})"

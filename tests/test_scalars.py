@@ -85,6 +85,12 @@ class TestSurd:
         assert surd(0, Fraction(2, 3), Fraction(3, 8)) == surd(
             0, Fraction(1, 2), Fraction(2, 3)
         )
+        # 1009 is above _SMALL_LIMIT, so its square stays in the radicand;
+        # equality is by value all the same
+        wide, narrow = surd(0, 1, 1009**2 * 3), surd(0, 1009, 3)
+        assert wide.q == 1009**2 * 3 and narrow.q == 3
+        assert wide == narrow and hash(wide) == hash(narrow)
+        assert wide != surd(0, -1009, 3) and wide != surd(1, 1009, 3)
 
     def test_no_arithmetic_or_ordering(self):
         names = {
@@ -251,7 +257,6 @@ class TestSquarefreeDecompose:
 
         expected = trial_division_primes(scalars._SMALL_LIMIT)
         assert scalars._SMALL_PRIMES == expected
-        assert scalars._MR_BASES == expected[:13]
         for limit in (2, 3, 4, 5, 25, 26, 49, 50):
             assert scalars._primes_below(limit) == trial_division_primes(limit)
 
@@ -262,67 +267,54 @@ class TestSquarefreeDecompose:
             assert scalars._squarefree_decompose(k) == trial_division_decompose(k)
 
     def test_squares_of_primes_above_2_20(self):
+        # isqrt still finds the square of a large prime whole; beside another
+        # prime it stays in the radicand, and the Surd is equal by value
         primes = [
             p for p in range(2**20 + 1, 2**20 + 400, 2)
-            if trial_division_decompose(p) == (1, p)
+            if all(p % d for d in range(3, isqrt(p) + 1, 2))
         ][:4]
         assert len(primes) == 4
         for p in primes:
             assert scalars._squarefree_decompose(p * p) == trial_division_decompose(p * p)
             assert scalars._squarefree_decompose(p * p) == (p, 1)
+            assert surd(0, 1, p * p) == p
         p, q = primes[:2]
-        assert scalars._squarefree_decompose(p * p * q) == (p, q)
+        assert trial_division_decompose(p * p * q) == (p, q)
+        assert scalars._squarefree_decompose(p * p * q) == (1, p * p * q)
+        assert surd(0, 1, p * p * q) == surd(0, p, q)
 
-    def test_wieferich_squares_are_split(self):
-        # 1093^2 and 3511^2 are base-2 strong pseudoprimes; the other bases
-        # must still prove them composite.
-        k = 1093**2 * 3511**2 * 7
-        assert scalars._squarefree_decompose(k) == (1093 * 3511, 7)
-        assert trial_division_decompose(k) == (1093 * 3511, 7)
-
-    def test_budget_counts_squarings_deterministically(self):
-        p, q = 1000003, 1000033  # primes just above _SMALL_LIMIT**2
-        d, steps = scalars._brent_factor(p * q, scalars._RHO_BUDGET)
-        assert d in (p, q) and 0 < steps <= scalars._RHO_BUDGET
-        assert scalars._brent_factor(p * q, steps) == (d, steps)
-        with pytest.raises(scalars.FactoringRefused):
-            scalars._brent_factor(p * q, steps - 1)
-
-    def test_budget_is_per_radicand(self, monkeypatch):
-        # Three primes just above _SMALL_LIMIT**2: two splits, which share one
-        # budget.
-        primes = [1000003, 1000033, 1000037]
-        k = primes[0] * primes[1] * primes[2]
-        spent = []
-        brent = scalars._brent_factor
-
-        def counted(n, budget):
-            d, steps = brent(n, budget)
-            spent.append(steps)
-            return d, steps
-
-        monkeypatch.setattr(scalars, "_brent_factor", counted)
-        scalars._cofactor_primes.cache_clear()
-        assert sorted(scalars._cofactor_primes(k)) == primes
-        assert len(spent) == 2
-        total = sum(spent)
-        monkeypatch.setattr(scalars, "_RHO_BUDGET", total - 1)
-        scalars._cofactor_primes.cache_clear()
-        with pytest.raises(scalars.FactoringRefused, match=f"within {total - 1} squarings"):
-            scalars._cofactor_primes(k)
-        monkeypatch.setattr(scalars, "_RHO_BUDGET", total)
-        assert sorted(scalars._cofactor_primes(k)) == primes
-        scalars._cofactor_primes.cache_clear()
-
-    def test_unproven_probable_prime_is_refused(self):
-        # 2^89 - 1 is prime and above the Miller-Rabin bound, where no proof
-        # is at hand; trial division to its square root could not finish.
-        k = 2**89 - 1
-        assert k > scalars._MR_BOUND
-        with pytest.raises(scalars.FactoringRefused, match="89-bit cofactor passes Miller-Rabin"):
-            scalars._cofactor_primes(k)
-        with pytest.raises(scalars.FactoringRefused):
-            surd(0, 1, k)
+    def test_bounded_form_on_random_and_built_inputs(self):
+        # k = s^2 m; m = 1 exactly when k is a perfect square; no p^2 with
+        # p < _SMALL_LIMIT divides m; and where no square of a larger prime
+        # divides k, (s, m) is the squarefree decomposition.
+        rng = random.Random(20261019)
+        small = scalars._SMALL_PRIMES
+        cases = []  # (k, its squarefree decomposition, a large prime square divides k)
+        for _ in range(200):
+            k = rng.getrandbits(rng.randint(1, 40)) + 1
+            s, m = trial_division_decompose(k)
+            large = s
+            for p in small:
+                while large % p == 0:
+                    large //= p
+            cases.append((k, (s, m), large > 1))
+        for _ in range(200):
+            k, s, m = 1, 1, 1
+            primes = rng.sample(small, 3) + rng.sample([1009, 1013, 7919, 65537], 2)
+            for p in primes:
+                e = rng.randint(0, 5)
+                k *= p**e
+                s *= p ** (e // 2)
+                m *= p ** (e % 2)
+            cases.append((k, (s, m), any(s % p == 0 for p in primes[3:])))
+        assert sum(large for _, _, large in cases) > 50
+        for k, expected, large_square in cases:
+            s, m = scalars._squarefree_decompose(k)
+            assert s * s * m == k
+            assert (m == 1) == (isqrt(k) ** 2 == k)
+            assert all(m % (p * p) for p in small)
+            if not large_square:
+                assert (s, m) == expected
 
     def test_200_bit_radicand_in_under_a_second(self):
         # q = (rho + c)/(rho + 2c) at rho = 1, c = 1e-30
@@ -338,7 +330,6 @@ class TestSquarefreeDecompose:
         for f in factors:
             product *= f
         assert product == k
-        scalars._cofactor_primes.cache_clear()
         start = time.perf_counter()
         assert scalars._squarefree_decompose(k) == (1, k)
         assert time.perf_counter() - start < 1.0
