@@ -341,6 +341,21 @@ def _render_text(payload, indent=0) -> str:
     return "\n".join(line for line in lines if line)
 
 
+def _leaves(value, path: str = "", out: dict | None = None) -> dict:
+    """{dotted path: leaf} of a report, list positions counted from 1, in
+    document order; a top-level scalar keeps its key as its name."""
+    out = {} if out is None else out
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _leaves(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value, start=1):
+            _leaves(item, f"{path}.{i}", out)
+    else:
+        out[path] = value
+    return out
+
+
 def _render_csv(rows: list) -> str:
     if not rows:
         return ""
@@ -603,10 +618,7 @@ def main(argv=None) -> int:
         elif cfg.format == "json":
             text = _render_json(report)
         elif cfg.format == "csv":
-            flat = {
-                k: v for k, v in report.items() if not isinstance(v, (dict, list))
-            }
-            text = _render_csv([flat])
+            text = _render_csv([_leaves(report)])
         else:
             text = _render_text(report)
 

@@ -5,9 +5,9 @@ every kernel reads.  Inverses and the Sylvester test rest on one kernel,
 :func:`rref`: a fraction-free sparse reduced row echelon form over
 {col: int} rows, each kept primitive, with zero tolerance; floating point
 never enters.
-Characteristic polynomials are computed over the rationals via an exact
-Hessenberg reduction, and real-rootedness is decided by Sturm sequences on
-the square-free part.
+Characteristic polynomials come from Faddeev-LeVerrier on ``@`` and
+:meth:`Matrix.trace`, so ``rref`` is the one exact elimination, and
+real-rootedness is decided by Sturm sequences on the square-free part.
 """
 
 from __future__ import annotations
@@ -78,9 +78,13 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
-        entries = list(entries)
-        d = len(entries)
-        return cls([[e if i == j else 0 for j in range(d)] for i, e in enumerate(entries)])
+        """The diagonal matrix of ``entries``, cleared to integers as one
+        row first, so no off-diagonal zero is formed."""
+        row = cls([entries])
+        table = [{} for _ in range(row.cols)]
+        for i, v in row.table[0].items():
+            table[i][i] = v
+        return cls.from_table(table, row.den, row.cols)
 
     def __getitem__(self, idx):
         i, j = idx
@@ -109,6 +113,32 @@ class Matrix:
         return Matrix.from_table(
             _row_product(self.table, other.table), self.den * other.den, other.cols
         )
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, summed in integers over the lcm of the two
+        denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = []
+        for x, y in zip(self.table, other.table):
+            row = {c: a * v for c, v in x.items()}
+            for c, v in y.items():
+                row[c] = row.get(c, 0) + b * v
+            out.append({c: v for c, v in row.items() if v})
+        return Matrix.from_table(out, den, self.cols)
+
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        return Fraction(sum(row.get(i, 0) for i, row in enumerate(self.table)), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -324,39 +354,6 @@ class Polynomial:
     def __hash__(self):
         return hash(tuple(self.coeffs))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = a[:]
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
     def divmod(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -407,46 +404,18 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def char_poly(A: Matrix) -> Polynomial:
-    """det(tI - A) for a square rational matrix, via Hessenberg reduction."""
+    """det(tI - A) for a square rational matrix, by Faddeev-LeVerrier: with
+    M_1 = I and c_n = 1, c_{n-k} = -tr(A M_k)/k and M_{k+1} = A M_k +
+    c_{n-k} I."""
     if A.rows != A.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = A.rows
-    H = [[A[i, j] for j in range(n)] for i in range(n)]
-    # Exact Hessenberg form: eliminate below the first subdiagonal.
-    for col in range(n - 2):
-        piv = None
-        for i in range(col + 1, n):
-            if H[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != col + 1:
-            H[col + 1], H[piv] = H[piv], H[col + 1]
-            for row in H:
-                row[col + 1], row[piv] = row[piv], row[col + 1]
-        d = H[col + 1][col]
-        for i in range(col + 2, n):
-            f = H[i][col]
-            if not f:
-                continue
-            ratio = f / d
-            for j in range(n):
-                H[i][j] -= ratio * H[col + 1][j]
-            for r in range(n):
-                H[r][col + 1] += ratio * H[r][i]
-    # Leading-minor recurrence for det(tI - H) on a Hessenberg matrix.
-    one = Polynomial([Fraction(1)])
-    t = Polynomial([Fraction(0), Fraction(1)])
-    p = [one]  # p[k] = char poly of the leading k x k block
+    coeffs = [Fraction(1)]  # highest degree first
+    AM = Matrix.from_table([{} for _ in range(n)], 1, n)
     for k in range(1, n + 1):
-        term = (t - Polynomial([H[k - 1][k - 1]])) * p[k - 1]
-        prod = Fraction(1)
-        for i in range(k - 2, -1, -1):
-            prod *= H[i + 1][i]
-            term = term - (H[i][k - 1] * prod) * p[i]
-        p.append(term)
-    return p[n]
+        AM = A @ (AM + Matrix.diagonal([coeffs[-1]] * n))
+        coeffs.append(-AM.trace() / k)
+    return Polynomial(coeffs[::-1])
 
 
 def _sign_changes(values) -> int:

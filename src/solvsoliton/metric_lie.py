@@ -15,16 +15,18 @@ left-invariant metrics, summed over the nonzero structure constants only.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import takewhile
+from itertools import combinations_with_replacement, takewhile
 
 from .lie_core import (
     Splitting,
     StructureConstants,
+    _basis_vector,
     _leibniz_defects,
+    ad_matrix,
     subalgebra,
     verify_splitting,
 )
-from .linalg import Matrix, _row_product, inverse, is_positive_definite
+from .linalg import Matrix, inverse, is_positive_definite
 
 __all__ = [
     "MetricLieAlgebra",
@@ -232,9 +234,8 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
     Id.  On a non-abelian algebra lambda is read off at the first nonzero
     defect entry of Id; on an abelian one every endomorphism is a
     derivation and lambda is taken to be 0.  D = ric - lambda*Id is then
-    put through the Leibniz test on ric's integer rows; lambda is the only
-    Fraction formed.  No basis of Der(L) is built.  Cached on the metric
-    algebra.
+    put through the Leibniz test on its integer rows.  No basis of Der(L)
+    is built.  Cached on the metric algebra.
     """
     verdict = M._cache.get("soliton_direct")
     if verdict is None:
@@ -257,27 +258,10 @@ def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
         k = min(id_row)
         upto = takewhile(lambda entry: entry[0] <= pair, _leibniz_defects(L, R))
         lam = Fraction(dict(upto).get(pair, {}).get(k, 0), id_row[k] * DR)
-    # Lambda(ric - lambda*Id) = Lambda(ric) - lambda*Lambda(Id) by linearity;
-    # with lambda = p/q, q DR (ric - lambda*Id) = q R - p DR Id is integral,
-    # and D is those rows over q DR.
-    p, q = lam.numerator, lam.denominator
-    scaled = []
-    for r, row in enumerate(R):
-        srow = {s: q * x for s, x in row.items()}
-        x = srow.get(r, 0) - p * DR
-        if x:
-            srow[r] = x
-        else:
-            srow.pop(r, None)
-        scaled.append(srow)
-    if next(_leibniz_defects(L, scaled), None) is not None:
+    D = ric - Matrix.diagonal([lam] * d)
+    if next(_leibniz_defects(L, D.table), None) is not None:
         return SolitonVerdict(status="not_soliton")
-    return SolitonVerdict(
-        status="soliton",
-        lambda_=lam,
-        D=Matrix.from_table(scaled, q * DR, d),
-        lambda_source="direct",
-    )
+    return SolitonVerdict(status="soliton", lambda_=lam, D=D, lambda_source="direct")
 
 
 def _restrict_gram(G: Matrix, indices) -> Matrix:
@@ -290,15 +274,13 @@ def _restrict_gram(G: Matrix, indices) -> Matrix:
 
 def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     """Checklist route: nilsoliton part, abelian complement, normal adjoints,
-    and the norm condition tying <A, A> to tr(sym(ad A)^2) through lambda.
+    and the norm condition <A, B> = -tr(S(ad A) S(ad B))/lambda for every
+    pair A, B of basis vectors of the abelian part, S the symmetric part.
 
     The splitting must verify first.  The verdict's checklist keys are
     "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
-    the first failing matrix.  For each basis vector A of the abelian part,
-    ad A, its metric adjoint ad A* = G^{-1} (ad A)^T G, their commutator and
-    tr(sym(ad A)^2) are formed as sparse integer rows over one denominator,
-    E = C D_G D_H for ad A and ad A*; a witness is the commutator's rows
-    over E^2.
+    the first nonzero commutator [ad A, ad A*], with ad A* = G^{-1} (ad A)^T G
+    the metric adjoint.
     """
     report = M.splitting_report(s)
     if not report.ok:
@@ -312,35 +294,18 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     cond_abelian = report.a_is_abelian
     witness = None
 
-    sp, C = M.L.table, M.L.den
-    g_rows, DG = M.G.table, M.G.den
-    Ginv = M.gram_inverse()
-    h_rows, DH = Ginv.table, Ginv.den
-    scale = DG * DH
-    E = C * scale
+    G, Ginv = M.G, M.gram_inverse()
     cond_normal = True
-    a_ads = []
+    syms = []
     for i in s.a_indices:
-        # Row j of C (ad A)^T holds C [e_i, e_j]; E ad A is its transpose
-        # times D_G D_H, and E ad A* = H (C (ad A)^T) G in integers.
-        ad_t = [dict(col) for col in sp[i]]
-        ad = [{} for _ in range(d)]
-        for j, col in enumerate(ad_t):
-            for k, v in col.items():
-                ad[k][j] = v * scale
-        star = _row_product(h_rows, _row_product(ad_t, g_rows))
-        a_ads.append((i, ad, star))
-        ad_star, star_ad = _row_product(ad, star), _row_product(star, ad)
-        if ad_star != star_ad:
+        ad = ad_matrix(M.L, _basis_vector(d, i))
+        star = Ginv @ ad.transpose() @ G
+        comm = ad @ star - star @ ad
+        if any(comm.table):
             cond_normal = False
             if witness is None:
-                comm = []
-                for x, y in zip(ad_star, star_ad):
-                    row = dict(x)
-                    for j, v in y.items():
-                        row[j] = row.get(j, 0) - v
-                    comm.append({j: v for j, v in row.items() if v})
-                witness = Matrix.from_table(comm, E * E, d)
+                witness = comm
+        syms.append((i, ad + star))
 
     direct = soliton_check_direct(M)
     if direct.is_soliton:
@@ -350,21 +315,15 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     else:
         lam, lam_source = None, "none"
 
-    cond_norm = True
     if lam is None or lam == 0:
-        cond_norm = not a_ads  # vacuous only when the abelian part is empty
+        cond_norm = not syms  # vacuous only when the abelian part is empty
     else:
-        for i, ad, star in a_ads:
-            # sym(ad A) = (ad + star) / (2E), so tr(sym^2) = T / (4 E^2)
-            # with T = tr((ad + star)^2).
-            sym = [dict(row) for row in ad]
-            for r, row in enumerate(star):
-                srow = sym[r]
-                for j, v in row.items():
-                    srow[j] = srow.get(j, 0) + v
-            T = sum(v * sym[j].get(r, 0) for r, row in enumerate(sym) for j, v in row.items())
-            if M.G[i, i] != Fraction(-T, 4 * E * E) / lam:
-                cond_norm = False
+        # sym = 2 S(ad A), so <A_i, A_j> = -tr(S_i S_j)/lambda reads
+        # 4 lambda G_ij = -tr(sym_i sym_j); both sides are symmetric in i, j.
+        cond_norm = all(
+            4 * lam * G[i, j] == -(sym_i @ sym_j).trace()
+            for (i, sym_i), (j, sym_j) in combinations_with_replacement(syms, 2)
+        )
     checklist = {
         "nilsoliton": cond_nil,
         "a_abelian": cond_abelian,

@@ -16,6 +16,11 @@ They read the bracket table through :func:`fraction_table`, the one
 every matrix through :func:`dense`, the one ``Fraction`` view of a
 ``Matrix``, read entry by entry; sums, traces and zero tests of matrices
 (:func:`add`, :func:`trace`, :func:`is_zero`) are taken on that view.
+``hessenberg_char_poly`` is the characteristic polynomial by the exact
+Hessenberg reduction, the reference for ``linalg.char_poly``, and
+``poly_from_roots`` states expected polynomials as coefficient products.
+``TWO_ABELIAN`` is an algebra whose abelian part has dimension 2, so the
+checklist's norm condition has an off-diagonal entry.
 The ``heisenberg_*`` functions state the n = 1 case apart, the reference
 for the general builders at n = 1.
 """
@@ -33,7 +38,7 @@ from solvsoliton.lie_core import (
     ad_matrix,
     subalgebra,
 )
-from solvsoliton.linalg import Matrix, rref
+from solvsoliton.linalg import Matrix, Polynomial, rref
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     SolitonVerdict,
@@ -756,6 +761,64 @@ def fraction_matmul(self: Matrix, other: Matrix) -> Matrix:
     return Matrix(out)
 
 
+def _poly_mul(a: list, b: list) -> list:
+    """The product of two coefficient lists, lowest degree first."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_from_roots(*roots) -> Polynomial:
+    """The monic polynomial prod (t - r), a repeated root listed again."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = _poly_mul(coeffs, [-Fraction(r), Fraction(1)])
+    return Polynomial(coeffs)
+
+
+def hessenberg_char_poly(A: Matrix) -> Polynomial:
+    """det(tI - A) by exact Hessenberg reduction over ``Fraction`` entries
+    and the leading-minor recurrence, as ``linalg.char_poly`` computed it
+    before it moved to Faddeev-LeVerrier."""
+    if A.rows != A.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = A.rows
+    H = dense(A)
+    # Exact Hessenberg form: eliminate below the first subdiagonal.
+    for col in range(n - 2):
+        piv = next((i for i in range(col + 1, n) if H[i][col]), None)
+        if piv is None:
+            continue
+        if piv != col + 1:
+            H[col + 1], H[piv] = H[piv], H[col + 1]
+            for row in H:
+                row[col + 1], row[piv] = row[piv], row[col + 1]
+        d = H[col + 1][col]
+        for i in range(col + 2, n):
+            f = H[i][col]
+            if not f:
+                continue
+            ratio = f / d
+            for j in range(n):
+                H[i][j] -= ratio * H[col + 1][j]
+            for r in range(n):
+                H[r][col + 1] += ratio * H[r][i]
+    # p[k] = det(tI - H_k) for the leading k x k block H_k.
+    p = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        term = _poly_mul([-H[k - 1][k - 1], Fraction(1)], p[k - 1])
+        prod = Fraction(1)
+        for i in range(k - 2, -1, -1):
+            prod *= H[i + 1][i]
+            f = H[i][k - 1] * prod
+            for e, x in enumerate(p[i]):
+                term[e] -= f * x
+        p.append(term)
+    return Polynomial(p[n])
+
+
 def _fraction_eliminate(row: dict, pc, prow: dict) -> None:
     """Clear column pc of ``row`` in place with ``prow``, which is 1 at pc."""
     f = row.pop(pc)
@@ -965,7 +1028,8 @@ def adjoint_operator(M: MetricLieAlgebra, A: Matrix) -> Matrix:
 
 def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     """Checklist route: nilsoliton part, abelian complement, normal adjoints,
-    and the norm condition tying <A, A> to tr(sym(ad A)^2) through lambda.
+    and the norm condition <A, B> = -tr(sym(ad A) sym(ad B))/lambda for
+    every ordered pair A, B of basis vectors of the abelian part.
 
     The splitting must verify first.  The verdict's checklist keys are
     "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
@@ -1008,11 +1072,11 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
     if lam is None or lam == 0:
         cond_norm = not a_ads  # vacuous only when the abelian part is empty
     else:
-        for i, ad_a, ad_a_star in a_ads:
-            sym = add(ad_a, ad_a_star).scale(_HALF)
-            target = -trace(fraction_matmul(sym, sym)) / lam
-            if M.G[i, i] != target:
-                cond_norm = False
+        syms = [(i, add(ad_a, ad_a_star).scale(_HALF)) for i, ad_a, ad_a_star in a_ads]
+        for i, sym_i in syms:
+            for j, sym_j in syms:
+                if M.G[i, j] != -trace(fraction_matmul(sym_i, sym_j)) / lam:
+                    cond_norm = False
     checklist = {
         "nilsoliton": cond_nil,
         "a_abelian": cond_abelian,
@@ -1028,6 +1092,24 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
         witness=witness,
         lambda_source=lam_source,
     )
+
+
+# Basis (A1, A2, X, Y, Z): [X, Y] = Z, with ad A1 = diag(1, 0, 1) and
+# ad A2 = diag(0, 1, 1) on (X, Y, Z), so the abelian part has dimension 2
+# and the checklist's norm condition has an off-diagonal entry <A1, A2>.
+TWO_ABELIAN = StructureConstants.from_triples(
+    5, [(2, 3, 4, 1), (0, 2, 2, 1), (0, 4, 4, 1), (1, 3, 3, 1), (1, 4, 4, 1)]
+)
+TWO_ABELIAN_SPLITTING = Splitting((0, 1), (2, 3, 4))
+
+
+def two_abelian_gram(a12) -> Matrix:
+    """diag(4/3, 4/3, 1, 1, 1) with <A1, A2> = a12: the nilradical's
+    lambda = -3/2 meets the norm condition at both diagonal entries, and at
+    the off-diagonal one only for a12 = 2/3."""
+    G = dense(Matrix.diagonal([Fraction(4, 3), Fraction(4, 3), 1, 1, 1]))
+    G[0][1] = G[1][0] = a12
+    return Matrix(G)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,68 @@ class TestJsonRoundTrip:
         assert [key for key in keys(json.loads(out)) if key.startswith("_")] == []
 
 
+def csv_and_json(capsys, command: str, n: int):
+    """The one CSV row and the JSON report of ``command`` at (n, 11/13, 9/14)."""
+    args = [command, "--n", str(n), "--rho", "11/13", "--c", "9/14", "--format"]
+    code, out, _ = run(capsys, *args, "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2 and len(rows[0]) == len(rows[1])
+    code, out, _ = run(capsys, *args, "json")
+    assert code == 0
+    return dict(zip(*rows)), json.loads(out)
+
+
+def csv_cell(value) -> str:
+    return "" if value is None else str(value)
+
+
+class TestSingleReportCsv:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_spectrum_keeps_every_sigma_and_r(self, capsys, n):
+        row, report = csv_and_json(capsys, "spectrum", n)
+        for key in ("sigma", "r"):
+            assert len(report[key]) == 4
+            for i, value in enumerate(report[key], start=1):
+                assert row[f"{key}.{i}"] == csv_cell(value)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ricci_keeps_the_endomorphism(self, capsys, n):
+        row, report = csv_and_json(capsys, "ricci", n)
+        matrix = report["ricci_endomorphism"]
+        for i, entries in enumerate(matrix, start=1):
+            for j, value in enumerate(entries, start=1):
+                assert row[f"ricci_endomorphism.{i}.{j}"] == value
+        assert row["trace_identity"] == "True"
+
+    def test_verify_keeps_the_checks(self, capsys):
+        row, report = csv_and_json(capsys, "verify", 2)
+        assert row["checks.jacobi"] == "True"
+        assert row["checks.splitting.a_is_abelian"] == "True"
+        assert row["soliton_checklist.checklist.norm_condition"] == csv_cell(
+            report["soliton_checklist"]["checklist"]["norm_condition"]
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "ricci", "soliton", "spectrum"])
+    def test_one_column_per_leaf_and_top_level_names_kept(self, capsys, command):
+        row, report = csv_and_json(capsys, command, 2)
+
+        def leaves(value, path):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from leaves(item, f"{path}.{key}" if path else key)
+            elif isinstance(value, list):
+                for i, item in enumerate(value, start=1):
+                    yield from leaves(item, f"{path}.{i}")
+            else:
+                yield path, csv_cell(value)
+
+        # the JSON writer sorts keys, so compare the columns as a mapping
+        assert row == dict(leaves(report, ""))
+        scalars = [k for k, v in report.items() if not isinstance(v, (dict, list))]
+        assert set(scalars) <= set(row)
+
+
 class TestSweep:
     def test_verdict_column(self, capsys):
         code, out, _ = run(

@@ -15,9 +15,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    TWO_ABELIAN,
+    TWO_ABELIAN_SPLITTING,
     add,
     dense,
     fraction_connection_coeffs,
@@ -311,4 +313,21 @@ def test_random_gram_lauret_verdict_equals_the_fraction_oracle(n, data):
         for j in s.n_indices:
             G[i][j] = G[j][i] = Fraction(0)
     M = MetricLieAlgebra(L, Matrix(G))
+    assert_same_verdict(soliton_check_lauret(M, s), fraction_soliton_check_lauret(M, s))
+
+
+@FAST
+@given(random_grams(2), random_grams(3))
+@example(Matrix.diagonal([Fraction(4, 3)] * 2), identity(3))
+@example(Matrix([[Fraction(4, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(4, 3)]]), identity(3))
+def test_two_abelian_lauret_verdict_equals_the_fraction_oracle(Ga, Gn):
+    # Block Grams on the abelian part and the nilradical; the examples are
+    # two_abelian_gram at <A1, A2> = 0 and 2/3.
+    G = [[Fraction(0)] * 5 for _ in range(5)]
+    for block, idx in ((Ga, (0, 1)), (Gn, (2, 3, 4))):
+        for r, i in enumerate(idx):
+            for c, j in enumerate(idx):
+                G[i][j] = block[r, c]
+    M = MetricLieAlgebra(TWO_ABELIAN, Matrix(G))
+    s = TWO_ABELIAN_SPLITTING
     assert_same_verdict(soliton_check_lauret(M, s), fraction_soliton_check_lauret(M, s))

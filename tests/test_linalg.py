@@ -14,11 +14,14 @@ from oracles import (
     bracket,
     column,
     dense,
+    hessenberg_char_poly,
     identity,
     is_zero,
     nullspace,
+    poly_from_roots,
     solve_exact,
     sparse_nullspace,
+    trace,
     zeros,
 )
 
@@ -113,6 +116,78 @@ class TestEntries:
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
         assert not any(name.rsplit(".", 1)[-1] == "scalars" for name in imported)
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=12),
+    st.fractions(max_denominator=10**20),
+)
+
+
+def _same_shape_pair():
+    return st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda shape: st.tuples(
+            *[
+                st.lists(
+                    st.lists(_entries, min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0],
+                    max_size=shape[0],
+                )
+                for _ in range(2)
+            ]
+        )
+    )
+
+
+def _is_canonical(M: Matrix) -> bool:
+    """Integer rows without zeros over a positive denominator in lowest terms."""
+    values = [v for row in M.table for v in row.values()]
+    return M.den > 0 and all(type(v) is int and v for v in values) and math.gcd(M.den, *values) == 1
+
+
+class TestArithmetic:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_same_shape_pair())
+    def test_sum_and_difference_match_the_dense_sum(self, pair):
+        A, B = Matrix(pair[0]), Matrix(pair[1])
+        assert A + B == add(A, B)
+        assert A - B == add(A, B.scale(-1))
+        assert (A - B) + B == A
+        assert _is_canonical(A + B) and _is_canonical(A - B)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.lists(st.lists(_entries, min_size=d, max_size=d), min_size=d, max_size=d)
+        )
+    )
+    def test_trace_matches_the_dense_trace(self, data):
+        A = Matrix(data)
+        assert A.trace() == trace(A)
+        assert type(A.trace()) is Fraction
+
+    def test_cancellation_leaves_empty_rows_over_one(self):
+        M = Matrix([[Fraction(1, 6), 0, 5], [Fraction(-7, 4), Fraction(2, 9), 0]])
+        Z = M - M
+        assert Z == zeros(2, 3)
+        assert (Z.den, Z.table) == (1, [{}, {}])
+
+    def test_sum_is_reduced_to_lowest_terms(self):
+        # 1/6 + 1/3 = 1/2 and 5/6 - 1/3 = 1/2: the lcm 6 divides down to 2
+        S = Matrix([[Fraction(1, 6), Fraction(5, 6)]]) + Matrix([[Fraction(1, 3), Fraction(-1, 3)]])
+        assert (S.den, S.table) == (2, [{0: 1, 1: 1}])
+
+    def test_shape_mismatch_raises(self):
+        A, B = identity(2), Matrix([[1, 2, 3], [4, 5, 6]])
+        for x, y in ((A, B), (B, A), (B, B.transpose())):
+            with pytest.raises(ValueError):
+                x + y
+            with pytest.raises(ValueError):
+                x - y
+        with pytest.raises(ValueError):
+            B.trace()
 
 
 class TestSolve:
@@ -395,16 +470,7 @@ class TestCharPoly:
         L = build_lie_algebra(2)
         x = [Fraction(int(i == 0)) for i in range(7)]
         p = char_poly(ad_matrix(L, x))
-        t = Polynomial([0, 1])
-        expected = (
-            (t - Polynomial([2]))
-            * (t - Polynomial([1]))
-            * (t - Polynomial([1]))
-            * t
-            * t
-            * (t + Polynomial([1]))
-            * (t + Polynomial([1]))
-        )
+        expected = poly_from_roots(2, 1, 1, 0, 0, -1, -1)
         assert p == expected
 
     def test_cayley_hamilton_randomized(self):
@@ -421,6 +487,35 @@ class TestCharPoly:
                 power = power @ A
             assert is_zero(acc)
 
+    def test_faddeev_leverrier_matches_hessenberg_randomized(self):
+        rng = random.Random(2011)
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+        for trial in range(150):
+            d = rng.randint(1, 7)
+            kind = ("general", "singular", "nilpotent")[trial % 3]
+            rows = [[rational() for _ in range(d)] for _ in range(d)]
+            if kind == "singular":
+                # the last row a combination of the others (zero when d = 1)
+                coeffs = [rational() for _ in range(d - 1)]
+                rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(d)]
+            elif kind == "nilpotent":
+                # a strictly upper triangular N conjugated by an invertible P
+                N = Matrix([[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(rows)])
+                P = Matrix([[rational() for _ in range(d)] for _ in range(d)])
+                if len(rref(P.table)[0]) < d:
+                    P = identity(d)
+                rows = dense(P @ N @ inverse(P))
+            A = Matrix(rows)
+            p = char_poly(A)
+            assert p == hessenberg_char_poly(A)
+            if kind == "singular":
+                assert p.coeffs[0] == 0
+            elif kind == "nilpotent":
+                assert p == Polynomial([0] * d + [1])
+
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             char_poly(Matrix([[1, 2, 3], [4, 5, 6]]))
@@ -432,16 +527,7 @@ class TestRealRooted:
 
     def test_with_multiplicities(self):
         # t^2 (t-2)(t-1)(t+1)^3
-        t = Polynomial([0, 1])
-        p = (
-            t
-            * t
-            * (t - Polynomial([2]))
-            * (t - Polynomial([1]))
-            * (t + Polynomial([1]))
-            * (t + Polynomial([1]))
-            * (t + Polynomial([1]))
-        )
+        p = poly_from_roots(0, 0, 2, 1, -1, -1, -1)
         assert real_rooted(p)
 
     def test_family_adjoint_n3(self):

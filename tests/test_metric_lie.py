@@ -16,7 +16,10 @@ from oracles import (
     expected_ad_h_sym,
     expected_killing_operator,
     expected_mean_curvature,
+    TWO_ABELIAN,
+    TWO_ABELIAN_SPLITTING,
     expected_normality_commutator,
+    fraction_soliton_check_lauret,
     fraction_table,
     identity,
     is_zero,
@@ -25,6 +28,7 @@ from oracles import (
     nullspace,
     solve_exact,
     trace,
+    two_abelian_gram,
 )
 
 from solvsoliton.family import (
@@ -548,6 +552,27 @@ class TestSolitonLauret:
         direct = soliton_check_direct(M)
         checklist = soliton_check_lauret(M, family_splitting(p.n))
         assert direct.is_soliton == checklist.is_soliton
+
+    @pytest.mark.parametrize(
+        "a12, status, lam",
+        [(Fraction(0), "not_soliton", None), (Fraction(2, 3), "soliton", Fraction(-3, 2))],
+        ids=["orthogonal", "a12=2/3"],
+    )
+    def test_norm_condition_on_every_pair_of_the_abelian_part(self, a12, status, lam):
+        # <A1, A2> must be -tr(S1 S2)/lambda = 2/3 (see two_abelian_gram)
+        M = MetricLieAlgebra(TWO_ABELIAN, two_abelian_gram(a12))
+        s = TWO_ABELIAN_SPLITTING
+        direct, checklist = soliton_check_direct(M), soliton_check_lauret(M, s)
+        assert (direct.status, direct.lambda_) == (status, lam)
+        assert checklist.status == status
+        assert checklist.lambda_ == Fraction(-3, 2)
+        assert checklist.checklist == {
+            "nilsoliton": True,
+            "a_abelian": True,
+            "ad_normal": True,
+            "norm_condition": status == "soliton",
+        }
+        assert fraction_soliton_check_lauret(M, s).checklist == checklist.checklist
 
     def test_norm_condition_value_n2_c0(self):
         # <B1R, B1R> = 1 and -(1/lambda) tr(sym^2) = (2n+4)/(2(n+2)) = 1
