@@ -538,6 +538,20 @@ def _parse_config(argv) -> _Config:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  Exact values outgrow
+    Python's 4,300-digit limit on int-string conversion, so it is lifted
+    for the call."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python before 3.10.7
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     try:
         cfg = _parse_config(sys.argv[1:] if argv is None else argv)
     except _Exit as exc:  # help, or a usage error

@@ -5,7 +5,8 @@ integers over their one common denominator, and every kernel sums over
 those integers.  Adjoints, the Jacobi check with a witness, the Leibniz
 test for derivations, verification of a declared abelian-plus-nilpotent
 splitting, and the predicates behind the structural claims: derived
-algebra, unimodularity and complete solvability.  Everything is exact.
+algebra, unimodularity and complete solvability, the last by Hermite's
+quadratic form on the basis adjoints.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import Matrix, char_poly, real_rooted, rref
+from .linalg import Matrix, has_real_spectrum, rref
 
 __all__ = [
     "StructureConstants",
@@ -253,15 +254,13 @@ def is_completely_solvable(L: StructureConstants) -> bool:
     The basis suffices.  By Lie's theorem, ad(L_C) of a solvable L is
     simultaneously triangular in some basis of L_C, with diagonal entries
     alpha_k(x) linear in x.  The eigenvalues of ad e_i are the alpha_k(e_i),
-    each decided real by a Sturm count; a real x = sum x_i e_i then has the
-    real eigenvalues alpha_k(x) = sum x_i alpha_k(e_i).
+    decided real by Hermite's quadratic form; a real x = sum x_i e_i then
+    has the real eigenvalues alpha_k(x) = sum x_i alpha_k(e_i).
     """
     if not is_solvable(L):
         raise ValueError("complete solvability is only defined for solvable algebras")
     d = L.dim
-    return all(
-        real_rooted(char_poly(ad_matrix(L, _basis_vector(d, i)))) for i in range(d)
-    )
+    return all(has_real_spectrum(ad_matrix(L, _basis_vector(d, i))) for i in range(d))
 
 
 def _leibniz_defects(L: StructureConstants, X: list):

@@ -1,13 +1,10 @@
 """Exact linear algebra over the rationals.
 
 A :class:`Matrix` is stored as integer rows over one denominator, the form
-every kernel reads.  Inverses and the Sylvester test rest on one kernel,
-:func:`rref`: a fraction-free sparse reduced row echelon form over
-{col: int} rows, each kept primitive, with zero tolerance; floating point
-never enters.
-Characteristic polynomials come from Faddeev-LeVerrier on ``@`` and
-:meth:`Matrix.trace`, so ``rref`` is the one exact elimination, and
-real-rootedness is decided by Sturm sequences on the square-free part.
+every kernel reads.  Inverses, the Sylvester test and real spectra (by
+Hermite's quadratic form) rest on one kernel, :func:`rref`: a fraction-free
+sparse reduced row echelon form over {col: int} rows, each kept primitive,
+with zero tolerance; floating point never enters.
 """
 
 from __future__ import annotations
@@ -17,12 +14,10 @@ from fractions import Fraction
 
 __all__ = [
     "Matrix",
-    "Polynomial",
     "rref",
     "inverse",
     "is_positive_definite",
-    "char_poly",
-    "real_rooted",
+    "has_real_spectrum",
 ]
 
 
@@ -300,162 +295,51 @@ def inverse(A: Matrix) -> Matrix:
     return Matrix.from_table(X, L, n)
 
 
+def _positive_form(rows, semidefinite: bool) -> bool:
+    """Whether the symmetric integer matrix ``rows`` is positive definite,
+    or with ``semidefinite`` positive semidefinite.
+
+    Row k, reduced by the rows before it, is row k of a Schur complement
+    up to a positive factor.  So the matrix is definite iff every row leads
+    at its own column with a positive value, and semidefinite iff every row
+    does so or reduces to zero; a lead elsewhere means an indefinite form.
+    """
+    _, leads = rref(rows)
+    return all(
+        lead[0] == k and lead[1] > 0 if lead else semidefinite
+        for k, lead in enumerate(leads)
+    )
+
+
 def is_positive_definite(G: Matrix) -> bool:
     """Exact Sylvester criterion: all leading principal minors positive.
 
     Row k of G, reduced by the rows before it, leads at column k with the
     ratio of the (k+1)-th to the k-th leading minor exactly when those k
-    minors are nonzero; the integer elimination keeps that value's sign, so
-    G is positive definite iff every row leads at its own column with a
-    positive value.
+    minors are nonzero; the integer elimination keeps that value's sign.
     """
-    if not G.is_symmetric():
-        return False
-    _, leads = rref(G.table)
-    return all(
-        lead is not None and lead[0] == k and lead[1] > 0
-        for k, lead in enumerate(leads)
-    )
+    return G.is_symmetric() and _positive_form(G.table, semidefinite=False)
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over Q and Sturm real-rootedness
-# ---------------------------------------------------------------------------
+def has_real_spectrum(A: Matrix) -> bool:
+    """True iff every eigenvalue of the square matrix A is real.
 
-
-class Polynomial:
-    """Polynomial with Fraction coefficients, lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def divmod(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = self.coeffs[:]
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(d):
-                break
-            f = rem[-1] / d[-1]
-            shift = len(rem) - len(d)
-            q[shift] = f
-            for i, c in enumerate(d):
-                rem[shift + i] -= f * c
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*t^{i}" if i else f"({c})")
-        return " + ".join(terms)
-
-    __repr__ = __str__
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via Euclid with monic normalization each step."""
-    a, b = Polynomial(a.coeffs), Polynomial(b.coeffs)
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.monic() if not r.is_zero() else r
-    return a.monic() if not a.is_zero() else a
-
-
-def char_poly(A: Matrix) -> Polynomial:
-    """det(tI - A) for a square rational matrix, by Faddeev-LeVerrier: with
-    M_1 = I and c_n = 1, c_{n-k} = -tr(A M_k)/k and M_{k+1} = A M_k +
-    c_{n-k} I."""
+    Hermite's quadratic form H_ij = tr(A^(i+j)), 0 <= i, j < d, has rank
+    the number of distinct eigenvalues and signature the number of distinct
+    real ones (Basu, Pollack and Roy, *Algorithms in Real Algebraic
+    Geometry*, ch. 4), so it is positive semidefinite iff the spectrum is
+    real.  The integer rows den A give D H D, D = diag(den^i), of the same
+    inertia.
+    """
     if A.rows != A.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = A.rows
-    coeffs = [Fraction(1)]  # highest degree first
-    AM = Matrix.from_table([{} for _ in range(n)], 1, n)
-    for k in range(1, n + 1):
-        AM = A @ (AM + Matrix.diagonal([coeffs[-1]] * n))
-        coeffs.append(-AM.trace() / k)
-    return Polynomial(coeffs[::-1])
-
-
-def _sign_changes(values) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
-
-
-def _sign_at_infinity(p: Polynomial, positive: bool) -> Fraction:
-    lead = p.leading()
-    if positive or p.degree % 2 == 0:
-        return lead
-    return -lead
-
-
-def real_rooted(p: Polynomial) -> bool:
-    """True iff every complex root of p is real, decided by Sturm sequences.
-
-    Multiplicities are removed first (gcd with the derivative), then the real
-    roots of the square-free part are counted and compared to its degree.
-    """
-    if p.is_zero():
-        raise ValueError("real-rootedness of the zero polynomial is undefined")
-    if p.degree == 0:
-        return True
-    g = poly_gcd(p, p.derivative())
-    sf, _ = p.divmod(g)
-    sf = sf.monic()
-    if sf.degree == 0:
-        return True
-    chain = [sf, sf.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            break
-        # scale only by positive constants; sign flips would corrupt the
-        # variation counts
-        scale = abs(r.leading())
-        chain.append(Polynomial([-c / scale for c in r.coeffs]))
-    chain = [q for q in chain if not q.is_zero()]
-    at_minus = [_sign_at_infinity(q, positive=False) for q in chain]
-    at_plus = [_sign_at_infinity(q, positive=True) for q in chain]
-    count = _sign_changes(at_minus) - _sign_changes(at_plus)
-    return count == sf.degree
+        raise ValueError("spectrum of a non-square matrix")
+    d = A.rows
+    sums = [d] + [0] * (2 * d)
+    power = [{i: 1} for i in range(d)]
+    for k in range(1, 2 * d - 1):
+        power = _row_product(power, A.table)
+        if not any(power):
+            break  # every later power sum is 0
+        sums[k] = sum(row.get(i, 0) for i, row in enumerate(power))
+    hankel = ({j: sums[i + j] for j in range(d) if sums[i + j]} for i in range(d))
+    return _positive_form(hankel, semidefinite=True)

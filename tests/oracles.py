@@ -16,9 +16,9 @@ They read the bracket table through :func:`fraction_table`, the one
 every matrix through :func:`dense`, the one ``Fraction`` view of a
 ``Matrix``, read entry by entry; sums, traces and zero tests of matrices
 (:func:`add`, :func:`trace`, :func:`is_zero`) are taken on that view.
-``hessenberg_char_poly`` is the characteristic polynomial by the exact
-Hessenberg reduction, the reference for ``linalg.char_poly``, and
-``poly_from_roots`` states expected polynomials as coefficient products.
+``conjugated_blocks`` hides a block matrix of known spectrum behind
+elementary similarities, so ``linalg.has_real_spectrum`` has an answer
+known by construction.
 ``TWO_ABELIAN`` is an algebra whose abelian part has dimension 2, so the
 checklist's norm condition has an off-diagonal entry.
 The ``heisenberg_*`` functions state the n = 1 case apart, the reference
@@ -38,7 +38,7 @@ from solvsoliton.lie_core import (
     ad_matrix,
     subalgebra,
 )
-from solvsoliton.linalg import Matrix, Polynomial, rref
+from solvsoliton.linalg import Matrix, rref
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     SolitonVerdict,
@@ -761,62 +761,40 @@ def fraction_matmul(self: Matrix, other: Matrix) -> Matrix:
     return Matrix(out)
 
 
-def _poly_mul(a: list, b: list) -> list:
-    """The product of two coefficient lists, lowest degree first."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def conjugated_blocks(rng, d: int):
+    """A random d x d matrix similar to a block matrix B, as ``Fraction``
+    rows, and whether its spectrum is real, known from B.
 
-
-def poly_from_roots(*roots) -> Polynomial:
-    """The monic polynomial prod (t - r), a repeated root listed again."""
-    coeffs = [Fraction(1)]
-    for r in roots:
-        coeffs = _poly_mul(coeffs, [-Fraction(r), Fraction(1)])
-    return Polynomial(coeffs)
-
-
-def hessenberg_char_poly(A: Matrix) -> Polynomial:
-    """det(tI - A) by exact Hessenberg reduction over ``Fraction`` entries
-    and the leading-minor recurrence, as ``linalg.char_poly`` computed it
-    before it moved to Faddeev-LeVerrier."""
-    if A.rows != A.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = A.rows
-    H = dense(A)
-    # Exact Hessenberg form: eliminate below the first subdiagonal.
-    for col in range(n - 2):
-        piv = next((i for i in range(col + 1, n) if H[i][col]), None)
-        if piv is None:
-            continue
-        if piv != col + 1:
-            H[col + 1], H[piv] = H[piv], H[col + 1]
-            for row in H:
-                row[col + 1], row[piv] = row[piv], row[col + 1]
-        d = H[col + 1][col]
-        for i in range(col + 2, n):
-            f = H[i][col]
-            if not f:
-                continue
-            ratio = f / d
-            for j in range(n):
-                H[i][j] -= ratio * H[col + 1][j]
-            for r in range(n):
-                H[r][col + 1] += ratio * H[r][i]
-    # p[k] = det(tI - H_k) for the leading k x k block H_k.
-    p = [[Fraction(1)]]
-    for k in range(1, n + 1):
-        term = _poly_mul([-H[k - 1][k - 1], Fraction(1)], p[k - 1])
-        prod = Fraction(1)
-        for i in range(k - 2, -1, -1):
-            prod *= H[i + 1][i]
-            f = H[i][k - 1] * prod
-            for e, x in enumerate(p[i]):
-                term[e] -= f * x
-        p.append(term)
-    return Polynomial(p[n])
+    B is block diagonal: Jordan blocks of rational eigenvalues, and 2 x 2
+    blocks [[a, -b], [b, a]] with eigenvalues a +- ib, b in {0, 1, 1/1000}.
+    B is conjugated by elementary matrices E = I + k e_ij, each applied as
+    row i += k row j, then column j -= k column i, which is E B E^-1 without
+    any elimination.
+    """
+    B = [[Fraction(0)] * d for _ in range(d)]
+    real = True
+    i = 0
+    while i < d:
+        size = rng.randint(1, min(3, d - i))
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if size == 2 and rng.random() < 0.5:
+            b = rng.choice((Fraction(0), Fraction(1), Fraction(1, 1000)))
+            B[i][i] = B[i + 1][i + 1] = a
+            B[i][i + 1], B[i + 1][i] = -b, b
+            real &= b == 0
+        else:
+            for k in range(i, i + size):
+                B[k][k] = a
+                if k > i:
+                    B[k - 1][k] = Fraction(1)
+        i += size
+    for _ in range(3 * d if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        B[i] = [x + k * y for x, y in zip(B[i], B[j])]
+        for row in B:
+            row[j] -= k * row[i]
+    return B, real
 
 
 def _fraction_eliminate(row: dict, pc, prow: dict) -> None:

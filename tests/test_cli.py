@@ -811,6 +811,31 @@ def test_main_leaves_the_collector_as_it_was(capsys):
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int string digit limit"
+)
+class TestIntStringDigitLimit:
+    """Exact values longer than Python's default 4,300-digit limit for int
+    to string conversion print in full, and literals that long parse."""
+
+    def test_ricci_past_the_limit_exits_0_and_restores_the_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, out, _ = run(
+            capsys, "ricci", "--n", "2", "--rho", "1e-1100", "--c", "1", "--format", "json"
+        )
+        assert code == 0
+        assert Fraction(json.loads(out)["params"]["rho"]) == Fraction("1e-1100")
+        assert sys.get_int_max_str_digits() == before
+
+    def test_a_literal_past_the_limit_parses(self, capsys):
+        rho = "7" * 5000
+        code, out, _ = run(
+            capsys, "spectrum", "--n", "1", "--rho", rho, "--c", "0", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["rho"] == rho
+
+
 def module_run(argv: list):
     src = str(Path(solvsoliton.__file__).resolve().parents[1])
     return subprocess.run(

@@ -339,7 +339,7 @@ class TestUnimodularSolvable:
     def test_heis3_completely_solvable(self):
         assert is_completely_solvable(heis3())
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_family_completely_solvable(self, n):
         assert is_completely_solvable(build_lie_algebra(n))
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: solving, kernels, characteristic polynomials, Sturm."""
+"""Exact linear algebra: solving, kernels, definiteness, real spectra."""
 
 import ast
 import math
@@ -13,12 +13,10 @@ from oracles import (
     add,
     bracket,
     column,
+    conjugated_blocks,
     dense,
-    hessenberg_char_poly,
     identity,
-    is_zero,
     nullspace,
-    poly_from_roots,
     solve_exact,
     sparse_nullspace,
     trace,
@@ -30,11 +28,9 @@ from solvsoliton.family import FamilyParams, build_embedding, build_gram, build_
 from solvsoliton.lie_core import ad_matrix
 from solvsoliton.linalg import (
     Matrix,
-    Polynomial,
-    char_poly,
+    has_real_spectrum,
     inverse,
     is_positive_definite,
-    real_rooted,
     rref,
 )
 from solvsoliton.scalars import surd
@@ -451,112 +447,103 @@ class TestDetInverse:
         assert not is_positive_definite(Matrix([[1, 2], [3, 4]]))  # asymmetric
 
 
-class TestCharPoly:
+def companion(coeffs):
+    """The companion matrix of the monic polynomial with coefficients
+    ``coeffs``, lowest degree first, leading 1 included: one Jordan block
+    per distinct root."""
+    d = len(coeffs) - 1
+    return Matrix(
+        [[int(j == i - 1) for j in range(d - 1)] + [-coeffs[i]] for i in range(d)]
+    )
+
+
+def monic_from_roots(*roots):
+    """The coefficients of prod (t - r), lowest degree first."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
+class TestRealSpectrum:
+    def test_complex_pair(self):
+        assert not has_real_spectrum(companion([1, 0, 1]))  # t^2 + 1
+
+    def test_mixed_factor(self):
+        # (t-1)(t^2+1)
+        assert not has_real_spectrum(companion([-1, 1, -1, 1]))
+
+    def test_with_multiplicities(self):
+        # t^2 (t-2)(t-1)(t+1)^3: the companion matrix is not diagonalizable
+        assert has_real_spectrum(companion(monic_from_roots(0, 0, 2, 1, -1, -1, -1)))
+
     def test_identity(self):
-        p = char_poly(identity(2))
-        assert p == Polynomial([1, -2, 1])  # (t-1)^2
+        assert has_real_spectrum(identity(2))
+        assert has_real_spectrum(identity(5).scale(Fraction(-3, 7)))
 
     def test_nilpotent_center(self):
         L = build_lie_algebra(3)
         d = L.dim
         z = [Fraction(int(i == d - 1)) for i in range(d)]
-        p = char_poly(ad_matrix(L, z))
-        assert p == Polynomial([0] * d + [1])  # t^d
+        assert has_real_spectrum(ad_matrix(L, z))
 
     def test_ad_b1r_n2_spectrum(self):
         # Block form diag(0, 2, V4, 0) at n=2: eigenvalues 2, 1, 0, -1 with
         # multiplicities 1, 2, 2, 2 (V4 squares to the identity with trace 0,
         # so it contributes +1, +1, -1, -1; the trace sums to 2n-2 = 2).
+        # Power sums tr(A^k), k < d, fix the characteristic polynomial.
         L = build_lie_algebra(2)
         x = [Fraction(int(i == 0)) for i in range(7)]
-        p = char_poly(ad_matrix(L, x))
-        expected = poly_from_roots(2, 1, 1, 0, 0, -1, -1)
-        assert p == expected
-
-    def test_cayley_hamilton_randomized(self):
-        rng = random.Random(77)
-        for _ in range(15):
-            n = rng.randint(1, 8)
-            A = rand_matrix(rng, n, n, -2, 2)
-            p = char_poly(A)
-            acc = zeros(n, n)
-            power = identity(n)
-            for coeff in p.coeffs:
-                if coeff:
-                    acc = add(acc, power.scale(coeff))
-                power = power @ A
-            assert is_zero(acc)
-
-    def test_faddeev_leverrier_matches_hessenberg_randomized(self):
-        rng = random.Random(2011)
-
-        def rational():
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-
-        for trial in range(150):
-            d = rng.randint(1, 7)
-            kind = ("general", "singular", "nilpotent")[trial % 3]
-            rows = [[rational() for _ in range(d)] for _ in range(d)]
-            if kind == "singular":
-                # the last row a combination of the others (zero when d = 1)
-                coeffs = [rational() for _ in range(d - 1)]
-                rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(d)]
-            elif kind == "nilpotent":
-                # a strictly upper triangular N conjugated by an invertible P
-                N = Matrix([[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(rows)])
-                P = Matrix([[rational() for _ in range(d)] for _ in range(d)])
-                if len(rref(P.table)[0]) < d:
-                    P = identity(d)
-                rows = dense(P @ N @ inverse(P))
-            A = Matrix(rows)
-            p = char_poly(A)
-            assert p == hessenberg_char_poly(A)
-            if kind == "singular":
-                assert p.coeffs[0] == 0
-            elif kind == "nilpotent":
-                assert p == Polynomial([0] * d + [1])
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError):
-            char_poly(Matrix([[1, 2, 3], [4, 5, 6]]))
-
-
-class TestRealRooted:
-    def test_complex_pair(self):
-        assert not real_rooted(Polynomial([1, 0, 1]))  # t^2 + 1
-
-    def test_with_multiplicities(self):
-        # t^2 (t-2)(t-1)(t+1)^3
-        p = poly_from_roots(0, 0, 2, 1, -1, -1, -1)
-        assert real_rooted(p)
+        A = ad_matrix(L, x)
+        power = identity(7)
+        for k in range(7):
+            assert trace(power) == sum(lam**k for lam in (2, 1, 1, 0, 0, -1, -1))
+            power = power @ A
+        assert has_real_spectrum(A)
 
     def test_family_adjoint_n3(self):
         L = build_lie_algebra(3)
         x = [Fraction(int(i == 0)) for i in range(L.dim)]
-        assert real_rooted(char_poly(ad_matrix(L, x)))
+        assert has_real_spectrum(ad_matrix(L, x))
 
-    def test_mixed_factor(self):
-        # (t-1)(t^2+1)
-        assert not real_rooted(Polynomial([-1, 1, -1, 1]))
+    def test_lead_past_its_own_column_is_not_semidefinite(self):
+        # diag(0, 0, 1, 1, 1, 1) + a rotation: power sums 8, 4, 2, ... with
+        # D_2 = 8*2 - 4^2 = 0, so row 1 of the Hankel matrix leads at column
+        # 2 with a positive value; the eigenvalues +-i make it indefinite.
+        A = Matrix.diagonal([0, 0, 1, 1, 1, 1, 0, 0]) + Matrix(
+            [[0] * 8] * 6 + [[0] * 6 + [0, -1], [0] * 6 + [1, 0]]
+        )
+        assert [trace(identity(8)), trace(A), trace(A @ A)] == [8, 4, 2]
+        assert not has_real_spectrum(A)
 
-    def test_zero_polynomial_raises(self):
+    def test_empty_matrix_is_vacuously_real(self):
+        assert has_real_spectrum(Matrix([]))
+
+    def test_non_square_raises(self):
         with pytest.raises(ValueError):
-            real_rooted(Polynomial([]))
+            has_real_spectrum(Matrix([[1, 2, 3], [4, 5, 6]]))
 
-    def test_constant_is_vacuously_real_rooted(self):
-        assert real_rooted(Polynomial([5]))
+    def test_conjugates_known_by_construction(self):
+        rng = random.Random(2011)
+        answers = set()
+        for _ in range(150):
+            rows, real = conjugated_blocks(rng, rng.randint(1, 8))
+            assert has_real_spectrum(Matrix(rows)) == real
+            answers.add(real)
+        assert answers == {True, False}
 
-    def test_against_numeric_roots_randomized(self):
+    def test_against_numeric_eigenvalues_randomized(self):
         import numpy as np
 
         rng = random.Random(8)
+        checked = 0
         for _ in range(150):
-            deg = rng.randint(1, 7)
-            coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(deg)]
-            coeffs.append(Fraction(rng.randint(1, 5)))
-            p = Polynomial(coeffs)
-            roots = np.roots([float(c) for c in reversed(p.coeffs)])
+            d = rng.randint(1, 7)
+            A = rand_matrix(rng, d, d)
+            imag = np.abs(np.linalg.eigvals(np.array(dense(A), dtype=float)).imag)
             # skip cases where float rounding makes the answer ambiguous
-            if np.any((np.abs(roots.imag) > 1e-12) & (np.abs(roots.imag) < 1e-6)):
+            if np.any((imag > 1e-12) & (imag < 1e-6)):
                 continue
-            assert real_rooted(p) == bool(np.all(np.abs(roots.imag) < 1e-9))
+            checked += 1
+            assert has_real_spectrum(A) == bool(np.all(imag < 1e-9))
+        assert checked > 100
