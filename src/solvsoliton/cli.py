@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import gc
 import io
-import math
 import os
 import sys
 
@@ -193,44 +192,20 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
 
 
 def einstein_report(p: family.FamilyParams) -> tuple:
-    """Numeric ambient checks: the report, and the CSV rows of its
-    residuals at 12 digits.  A ValueError if the float metric at the point
-    is not finite or not invertible."""
-    from .coord_engine import (
-        RESIDUAL_TOL,
-        assemble_metric,
-        einstein_residual,
-        induced_consistency,
-        off_center_points,
-        p_rho_point,
-    )
+    """The report of :func:`coord_engine.einstein_check`, and the CSV rows
+    of its residuals at 12 digits.  A ValueError if the float metric at the
+    point is not finite or not invertible."""
+    from .coord_engine import einstein_check
 
-    M = assemble_metric(p.n, float(p.c))
-    points = [("p_rho", p_rho_point(p.n, float(p.rho)))]
-    for i, pt in enumerate(off_center_points(p.n)):
-        points.append((f"offcenter{i}", pt))
-    finite = False
-    try:
-        residuals = {name: einstein_residual(M, pt) for name, pt in points}
-        induced = induced_consistency(M, p)
-        numbers = [*residuals.values(), induced.gram_max_error, induced.eigenvalue_max_error]
-        finite = all(map(math.isfinite, numbers))
-    except ArithmeticError:
-        pass
-    if not finite:
-        raise ValueError(
-            "the float metric is not finite and invertible at "
-            f"rho={float(p.rho):.6g}, c={float(p.c):.6g}"
-        )
-    worst = max(residuals.values())
+    residuals, gram_err, eigenvalue_err, ok = einstein_check(p)
     report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "einstein_constant": -2 * (p.n + 2),
         "residuals": {k: f"{v:.6e}" for k, v in residuals.items()},
-        "max_residual": f"{worst:.6e}",
-        "induced_gram_error": f"{induced.gram_max_error:.6e}",
-        "induced_eigenvalue_error": f"{induced.eigenvalue_max_error:.6e}",
-        "ok": bool(worst < RESIDUAL_TOL and induced.ok()),
+        "max_residual": f"{max(residuals.values()):.6e}",
+        "induced_gram_error": f"{gram_err:.6e}",
+        "induced_eigenvalue_error": f"{eigenvalue_err:.6e}",
+        "ok": ok,
     }
     return report, [{"point": k, "residual": f"{v:.12e}"} for k, v in residuals.items()]
 

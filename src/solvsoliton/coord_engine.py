@@ -10,7 +10,8 @@ The Ricci tensor takes from dGamma only the two traces it uses; its
 contractions with second derivatives run over the nonzero entries of d2g.
 On top of these sit the Einstein residual at arbitrary in-domain points and
 the consistency of the induced slice metric with the exact modules, through
-the exact path's own entrywise slice Ricci formula.
+the exact path's own entrywise slice Ricci formula; :func:`einstein_check`
+runs both, taking each point's jets once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from operator import mul
-from types import MappingProxyType
 
 from .family import (
     FamilyParams,
@@ -31,13 +31,12 @@ from .scalars import power_jet
 
 __all__ = [
     "AmbientMetric",
-    "assemble_metric",
     "p_rho_point",
     "off_center_points",
     "ricci_from_jets",
     "einstein_residual",
-    "InducedReport",
     "induced_consistency",
+    "einstein_check",
 ]
 
 
@@ -227,12 +226,12 @@ def _add_squares(g: dict, dg: dict, d2g: dict, coeff, forms):
             _add_scaled(block, s1.get(l, 0.0), P1k)
 
 
-def _dense(block: dict, m: int) -> tuple:
+def _dense(block: dict, m: int) -> list:
     """The symmetric m x m matrix whose upper triangle is ``block``."""
     rows = [[0.0] * m for _ in range(m)]
     for (i, j), v in block.items():
         rows[i][j] = rows[j][i] = v
-    return tuple(map(tuple, rows))
+    return rows
 
 
 class AmbientMetric:
@@ -251,10 +250,16 @@ class AmbientMetric:
         self.n = n
         self.c = float(c)
         self.dim = 4 * n
-        self._jets: dict = {}
 
-    def _assemble(self, x):
-        """(g, dg, d2g) at x, summed term by term from the closed form."""
+    def jets(self, x):
+        """(g, dg, d2g) at the point x, summed term by term from the closed form.
+
+        ``g[i][j]`` and ``dg[k][i][j] = d_k g_ij`` are nested lists.  The
+        second derivatives are sparse: ``d2g[k, l][i, j] = d_k d_l g_ij`` for
+        k <= l and i <= j, holding only the entries the closed form reaches;
+        the rest are zero or follow by symmetry.
+        """
+        validate_point(self.n, x)
         n, c, m = self.n, self.c, self.dim
         nx = 2 * n - 1
         g, dg, d2g = {}, {}, {}
@@ -283,32 +288,7 @@ class AmbientMetric:
         # 4 (rho + c)/(rho^2 (1 - |X|^2)) |psi|^2.
         add(_coefficient(x, n, 4.0, ((0.0, -2), (c, 1)), 1), _psi(x, n))
 
-        zero = _dense({}, m)
-        return (
-            _dense(g, m),
-            tuple(_dense(dg[k], m) if k in dg else zero for k in range(m)),
-            MappingProxyType({kl: MappingProxyType(b) for kl, b in d2g.items() if b}),
-        )
-
-    def jets(self, point):
-        """(g, dg, d2g) at the point, memoised per point and read-only.
-
-        ``g[i][j]`` and ``dg[k][i][j] = d_k g_ij`` are nested tuples.  The
-        second derivatives are sparse: ``d2g[k, l][i, j] = d_k d_l g_ij`` for
-        k <= l and i <= j, holding only the entries the closed form reaches;
-        the rest are zero or follow by symmetry.
-        """
-        key = tuple(map(float, point))
-        cached = self._jets.get(key)
-        if cached is not None:
-            return cached
-        validate_point(self.n, key)
-        jets = self._jets[key] = self._assemble(key)
-        return jets
-
-
-def assemble_metric(n: int, c) -> AmbientMetric:
-    return AmbientMetric(n, float(c))
+        return _dense(g, m), [_dense(dg.get(k, {}), m) for k in range(m)], d2g
 
 
 def _inverse(a) -> list:
@@ -427,54 +407,21 @@ def _max_abs(values) -> float:
     return max(values, default=0.0) if all(map(math.isfinite, values)) else math.nan
 
 
-def einstein_residual(M: AmbientMetric, point) -> float:
-    """max |Ric + 2(n+2) g| / max |g| at the point; nan if not finite."""
-    g, dg, d2g = M.jets(point)
+def einstein_residual(jets) -> float:
+    """max |Ric + 2(n+2) g| / max |g| from the jets of the 4n-dimensional
+    ambient metric at a point; nan if not finite."""
+    g, dg, d2g = jets
     ric = ricci_from_jets(g, dg, d2g)
-    lam = -2.0 * (M.n + 2)
+    lam = -2.0 * (len(g) // 4 + 2)
     worst = _max_abs(r - lam * x for rr, gr in zip(ric, g) for r, x in zip(rr, gr))
     return worst / _max_abs(x for row in g for x in row)
 
 
-# Tolerances of the einstein report: the relative Einstein residual, and for
-# InducedReport.ok the relative Gram error and the largest error of a Ricci
-# eigenvalue.
+# Tolerances of einstein_check: the relative Einstein residual, the
+# relative Gram error and the largest error of a Ricci eigenvalue.
 RESIDUAL_TOL = 1e-6
 GRAM_TOL = 1e-12
 EIGENVALUE_TOL = 1e-8
-
-
-class InducedReport:
-    """Agreement of the ambient restriction with the exact slice data.
-
-    ``gram_max_error`` is relative and covers everything the entrywise slice
-    Ricci formula assumes: the largest entry of the difference between the
-    ambient metric's slice block (with its rho cross terms) and the exact
-    diagonal slice Gram, over the largest exact entry; and the largest
-    off-diagonal entry of the d/drho and d2/drho2 slice blocks, each over
-    that block's largest entry.  ``eigenvalues`` and ``expected`` are the
-    slice Ricci eigenvalues in coordinate order.
-    """
-
-    __slots__ = ("gram_max_error", "eigenvalue_max_error", "eigenvalues", "expected")
-
-    def __init__(
-        self,
-        gram_max_error: float,
-        eigenvalue_max_error: float,
-        eigenvalues: list,
-        expected: list,
-    ):
-        self.gram_max_error = gram_max_error
-        self.eigenvalue_max_error = eigenvalue_max_error
-        self.eigenvalues = eigenvalues
-        self.expected = expected
-
-    def ok(self) -> bool:
-        return (
-            self.gram_max_error < GRAM_TOL
-            and self.eigenvalue_max_error < EIGENVALUE_TOL
-        )
 
 
 def _off_diagonal_ratio(entries) -> float:
@@ -485,19 +432,23 @@ def _off_diagonal_ratio(entries) -> float:
     return off / _max_abs(v for _, _, v in entries)
 
 
-def induced_consistency(M: AmbientMetric, p: FamilyParams) -> InducedReport:
-    """Compare the induced slice Gram and Ricci eigenvalues with exact values.
+def induced_consistency(jets, p: FamilyParams) -> tuple:
+    """(Gram error, eigenvalue error) of the induced slice metric against
+    the exact values, from the ambient jets at p_rho.
 
-    The slice Ricci is recomputed in floating point from the diagonals of
-    the ambient jets at p_rho (restriction, rho-derivatives, warp factor)
-    through the exact path's own :func:`hypersurface_ricci_general`, and
-    compared entry by entry with the principal curvatures in coordinate
-    order.
+    The Gram error is relative and covers everything the entrywise slice
+    Ricci formula assumes: the largest entry of the difference between the
+    ambient metric's slice block (with its rho cross terms) and the exact
+    diagonal slice Gram, over the largest exact entry; and the largest
+    off-diagonal entry of the d/drho and d2/drho2 slice blocks, each over
+    that block's largest entry.  The slice Ricci is recomputed in floating
+    point from the diagonals of the jets (restriction, rho-derivatives,
+    warp factor) through the exact path's own
+    :func:`hypersurface_ricci_general`; the eigenvalue error is its largest
+    difference from the principal curvatures in coordinate order.
     """
-    if M.n != p.n or abs(M.c - float(p.c)) > 0:
-        raise ValueError("ambient metric and family parameters disagree")
-    n, m = p.n, M.dim
-    g, dg, d2g = M.jets(p_rho_point(n, float(p.rho)))
+    n, m = p.n, 4 * p.n
+    g, dg, d2g = jets
     G1, G2 = dg[0], d2g.get((0, 0), {})
     inner = range(1, m)
 
@@ -524,9 +475,39 @@ def induced_consistency(M: AmbientMetric, p: FamilyParams) -> InducedReport:
     )
     r = ricci_eigenvalue_formulas(n, p.rho, p.c)
     expected = [float(x) for x, m in zip(r, slice_multiplicities(n)) for _ in range(m)]
-    return InducedReport(
-        gram_max_error=gram_err,
-        eigenvalue_max_error=_max_abs(e - x for e, x in zip(eigs, expected)),
-        eigenvalues=eigs,
-        expected=expected,
+    return gram_err, _max_abs(e - x for e, x in zip(eigs, expected))
+
+
+def einstein_check(p: FamilyParams) -> tuple:
+    """The ambient Einstein check at p: (relative Einstein residual by point
+    name, induced Gram error, induced eigenvalue error, ok).
+
+    The points are p_rho and the two :func:`off_center_points`; p_rho's
+    jets also feed :func:`induced_consistency`.  ``ok`` holds when every
+    residual is below RESIDUAL_TOL and the two induced errors below
+    GRAM_TOL and EIGENVALUE_TOL.  A ValueError if the float metric is not
+    finite or not invertible at some point.
+    """
+    n = p.n
+    M = AmbientMetric(n, float(p.c))
+    points = {"p_rho": p_rho_point(n, float(p.rho))}
+    for i, pt in enumerate(off_center_points(n)):
+        points[f"offcenter{i}"] = pt
+    try:
+        jets = {name: M.jets(pt) for name, pt in points.items()}
+        residuals = {name: einstein_residual(j) for name, j in jets.items()}
+        gram_err, eig_err = induced_consistency(jets["p_rho"], p)
+        finite = all(map(math.isfinite, [*residuals.values(), gram_err, eig_err]))
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            "the float metric is not finite and invertible at "
+            f"rho={float(p.rho):.6g}, c={float(p.c):.6g}"
+        )
+    ok = (
+        max(residuals.values()) < RESIDUAL_TOL
+        and gram_err < GRAM_TOL
+        and eig_err < EIGENVALUE_TOL
     )
+    return residuals, gram_err, eig_err, ok

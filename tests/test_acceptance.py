@@ -28,13 +28,7 @@ from oracles import (
 )
 
 from solvsoliton import family
-from solvsoliton.coord_engine import (
-    assemble_metric,
-    einstein_residual,
-    induced_consistency,
-    off_center_points,
-    p_rho_point,
-)
+from solvsoliton.coord_engine import einstein_check
 from solvsoliton.family import (
     FamilyParams,
     build_delta,
@@ -204,14 +198,12 @@ def test_criterion_7_numeric_einstein_check():
     ok = True
     for n in (1, 2, 3):
         for rho, c in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.5)):
-            M = assemble_metric(n, c)
-            points = [p_rho_point(n, rho)] + off_center_points(n)
-            for pt in points:
-                ok &= einstein_residual(M, pt) < 1e-6
             p = FamilyParams(n, Fraction(rho), Fraction(c))
-            rep = induced_consistency(M, p)
-            ok &= rep.gram_max_error < 1e-12
-            ok &= rep.eigenvalue_max_error < 1e-8
+            residuals, gram_err, eigenvalue_err, _ = einstein_check(p)
+            ok &= len(residuals) == 3  # p_rho and two off-centre points
+            ok &= all(r < 1e-6 for r in residuals.values())
+            ok &= gram_err < 1e-12
+            ok &= eigenvalue_err < 1e-8
     elapsed = time.monotonic() - t0
     ok &= elapsed < 60.0
     report(

@@ -655,13 +655,13 @@ class TestComputeOnce:
         from solvsoliton import coord_engine
 
         calls = []
-        assemble = coord_engine.AmbientMetric._assemble
+        jets = coord_engine.AmbientMetric.jets
 
         def counted(self, point):
             calls.append(tuple(point))
-            return assemble(self, point)
+            return jets(self, point)
 
-        monkeypatch.setattr(coord_engine.AmbientMetric, "_assemble", counted)
+        monkeypatch.setattr(coord_engine.AmbientMetric, "jets", counted)
         report, _ = cli.einstein_report(family.FamilyParams(2, Fraction(1), Fraction(1)))
         assert report["ok"] is True
         # p_rho and the two off-center points; induced_consistency reuses p_rho
