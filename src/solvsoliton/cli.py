@@ -85,7 +85,7 @@ def _delta_multiple(p: family.FamilyParams, D):
 def verify_report(p: family.FamilyParams) -> dict:
     M = family.metric_algebra(p)
     jacobi_ok, _ = check_jacobi(M.L)
-    split_report = M.splitting_report(family.family_splitting(p.n))
+    splitting = M.splitting_report(family.family_splitting(p.n))
     koszul, expected, conjugated = _three_way_ricci(p, M)
     ricci_ok = koszul == expected and koszul == conjugated
     trace_ok = hypersurface.trace_identity_check(p)
@@ -93,20 +93,12 @@ def verify_report(p: family.FamilyParams) -> dict:
     agree = direct.is_soliton == checklist.is_soliton
     status = family.classify_status(p.n, direct.is_soliton)
     predicted = family.predicted_status(p.n, p.c)
-    checks_ok = (
-        jacobi_ok and split_report.ok and ricci_ok and trace_ok and agree
-    )
+    checks_ok = jacobi_ok and all(splitting.values()) and ricci_ok and trace_ok and agree
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "checks": {
             "jacobi": jacobi_ok,
-            "splitting": {
-                "n_is_ideal": split_report.n_is_ideal,
-                "n_is_nilpotent": split_report.n_is_nilpotent,
-                "n_contains_derived": split_report.n_contains_derived,
-                "a_is_abelian": split_report.a_is_abelian,
-                "a_orthogonal_to_n": split_report.a_orthogonal_to_n,
-            },
+            "splitting": splitting,
             "ricci_three_way": ricci_ok,
             "trace_identity": trace_ok,
             "checkers_agree": agree,
@@ -124,17 +116,18 @@ def verify_report(p: family.FamilyParams) -> dict:
 
 def spectrum_report(p: family.FamilyParams) -> dict:
     r = _principal_ricci(p)
-    shape = hypersurface.shape_operator(p)
+    sigma, trace = hypersurface.shape_operator(p)
+    mult = list(family.slice_multiplicities(p.n))
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
-        "sigma": [_exact(s) or None for s in shape.sigma],
-        "sigma_approx": [None if s is None else _approx(s) for s in shape.sigma],
-        "sigma_multiplicities": list(shape.multiplicities),
-        "trace_shape": _exact(shape.trace),
-        "trace_shape_approx": _approx(shape.trace),
+        "sigma": [_exact(s) or None for s in sigma],
+        "sigma_approx": [None if s is None else _approx(s) for s in sigma],
+        "sigma_multiplicities": mult,
+        "trace_shape": _exact(trace),
+        "trace_shape_approx": _approx(trace),
         "r": [_exact(x) or None for x in r],
         "r_approx": [None if x is None else _approx(x) for x in r],
-        "r_multiplicities": list(shape.multiplicities),
+        "r_multiplicities": mult,
         "note": "decimal fields are 12-digit approximations; exact strings are authoritative",
     }
 
@@ -170,7 +163,7 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
     for rho in rho_grid:
         for c in c_grid:
             p = family.FamilyParams(n, rho, c)
-            shape = hypersurface.shape_operator(p)
+            sigma, trace = hypersurface.shape_operator(p)
             direct = soliton_check_direct(family.metric_algebra(p))
             status = family.classify_status(n, direct.is_soliton)
             row = {
@@ -180,13 +173,13 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
                 "status": status,
                 "lambda": _exact(direct.lambda_),
             }
-            for i, s in enumerate(shape.sigma, start=1):
+            for i, s in enumerate(sigma, start=1):
                 row[f"sigma{i}"] = _exact(s)
                 row[f"sigma{i}_approx"] = "" if s is None else _approx(s)
             for i, r in enumerate(_principal_ricci(p), start=1):
                 row[f"r{i}"] = _exact(r)
                 row[f"r{i}_approx"] = "" if r is None else _approx(r)
-            row["trace_shape"] = _exact(shape.trace)
+            row["trace_shape"] = _exact(trace)
             rows.append(row)
     return rows
 
@@ -539,7 +532,12 @@ def _main(argv) -> int:
     rho_grid = cfg.rho_grid or [cfg.rho]
     c_grid = cfg.c_grid or [cfg.c]
     try:
-        if cfg.n < 1 or cfg.rho <= 0 or cfg.c < 0:
+        # sweep reads --rho and --c only where no grid replaces them, so a
+        # sweep that runs skips their check; a refused line keeps its message
+        runs_sweep = cfg.command == "sweep" and (
+            min(rho_grid) > 0 and min(c_grid) >= 0 and 1 <= cfg.n <= _max_n()
+        )
+        if not runs_sweep and (cfg.n < 1 or cfg.rho <= 0 or cfg.c < 0):
             raise ValueError("need n >= 1, rho > 0, c >= 0")
         if cfg.command == "sweep" and (min(rho_grid) <= 0 or min(c_grid) < 0):
             raise ValueError("need rho > 0, c >= 0 at every grid point")
@@ -563,7 +561,8 @@ def _main(argv) -> int:
                 file=sys.stderr,
             )
             return 2
-        p = family.FamilyParams(cfg.n, cfg.rho, cfg.c)
+        if cfg.command != "sweep":
+            p = family.FamilyParams(cfg.n, cfg.rho, cfg.c)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

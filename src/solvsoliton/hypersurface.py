@@ -27,10 +27,9 @@ from itertools import accumulate
 
 from .family import FamilyParams, coordinate_gram, slice_multiplicities
 from .linalg import Matrix
-from .scalars import Surd, power_jet, sqrt_fraction
+from .scalars import Surd, power_jet, sqrt_parts
 
 __all__ = [
-    "ShapeOperator",
     "warp_data",
     "shape_operator",
     "hypersurface_ricci_general",
@@ -53,25 +52,16 @@ def warp_data(p: FamilyParams) -> tuple:
     return cached
 
 
-class ShapeOperator:
-    """Diagonal shape operator: its spectrum, multiplicities and trace."""
-
-    __slots__ = ("sigma", "multiplicities", "trace")
-
-    def __init__(self, sigma: tuple, multiplicities: tuple, trace):
-        self.sigma = sigma
-        self.multiplicities = multiplicities
-        self.trace = trace
-
-
-def shape_operator(p: FamilyParams) -> ShapeOperator:
-    """Principal curvatures sigma_i = -(g_i'/g_i)/2 * 1/sqrt(f) and their sum.
+def shape_operator(p: FamilyParams) -> tuple:
+    """(sigma, trace): the principal curvatures sigma_i = -(g_i'/g_i)/2 *
+    1/sqrt(f), one per slice block, and their sum over the coordinates.
 
     1/sqrt(f) = b*sqrt(q) is taken once: each factor (rho + a)^e of f leaves
     (rho + a)^h, h = -e/2 rounded toward zero, outside the root, so rho^2
     never reaches the radicand.  Each value is the rational x*b times
-    sqrt(q), a ``Fraction`` when x = 0 or q = 1.  Each slice block carries
-    one sigma_k, None on an empty block (b and zrest at n = 1).
+    sqrt(q), a ``Fraction`` when x = 0 or q = 1.  Each slice block of
+    :func:`~solvsoliton.family.slice_multiplicities` carries one sigma_k,
+    None on an empty block (b and zrest at n = 1).
     """
     scale, factors = _warp_factor(p.c)
     b, radicand = Fraction(1), 1 / scale
@@ -79,18 +69,18 @@ def shape_operator(p: FamilyParams) -> ShapeOperator:
         h = int(-e / 2)
         b *= (p.rho + a) ** h
         radicand *= (p.rho + a) ** (-e - 2 * h)
-    root = sqrt_fraction(radicand)
-    b, q = (b * root.b, root.q) if isinstance(root, Surd) else (b * root, 1)
+    root, q = sqrt_parts(radicand)
+    b *= root
 
     def value(x):
         x *= b
-        return Surd(Fraction(0), x, q) if x and q != 1 else x
+        return Surd(x, q) if x and q != 1 else x
 
     coeffs = [-d1 / 2 for _, d1, _ in coordinate_gram(p)]
     mult = slice_multiplicities(p.n)
     starts = accumulate(mult, initial=0)
     sigma = tuple(value(coeffs[i]) if m else None for i, m in zip(starts, mult))
-    return ShapeOperator(sigma=sigma, multiplicities=mult, trace=value(sum(coeffs)))
+    return sigma, value(sum(coeffs))
 
 
 def hypersurface_ricci_general(g, dg, d2g, f, df, lam) -> list:

@@ -20,7 +20,6 @@ from .linalg import Matrix, has_real_spectrum, rref
 __all__ = [
     "StructureConstants",
     "Splitting",
-    "SplittingReport",
     "STRUCTURE_CLAIMS",
     "check_jacobi",
     "ad_matrix",
@@ -329,41 +328,15 @@ class Splitting:
         return f"Splitting(a_indices={self.a_indices}, n_indices={self.n_indices})"
 
 
-class SplittingReport:
-    __slots__ = (
-        "n_is_ideal",
-        "n_is_nilpotent",
-        "n_contains_derived",
-        "a_is_abelian",
-        "a_orthogonal_to_n",
-    )
-
-    def __init__(
-        self, n_is_ideal, n_is_nilpotent, n_contains_derived, a_is_abelian, a_orthogonal_to_n
-    ):
-        self.n_is_ideal = n_is_ideal
-        self.n_is_nilpotent = n_is_nilpotent
-        self.n_contains_derived = n_contains_derived
-        self.a_is_abelian = a_is_abelian
-        self.a_orthogonal_to_n = a_orthogonal_to_n
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.n_is_ideal
-            and self.n_is_nilpotent
-            and self.n_contains_derived
-            and self.a_is_abelian
-            and self.a_orthogonal_to_n
-        )
-
-
-def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> SplittingReport:
+def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> dict:
     """Check the declared splitting against the algebra and the metric.
 
     The nilpotent part is a *declared* nilradical candidate: the report
     certifies ideal-ness, nilpotency, and containment of the derived algebra
-    separately rather than computing a nilradical from scratch.
+    separately rather than computing a nilradical from scratch.  It is the
+    dict {"n_is_ideal", "n_is_nilpotent", "n_contains_derived",
+    "a_is_abelian", "a_orthogonal_to_n"} of bools, in that order; the
+    splitting verifies when all of them hold.
     """
     d = L.dim
     if sorted(s.a_indices + s.n_indices) != list(range(d)):
@@ -378,20 +351,17 @@ def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> Splittin
     def lands_in_n(i, j):
         return all(in_n[k] for k, _ in sp[i][j])
 
-    n_is_ideal = all(lands_in_n(i, j) for i in range(d) for j in s.n_indices)
-    n_is_nilpotent = _lower_central_series_vanishes(L, s.n_indices)
-    n_contains_derived = all(
-        lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
-    )
-    a_is_abelian = not any(sp[i][j] for i in s.a_indices for j in s.a_indices)
-    ortho = not any(j in G.table[i] for i in s.a_indices for j in s.n_indices)
-    return SplittingReport(
-        n_is_ideal=n_is_ideal,
-        n_is_nilpotent=n_is_nilpotent,
-        n_contains_derived=n_contains_derived,
-        a_is_abelian=a_is_abelian,
-        a_orthogonal_to_n=ortho,
-    )
+    return {
+        "n_is_ideal": all(lands_in_n(i, j) for i in range(d) for j in s.n_indices),
+        "n_is_nilpotent": _lower_central_series_vanishes(L, s.n_indices),
+        "n_contains_derived": all(
+            lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
+        ),
+        "a_is_abelian": not any(sp[i][j] for i in s.a_indices for j in s.a_indices),
+        "a_orthogonal_to_n": not any(
+            j in G.table[i] for i in s.a_indices for j in s.n_indices
+        ),
+    }
 
 
 def subalgebra(L: StructureConstants, indices) -> StructureConstants:

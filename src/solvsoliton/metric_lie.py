@@ -283,7 +283,7 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     the metric adjoint.
     """
     report = M.splitting_report(s)
-    if not report.ok:
+    if not all(report.values()):
         raise ValueError("declared splitting failed verification")
     d = M.dim
     n_idx = sorted(s.n_indices)
@@ -291,7 +291,7 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     sub_M = MetricLieAlgebra(sub_L, _restrict_gram(M.G, n_idx))
     sub_verdict = soliton_check_direct(sub_M)
     cond_nil = sub_verdict.is_soliton
-    cond_abelian = report.a_is_abelian
+    cond_abelian = report["a_is_abelian"]
     witness = None
 
     G, Ginv = M.G, M.gram_inverse()

@@ -2,11 +2,12 @@
 
 Rational numbers are plain ``fractions.Fraction`` (always reduced, positive
 denominator, serialized as ``"p/q"`` or ``"p"``), and the exact pipeline runs
-over them alone.  ``Surd`` is a value a + b*sqrt(q) with an integer radicand
-q > 1 that is not a perfect square, built by :func:`surd` to be compared and
-rendered; it has no arithmetic.  Whether a root is rational is decided
-exactly, without factoring: the squares of the primes below 1000 leave the
-radicand, and a square of a larger prime stays inside it.
+over them alone.  :func:`sqrt_parts` writes the root of a rational as
+b*sqrt(q) with an integer radicand q, and ``Surd`` holds such a value with
+q > 1 to be compared and rendered; it has no arithmetic.  Whether a root is
+rational is decided exactly, without factoring: the squares of the primes
+below 1000 leave the radicand, and a square of a larger prime stays inside
+it.
 :func:`power_jet` gives a product of powers s = K * prod (rho + a)^p with
 s'/s and s''/s in rho, over ``Fraction`` or ``float``.
 """
@@ -22,8 +23,7 @@ __all__ = [
     "Surd",
     "power_jet",
     "rational",
-    "surd",
-    "sqrt_fraction",
+    "sqrt_parts",
 ]
 
 
@@ -75,7 +75,7 @@ _SMALL_PRIMES = _primes_below(_SMALL_LIMIT)
 
 
 def _squarefree_decompose(k: int):
-    """k = s^2 * m for k >= 1; returns (s, m).
+    """k = s^2 * m for k >= 0; returns (s, m).
 
     The squares of the primes below _SMALL_LIMIT are divided out, and m = 1
     exactly when k is a perfect square, which ``math.isqrt`` decides for the
@@ -96,50 +96,32 @@ def _squarefree_decompose(k: int):
     return s, k
 
 
-def surd(a, b=0, q=1):
-    """Build a + b*sqrt(q), collapsing to a Fraction whenever exact.
+def sqrt_parts(x) -> tuple:
+    """(b, q) with sqrt(x) = b*sqrt(q) for a rational x >= 0: b a Fraction
+    and q an int, with q = 1 exactly when the root is rational.
 
-    The radicand becomes an integer with the squares of the primes below
-    1000 taken out (:func:`_squarefree_decompose`).  The result is a plain
-    Fraction if b = 0 or q is a rational square; otherwise a Surd with
-    b != 0 and q an integer > 1 that is not a perfect square.
+    sqrt(num/den) = sqrt(num*den)/den, and the squares of the primes below
+    1000 leave num*den (:func:`_squarefree_decompose`).
     """
-    a, b, q = Fraction(a), Fraction(b), Fraction(q)
-    if b == 0 or q == 0:
-        return a
-    if q < 0:
-        raise ValueError("negative radicand")
-    # sqrt(num/den) = sqrt(num*den)/den = (s/den) sqrt(m)
-    s, m = _squarefree_decompose(q.numerator * q.denominator)
-    if m == 1:
-        return a + b * Fraction(s, q.denominator)
-    return Surd(a, b * Fraction(s, q.denominator), Fraction(m))
-
-
-def sqrt_fraction(x):
-    """sqrt of a non-negative Fraction as an exact scalar (Fraction or Surd)."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("square root of a negative rational")
-    if x == 0:
-        return Fraction(0)
-    return surd(0, 1, x)
+    s, q = _squarefree_decompose(x.numerator * x.denominator)
+    return Fraction(s, x.denominator), q
 
 
 class Surd:
-    """a + b*sqrt(q) with rational a, b != 0 and an integer q > 1 that is not
-    a perfect square.
+    """b*sqrt(q) with a rational b != 0 and an integer q > 1 that is not a
+    perfect square, as :func:`sqrt_parts` leaves it.
 
-    Built by the :func:`surd` factory, or directly by a caller that already
-    holds such a q.  It compares and hashes by value, so two presentations
-    of one number (say (1/4)sqrt(24) and (1/2)sqrt(6)) are equal; it
-    converts to float and renders; it has no arithmetic.
+    It compares and hashes by value, so two presentations of one number
+    (say (1/4)sqrt(24) and (1/2)sqrt(6)) are equal; it converts to float
+    and renders as "0 + b*sqrt(q)"; it has no arithmetic.
     """
 
-    __slots__ = ("a", "b", "q")
+    __slots__ = ("b", "q")
 
-    def __init__(self, a: Fraction, b: Fraction, q: Fraction):
-        object.__setattr__(self, "a", a)
+    def __init__(self, b: Fraction, q: int):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "q", q)
 
@@ -155,7 +137,7 @@ class Surd:
 
     def _value_key(self):
         # b*sqrt(q) is determined by the sign of b and by b^2 q
-        return self.a, self.b > 0, self.b * self.b * self.q
+        return self.b > 0, self.b * self.b * self.q
 
     def __hash__(self):
         return hash(self._value_key())
@@ -164,10 +146,10 @@ class Surd:
         try:
             root = float(self.q) ** 0.5
         except OverflowError:  # q >= 2^1024, so isqrt errs by 2^-512 at most
-            return float(self.a + self.b * isqrt(int(self.q)))
-        return float(self.a) + float(self.b) * root
+            return float(self.b * isqrt(self.q))
+        return float(self.b) * root
 
     def __str__(self):
-        return f"{self.a} + {self.b}*sqrt({self.q})"
+        return f"0 + {self.b}*sqrt({self.q})"
 
     __repr__ = __str__

@@ -30,10 +30,9 @@ from fractions import Fraction
 from itertools import takewhile
 
 from solvsoliton.family import FamilyParams, ricci_eigenvalue_formulas
-from solvsoliton.hypersurface import ShapeOperator, warp_data
+from solvsoliton.hypersurface import warp_data
 from solvsoliton.lie_core import (
     Splitting,
-    SplittingReport,
     StructureConstants,
     ad_matrix,
     subalgebra,
@@ -46,9 +45,17 @@ from solvsoliton.metric_lie import (
     ricci_endomorphism_koszul,
     soliton_check_direct,
 )
-from solvsoliton.scalars import Surd, power_jet, sqrt_fraction, surd
+from solvsoliton.scalars import Surd, power_jet, sqrt_parts
 
 _HALF = Fraction(1, 2)
+
+
+def times_sqrt(x, r):
+    """x*sqrt(r) for rationals x and r >= 0 as the package writes it: a
+    ``Fraction`` when rational, else a ``Surd``."""
+    b, q = sqrt_parts(r)
+    x = Fraction(x) * b
+    return Surd(x, q) if x and q != 1 else x
 
 
 def dense(M: Matrix) -> list:
@@ -424,12 +431,11 @@ class ClosedForms:
 def expected_closed_forms(p: FamilyParams) -> ClosedForms:
     n, rho, c = p.n, p.rho, p.c
     q = (rho + c) / (rho + 2 * c)
-    s1 = surd(0, c / (rho + c), q)
-    s2 = surd(0, (2 * rho**2 + 5 * c * rho + 4 * c**2) / ((rho + 2 * c) * (rho + c)), q)
-    s3 = surd(0, (rho + 4 * c) / (rho + 2 * c), q)
-    s4 = surd(0, Fraction(1), q)
-    tr_shape = surd(
-        0,
+    s1 = times_sqrt(c / (rho + c), q)
+    s2 = times_sqrt((2 * rho**2 + 5 * c * rho + 4 * c**2) / ((rho + 2 * c) * (rho + c)), q)
+    s3 = times_sqrt((rho + 4 * c) / (rho + 2 * c), q)
+    s4 = times_sqrt(Fraction(1), q)
+    tr_shape = times_sqrt(
         ((2 * n + 2) * rho**2 + (8 * n + 7) * c * rho + (8 * n + 4) * c**2)
         / ((rho + c) * (rho + 2 * c)),
         q,
@@ -961,7 +967,7 @@ def fraction_lower_central_series_vanishes(L: StructureConstants, indices) -> bo
     return True
 
 
-def fraction_verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> SplittingReport:
+def fraction_verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> dict:
     """Check the declared splitting against the algebra and the metric.
 
     The nilpotent part is a *declared* nilradical candidate: the report
@@ -981,20 +987,15 @@ def fraction_verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) ->
     def lands_in_n(i, j):
         return all(in_n[k] for k, _ in sp[i][j])
 
-    n_is_ideal = all(lands_in_n(i, j) for i in range(d) for j in s.n_indices)
-    n_is_nilpotent = fraction_lower_central_series_vanishes(L, s.n_indices)
-    n_contains_derived = all(
-        lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
-    )
-    a_is_abelian = not any(sp[i][j] for i in s.a_indices for j in s.a_indices)
-    ortho = all(G[i, j] == 0 for i in s.a_indices for j in s.n_indices)
-    return SplittingReport(
-        n_is_ideal=n_is_ideal,
-        n_is_nilpotent=n_is_nilpotent,
-        n_contains_derived=n_contains_derived,
-        a_is_abelian=a_is_abelian,
-        a_orthogonal_to_n=ortho,
-    )
+    return {
+        "n_is_ideal": all(lands_in_n(i, j) for i in range(d) for j in s.n_indices),
+        "n_is_nilpotent": fraction_lower_central_series_vanishes(L, s.n_indices),
+        "n_contains_derived": all(
+            lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
+        ),
+        "a_is_abelian": not any(sp[i][j] for i in s.a_indices for j in s.a_indices),
+        "a_orthogonal_to_n": all(G[i, j] == 0 for i in s.a_indices for j in s.n_indices),
+    }
 
 
 def adjoint_operator(M: MetricLieAlgebra, A: Matrix) -> Matrix:
@@ -1014,7 +1015,7 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
     the first failing matrix.
     """
     report = M.splitting_report(s)
-    if not report.ok:
+    if not all(report.values()):
         raise ValueError("declared splitting failed verification")
     d = M.dim
     n_idx = sorted(s.n_indices)
@@ -1022,7 +1023,7 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
     sub_M = MetricLieAlgebra(sub_L, _restrict_gram(M.G, n_idx))
     sub_verdict = soliton_check_direct(sub_M)
     cond_nil = sub_verdict.is_soliton
-    cond_abelian = report.a_is_abelian
+    cond_abelian = report["a_is_abelian"]
     witness = None
 
     cond_normal = True
@@ -1150,19 +1151,11 @@ def heisenberg_slice_diagonal(c) -> list:
     return [phi, z0, z0]
 
 
-def heisenberg_shape_operator(p: FamilyParams) -> ShapeOperator:
-    """``hypersurface.shape_operator`` at n = 1, over the jets of
-    :func:`heisenberg_slice_diagonal`."""
-    root = sqrt_fraction(1 / warp_data(p)[0])
-    b, q = (root.b, root.q) if isinstance(root, Surd) else (root, 1)
-
-    def value(x):
-        x *= b
-        return Surd(Fraction(0), x, q) if x and q != 1 else x
-
+def heisenberg_shape_operator(p: FamilyParams) -> tuple:
+    """``hypersurface.shape_operator`` at n = 1, (sigma, trace), over the
+    jets of :func:`heisenberg_slice_diagonal`."""
+    r = 1 / warp_data(p)[0]
     jets = [power_jet(p.rho, *entry) for entry in heisenberg_slice_diagonal(p.c)]
     coeffs = [-d1 / 2 for _, d1, _ in jets]
-    mult = (0, 1, 2, 0)
-    sigma = (None, coeffs[0], coeffs[1], None)
-    sigma = tuple(None if x is None else value(x) for x in sigma)
-    return ShapeOperator(sigma=sigma, multiplicities=mult, trace=value(sum(coeffs)))
+    sigma = (None, times_sqrt(coeffs[0], r), times_sqrt(coeffs[1], r), None)
+    return sigma, times_sqrt(sum(coeffs), r)

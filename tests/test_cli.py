@@ -447,6 +447,30 @@ class TestSweep:
         rows = cli.sweep_rows(2, [Fraction(1)], [Fraction(0), Fraction(1, 3)])
         assert [r["status"] for r in rows] == ["solvsoliton", "not_soliton"]
 
+    @pytest.mark.parametrize("ignored", [("--rho", "-1"), ("--c", "-1")])
+    def test_an_option_that_a_grid_replaces_is_not_checked(self, capsys, ignored):
+        argv = ["sweep", "--n", "1", "--rho-grid", "1", "--c-grid", "0"]
+        code, out, err = run(capsys, *argv, *ignored)
+        assert (code, out, err) == run(capsys, *argv)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--rho", "-1"], "need n >= 1, rho > 0, c >= 0"),
+            (["--c", "-1", "--rho-grid", "1"], "need n >= 1, rho > 0, c >= 0"),
+            (["--rho", "-1", "--rho-grid", "0,1"], "need n >= 1, rho > 0, c >= 0"),
+            (["--c", "-1", "--c-grid", "-1"], "need n >= 1, rho > 0, c >= 0"),
+            (["--rho", "-1", "--rho-grid", "1", "--n", "0"], "need n >= 1, rho > 0, c >= 0"),
+            (["--rho", "-1", "--rho-grid", "1", "--n", "17"], "need n >= 1, rho > 0, c >= 0"),
+            (["--rho-grid", "0,1"], "need rho > 0, c >= 0 at every grid point"),
+        ],
+    )
+    def test_a_refused_line_keeps_its_message(self, capsys, monkeypatch, argv, message):
+        monkeypatch.delenv("SOLV_MAX_N", raising=False)
+        code, out, err = run(capsys, "sweep", "--n", "1", *argv)
+        assert (code, out, err) == (2, "", f"parameter error: {message}\n")
+
 
 class TestEinstein:
     def test_small_case_passes(self, capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import bracket, column_of, dense, expected_closed_forms, trace
+from oracles import bracket, column_of, dense, expected_closed_forms, times_sqrt, trace
 
 from solvsoliton import family
 from solvsoliton.family import (
@@ -22,7 +22,6 @@ from solvsoliton.family import (
 from solvsoliton.lie_core import is_derivation
 from solvsoliton.linalg import Matrix, is_positive_definite
 from solvsoliton.metric_lie import ricci_endomorphism_koszul
-from solvsoliton.scalars import surd
 
 
 def basis_vec(d, i):
@@ -229,9 +228,9 @@ class TestClosedForms:
     def test_sigma_n2_c1(self):
         forms = expected_closed_forms(FamilyParams(2, Fraction(1), Fraction(1)))
         q = Fraction(2, 3)
-        assert forms.sigma[0] == surd(0, Fraction(1, 2), q)
-        assert forms.sigma[3] == surd(0, 1, q)
-        assert forms.tr_shape == surd(0, Fraction(49, 6), q)
+        assert forms.sigma[0] == times_sqrt(Fraction(1, 2), q)
+        assert forms.sigma[3] == times_sqrt(1, q)
+        assert forms.tr_shape == times_sqrt(Fraction(49, 6), q)
 
     def test_r4_closed_form(self):
         r = ricci_eigenvalue_formulas(2, Fraction(1), Fraction(1))

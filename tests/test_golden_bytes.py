@@ -2,8 +2,9 @@
 
 A handful of the benchmark's recorded requests (perfbench/golden.json), and
 the reports that the benchmark does not cover (tests/report_digests.json:
-``spectrum``, ``ricci`` and ``soliton`` at n = 1-3, ``verify`` and ``sweep``
-at n = 1-2, ``einstein`` at n = 1-4), run in-process through ``cli.main``;
+``spectrum`` (json, text, csv), ``ricci`` and ``soliton`` at n = 1-3,
+``verify`` and ``sweep`` at n = 1-2, ``einstein`` at n = 1-4), run in-process
+through ``cli.main``;
 the SHA-256 of each stdout must equal its recorded digest, so a change to
 any output byte fails here without running the benchmark.
 
@@ -53,6 +54,9 @@ REPORT_KEYS = [
     for cmd, n, c, fmt in product(
         ("spectrum", "ricci", "soliton"), (1, 2, 3), ("0", "9/14"), ("json", "text")
     )
+] + [
+    f"spectrum --n {n} --rho 11/13 --c {c} --format csv"
+    for n, c in product((1, 2, 3), ("0", "9/14"))
 ] + [
     f"verify --n {n} --rho 11/13 --c {c} --format {fmt}"
     for n, c, fmt in product((1, 2), ("0", "9/14"), ("json", "text", "csv"))

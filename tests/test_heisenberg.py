@@ -28,6 +28,7 @@ from solvsoliton.family import (
     coordinate_names,
     expected_ric_matrix,
     slice_diagonal,
+    slice_multiplicities,
 )
 from solvsoliton.hypersurface import shape_operator
 
@@ -48,9 +49,8 @@ def test_general_bodies_equal_the_heisenberg_branches(rho, c):
     assert expected_ric_matrix(p) == heisenberg_ric_matrix(p)
     assert slice_diagonal(1, c) == heisenberg_slice_diagonal(c)
     assert cli._principal_ricci(p) == heisenberg_principal_ricci(p)
-    got, want = shape_operator(p), heisenberg_shape_operator(p)
-    assert (got.sigma, got.multiplicities, got.trace) == (
-        want.sigma,
-        want.multiplicities,
-        want.trace,
-    )
+    assert shape_operator(p) == heisenberg_shape_operator(p)
+
+
+def test_slice_multiplicities():
+    assert slice_multiplicities(1) == (0, 1, 2, 0)

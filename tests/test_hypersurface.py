@@ -13,6 +13,7 @@ from solvsoliton.family import (
     expected_ric_matrix,
     metric_algebra,
     ricci_eigenvalue_formulas,
+    slice_multiplicities,
 )
 from solvsoliton.hypersurface import (
     hypersurface_ricci_general,
@@ -23,6 +24,7 @@ from solvsoliton.hypersurface import (
 )
 from solvsoliton.linalg import Matrix, inverse
 from solvsoliton.metric_lie import ricci_endomorphism_koszul
+from solvsoliton.scalars import Surd
 
 # Pointwise checks on a grid with at least 6 distinct rho and 6 distinct c
 # values: every identity below is a rational-function identity of degree at
@@ -138,35 +140,32 @@ class TestRadialEndomorphism:
 
 class TestShapeOperator:
     def test_c0_spectrum(self):
-        sh = shape_operator(FamilyParams(2, Fraction(1), Fraction(0)))
-        assert sh.sigma == (0, 2, 1, 1)
+        sigma, _ = shape_operator(FamilyParams(2, Fraction(1), Fraction(0)))
+        assert sigma == (0, 2, 1, 1)
 
     def test_sigma1_closed_form(self):
-        sh = shape_operator(FamilyParams(2, Fraction(1), Fraction(1)))
-        from solvsoliton.scalars import surd
-
-        assert sh.sigma[0] == surd(0, Fraction(1, 2), Fraction(2, 3))
+        sigma, _ = shape_operator(FamilyParams(2, Fraction(1), Fraction(1)))
+        # (1/2) sqrt(2/3) = (1/6) sqrt(6)
+        assert sigma[0] == Surd(Fraction(1, 6), 6)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_closed_forms_on_grid(self, n):
         for rho in RHO_GRID:
             for c in C_GRID:
                 p = FamilyParams(n, rho, c)
-                sh = shape_operator(p)
+                sigma, trace = shape_operator(p)
                 forms = expected_closed_forms(p)
-                assert tuple(sh.sigma) == tuple(forms.sigma)
-                assert sh.trace == forms.tr_shape
-                assert sh.multiplicities == forms.sigma_multiplicities
+                assert sigma == tuple(forms.sigma)
+                assert trace == forms.tr_shape
+                assert slice_multiplicities(n) == forms.sigma_multiplicities
 
     def test_strict_convexity_for_positive_c(self):
-        from solvsoliton.scalars import Surd
-
-        # every value is b*sqrt(q) with a = 0, so its sign is that of b
+        # every irrational value is b*sqrt(q), so its sign is that of b
         for c in C_GRID[1:]:
-            sh = shape_operator(FamilyParams(2, Fraction(1), c))
-            for s in sh.sigma:
+            sigma, _ = shape_operator(FamilyParams(2, Fraction(1), c))
+            for s in sigma:
                 if isinstance(s, Surd):
-                    assert s.a == 0 and s.b > 0
+                    assert s.b > 0
                 else:
                     assert s > 0
 
@@ -189,8 +188,8 @@ class TestShapeOperator:
 
     def test_sigma1_vanishes_at_c0(self):
         for n in (2, 3):
-            sh = shape_operator(FamilyParams(n, Fraction(3), Fraction(0)))
-            assert sh.sigma[0] == 0
+            sigma, _ = shape_operator(FamilyParams(n, Fraction(3), Fraction(0)))
+            assert sigma[0] == 0
 
 
 class TestGeneralRicciFormula:

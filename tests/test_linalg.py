@@ -33,7 +33,7 @@ from solvsoliton.linalg import (
     is_positive_definite,
     rref,
 )
-from solvsoliton.scalars import surd
+from solvsoliton.scalars import Surd
 
 
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -46,8 +46,8 @@ class TestEntries:
     def test_entries_are_rational_only(self):
         assert dense(Matrix([[1, Fraction(1, 2)]])) == [[Fraction(1), Fraction(1, 2)]]
         for build in (
-            lambda: Matrix([[surd(0, 1, 2)]]),
-            lambda: Matrix.diagonal([surd(0, 1, 2)]),
+            lambda: Matrix([[Surd(Fraction(1), 2)]]),
+            lambda: Matrix.diagonal([Surd(Fraction(1), 2)]),
             lambda: Matrix([[0.5]]),
         ):
             with pytest.raises(TypeError):

@@ -8,16 +8,10 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import Jet2
+from oracles import Jet2, times_sqrt
 
 from solvsoliton import scalars
-from solvsoliton.scalars import (
-    Surd,
-    power_jet,
-    rational,
-    sqrt_fraction,
-    surd,
-)
+from solvsoliton.scalars import Surd, power_jet, rational
 
 
 class TestRational:
@@ -54,43 +48,57 @@ class TestRational:
             Fraction(1, 2) / Fraction(0)
 
 
-class TestSurd:
+class TestSqrtParts:
+    def test_zero(self):
+        assert scalars.sqrt_parts(0) == (0, 1)
+
+    def test_rational_root(self):
+        assert scalars.sqrt_parts(Fraction(9, 4)) == (Fraction(3, 2), 1)
+
     def test_square_factor_leaves_the_radicand(self):
-        # sqrt(3/4) = (1/2) sqrt(3)
-        x = surd(0, 1, Fraction(3, 4))
-        assert (x.a, x.b, x.q) == (0, Fraction(1, 2), 3)
+        # sqrt(2/3) = (1/3) sqrt(6) and sqrt(3/4) = (1/2) sqrt(3)
+        b, q = scalars.sqrt_parts(Fraction(2, 3))
+        assert (b, q) == (Fraction(1, 3), 6) and type(q) is int
+        assert b**2 * q == Fraction(2, 3)
+        assert scalars.sqrt_parts(Fraction(3, 4)) == (Fraction(1, 2), 3)
 
-    def test_perfect_square_radicand_normalizes(self):
-        assert surd(1, 2, Fraction(9, 4)) == Fraction(4)
-        assert isinstance(surd(0, 1, 2), Surd)
+    def test_square_of_a_large_prime_stays_inside(self):
+        # 1009 is above _SMALL_LIMIT, so its square is not taken out
+        assert scalars.sqrt_parts(1009**2 * 3) == (1, 1009**2 * 3)
 
+    def test_negative_raises(self):
+        with pytest.raises(ValueError):
+            scalars.sqrt_parts(-1)
+
+
+class TestSurd:
     def test_sigma4_value(self):
         # sqrt((rho+c)/(rho+2c)) at rho=1, c=1 is sqrt(2/3)
-        s4 = surd(0, 1, Fraction(2, 3))
+        s4 = times_sqrt(1, Fraction(2, 3))
         assert isinstance(s4, Surd)
         assert abs(float(s4) - (2 / 3) ** 0.5) < 1e-15
+        assert isinstance(times_sqrt(2, Fraction(9, 4)), Fraction)
 
     def test_sigma_ratio_is_rational(self):
         # sigma1 / sigma4 = c/(rho+c) at rho=1, c=1: one radicand, rational
         # coefficients in the ratio 1/2
         rho, c = Fraction(1), Fraction(1)
         q = (rho + c) / (rho + 2 * c)
-        s1 = surd(0, c / (rho + c), q)
-        s4 = surd(0, 1, q)
+        s1 = times_sqrt(c / (rho + c), q)
+        s4 = times_sqrt(1, q)
         assert s1.q == s4.q
         assert s1.b / s4.b == Fraction(1, 2)
 
     def test_presentation_independent_equality(self):
         # sqrt(3/8) = (1/4) sqrt(6): canonical radicands make these identical
-        assert surd(0, Fraction(2, 3), Fraction(3, 8)) == surd(
-            0, Fraction(1, 2), Fraction(2, 3)
+        assert times_sqrt(Fraction(2, 3), Fraction(3, 8)) == times_sqrt(
+            Fraction(1, 2), Fraction(2, 3)
         )
-        # 1009 is above _SMALL_LIMIT, so its square stays in the radicand;
-        # equality is by value all the same
-        wide, narrow = surd(0, 1, 1009**2 * 3), surd(0, 1009, 3)
-        assert wide.q == 1009**2 * 3 and narrow.q == 3
+        # the square of 1009 stays in one radicand; equality is by value
+        # all the same
+        wide, narrow = Surd(Fraction(1), 1009**2 * 3), Surd(Fraction(1009), 3)
         assert wide == narrow and hash(wide) == hash(narrow)
-        assert wide != surd(0, -1009, 3) and wide != surd(1, 1009, 3)
+        assert wide != Surd(Fraction(-1009), 3) and wide != Fraction(1009)
 
     def test_no_arithmetic_or_ordering(self):
         names = {
@@ -100,21 +108,13 @@ class TestSurd:
         }
         assert not names & set(vars(Surd))
         with pytest.raises(TypeError):
-            surd(0, 1, 2) + 1
+            Surd(Fraction(1), 2) + 1
         with pytest.raises(AttributeError):
-            surd(0, 1, 2).b = 3
+            Surd(Fraction(1), 2).b = 3
 
     def test_string_form(self):
-        assert str(surd(Fraction(1, 2), Fraction(3, 4), 2)) == "1/2 + 3/4*sqrt(2)"
-
-    def test_sqrt_fraction(self):
-        assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-        assert sqrt_fraction(0) == 0
-        root = sqrt_fraction(Fraction(2, 3))  # (1/3) sqrt(6)
-        assert (root.a, root.b, root.q) == (0, Fraction(1, 3), 6)
-        assert root.b**2 * root.q == Fraction(2, 3)
-        with pytest.raises(ValueError):
-            sqrt_fraction(-1)
+        # the "0 + " prefix is part of the report format
+        assert str(Surd(Fraction(3, 4), 2)) == "0 + 3/4*sqrt(2)"
 
 
 class TestJet2:
@@ -277,11 +277,11 @@ class TestSquarefreeDecompose:
         for p in primes:
             assert scalars._squarefree_decompose(p * p) == trial_division_decompose(p * p)
             assert scalars._squarefree_decompose(p * p) == (p, 1)
-            assert surd(0, 1, p * p) == p
+            assert scalars.sqrt_parts(p * p) == (p, 1)
         p, q = primes[:2]
         assert trial_division_decompose(p * p * q) == (p, q)
         assert scalars._squarefree_decompose(p * p * q) == (1, p * p * q)
-        assert surd(0, 1, p * p * q) == surd(0, p, q)
+        assert Surd(Fraction(1), p * p * q) == Surd(Fraction(p), q)
 
     def test_bounded_form_on_random_and_built_inputs(self):
         # k = s^2 m; m = 1 exactly when k is a perfect square; no p^2 with
