@@ -11,12 +11,7 @@ tolerance on the exact path.
 from .family import FamilyParams, build_lie_algebra, family_splitting, metric_algebra
 from .hypersurface import shape_operator
 from .lie_core import STRUCTURE_CLAIMS, StructureConstants
-from .metric_lie import (
-    MetricLieAlgebra,
-    ricci_endomorphism_koszul,
-    soliton_check_direct,
-    soliton_check_lauret,
-)
+from .metric_lie import MetricLieAlgebra, soliton_check_direct, soliton_check_lauret
 from .scalars import Fraction, Surd, rational
 
 __all__ = [
@@ -30,7 +25,6 @@ __all__ = [
     "family_splitting",
     "metric_algebra",
     "rational",
-    "ricci_endomorphism_koszul",
     "shape_operator",
     "soliton_check_direct",
     "soliton_check_lauret",

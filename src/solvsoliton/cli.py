@@ -15,14 +15,9 @@ import os
 import sys
 
 from . import family, hypersurface
-from .lie_core import check_jacobi
+from .lie_core import check_jacobi, verify_splitting
 from .linalg import inverse
-from .metric_lie import (
-    MetricLieAlgebra,
-    ricci_endomorphism_koszul,
-    soliton_check_direct,
-    soliton_check_lauret,
-)
+from .metric_lie import MetricLieAlgebra, soliton_check_direct, soliton_check_lauret
 from .scalars import rational
 
 __all__ = ["main", "run"]
@@ -40,7 +35,11 @@ def _exact(x) -> str:
 
 
 def _max_n() -> int:
-    return int(os.environ.get("SOLV_MAX_N", DEFAULT_MAX_N))
+    value = os.environ.get("SOLV_MAX_N", DEFAULT_MAX_N)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"SOLV_MAX_N must be an integer, not {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -50,17 +49,19 @@ def _max_n() -> int:
 
 def _three_way_ricci(p: family.FamilyParams, M: MetricLieAlgebra):
     """Koszul, closed-form, and coordinate-route Ricci endomorphisms."""
-    koszul = ricci_endomorphism_koszul(M)
     expected = family.expected_ric_matrix(p)
     P = family.build_embedding(p, M.G)
     coords = hypersurface.ricci_endomorphism_coords(p)
-    return koszul, expected, inverse(P) @ coords @ P
+    return M.ric, expected, inverse(P) @ coords @ P
 
 
 def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):
+    """(splitting report, direct verdict, checklist verdict): the report and
+    the direct verdict are computed once and handed to the checklist."""
+    s = family.family_splitting(p.n)
+    report = verify_splitting(M.L, s, M.G)
     direct = soliton_check_direct(M)
-    checklist = soliton_check_lauret(M, family.family_splitting(p.n))
-    return direct, checklist
+    return report, direct, soliton_check_lauret(M, s, report, direct)
 
 
 def _principal_ricci(p: family.FamilyParams) -> tuple:
@@ -85,11 +86,10 @@ def _delta_multiple(p: family.FamilyParams, D):
 def verify_report(p: family.FamilyParams) -> dict:
     M = family.metric_algebra(p)
     jacobi_ok, _ = check_jacobi(M.L)
-    splitting = M.splitting_report(family.family_splitting(p.n))
+    splitting, direct, checklist = _soliton_pair(p, M)
     koszul, expected, conjugated = _three_way_ricci(p, M)
     ricci_ok = koszul == expected and koszul == conjugated
     trace_ok = hypersurface.trace_identity_check(p)
-    direct, checklist = _soliton_pair(p, M)
     agree = direct.is_soliton == checklist.is_soliton
     status = family.classify_status(p.n, direct.is_soliton)
     predicted = family.predicted_status(p.n, p.c)
@@ -147,7 +147,7 @@ def ricci_report(p: family.FamilyParams) -> dict:
 
 
 def soliton_report(p: family.FamilyParams) -> dict:
-    direct, checklist = _soliton_pair(p, family.metric_algebra(p))
+    _, direct, checklist = _soliton_pair(p, family.metric_algebra(p))
     status = family.classify_status(p.n, direct.is_soliton)
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
@@ -495,13 +495,20 @@ def _parse_config(argv) -> _Config:
         )
     cfg.output = opts["--output"] or None
 
-    def grid(text):
-        return [rational(part) for part in text.split(",")] if text else None
+    def value(option, text):
+        try:
+            return rational(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{option}: zero denominator in {text.strip()!r}") from None
 
-    cfg.rho = rational(opts["--rho"])
-    cfg.c = rational(opts["--c"])
-    cfg.rho_grid = grid(opts.get("--rho-grid"))
-    cfg.c_grid = grid(opts.get("--c-grid"))
+    def grid(option):
+        text = opts.get(option)
+        return [value(option, part) for part in text.split(",")] if text else None
+
+    cfg.rho = value("--rho", opts["--rho"])
+    cfg.c = value("--c", opts["--c"])
+    cfg.rho_grid = grid("--rho-grid")
+    cfg.c_grid = grid("--c-grid")
     return cfg
 
 
@@ -525,7 +532,7 @@ def _main(argv) -> int:
     except _Exit as exc:  # help, or a usage error
         (sys.stdout if exc.code == 0 else sys.stderr).write(exc.text)
         return exc.code
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 

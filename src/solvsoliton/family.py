@@ -44,7 +44,6 @@ __all__ = [
     "coordinate_names",
     "slice_multiplicities",
     "slice_diagonal",
-    "coordinate_gram",
     "coordinate_gram_values",
     "ricci_eigenvalue_formulas",
     "expected_ric_matrix",
@@ -58,23 +57,29 @@ _HALF = Fraction(1, 2)
 class FamilyParams:
     """Family parameters: rank n >= 1, slice rho > 0, deformation c >= 0.
 
-    A value object: equal parameters compare and hash alike.  ``_cache``
-    holds the jets computed from them (see :func:`coordinate_gram`).
+    A value object: equal parameters compare and hash alike.  The exact
+    jets at the working rho are set at construction: ``slice_jets`` lists
+    (g_i, g_i'/g_i, g_i''/g_i) of the slice metric's diagonal entries in
+    coordinate order, each distinct entry of :func:`slice_diagonal`
+    evaluated once, and ``warp_jet`` is (f, f'/f, f''/f) of the warp factor.
     """
 
-    __slots__ = ("n", "rho", "c", "_cache")
+    __slots__ = ("n", "rho", "c", "slice_jets", "warp_jet")
 
     def __init__(self, n: int, rho, c):
         self.n = n
         self.rho = Fraction(rho)
         self.c = Fraction(c)
-        self._cache: dict = {}
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.c < 0:
             raise ValueError("c must be non-negative")
+        entries = slice_diagonal(self.n, self.c)
+        jets = {entry: power_jet(self.rho, *entry) for entry in set(entries)}
+        self.slice_jets = [jets[entry] for entry in entries]
+        self.warp_jet = power_jet(self.rho, *_warp_factor(self.c))
 
     def __eq__(self, other):
         if not isinstance(other, FamilyParams):
@@ -258,23 +263,15 @@ def slice_diagonal(n: int, c) -> list:
     return [entry for entry, m in blocks for _ in range(m)]
 
 
-def coordinate_gram(p: FamilyParams) -> list:
-    """Jets (g_i, g_i'/g_i, g_i''/g_i) of the slice metric's diagonal entries
-    at the working rho, in coordinate order; each distinct entry is
-    evaluated once.  Cached on the parameters: ``verify`` reads the jets for
-    the evaluation map, the coordinate Ricci route and the trace identity.
-    Callers must not modify the list."""
-    cached = p._cache.get("coordinate_gram")
-    if cached is None:
-        entries = slice_diagonal(p.n, p.c)
-        jets = {entry: power_jet(p.rho, *entry) for entry in set(entries)}
-        cached = p._cache["coordinate_gram"] = [jets[entry] for entry in entries]
-    return cached
+def _warp_factor(c) -> tuple:
+    """The only copy of the warp factor f = (rho + 2c)/(4 rho^2 (rho + c)),
+    as its (K, ((a, p), ...)) for :func:`~solvsoliton.scalars.power_jet`."""
+    return Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1))
 
 
 def coordinate_gram_values(p: FamilyParams) -> list:
     """Diagonal of the coordinate Gram matrix at the base point."""
-    return [g for g, _, _ in coordinate_gram(p)]
+    return [g for g, _, _ in p.slice_jets]
 
 
 def build_embedding(p: FamilyParams, gram: Matrix) -> Matrix:

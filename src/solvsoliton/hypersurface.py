@@ -4,9 +4,10 @@ The ambient metric has the warped form f(rho) drho^2 + g_rho, and in the
 coordinate frame the slice metric g_rho is diagonal for every rho and c.
 The warp factor and each slice entry g_i are products of powers of rho + a,
 so each is carried as the exact jet (g_i, g_i'/g_i, g_i''/g_i) of
-:func:`~solvsoliton.scalars.power_jet`, and every formula below works entry
-by entry.  The radial endomorphism is A_i = g_i'/(2 g_i), and the shape
-operator with respect to the unit normal is -A/sqrt(f).  Only that one
+:func:`~solvsoliton.scalars.power_jet` that ``FamilyParams`` sets at
+construction, and every formula below works entry by entry.  The radial
+endomorphism is A_i = g_i'/(2 g_i), and the shape operator with respect to
+the unit normal is -A/sqrt(f).  Only that one
 radical leaves the rationals: 1/sqrt(f) = 2 rho sqrt((rho+c)/(rho+2c)) =
 b*sqrt(q), with rho taken out of the root before the radicand is reduced,
 so each eigenvalue is a rational multiple of b*sqrt(q), computed over
@@ -25,31 +26,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .family import FamilyParams, coordinate_gram, slice_multiplicities
+from .family import FamilyParams, _warp_factor, slice_multiplicities
 from .linalg import Matrix
-from .scalars import Surd, power_jet, sqrt_parts
+from .scalars import Surd, sqrt_parts
 
 __all__ = [
-    "warp_data",
     "shape_operator",
     "hypersurface_ricci_general",
     "ricci_endomorphism_coords",
     "trace_identity_check",
 ]
-
-
-def _warp_factor(c) -> tuple:
-    """The only copy of f = (rho + 2c)/(4 rho^2 (rho + c)), as its
-    (K, ((a, p), ...)) for :func:`~solvsoliton.scalars.power_jet`."""
-    return Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1))
-
-
-def warp_data(p: FamilyParams) -> tuple:
-    """(f, f'/f, f''/f) at the working rho, cached on the parameters."""
-    cached = p._cache.get("warp")
-    if cached is None:
-        cached = p._cache["warp"] = power_jet(p.rho, *_warp_factor(p.c))
-    return cached
 
 
 def shape_operator(p: FamilyParams) -> tuple:
@@ -76,7 +62,7 @@ def shape_operator(p: FamilyParams) -> tuple:
         x *= b
         return Surd(x, q) if x and q != 1 else x
 
-    coeffs = [-d1 / 2 for _, d1, _ in coordinate_gram(p)]
+    coeffs = [-d1 / 2 for _, d1, _ in p.slice_jets]
     mult = slice_multiplicities(p.n)
     starts = accumulate(mult, initial=0)
     sigma = tuple(value(coeffs[i]) if m else None for i, m in zip(starts, mult))
@@ -106,8 +92,8 @@ def ricci_endomorphism_coords(p: FamilyParams) -> Matrix:
 
     Ric_i/g_i reads g_i only through g_i'/g_i and g_i''/g_i, so the jets'
     ratios go in as the derivatives of a unit entry."""
-    f, f_d1, _ = warp_data(p)
-    jets = coordinate_gram(p)
+    f, f_d1, _ = p.warp_jet
+    jets = p.slice_jets
     ratios = hypersurface_ricci_general(
         [1] * len(jets),
         [d1 for _, d1, _ in jets],
@@ -121,6 +107,6 @@ def ricci_endomorphism_coords(p: FamilyParams) -> Matrix:
 
 def trace_identity_check(p: FamilyParams) -> bool:
     """Exact check of sum_i g_i'/g_i - f'/f = -8 n rho f at the working rho."""
-    f, f_d1, _ = warp_data(p)
-    lhs = sum(d1 for _, d1, _ in coordinate_gram(p)) - f_d1
+    f, f_d1, _ = p.warp_jet
+    lhs = sum(d1 for _, d1, _ in p.slice_jets) - f_d1
     return lhs == -8 * p.n * p.rho * f

@@ -44,13 +44,12 @@ class StructureConstants:
     ``table`` and ``den`` directly.
     """
 
-    __slots__ = ("dim", "table", "den", "_cache")
+    __slots__ = ("dim", "table", "den")
 
     def __init__(self, dim: int, table: list, den: int):
         self.dim = dim
         self.table = table
         self.den = den
-        self._cache = {}
 
     @classmethod
     def from_triples(cls, dim: int, triples) -> "StructureConstants":
@@ -144,15 +143,9 @@ def _jacobi_witness(L: StructureConstants):
 
 
 def check_jacobi(L: StructureConstants):
-    """(ok, witness): witness is the first failing (i, j, k, defect vector).
-
-    Cached on the algebra.
-    """
-    cached = L._cache.get("jacobi")
-    if cached is None:
-        witness = _jacobi_witness(L)
-        cached = L._cache["jacobi"] = (witness is None, witness)
-    return cached
+    """(ok, witness): witness is the first failing (i, j, k, defect vector)."""
+    witness = _jacobi_witness(L)
+    return witness is None, witness
 
 
 def ad_matrix(L: StructureConstants, x) -> Matrix:
@@ -304,11 +297,7 @@ def is_derivation(L: StructureConstants, D: Matrix):
 
 
 class Splitting:
-    """Declared decomposition into an abelian part and a nilpotent ideal.
-
-    Equal splittings hash alike: a splitting keys the cache of
-    ``MetricLieAlgebra.splitting_report``.
-    """
+    """Declared decomposition into an abelian part and a nilpotent ideal."""
 
     __slots__ = ("a_indices", "n_indices")
 
@@ -320,9 +309,6 @@ class Splitting:
         if not isinstance(other, Splitting):
             return NotImplemented
         return self.a_indices == other.a_indices and self.n_indices == other.n_indices
-
-    def __hash__(self):
-        return hash((self.a_indices, self.n_indices))
 
     def __repr__(self):
         return f"Splitting(a_indices={self.a_indices}, n_indices={self.n_indices})"

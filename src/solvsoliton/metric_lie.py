@@ -24,7 +24,6 @@ from .lie_core import (
     _leibniz_defects,
     ad_matrix,
     subalgebra,
-    verify_splitting,
 )
 from .linalg import Matrix, inverse, is_positive_definite
 
@@ -33,15 +32,17 @@ __all__ = [
     "SolitonVerdict",
     "connection_coeffs",
     "ricci_bilinear",
-    "ricci_endomorphism_koszul",
     "soliton_check_direct",
     "soliton_check_lauret",
 ]
 
 class MetricLieAlgebra:
-    """Structure constants plus a symmetric positive-definite Gram matrix."""
+    """Structure constants plus a symmetric positive-definite Gram matrix,
+    with what every curvature computation reads set once at construction:
+    ``Ginv``, the inverse Gram matrix, and ``ric``, the Ricci endomorphism
+    G^{-1} @ :func:`ricci_bilinear`, multiplied in integers."""
 
-    __slots__ = ("L", "G", "_cache")
+    __slots__ = ("L", "G", "Ginv", "ric")
 
     def __init__(self, L: StructureConstants, G: Matrix):
         if G.rows != L.dim or G.cols != L.dim:
@@ -52,27 +53,12 @@ class MetricLieAlgebra:
             raise ValueError("Gram matrix must be positive definite")
         self.L = L
         self.G = G
-        self._cache: dict = {}
+        self.Ginv = inverse(G)
+        self.ric = self.Ginv @ ricci_bilinear(self)
 
     @property
     def dim(self) -> int:
         return self.L.dim
-
-    def gram_inverse(self) -> Matrix:
-        gi = self._cache.get("Ginv")
-        if gi is None:
-            gi = inverse(self.G)
-            self._cache["Ginv"] = gi
-        return gi
-
-    def splitting_report(self, s: Splitting):
-        """The :func:`verify_splitting` report of ``s``, cached per splitting."""
-        key = ("splitting", s)
-        report = self._cache.get(key)
-        if report is None:
-            report = verify_splitting(self.L, s, self.G)
-            self._cache[key] = report
-        return report
 
 
 def connection_coeffs(M: MetricLieAlgebra) -> tuple:
@@ -95,8 +81,7 @@ def connection_coeffs(M: MetricLieAlgebra) -> tuple:
     sp, C = L.table, L.den
     # Integer rows of the symmetric G and G^{-1}.
     g_rows, DG = M.G.table, M.G.den
-    Ginv = M.gram_inverse()
-    ginv, DH = Ginv.table, Ginv.den
+    ginv, DH = M.Ginv.table, M.Ginv.den
     w: dict = {}
     by_value: dict = {}
     for i in range(d):
@@ -174,15 +159,6 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
     return Matrix.from_table(out, S * S, d)
 
 
-def ricci_endomorphism_koszul(M: MetricLieAlgebra) -> Matrix:
-    """Ricci endomorphism: Gram-inverse times the Ricci bilinear form,
-    multiplied in integers.  Cached on the metric algebra."""
-    ric = M._cache.get("ricci_endo")
-    if ric is None:
-        ric = M._cache["ricci_endo"] = M.gram_inverse() @ ricci_bilinear(M)
-    return ric
-
-
 class SolitonVerdict:
     """Outcome of a soliton check.
 
@@ -235,19 +211,11 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
     defect entry of Id; on an abelian one every endomorphism is a
     derivation and lambda is taken to be 0.  D = ric - lambda*Id is then
     put through the Leibniz test on its integer rows.  No basis of Der(L)
-    is built.  Cached on the metric algebra.
+    is built.
     """
-    verdict = M._cache.get("soliton_direct")
-    if verdict is None:
-        verdict = M._cache["soliton_direct"] = _direct_verdict(M)
-    return verdict
-
-
-def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
     L = M.L
     d = L.dim
-    ric = ricci_endomorphism_koszul(M)
-    R, DR = ric.table, ric.den
+    R, DR = M.ric.table, M.ric.den
     lam = Fraction(0)
     ident = [{r: 1} for r in range(d)]
     first = next(_leibniz_defects(L, ident), None)
@@ -258,7 +226,7 @@ def _direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
         k = min(id_row)
         upto = takewhile(lambda entry: entry[0] <= pair, _leibniz_defects(L, R))
         lam = Fraction(dict(upto).get(pair, {}).get(k, 0), id_row[k] * DR)
-    D = ric - Matrix.diagonal([lam] * d)
+    D = M.ric - Matrix.diagonal([lam] * d)
     if next(_leibniz_defects(L, D.table), None) is not None:
         return SolitonVerdict(status="not_soliton")
     return SolitonVerdict(status="soliton", lambda_=lam, D=D, lambda_source="direct")
@@ -272,17 +240,22 @@ def _restrict_gram(G: Matrix, indices) -> Matrix:
     return Matrix.from_table(table, G.den, len(table))
 
 
-def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
+def soliton_check_lauret(
+    M: MetricLieAlgebra, s: Splitting, report: dict, direct: SolitonVerdict
+) -> SolitonVerdict:
     """Checklist route: nilsoliton part, abelian complement, normal adjoints,
     and the norm condition <A, B> = -tr(S(ad A) S(ad B))/lambda for every
     pair A, B of basis vectors of the abelian part, S the symmetric part.
 
-    The splitting must verify first.  The verdict's checklist keys are
+    ``report`` is the :func:`~solvsoliton.lie_core.verify_splitting` report
+    of ``s``, which must verify.  ``direct`` is the verdict of
+    :func:`soliton_check_direct` on ``M``: when it is a soliton, its lambda
+    and D are the ones the norm condition uses and the verdict reports;
+    otherwise lambda is the nilradical's.  The verdict's checklist keys are
     "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
     the first nonzero commutator [ad A, ad A*], with ad A* = G^{-1} (ad A)^T G
     the metric adjoint.
     """
-    report = M.splitting_report(s)
     if not all(report.values()):
         raise ValueError("declared splitting failed verification")
     d = M.dim
@@ -294,7 +267,7 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     cond_abelian = report["a_is_abelian"]
     witness = None
 
-    G, Ginv = M.G, M.gram_inverse()
+    G, Ginv = M.G, M.Ginv
     cond_normal = True
     syms = []
     for i in s.a_indices:
@@ -307,7 +280,6 @@ def soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
                 witness = comm
         syms.append((i, ad + star))
 
-    direct = soliton_check_direct(M)
     if direct.is_soliton:
         lam, lam_source = direct.lambda_, "direct"
     elif sub_verdict.is_soliton:

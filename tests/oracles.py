@@ -21,6 +21,8 @@ elementary similarities, so ``linalg.has_real_spectrum`` has an answer
 known by construction.
 ``TWO_ABELIAN`` is an algebra whose abelian part has dimension 2, so the
 checklist's norm condition has an off-diagonal entry.
+:func:`checklist_verdict` runs the checklist route with the splitting
+report and the direct verdict that it takes as arguments.
 The ``heisenberg_*`` functions state the n = 1 case apart, the reference
 for the general builders at n = 1.
 """
@@ -30,20 +32,20 @@ from fractions import Fraction
 from itertools import takewhile
 
 from solvsoliton.family import FamilyParams, ricci_eigenvalue_formulas
-from solvsoliton.hypersurface import warp_data
 from solvsoliton.lie_core import (
     Splitting,
     StructureConstants,
     ad_matrix,
     subalgebra,
+    verify_splitting,
 )
 from solvsoliton.linalg import Matrix, rref
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     SolitonVerdict,
     _restrict_gram,
-    ricci_endomorphism_koszul,
     soliton_check_direct,
+    soliton_check_lauret,
 )
 from solvsoliton.scalars import Surd, power_jet, sqrt_parts
 
@@ -348,7 +350,7 @@ def lauret_terms(M: MetricLieAlgebra, s: Splitting):
     already-known Ricci endomorphism, fixing the sign conventions by
     construction.
     """
-    ric = ricci_endomorphism_koszul(M)
+    ric = M.ric
     b_op = fraction_matmul(fraction_inverse(M.G), killing_form(M.L))
     H = mean_curvature_vector(M, s)
     ad_h_s = _symmetric_part(M, ad_matrix(M.L, H))
@@ -1005,6 +1007,12 @@ def adjoint_operator(M: MetricLieAlgebra, A: Matrix) -> Matrix:
     return fraction_matmul(fraction_matmul(fraction_inverse(M.G), A.transpose()), M.G)
 
 
+def checklist_verdict(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
+    """``soliton_check_lauret`` on ``M`` and ``s``, given the splitting report
+    and the direct verdict it takes."""
+    return soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), soliton_check_direct(M))
+
+
 def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
     """Checklist route: nilsoliton part, abelian complement, normal adjoints,
     and the norm condition <A, B> = -tr(sym(ad A) sym(ad B))/lambda for
@@ -1014,7 +1022,7 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
     "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
     the first failing matrix.
     """
-    report = M.splitting_report(s)
+    report = verify_splitting(M.L, s, M.G)
     if not all(report.values()):
         raise ValueError("declared splitting failed verification")
     d = M.dim
@@ -1154,7 +1162,7 @@ def heisenberg_slice_diagonal(c) -> list:
 def heisenberg_shape_operator(p: FamilyParams) -> tuple:
     """``hypersurface.shape_operator`` at n = 1, (sigma, trace), over the
     jets of :func:`heisenberg_slice_diagonal`."""
-    r = 1 / warp_data(p)[0]
+    r = 1 / p.warp_jet[0]
     jets = [power_jet(p.rho, *entry) for entry in heisenberg_slice_diagonal(p.c)]
     coeffs = [-d1 / 2 for _, d1, _ in jets]
     sigma = (None, times_sqrt(coeffs[0], r), times_sqrt(coeffs[1], r), None)

@@ -48,12 +48,12 @@ from solvsoliton.lie_core import (
     STRUCTURE_CLAIMS,
     ad_matrix,
     check_jacobi,
+    verify_splitting,
 )
 from solvsoliton.linalg import Matrix, has_real_spectrum, inverse
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
     ricci_bilinear,
-    ricci_endomorphism_koszul,
     soliton_check_direct,
     soliton_check_lauret,
 )
@@ -90,8 +90,9 @@ def test_criterion_1_soliton_verdicts_on_the_grid():
     ok = True
     for p in grid_params():
         M = metric_for(p)
+        s = family_splitting(p.n)
         direct = soliton_check_direct(M)
-        checklist = soliton_check_lauret(M, family_splitting(p.n))
+        checklist = soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), direct)
         ok &= direct.is_soliton == checklist.is_soliton
         if p.n == 1:
             k = 2 * p.rho**2 * (p.rho + p.c) / (p.rho + 2 * p.c) ** 3
@@ -118,7 +119,7 @@ def test_criterion_1_soliton_verdicts_on_the_grid():
 def test_criterion_2_three_way_ricci_agreement():
     ok = True
     for p in grid_params():
-        koszul = ricci_endomorphism_koszul(metric_for(p))
+        koszul = metric_for(p).ric
         closed = expected_ric_matrix(p)
         P = family.build_embedding(p, build_gram(p))
         conjugated = inverse(P) @ ricci_endomorphism_coords(p) @ P
@@ -178,7 +179,7 @@ def test_criterion_5_lauret_decomposition_identities():
             r_term, b_op, ad_h_s = lauret_terms(M, split)
             ok &= b_op == expected_killing_operator(p)
             ok &= ad_h_s == expected_ad_h_sym(p)
-            ok &= ricci_endomorphism_koszul(M) == add(
+            ok &= M.ric == add(
                 r_term, b_op.scale(Fraction(-1, 2)), ad_h_s.scale(-1)
             )
     report("criterion 5: mean curvature, Killing operator, sym(ad H) exact", ok)
@@ -189,7 +190,7 @@ def test_criterion_6_trace_identity_and_symmetry():
     for p in grid_params():
         ok &= trace_identity_check(p)
         M = metric_for(p)
-        ok &= (M.G @ ricci_endomorphism_koszul(M)).is_symmetric()
+        ok &= (M.G @ M.ric).is_symmetric()
         ok &= ricci_bilinear(M).is_symmetric()
     report("criterion 6: jet trace identity and G*ric symmetry exact", ok)
 

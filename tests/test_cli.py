@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solvsoliton
-from solvsoliton import cli, family, hypersurface, lie_core, metric_lie, scalars
+from solvsoliton import cli, family, hypersurface, lie_core, linalg, metric_lie, scalars
 from solvsoliton.cli import main
 from solvsoliton.metric_lie import SolitonVerdict
 
@@ -91,6 +91,30 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "--n", "17", "--rho", "1", "--c", "0")
         assert code == 2 and out == ""
         assert err == "n=17 exceeds SOLV_MAX_N=16 for the exact path\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "--n", "2", "--rho", "1/0", "--c", "0"], "--rho: zero denominator in '1/0'"),
+            (["verify", "--n", "2", "--rho", "1", "--c", "3/0"], "--c: zero denominator in '3/0'"),
+            (
+                ["sweep", "--n", "2", "--rho-grid", "1,1/0", "--c-grid", "0"],
+                "--rho-grid: zero denominator in '1/0'",
+            ),
+            (["einstein", "--n", "2", "--rho", "1", "--c", "0/0"], "--c: zero denominator in '0/0'"),
+        ],
+    )
+    def test_zero_denominator_names_the_option(self, capsys, argv, line):
+        assert run(capsys, *argv) == (2, "", f"parameter error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "command, value", [("verify", "x"), ("sweep", "x"), ("ricci", "4.5")]
+    )
+    def test_non_integer_max_n_names_the_variable(self, capsys, monkeypatch, command, value):
+        monkeypatch.setenv("SOLV_MAX_N", value)
+        code, out, err = run(capsys, command, "--n", "2", "--rho", "1", "--c", "0")
+        assert (code, out) == (2, "")
+        assert err == f"parameter error: SOLV_MAX_N must be an integer, not {value!r}\n"
 
     def test_einstein_cost_guard(self, capsys):
         code, out, err = run(capsys, "einstein", "--n", "9", "--rho", "1", "--c", "1")
@@ -187,8 +211,8 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--n", "2", "--rho", rho, "--c", c, "--format", "json")
         assert code == 0
         p = family.FamilyParams(2, Fraction(rho), Fraction(c))
-        f = hypersurface.warp_data(p)[0]
-        jets = family.coordinate_gram(p)
+        f = p.warp_jet[0]
+        jets = p.slice_jets
         starts = [0, 2, 3, 5]  # block starts for the multiplicities (2, 1, 2, 2)
         for text, start in zip(json.loads(out)["sigma"], starts):
             rate = jets[start][1] / 2
@@ -596,7 +620,7 @@ class TestSoliton:
 
     def test_disagreeing_checkers_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "soliton_check_lauret", lambda M, s: SolitonVerdict(status="soliton")
+            cli, "soliton_check_lauret", lambda *args: SolitonVerdict(status="soliton")
         )
         code, out, _ = run(
             capsys, "soliton", "--n", "2", "--rho", "1", "--c", "1", "--format", "json"
@@ -607,50 +631,60 @@ class TestSoliton:
         assert report["checklist"]["status"] == "soliton"
 
 
+def count_calls(monkeypatch, *names) -> dict:
+    """{name: calls} for the named package callables, each counted through
+    every package module that binds it."""
+    modules = (scalars, linalg, lie_core, metric_lie, family, hypersurface, cli)
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestComputeOnce:
     @pytest.mark.parametrize("c", ["0", "1/3"])
-    def test_verify_builds_each_object_once(self, monkeypatch, c):
-        calls = {"metric_algebra": 0, "verify_splitting": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            family, "metric_algebra", counted("metric_algebra", family.metric_algebra)
+    def test_verify_computes_each_object_once(self, monkeypatch, c):
+        calls = count_calls(
+            monkeypatch,
+            "ricci_bilinear",
+            "inverse",
+            "verify_splitting",
+            "soliton_check_direct",
+            "metric_algebra",
         )
-        split = counted("verify_splitting", lie_core.verify_splitting)
-        for module in (lie_core, metric_lie, cli):
-            if hasattr(module, "verify_splitting"):
-                monkeypatch.setattr(module, "verify_splitting", split)
-        report = cli.verify_report(family.FamilyParams(3, Fraction(5, 2), Fraction(c)))
-        assert report["ok"] is True
-        assert calls == {"metric_algebra": 1, "verify_splitting": 1}
-
-    @pytest.mark.parametrize("c", ["0", "1/3"])
-    def test_verify_caches_one_entry_per_object(self, monkeypatch, c):
-        built = []
-        cls = metric_lie.MetricLieAlgebra
-
-        def recorded(*args):
-            built.append(cls(*args))
-            return built[-1]
-
-        for module in (family, metric_lie):
-            monkeypatch.setattr(module, "MetricLieAlgebra", recorded)
         p = family.FamilyParams(3, Fraction(5, 2), Fraction(c))
         assert cli.verify_report(p)["ok"] is True
-        algebra, nilradical = built
-        assert algebra._cache.keys() == {
-            "Ginv",
-            "ricci_endo",
-            "soliton_direct",
-            ("splitting", family.family_splitting(3)),
+        # one Ricci form and one Gram inverse per metric algebra, the algebra
+        # and its nilradical; the third inverse is the evaluation map's
+        assert calls == {
+            "ricci_bilinear": 2,
+            "inverse": 3,
+            "verify_splitting": 1,
+            "soliton_check_direct": 2,
+            "metric_algebra": 1,
         }
-        assert nilradical._cache.keys() == {"Ginv", "ricci_endo", "soliton_direct"}
+
+    @pytest.mark.parametrize("c", ["0", "1/3"])
+    def test_soliton_computes_each_object_once(self, monkeypatch, c):
+        calls = count_calls(monkeypatch, "ricci_bilinear", "verify_splitting", "MetricLieAlgebra")
+        cli.soliton_report(family.FamilyParams(3, Fraction(5, 2), Fraction(c)))
+        assert calls == {"ricci_bilinear": 2, "verify_splitting": 1, "MetricLieAlgebra": 2}
+
+    def test_sweep_computes_each_point_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "ricci_bilinear", "power_jet")
+        rows = cli.sweep_rows(3, [Fraction(1), Fraction(5, 3)], [Fraction(0), Fraction(2, 7)])
+        assert len(rows) == 4
+        # per point one Ricci form, and one jet per distinct slice entry
+        # (b, phi, z0, zrest) plus the warp factor's
+        assert calls == {"ricci_bilinear": 4, "power_jet": 4 * 5}
 
     def test_verify_inverts_each_gram_once(self, monkeypatch):
         calls = {}

@@ -21,7 +21,6 @@ from solvsoliton.family import (
 )
 from solvsoliton.lie_core import is_derivation
 from solvsoliton.linalg import Matrix, is_positive_definite
-from solvsoliton.metric_lie import ricci_endomorphism_koszul
 
 
 def basis_vec(d, i):
@@ -280,7 +279,7 @@ class TestExpectedRicMatrix:
     def test_matches_koszul_route(self, p):
         from solvsoliton.family import metric_algebra
 
-        assert ricci_endomorphism_koszul(metric_algebra(p)) == expected_ric_matrix(p)
+        assert metric_algebra(p).ric == expected_ric_matrix(p)
 
     def test_trace_matches_multiplicity_sum(self):
         p = FamilyParams(3, Fraction(2), Fraction(1))
@@ -327,7 +326,7 @@ class TestReductionToT:
         w = delta_weights(n)
         M = metric_algebra(FamilyParams(n, rho, c))
         M1 = metric_algebra(FamilyParams(n, Fraction(1), c / rho))
-        ric, ric1 = ricci_endomorphism_koszul(M), ricci_endomorphism_koszul(M1)
+        ric, ric1 = M.ric, M1.ric
         d = M.dim
         for i in range(d):
             for j in range(d):

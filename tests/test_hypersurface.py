@@ -9,7 +9,6 @@ from oracles import Jet2, expected_closed_forms
 from solvsoliton.family import (
     FamilyParams,
     build_embedding,
-    coordinate_gram,
     expected_ric_matrix,
     metric_algebra,
     ricci_eigenvalue_formulas,
@@ -20,10 +19,8 @@ from solvsoliton.hypersurface import (
     ricci_endomorphism_coords,
     shape_operator,
     trace_identity_check,
-    warp_data,
 )
 from solvsoliton.linalg import Matrix, inverse
-from solvsoliton.metric_lie import ricci_endomorphism_koszul
 from solvsoliton.scalars import Surd
 
 # Pointwise checks on a grid with at least 6 distinct rho and 6 distinct c
@@ -63,13 +60,13 @@ def ratios(jet):
 
 class TestWarpData:
     def test_f_value(self):
-        f, _, _ = warp_data(FamilyParams(2, Fraction(1), Fraction(1)))
+        f, _, _ = FamilyParams(2, Fraction(1), Fraction(1)).warp_jet
         assert f == Fraction(3, 8)
 
     def test_fprime_over_f(self):
         # f'/f = -(2 rho^2 + 7 c rho + 4 c^2)/(rho (rho+c) (rho+2c))
         p = FamilyParams(2, Fraction(2), Fraction(1))
-        _, fprime_over_f, _ = warp_data(p)
+        _, fprime_over_f, _ = p.warp_jet
         rho, c = p.rho, p.c
         assert fprime_over_f == -(2 * rho**2 + 7 * c * rho + 4 * c**2) / (
             rho * (rho + c) * (rho + 2 * c)
@@ -80,12 +77,12 @@ class TestWarpData:
             for c in C_GRID:
                 rv = Jet2.variable(rho)
                 f = (rv + 2 * c) / (4 * rv**2 * (rv + c))
-                assert warp_data(FamilyParams(1, rho, c)) == ratios(f)
+                assert FamilyParams(1, rho, c).warp_jet == ratios(f)
 
 
 class TestCoordinateGram:
     def test_n1_values(self):
-        G = coordinate_gram(FamilyParams(1, Fraction(1), Fraction(0)))
+        G = FamilyParams(1, Fraction(1), Fraction(0)).slice_jets
         assert [g for g, _, _ in G] == [
             Fraction(1, 4),
             Fraction(1, 2),
@@ -97,14 +94,14 @@ class TestCoordinateGram:
         for rho in RHO_GRID:
             for c in C_GRID:
                 p = FamilyParams(n, rho, c)
-                assert coordinate_gram(p) == [ratios(x) for x in displayed_slice(p)]
+                assert p.slice_jets == [ratios(x) for x in displayed_slice(p)]
 
     def test_phi_entry_first_derivative(self):
         # d/drho of the phi entry equals the displayed
         # -(1/(4 rho^3)) (2 rho^2 + 5 c rho + 4 c^2)/(rho+2c)^2
         for rho in RHO_GRID:
             for c in C_GRID:
-                phi, phi_d1, _ = coordinate_gram(FamilyParams(2, rho, c))[2]
+                phi, phi_d1, _ = FamilyParams(2, rho, c).slice_jets[2]
                 display = -(2 * rho**2 + 5 * c * rho + 4 * c**2) / (
                     4 * rho**3 * (rho + 2 * c) ** 2
                 )
@@ -115,13 +112,13 @@ class TestCoordinateGram:
         for rho in RHO_GRID[:3]:
             for c in C_GRID[:3]:
                 p = FamilyParams(2, rho, c)
-                for (_, d1, _), h in zip(coordinate_gram(p), displayed_h(p)):
+                for (_, d1, _), h in zip(p.slice_jets, displayed_h(p)):
                     assert d1 == -h.v / rho
 
     def test_entries_positive(self):
         for rho in RHO_GRID:
             for c in C_GRID:
-                G = coordinate_gram(FamilyParams(3, rho, c))
+                G = FamilyParams(3, rho, c).slice_jets
                 assert all(g > 0 for g, _, _ in G)
 
 
@@ -133,7 +130,7 @@ class TestRadialEndomorphism:
         # 1_{2n-2}), and its rho-derivative (g_i''/g_i - (g_i'/g_i)^2)/2 is
         # (1/2 rho^2) diag(h_i - rho h_i', ..., 1)
         p = FamilyParams(2, rho, c)
-        for (_, d1, d2), h in zip(coordinate_gram(p), displayed_h(p)):
+        for (_, d1, d2), h in zip(p.slice_jets, displayed_h(p)):
             assert d1 / 2 == -h.v / (2 * rho)
             assert (d2 - d1**2) / 2 == (h.v - rho * h.d1) / (2 * rho**2)
 
@@ -215,8 +212,8 @@ class TestGeneralRicciFormula:
         # the ratios with a unit entry equals passing g, g' and g''.
         for rho, c in ((Fraction(11, 13), Fraction(9, 14)), (Fraction(5, 3), 0), (7, Fraction(2, 9))):
             p = FamilyParams(n, rho, c)
-            f, f_d1, _ = warp_data(p)
-            jets = coordinate_gram(p)
+            f, f_d1, _ = p.warp_jet
+            jets = p.slice_jets
             ric = hypersurface_ricci_general(
                 [g for g, _, _ in jets],
                 [g * d1 for g, d1, _ in jets],
@@ -258,7 +255,7 @@ class TestGeneralRicciFormula:
                 M = metric_algebra(p)
                 P = build_embedding(p, M.G)
                 conjugated = inverse(P) @ ricci_endomorphism_coords(p) @ P
-                koszul = ricci_endomorphism_koszul(M)
+                koszul = M.ric
                 assert conjugated == koszul == expected_ric_matrix(p)
 
 
@@ -303,5 +300,5 @@ class TestTraceIdentity:
         p = FamilyParams(1, Fraction(1), Fraction(1))
         rv = Jet2.variable(p.rho)
         bad_f = (rv + 2 * p.c) / (4 * rv**2)
-        lhs = sum(d1 for _, d1, _ in coordinate_gram(p)) - bad_f.d1 / bad_f.v
+        lhs = sum(d1 for _, d1, _ in p.slice_jets) - bad_f.d1 / bad_f.v
         assert lhs != -8 * p.n * p.rho * bad_f.v

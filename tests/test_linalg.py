@@ -200,10 +200,9 @@ class TestSolve:
         # checked end to end in test_metric_lie, pinned here via ric - (-8)I
         # being the expected diagonal derivation
         from solvsoliton.family import FamilyParams, build_delta, metric_algebra
-        from solvsoliton.metric_lie import ricci_endomorphism_koszul
 
         M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
-        ric = ricci_endomorphism_koszul(M)
+        ric = M.ric
         D = add(ric, identity(7).scale(Fraction(8)))
         assert D == build_delta(2).scale(Fraction(6))
 

@@ -18,6 +18,7 @@ from oracles import (
     expected_mean_curvature,
     TWO_ABELIAN,
     TWO_ABELIAN_SPLITTING,
+    checklist_verdict,
     expected_normality_commutator,
     fraction_soliton_check_lauret,
     fraction_table,
@@ -44,13 +45,14 @@ from solvsoliton.lie_core import (
     ad_matrix,
     is_derivation,
     subalgebra,
+    verify_splitting,
 )
-from solvsoliton.linalg import Matrix
+from solvsoliton.linalg import Matrix, inverse
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
+    SolitonVerdict,
     connection_coeffs,
     ricci_bilinear,
-    ricci_endomorphism_koszul,
     soliton_check_direct,
     soliton_check_lauret,
 )
@@ -77,6 +79,11 @@ class TestMetricValidation:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             MetricLieAlgebra(build_lie_algebra(1), Matrix.diagonal([1, -1, 1]))
+
+    def test_sets_the_inverse_gram_and_ricci_at_construction(self):
+        M = metric_algebra(FamilyParams(3, Fraction(5, 2), Fraction(1, 3)))
+        assert M.Ginv == inverse(M.G)
+        assert M.ric == M.Ginv @ ricci_bilinear(M)
 
 
 def gram_pairing(G, x: dict, k: int):
@@ -143,7 +150,7 @@ def dense_connection_oracle(M):
     w[i][j][k] = <[e_i, e_j], e_k> and the Koszul right-hand sides."""
     L, G = M.L, dense(M.G)
     d = L.dim
-    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in dense(M.gram_inverse())]
+    ginv = [[(k, v) for k, v in enumerate(row) if v] for row in dense(M.Ginv)]
     sp = fraction_table(L)
     w = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
@@ -252,19 +259,19 @@ class TestDenseConnectionOracle:
 class TestRicci:
     def test_heis3_flat_metric_eigenvalues(self):
         # hand value: ric = diag(-1/2, -1/2, +1/2)
-        ric = ricci_endomorphism_koszul(heis3_flat_metric())
+        ric = heis3_flat_metric().ric
         assert ric == Matrix.diagonal([-HALF, -HALF, HALF])
 
     def test_heis3_quadratic_sum_route(self):
         # B = 0 = H for a nilpotent algebra, so the orthonormal-basis sums
         # must reproduce the Ricci endomorphism itself.
         M = heis3_flat_metric()
-        assert curvature_operator_sums(M) == ricci_endomorphism_koszul(M)
+        assert curvature_operator_sums(M) == M.ric
 
     @pytest.mark.parametrize("p", list(grid()), ids=str)
     def test_gram_times_ric_is_symmetric(self, p):
         M = metric_algebra(p)
-        assert (M.G @ ricci_endomorphism_koszul(M)).is_symmetric()
+        assert (M.G @ M.ric).is_symmetric()
         assert ricci_bilinear(M).is_symmetric()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -273,21 +280,19 @@ class TestRicci:
         # hyperbolic d-space: constant curvature, ric = -(d-1) Id, Einstein
         L = StructureConstants.from_triples(d, [(0, i, i, 1) for i in range(1, d)])
         M = MetricLieAlgebra(L, identity(d))
-        assert ricci_endomorphism_koszul(M) == identity(d).scale(
-            Fraction(-(d - 1))
-        )
+        assert M.ric == identity(d).scale(Fraction(-(d - 1)))
         v = soliton_check_direct(M)
         assert v.is_soliton and v.lambda_ == -(d - 1) and is_zero(v.D)
 
     def test_family_n1_closed_form(self):
         p = FamilyParams(1, Fraction(1), Fraction(1))
-        ric = ricci_endomorphism_koszul(metric_algebra(p))
+        ric = metric_algebra(p).ric
         k = Fraction(4, 27)
         assert ric == Matrix.diagonal([-k, -k, k])
 
     def test_family_n2_c0_closed_form(self):
         p = FamilyParams(2, Fraction(1), Fraction(0))
-        ric = ricci_endomorphism_koszul(metric_algebra(p))
+        ric = metric_algebra(p).ric
         assert ric == Matrix.diagonal([-8, -8, -2, -2, -2, -2, 4])
 
 
@@ -356,13 +361,13 @@ class TestLauretTerms:
         M = metric_algebra(p)
         r_term, b_op, ad_h_s = lauret_terms(M, family_splitting(1))
         assert is_zero(b_op) and is_zero(ad_h_s)
-        assert r_term == ricci_endomorphism_koszul(M)
+        assert r_term == M.ric
 
     @pytest.mark.parametrize("p", list(grid()), ids=str)
     def test_decomposition_identity(self, p):
         M = metric_algebra(p)
         r_term, b_op, ad_h_s = lauret_terms(M, family_splitting(p.n))
-        assert ricci_endomorphism_koszul(M) == add(r_term, b_op.scale(-HALF), ad_h_s.scale(-1))
+        assert M.ric == add(r_term, b_op.scale(-HALF), ad_h_s.scale(-1))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_r_term_against_quadratic_sums_at_c0(self, n):
@@ -406,12 +411,10 @@ class TestSolitonDirect:
         v = soliton_check_direct(M)
         ok, _ = is_derivation(M.L, v.D)
         assert ok
-        assert v.D == add(ricci_endomorphism_koszul(M), identity(7).scale(-v.lambda_))
+        assert v.D == add(M.ric, identity(7).scale(-v.lambda_))
 
     def test_no_row_reduction_once_ricci_is_known(self, monkeypatch):
         M = metric_algebra(FamilyParams(3, Fraction(7, 5), Fraction(9, 14)))
-        M.gram_inverse()
-        ricci_endomorphism_koszul(M)
         calls = []
 
         def counting_rref(rows, _rref=linalg.rref):
@@ -428,14 +431,6 @@ class TestSolitonDirect:
         v = soliton_check_direct(MetricLieAlgebra(L, Matrix.diagonal([1, 2, 3])))
         assert v.is_soliton and v.lambda_ == 0 and is_zero(v.D)
 
-    @pytest.mark.parametrize("c", [Fraction(0), Fraction(1)])
-    def test_computed_once_per_metric_algebra(self, c):
-        M = metric_algebra(FamilyParams(2, Fraction(3, 2), c))
-        first = soliton_check_direct(M)
-        assert soliton_check_direct(M) is first
-        checklist = soliton_check_lauret(M, family_splitting(2))
-        assert checklist.D is first.D
-        assert soliton_check_direct(MetricLieAlgebra(M.L, M.G.scale(2))) is not first
 
 
 def dense_derivation_basis(L):
@@ -465,7 +460,7 @@ def dense_soliton_oracle(M):
     a basis of Der(L).  With Id itself a derivation the lambda column is
     free and the solve sets it to 0."""
     d = M.dim
-    ric = ricci_endomorphism_koszul(M)
+    ric = M.ric
     ders = dense_derivation_basis(M.L)
     ident = identity(d)
     A = Matrix(
@@ -517,7 +512,7 @@ class TestSolitonDenseOracle:
 class TestSolitonLauret:
     def test_n2_c0_all_conditions(self):
         M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
-        v = soliton_check_lauret(M, family_splitting(2))
+        v = checklist_verdict(M, family_splitting(2))
         assert v.is_soliton
         assert v.checklist == {
             "nilsoliton": True,
@@ -528,7 +523,7 @@ class TestSolitonLauret:
 
     def test_n2_c1_normality_fails_with_witness(self):
         p = FamilyParams(2, Fraction(1), Fraction(1))
-        v = soliton_check_lauret(metric_algebra(p), family_splitting(2))
+        v = checklist_verdict(metric_algebra(p), family_splitting(2))
         assert not v.is_soliton
         assert v.checklist["ad_normal"] is False
         assert v.witness == expected_normality_commutator(p)
@@ -539,7 +534,7 @@ class TestSolitonLauret:
         assert v.witness[base + 2, base + 2] == Fraction(-8, 3)
 
     def test_heis3_reduces_to_nilsoliton_check(self):
-        v = soliton_check_lauret(
+        v = checklist_verdict(
             metric_algebra(FamilyParams(1, Fraction(1), Fraction(1))),
             family_splitting(1),
         )
@@ -549,8 +544,9 @@ class TestSolitonLauret:
     @pytest.mark.parametrize("p", list(grid()), ids=str)
     def test_agreement_with_direct(self, p):
         M = metric_algebra(p)
+        s = family_splitting(p.n)
         direct = soliton_check_direct(M)
-        checklist = soliton_check_lauret(M, family_splitting(p.n))
+        checklist = soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), direct)
         assert direct.is_soliton == checklist.is_soliton
 
     @pytest.mark.parametrize(
@@ -562,7 +558,8 @@ class TestSolitonLauret:
         # <A1, A2> must be -tr(S1 S2)/lambda = 2/3 (see two_abelian_gram)
         M = MetricLieAlgebra(TWO_ABELIAN, two_abelian_gram(a12))
         s = TWO_ABELIAN_SPLITTING
-        direct, checklist = soliton_check_direct(M), soliton_check_lauret(M, s)
+        direct = soliton_check_direct(M)
+        checklist = soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), direct)
         assert (direct.status, direct.lambda_) == (status, lam)
         assert checklist.status == status
         assert checklist.lambda_ == Fraction(-3, 2)
@@ -573,6 +570,31 @@ class TestSolitonLauret:
             "norm_condition": status == "soliton",
         }
         assert fraction_soliton_check_lauret(M, s).checklist == checklist.checklist
+
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(1)])
+    def test_reports_the_direct_verdict_it_is_given(self, c):
+        M = metric_algebra(FamilyParams(2, Fraction(3, 2), c))
+        s = family_splitting(2)
+        direct = soliton_check_direct(M)
+        v = soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), direct)
+        assert v.D is direct.D
+        if direct.is_soliton:
+            assert (v.lambda_, v.lambda_source) == (direct.lambda_, "direct")
+
+    def test_lambda_falls_back_to_the_nilsoliton(self):
+        # Handed a not_soliton direct verdict, the checklist takes lambda from
+        # the nilradical's own direct verdict.  Here that lambda equals the
+        # direct one, -8, so the checklist still passes.
+        M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
+        s = family_splitting(2)
+        n_idx = sorted(s.n_indices)
+        nil_gram = Matrix([[M.G[i, j] for j in n_idx] for i in n_idx])
+        nil = soliton_check_direct(MetricLieAlgebra(subalgebra(M.L, n_idx), nil_gram))
+        report = verify_splitting(M.L, s, M.G)
+        v = soliton_check_lauret(M, s, report, SolitonVerdict(status="not_soliton"))
+        assert nil.is_soliton and nil.lambda_ == soliton_check_direct(M).lambda_ == -8
+        assert (v.lambda_, v.lambda_source, v.D) == (nil.lambda_, "nilsoliton", None)
+        assert v.is_soliton
 
     def test_norm_condition_value_n2_c0(self):
         # <B1R, B1R> = 1 and -(1/lambda) tr(sym^2) = (2n+4)/(2(n+2)) = 1
@@ -601,9 +623,7 @@ class TestScalingCovariance:
         for _ in range(3):
             t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             scaled = MetricLieAlgebra(M.L, M.G.scale(t))
-            assert ricci_endomorphism_koszul(scaled) == ricci_endomorphism_koszul(
-                M
-            ).scale(1 / t)
+            assert scaled.ric == M.ric.scale(1 / t)
             v = soliton_check_direct(scaled)
             assert v.is_soliton == base.is_soliton
             if base.is_soliton:
