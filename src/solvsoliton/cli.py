@@ -58,10 +58,22 @@ def _three_way_ricci(p: family.FamilyParams, M: MetricLieAlgebra):
 def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):
     """(splitting report, direct verdict, checklist verdict): the report and
     the direct verdict are computed once and handed to the checklist."""
-    s = family.family_splitting(p.n)
-    report = verify_splitting(M.L, s, M.G)
+    a = family.family_splitting(p.n)
+    report = verify_splitting(M.L, a, M.G)
     direct = soliton_check_direct(M)
-    return report, direct, soliton_check_lauret(M, s, report, direct)
+    return report, direct, soliton_check_lauret(M, a, report, direct)
+
+
+def _verdict_strings(verdict: dict) -> dict:
+    """A soliton verdict as reports print it, its keys in their order:
+    lambda by ``str``, D and the witness by their exact entry strings."""
+    lam, D, witness = verdict["lambda"], verdict["D"], verdict["witness"]
+    return {
+        **verdict,
+        "lambda": None if lam is None else str(lam),
+        "D": None if D is None else D.to_strings(),
+        "witness": None if witness is None else witness.to_strings(),
+    }
 
 
 def _principal_ricci(p: family.FamilyParams) -> tuple:
@@ -90,8 +102,9 @@ def verify_report(p: family.FamilyParams) -> dict:
     koszul, expected, conjugated = _three_way_ricci(p, M)
     ricci_ok = koszul == expected and koszul == conjugated
     trace_ok = hypersurface.trace_identity_check(p)
-    agree = direct.is_soliton == checklist.is_soliton
-    status = family.classify_status(p.n, direct.is_soliton)
+    agree = direct["status"] == checklist["status"]
+    status = family.classify_status(p.n, direct["status"])
+    shown = _verdict_strings(direct)
     predicted = family.predicted_status(p.n, p.c)
     checks_ok = jacobi_ok and all(splitting.values()) and ricci_ok and trace_ok and agree
     return {
@@ -103,13 +116,13 @@ def verify_report(p: family.FamilyParams) -> dict:
             "trace_identity": trace_ok,
             "checkers_agree": agree,
         },
-        "soliton_direct": direct.to_jsonable(),
-        "soliton_checklist": checklist.to_jsonable(),
+        "soliton_direct": shown,
+        "soliton_checklist": _verdict_strings(checklist),
         "status": status,
         "predicted_status": predicted,
         "status_matches_prediction": status == predicted,
-        "lambda": None if direct.lambda_ is None else str(direct.lambda_),
-        "delta_multiple": _exact(_delta_multiple(p, direct.D)) or None,
+        "lambda": shown["lambda"],
+        "delta_multiple": _exact(_delta_multiple(p, direct["D"])) or None,
         "ok": bool(checks_ok and status == predicted),
     }
 
@@ -148,13 +161,12 @@ def ricci_report(p: family.FamilyParams) -> dict:
 
 def soliton_report(p: family.FamilyParams) -> dict:
     _, direct, checklist = _soliton_pair(p, family.metric_algebra(p))
-    status = family.classify_status(p.n, direct.is_soliton)
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
-        "direct": direct.to_jsonable(),
-        "checklist": checklist.to_jsonable(),
-        "status": status,
-        "delta_multiple": _exact(_delta_multiple(p, direct.D)) or None,
+        "direct": _verdict_strings(direct),
+        "checklist": _verdict_strings(checklist),
+        "status": family.classify_status(p.n, direct["status"]),
+        "delta_multiple": _exact(_delta_multiple(p, direct["D"])) or None,
     }
 
 
@@ -165,13 +177,12 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
             p = family.FamilyParams(n, rho, c)
             sigma, trace = hypersurface.shape_operator(p)
             direct = soliton_check_direct(family.metric_algebra(p))
-            status = family.classify_status(n, direct.is_soliton)
             row = {
                 "n": n,
                 "rho": str(rho),
                 "c": str(c),
-                "status": status,
-                "lambda": _exact(direct.lambda_),
+                "status": family.classify_status(n, direct["status"]),
+                "lambda": _exact(direct["lambda"]),
             }
             for i, s in enumerate(sigma, start=1):
                 row[f"sigma{i}"] = _exact(s)
@@ -500,6 +511,8 @@ def _parse_config(argv) -> _Config:
             return rational(text)
         except ZeroDivisionError:
             raise ValueError(f"{option}: zero denominator in {text.strip()!r}") from None
+        except ValueError:
+            raise ValueError(f"{option}: invalid rational {text.strip()!r}") from None
 
     def grid(option):
         text = opts.get(option)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie_core import Splitting, StructureConstants, check_jacobi, is_derivation
+from .lie_core import StructureConstants, check_jacobi, is_derivation
 from .linalg import Matrix
 from .metric_lie import MetricLieAlgebra
 from .scalars import power_jet
@@ -211,12 +211,10 @@ def build_delta(n: int) -> Matrix:
     return out
 
 
-def family_splitting(n: int) -> Splitting:
-    """Abelian part {B1R} and declared nilradical (everything else)."""
-    d = 4 * n - 1
-    if n == 1:
-        return Splitting((), tuple(range(d)))
-    return Splitting((0,), tuple(range(1, d)))
+def family_splitting(n: int) -> tuple:
+    """Basis indices of the abelian part {B1R}, empty at n = 1; the declared
+    nilradical is the rest of the basis."""
+    return () if n == 1 else (0,)
 
 
 def metric_algebra(p: FamilyParams) -> MetricLieAlgebra:
@@ -356,8 +354,9 @@ def predicted_status(n: int, c: Fraction) -> str:
     return "solvsoliton" if Fraction(c) == 0 else "not_soliton"
 
 
-def classify_status(n: int, is_soliton: bool) -> str:
-    """Verdict label for a family instance (nilpotent only when n = 1)."""
-    if not is_soliton:
+def classify_status(n: int, status: str) -> str:
+    """Verdict label for a family instance from the status of its direct
+    soliton verdict (nilpotent only when n = 1)."""
+    if status != "soliton":
         return "not_soliton"
     return "nilsoliton" if n == 1 else "solvsoliton"

@@ -19,7 +19,6 @@ from .linalg import Matrix, has_real_spectrum, rref
 
 __all__ = [
     "StructureConstants",
-    "Splitting",
     "STRUCTURE_CLAIMS",
     "check_jacobi",
     "ad_matrix",
@@ -296,57 +295,37 @@ def is_derivation(L: StructureConstants, D: Matrix):
     return (True, None) if first is None else (False, first[0])
 
 
-class Splitting:
-    """Declared decomposition into an abelian part and a nilpotent ideal."""
+def verify_splitting(L: StructureConstants, a, G: Matrix) -> dict:
+    """Check the splitting declared by the basis indices ``a`` of the
+    abelian part against the algebra and the metric.
 
-    __slots__ = ("a_indices", "n_indices")
-
-    def __init__(self, a_indices, n_indices):
-        self.a_indices = tuple(a_indices)
-        self.n_indices = tuple(n_indices)
-
-    def __eq__(self, other):
-        if not isinstance(other, Splitting):
-            return NotImplemented
-        return self.a_indices == other.a_indices and self.n_indices == other.n_indices
-
-    def __repr__(self):
-        return f"Splitting(a_indices={self.a_indices}, n_indices={self.n_indices})"
-
-
-def verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> dict:
-    """Check the declared splitting against the algebra and the metric.
-
-    The nilpotent part is a *declared* nilradical candidate: the report
-    certifies ideal-ness, nilpotency, and containment of the derived algebra
-    separately rather than computing a nilradical from scratch.  It is the
-    dict {"n_is_ideal", "n_is_nilpotent", "n_contains_derived",
-    "a_is_abelian", "a_orthogonal_to_n"} of bools, in that order; the
-    splitting verifies when all of them hold.
+    The nilpotent part is the rest of the basis, a *declared* nilradical
+    candidate: the report certifies ideal-ness, nilpotency, and containment
+    of the derived algebra separately rather than computing a nilradical
+    from scratch.  It is the dict {"n_is_ideal", "n_is_nilpotent",
+    "n_contains_derived", "a_is_abelian", "a_orthogonal_to_n"} of bools, in
+    that order; the splitting verifies when all of them hold.
     """
     d = L.dim
-    if sorted(s.a_indices + s.n_indices) != list(range(d)):
-        raise ValueError("splitting index sets must partition the basis")
+    if len(set(a)) != len(a) or not all(0 <= i < d for i in a):
+        raise ValueError("abelian part indices must be distinct basis indices")
     # The parts are spans of basis vectors, so a bracket lies in n exactly
     # when its nonzero structure constants all land on n's indices.
     sp = L.table
-    in_n = [False] * d
-    for i in s.n_indices:
-        in_n[i] = True
+    in_n = [i not in a for i in range(d)]
+    n = [i for i in range(d) if in_n[i]]
 
     def lands_in_n(i, j):
         return all(in_n[k] for k, _ in sp[i][j])
 
     return {
-        "n_is_ideal": all(lands_in_n(i, j) for i in range(d) for j in s.n_indices),
-        "n_is_nilpotent": _lower_central_series_vanishes(L, s.n_indices),
+        "n_is_ideal": all(lands_in_n(i, j) for i in range(d) for j in n),
+        "n_is_nilpotent": _lower_central_series_vanishes(L, n),
         "n_contains_derived": all(
             lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
         ),
-        "a_is_abelian": not any(sp[i][j] for i in s.a_indices for j in s.a_indices),
-        "a_orthogonal_to_n": not any(
-            j in G.table[i] for i in s.a_indices for j in s.n_indices
-        ),
+        "a_is_abelian": not any(sp[i][j] for i in a for j in a),
+        "a_orthogonal_to_n": not any(j in G.table[i] for i in a for j in n),
     }
 
 

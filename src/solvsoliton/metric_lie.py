@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, takewhile
 
 from .lie_core import (
-    Splitting,
     StructureConstants,
     _basis_vector,
     _leibniz_defects,
@@ -29,7 +28,6 @@ from .linalg import Matrix, inverse, is_positive_definite
 
 __all__ = [
     "MetricLieAlgebra",
-    "SolitonVerdict",
     "connection_coeffs",
     "ricci_bilinear",
     "soliton_check_direct",
@@ -159,50 +157,11 @@ def ricci_bilinear(M: MetricLieAlgebra) -> Matrix:
     return Matrix.from_table(out, S * S, d)
 
 
-class SolitonVerdict:
-    """Outcome of a soliton check.
-
-    ``status`` is "soliton" or "not_soliton"; for solitons ``lambda_`` and
-    the derivation ``D`` satisfy ric = lambda*Id + D exactly.  The checklist
-    route also records per-condition booleans and a witness for the first
-    failure (for example a nonzero commutator [ad A, ad A*]).
-    """
-
-    __slots__ = ("status", "lambda_", "D", "checklist", "witness", "lambda_source")
-
-    def __init__(
-        self,
-        status: str,
-        lambda_: Fraction | None = None,
-        D: Matrix | None = None,
-        checklist: dict | None = None,
-        witness: Matrix | None = None,
-        lambda_source: str | None = None,
-    ):
-        self.status = status
-        self.lambda_ = lambda_
-        self.D = D
-        self.checklist = checklist
-        self.witness = witness
-        self.lambda_source = lambda_source
-
-    @property
-    def is_soliton(self) -> bool:
-        return self.status == "soliton"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "status": self.status,
-            "lambda": None if self.lambda_ is None else str(self.lambda_),
-            "lambda_source": self.lambda_source,
-            "D": None if self.D is None else self.D.to_strings(),
-            "checklist": self.checklist,
-            "witness": None if self.witness is None else self.witness.to_strings(),
-        }
-
-
-def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
-    """Exact test of ric = lambda*Id + D with D a derivation.
+def soliton_check_direct(M: MetricLieAlgebra) -> dict:
+    """Exact test of ric = lambda*Id + D with D a derivation.  The verdict
+    {"status", "lambda", "lambda_source", "D", "checklist", "witness"} holds
+    "soliton", the ``Fraction`` lambda, "direct" and the ``Matrix`` D, or
+    "not_soliton" and None; the checklist and witness are None.
 
     The Leibniz defect X[e_i,e_j] - [X e_i,e_j] - [e_i,X e_j] is linear in
     X, and that of Id is minus the bracket.  So ric - lambda*Id is a
@@ -228,8 +187,15 @@ def soliton_check_direct(M: MetricLieAlgebra) -> SolitonVerdict:
         lam = Fraction(dict(upto).get(pair, {}).get(k, 0), id_row[k] * DR)
     D = M.ric - Matrix.diagonal([lam] * d)
     if next(_leibniz_defects(L, D.table), None) is not None:
-        return SolitonVerdict(status="not_soliton")
-    return SolitonVerdict(status="soliton", lambda_=lam, D=D, lambda_source="direct")
+        lam = D = None
+    return {
+        "status": "not_soliton" if D is None else "soliton",
+        "lambda": lam,
+        "lambda_source": None if D is None else "direct",
+        "D": D,
+        "checklist": None,
+        "witness": None,
+    }
 
 
 def _restrict_gram(G: Matrix, indices) -> Matrix:
@@ -240,15 +206,14 @@ def _restrict_gram(G: Matrix, indices) -> Matrix:
     return Matrix.from_table(table, G.den, len(table))
 
 
-def soliton_check_lauret(
-    M: MetricLieAlgebra, s: Splitting, report: dict, direct: SolitonVerdict
-) -> SolitonVerdict:
+def soliton_check_lauret(M: MetricLieAlgebra, a, report: dict, direct: dict) -> dict:
     """Checklist route: nilsoliton part, abelian complement, normal adjoints,
     and the norm condition <A, B> = -tr(S(ad A) S(ad B))/lambda for every
     pair A, B of basis vectors of the abelian part, S the symmetric part.
 
-    ``report`` is the :func:`~solvsoliton.lie_core.verify_splitting` report
-    of ``s``, which must verify.  ``direct`` is the verdict of
+    ``a`` holds the abelian part's basis indices, the nilradical the rest;
+    ``report`` is :func:`~solvsoliton.lie_core.verify_splitting` of ``a``,
+    which must verify.  ``direct`` is the verdict of
     :func:`soliton_check_direct` on ``M``: when it is a soliton, its lambda
     and D are the ones the norm condition uses and the verdict reports;
     otherwise lambda is the nilradical's.  The verdict's checklist keys are
@@ -259,18 +224,18 @@ def soliton_check_lauret(
     if not all(report.values()):
         raise ValueError("declared splitting failed verification")
     d = M.dim
-    n_idx = sorted(s.n_indices)
+    n_idx = [i for i in range(d) if i not in a]
     sub_L = subalgebra(M.L, n_idx)
     sub_M = MetricLieAlgebra(sub_L, _restrict_gram(M.G, n_idx))
     sub_verdict = soliton_check_direct(sub_M)
-    cond_nil = sub_verdict.is_soliton
+    cond_nil = sub_verdict["status"] == "soliton"
     cond_abelian = report["a_is_abelian"]
     witness = None
 
     G, Ginv = M.G, M.Ginv
     cond_normal = True
     syms = []
-    for i in s.a_indices:
+    for i in a:
         ad = ad_matrix(M.L, _basis_vector(d, i))
         star = Ginv @ ad.transpose() @ G
         comm = ad @ star - star @ ad
@@ -280,10 +245,10 @@ def soliton_check_lauret(
                 witness = comm
         syms.append((i, ad + star))
 
-    if direct.is_soliton:
-        lam, lam_source = direct.lambda_, "direct"
-    elif sub_verdict.is_soliton:
-        lam, lam_source = sub_verdict.lambda_, "nilsoliton"
+    if direct["status"] == "soliton":
+        lam, lam_source = direct["lambda"], "direct"
+    elif cond_nil:
+        lam, lam_source = sub_verdict["lambda"], "nilsoliton"
     else:
         lam, lam_source = None, "none"
 
@@ -302,12 +267,11 @@ def soliton_check_lauret(
         "ad_normal": cond_normal,
         "norm_condition": cond_norm,
     }
-    ok = all(checklist.values())
-    return SolitonVerdict(
-        status="soliton" if ok else "not_soliton",
-        lambda_=lam,
-        D=direct.D if direct.is_soliton else None,
-        checklist=checklist,
-        witness=witness,
-        lambda_source=lam_source,
-    )
+    return {
+        "status": "soliton" if all(checklist.values()) else "not_soliton",
+        "lambda": lam,
+        "lambda_source": lam_source,
+        "D": direct["D"],
+        "checklist": checklist,
+        "witness": witness,
+    }

@@ -5,8 +5,9 @@ algebra, the reference for the power rule ``scalars.power_jet`` and for the
 displayed formulas of the slice metric.  The closed forms (shape spectra,
 adjoint blocks, Killing operator, mean curvature, normality commutator) are
 stated independently of the curvature routes, and the decomposition
-ric = R - B/2 - sym(ad H) is rebuilt term by term from the Killing form and
-the mean curvature vector.  ``nullspace`` and ``sparse_nullspace`` give
+ric = R - B/2 - sym(ad H) is rebuilt term by term, without reading ric, from
+the curvature operator's quadratic sums, the Killing form and the mean
+curvature vector.  ``nullspace`` and ``sparse_nullspace`` give
 kernels through the package's one elimination kernel, ``rref``.  The
 ``fraction_*`` functions are the exact curvature kernels summed over
 ``Fraction`` entries, as they stood before the package moved them onto
@@ -33,7 +34,6 @@ from itertools import takewhile
 
 from solvsoliton.family import FamilyParams, ricci_eigenvalue_formulas
 from solvsoliton.lie_core import (
-    Splitting,
     StructureConstants,
     ad_matrix,
     subalgebra,
@@ -42,7 +42,6 @@ from solvsoliton.lie_core import (
 from solvsoliton.linalg import Matrix, rref
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
-    SolitonVerdict,
     _restrict_gram,
     soliton_check_direct,
     soliton_check_lauret,
@@ -319,10 +318,11 @@ def killing_form(L: StructureConstants) -> Matrix:
     return Matrix(out)
 
 
-def mean_curvature_vector(M: MetricLieAlgebra, s: Splitting) -> list:
-    """The unique H in the abelian part with <H, A> = tr(ad A) there."""
+def mean_curvature_vector(M: MetricLieAlgebra, a) -> list:
+    """The unique H in the abelian part, spanned by the basis vectors
+    ``a``, with <H, A> = tr(ad A) there."""
     d = M.dim
-    a_idx = list(s.a_indices)
+    a_idx = list(a)
     if not a_idx:
         return [Fraction(0)] * d
     sub = Matrix([[M.G[i, j] for j in a_idx] for i in a_idx])
@@ -342,66 +342,62 @@ def _symmetric_part(M: MetricLieAlgebra, A: Matrix) -> Matrix:
     return add(A, adjoint_operator(M, A)).scale(_HALF)
 
 
-def lauret_terms(M: MetricLieAlgebra, s: Splitting):
-    """(R, B_op, adHs) with ric = R - B_op/2 - adHs.
+def lauret_terms(M: MetricLieAlgebra, a):
+    """(R, B_op, adHs), the terms of ric = R - B_op/2 - adHs.
 
     B_op is the Killing endomorphism G^{-1} beta, adHs the symmetric part of
-    ad(H) for the mean curvature vector H, and R is recovered from the
-    already-known Ricci endomorphism, fixing the sign conventions by
-    construction.
+    ad(H) for the mean curvature vector H of the abelian part ``a``, and R
+    comes from its defining sums (:func:`curvature_operator_sums`).  None of
+    the three reads ``M.ric``, so the decomposition is a check on it.
     """
-    ric = M.ric
     b_op = fraction_matmul(fraction_inverse(M.G), killing_form(M.L))
-    H = mean_curvature_vector(M, s)
+    H = mean_curvature_vector(M, a)
     ad_h_s = _symmetric_part(M, ad_matrix(M.L, H))
-    r_term = add(ric, b_op.scale(_HALF), ad_h_s)
-    return r_term, b_op, ad_h_s
+    return curvature_operator_sums(M), b_op, ad_h_s
 
 
 def curvature_operator_sums(M: MetricLieAlgebra) -> Matrix:
-    """The R term from its defining orthonormal-basis quadratic sums.
+    """The R term from its defining sums over an orthonormal basis {e_k},
 
-    Valid only for diagonal Gram matrices, where the normalizing square
-    roots cancel inside the squares and the result stays rational.  Serves
-    as the independent route to the R of :func:`lauret_terms`.
+        <R X, Y> = -1/2 sum_kl <[X, e_k], e_l> <[Y, e_k], e_l>
+                   + 1/4 sum_kl <[e_k, e_l], X> <[e_k, e_l], Y>,
+
+    rewritten over the basis {b_a} of the algebra.  Over an orthonormal
+    basis, sum_k <u, e_k> <v, e_k> contracts the coordinates of u and v with
+    G^{-1}, so the first sum is tr(ad_Y* ad_X) = tr(G^{-1} ad_Y^T G ad_X)
+    and the second is sum (G^{-1})_ac (G^{-1})_bd w_ab(X) w_cd(Y), with
+    w_ab(X) = <[b_a, b_b], X>.  Both are rational for any Gram matrix, with
+    no square root.  R is G^{-1} times the bilinear form; ``M.ric`` is not
+    read.
     """
     d = M.dim
-    G = dense(M.G)
-    for i in range(d):
-        for j in range(d):
-            if i != j and G[i][j] != 0:
-                raise ValueError("quadratic-sum route requires a diagonal Gram matrix")
-    g = [G[i][i] for i in range(d)]
     L = M.L
+    Gi = fraction_inverse(M.G)
+    G = dense(M.G)
     sp = fraction_table(L)
-    basis = [[Fraction(int(r == i)) for r in range(d)] for i in range(d)]
-
-    def quad(x):
-        total = Fraction(0)
-        for k in range(d):
-            v = bracket(L, x, basis[k])
-            for l in range(d):
-                if v[l]:
-                    total += -_HALF * (g[l] * v[l] * v[l]) / g[k]
-        for k in range(d):
-            for l in range(d):
-                s = Fraction(0)
-                for m, c in sp[k][l]:
-                    if x[m]:
-                        s += c * g[m] * x[m]
-                if s:
-                    total += Fraction(1, 4) * s * s / (g[k] * g[l])
-        return total
-
+    ads = [ad_matrix(L, [Fraction(int(r == i)) for r in range(d)]) for i in range(d)]
+    # tr(ad_Y* ad_X) = sum_pq left[Y][p][q] right[X][q][p]
+    left = [dense(fraction_matmul(Gi, ad.transpose())) for ad in ads]
+    right = [dense(fraction_matmul(M.G, ad)) for ad in ads]
+    # w[X][a][b] = <[b_a, b_b], b_X>, and its contraction G^{-1} w[X] G^{-1}
+    w = [
+        [[sum((v * G[m][x] for m, v in sp[i][j]), Fraction(0)) for j in range(d)] for i in range(d)]
+        for x in range(d)
+    ]
+    contracted = [dense(fraction_matmul(fraction_matmul(Gi, Matrix(wx)), Gi)) for wx in w]
     bil = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            plus = [basis[i][r] + basis[j][r] for r in range(d)]
-            minus = [basis[i][r] - basis[j][r] for r in range(d)]
-            val = Fraction(1, 4) * (quad(plus) - quad(minus))
-            bil[i][j] = val
-            bil[j][i] = val
-    return fraction_matmul(fraction_inverse(M.G), Matrix(bil))
+    for x in range(d):
+        for y in range(x, d):
+            ad_sum = sum(
+                (left[y][p][q] * right[x][q][p] for p in range(d) for q in range(d)),
+                Fraction(0),
+            )
+            bracket_sum = sum(
+                (contracted[x][p][q] * w[y][p][q] for p in range(d) for q in range(d)),
+                Fraction(0),
+            )
+            bil[x][y] = bil[y][x] = -_HALF * ad_sum + Fraction(1, 4) * bracket_sum
+    return fraction_matmul(Gi, Matrix(bil))
 
 
 class ClosedForms:
@@ -713,7 +709,7 @@ def fraction_is_derivation(L: StructureConstants, D: Matrix):
     return (True, None) if first is None else (False, first[0])
 
 
-def fraction_direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
+def fraction_direct_verdict(M: MetricLieAlgebra) -> dict:
     """``soliton_check_direct`` over Fraction entries, uncached."""
     L = M.L
     ident = identity(L.dim)
@@ -733,14 +729,15 @@ def fraction_direct_verdict(M: MetricLieAlgebra) -> SolitonVerdict:
             for r, row in enumerate(dense(ric))
         ]
     )
-    if not fraction_is_derivation(L, D)[0]:
-        return SolitonVerdict(status="not_soliton")
-    return SolitonVerdict(
-        status="soliton",
-        lambda_=lam,
-        D=D,
-        lambda_source="direct",
-    )
+    soliton = fraction_is_derivation(L, D)[0]
+    return {
+        "status": "soliton" if soliton else "not_soliton",
+        "lambda": lam if soliton else None,
+        "lambda_source": "direct" if soliton else None,
+        "D": D if soliton else None,
+        "checklist": None,
+        "witness": None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -969,34 +966,37 @@ def fraction_lower_central_series_vanishes(L: StructureConstants, indices) -> bo
     return True
 
 
-def fraction_verify_splitting(L: StructureConstants, s: Splitting, G: Matrix) -> dict:
-    """Check the declared splitting against the algebra and the metric.
+def fraction_verify_splitting(L: StructureConstants, a, G: Matrix) -> dict:
+    """Check the splitting declared by the abelian part's basis indices
+    ``a`` against the algebra and the metric.
 
-    The nilpotent part is a *declared* nilradical candidate: the report
-    certifies ideal-ness, nilpotency, and containment of the derived algebra
-    separately rather than computing a nilradical from scratch.
+    The nilpotent part, the rest of the basis, is a *declared* nilradical
+    candidate: the report certifies ideal-ness, nilpotency, and containment
+    of the derived algebra separately rather than computing a nilradical
+    from scratch.
     """
     d = L.dim
-    if sorted(s.a_indices + s.n_indices) != list(range(d)):
-        raise ValueError("splitting index sets must partition the basis")
+    if sorted(set(a)) != sorted(a) or not set(a) <= set(range(d)):
+        raise ValueError("abelian part indices must be distinct basis indices")
+    n_idx = [i for i in range(d) if i not in a]
     # The parts are spans of basis vectors, so a bracket lies in n exactly
     # when its nonzero structure constants all land on n's indices.
     sp = fraction_table(L)
     in_n = [False] * d
-    for i in s.n_indices:
+    for i in n_idx:
         in_n[i] = True
 
     def lands_in_n(i, j):
         return all(in_n[k] for k, _ in sp[i][j])
 
     return {
-        "n_is_ideal": all(lands_in_n(i, j) for i in range(d) for j in s.n_indices),
-        "n_is_nilpotent": fraction_lower_central_series_vanishes(L, s.n_indices),
+        "n_is_ideal": all(lands_in_n(i, j) for i in range(d) for j in n_idx),
+        "n_is_nilpotent": fraction_lower_central_series_vanishes(L, n_idx),
         "n_contains_derived": all(
             lands_in_n(i, j) for i in range(d) for j in range(i + 1, d)
         ),
-        "a_is_abelian": not any(sp[i][j] for i in s.a_indices for j in s.a_indices),
-        "a_orthogonal_to_n": all(G[i, j] == 0 for i in s.a_indices for j in s.n_indices),
+        "a_is_abelian": not any(sp[i][j] for i in a for j in a),
+        "a_orthogonal_to_n": all(G[i, j] == 0 for i in a for j in n_idx),
     }
 
 
@@ -1007,13 +1007,13 @@ def adjoint_operator(M: MetricLieAlgebra, A: Matrix) -> Matrix:
     return fraction_matmul(fraction_matmul(fraction_inverse(M.G), A.transpose()), M.G)
 
 
-def checklist_verdict(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
-    """``soliton_check_lauret`` on ``M`` and ``s``, given the splitting report
-    and the direct verdict it takes."""
-    return soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), soliton_check_direct(M))
+def checklist_verdict(M: MetricLieAlgebra, a) -> dict:
+    """``soliton_check_lauret`` on ``M`` and the abelian part ``a``, given
+    the splitting report and the direct verdict it takes."""
+    return soliton_check_lauret(M, a, verify_splitting(M.L, a, M.G), soliton_check_direct(M))
 
 
-def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonVerdict:
+def fraction_soliton_check_lauret(M: MetricLieAlgebra, a) -> dict:
     """Checklist route: nilsoliton part, abelian complement, normal adjoints,
     and the norm condition <A, B> = -tr(sym(ad A) sym(ad B))/lambda for
     every ordered pair A, B of basis vectors of the abelian part.
@@ -1022,21 +1022,21 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
     "nilsoliton", "a_abelian", "ad_normal", "norm_condition"; the witness is
     the first failing matrix.
     """
-    report = verify_splitting(M.L, s, M.G)
+    report = verify_splitting(M.L, a, M.G)
     if not all(report.values()):
         raise ValueError("declared splitting failed verification")
     d = M.dim
-    n_idx = sorted(s.n_indices)
+    n_idx = [i for i in range(d) if i not in a]
     sub_L = subalgebra(M.L, n_idx)
     sub_M = MetricLieAlgebra(sub_L, _restrict_gram(M.G, n_idx))
     sub_verdict = soliton_check_direct(sub_M)
-    cond_nil = sub_verdict.is_soliton
+    cond_nil = sub_verdict["status"] == "soliton"
     cond_abelian = report["a_is_abelian"]
     witness = None
 
     cond_normal = True
     a_ads = []
-    for i in s.a_indices:
+    for i in a:
         x = [Fraction(int(r == i)) for r in range(d)]
         ad_a = ad_matrix(M.L, x)
         ad_a_star = adjoint_operator(M, ad_a)
@@ -1048,10 +1048,10 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
                 witness = comm
 
     direct = soliton_check_direct(M)
-    if direct.is_soliton:
-        lam, lam_source = direct.lambda_, "direct"
-    elif sub_verdict.is_soliton:
-        lam, lam_source = sub_verdict.lambda_, "nilsoliton"
+    if direct["status"] == "soliton":
+        lam, lam_source = direct["lambda"], "direct"
+    elif cond_nil:
+        lam, lam_source = sub_verdict["lambda"], "nilsoliton"
     else:
         lam, lam_source = None, "none"
 
@@ -1071,14 +1071,14 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
         "norm_condition": cond_norm,
     }
     ok = all(checklist.values())
-    return SolitonVerdict(
-        status="soliton" if ok else "not_soliton",
-        lambda_=lam,
-        D=direct.D if direct.is_soliton else None,
-        checklist=checklist,
-        witness=witness,
-        lambda_source=lam_source,
-    )
+    return {
+        "status": "soliton" if ok else "not_soliton",
+        "lambda": lam,
+        "lambda_source": lam_source,
+        "D": direct["D"] if direct["status"] == "soliton" else None,
+        "checklist": checklist,
+        "witness": witness,
+    }
 
 
 # Basis (A1, A2, X, Y, Z): [X, Y] = Z, with ad A1 = diag(1, 0, 1) and
@@ -1087,7 +1087,7 @@ def fraction_soliton_check_lauret(M: MetricLieAlgebra, s: Splitting) -> SolitonV
 TWO_ABELIAN = StructureConstants.from_triples(
     5, [(2, 3, 4, 1), (0, 2, 2, 1), (0, 4, 4, 1), (1, 3, 3, 1), (1, 4, 4, 1)]
 )
-TWO_ABELIAN_SPLITTING = Splitting((0, 1), (2, 3, 4))
+TWO_ABELIAN_SPLITTING = (0, 1)
 
 
 def two_abelian_gram(a12) -> Matrix:

@@ -20,13 +20,17 @@ from hypothesis import strategies as st
 import solvsoliton
 from solvsoliton import cli, family, hypersurface, lie_core, linalg, metric_lie, scalars
 from solvsoliton.cli import main
-from solvsoliton.metric_lie import SolitonVerdict
 
 
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def verdict(status: str) -> dict:
+    """A soliton verdict with ``status`` and every other value None."""
+    return {"status": status, **dict.fromkeys(["lambda", "lambda_source", "D", "checklist", "witness"])}
 
 
 class TestVerify:
@@ -105,6 +109,24 @@ class TestUsageErrors:
         ],
     )
     def test_zero_denominator_names_the_option(self, capsys, argv, line):
+        assert run(capsys, *argv) == (2, "", f"parameter error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "--n", "2", "--rho", "abc", "--c", "0"], "--rho: invalid rational 'abc'"),
+            (["verify", "--n", "2", "--rho", "1", "--c", ""], "--c: invalid rational ''"),
+            (
+                ["sweep", "--n", "2", "--rho-grid", "1,x", "--c-grid", "0"],
+                "--rho-grid: invalid rational 'x'",
+            ),
+            (
+                ["sweep", "--n", "2", "--rho-grid", "1", "--c-grid", "0, 1/2x"],
+                "--c-grid: invalid rational '1/2x'",
+            ),
+        ],
+    )
+    def test_unparsable_rational_names_the_option(self, capsys, argv, line):
         assert run(capsys, *argv) == (2, "", f"parameter error: {line}\n")
 
     @pytest.mark.parametrize(
@@ -443,7 +465,7 @@ class TestSweep:
 
     def test_verdict_differing_from_prediction_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "soliton_check_direct", lambda M: SolitonVerdict(status="not_soliton")
+            cli, "soliton_check_direct", lambda M: verdict("not_soliton")
         )
         code, out, _ = run(
             capsys, "sweep", "--n", "2", "--c-grid", "0,1", "--format", "json"
@@ -620,7 +642,7 @@ class TestSoliton:
 
     def test_disagreeing_checkers_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "soliton_check_lauret", lambda *args: SolitonVerdict(status="soliton")
+            cli, "soliton_check_lauret", lambda *args: verdict("soliton")
         )
         code, out, _ = run(
             capsys, "soliton", "--n", "2", "--rho", "1", "--c", "1", "--format", "json"
@@ -629,6 +651,23 @@ class TestSoliton:
         report = json.loads(out)
         assert report["direct"]["status"] == "not_soliton"
         assert report["checklist"]["status"] == "soliton"
+
+    @pytest.mark.parametrize("c", ["0", "1"])
+    def test_verdicts_print_as_exact_strings(self, c):
+        # the library hands back exact values; only the report turns them
+        # into strings, in the verdict's own key order
+        p = family.FamilyParams(2, Fraction(1), Fraction(c))
+        direct = solvsoliton.soliton_check_direct(family.metric_algebra(p))
+        report = cli.soliton_report(p)
+        keys = ["status", "lambda", "lambda_source", "D", "checklist", "witness"]
+        assert list(report["direct"]) == list(report["checklist"]) == keys
+        if c == "0":
+            assert report["direct"]["lambda"] == str(direct["lambda"]) == "-8"
+            assert report["direct"]["D"] == direct["D"].to_strings()
+        else:
+            assert report["direct"] == verdict("not_soliton")
+            witness = report["checklist"]["witness"]
+            assert witness[1][6] == "-2/3" and all(type(x) is str for row in witness for x in row)
 
 
 def count_calls(monkeypatch, *names) -> dict:

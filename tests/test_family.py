@@ -12,6 +12,7 @@ from solvsoliton.family import (
     build_embedding,
     build_gram,
     build_lie_algebra,
+    classify_status,
     coordinate_gram_values,
     coordinate_names,
     expected_ric_matrix,
@@ -295,6 +296,14 @@ class TestPredictedStatus:
         assert predicted_status(1, Fraction(3)) == "nilsoliton"
         assert predicted_status(2, Fraction(0)) == "solvsoliton"
         assert predicted_status(4, Fraction(1, 2)) == "not_soliton"
+
+
+class TestClassifyStatus:
+    def test_labels_the_direct_verdict_status(self):
+        assert classify_status(1, "soliton") == "nilsoliton"
+        assert classify_status(2, "soliton") == "solvsoliton"
+        assert classify_status(1, "not_soliton") == "not_soliton"
+        assert classify_status(3, "not_soliton") == "not_soliton"
 
 
 def delta_weights(n: int) -> list:

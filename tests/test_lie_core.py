@@ -29,7 +29,6 @@ from solvsoliton.family import (
 )
 from solvsoliton.lie_core import (
     STRUCTURE_CLAIMS,
-    Splitting,
     StructureConstants,
     ad_matrix,
     _jacobi_witness,
@@ -131,7 +130,7 @@ class TestConstruction:
         assert L.den == 2 and sub.den == 1
         heis = StructureConstants.from_triples(7, [(0, 1, 6, 1), (2, 3, 6, -1), (4, 5, 6, -1)])
         assert sub == heis and sub.table == heis.table and hash(sub) == hash(heis)
-        nil = subalgebra(L, family_splitting(3).n_indices)
+        nil = subalgebra(L, [i for i in range(L.dim) if i not in family_splitting(3)])
         assert nil.den == 2
 
     def test_subalgebra_in_any_index_order(self):
@@ -473,16 +472,15 @@ class TestSplitting:
     def test_swapped_index_fails(self):
         # moving e0 into the declared abelian part breaks it
         p = FamilyParams(2, Fraction(1), Fraction(1))
-        bad = Splitting((0, 2), (1, 3, 4, 5, 6))
-        report = verify_splitting(build_lie_algebra(2), bad, build_gram(p))
+        report = verify_splitting(build_lie_algebra(2), (0, 2), build_gram(p))
         assert not all(report.values())
         assert not (report["a_is_abelian"] and report["n_is_ideal"])
 
     @staticmethod
-    def flags(L, a, n, G=None):
+    def flags(L, a, G=None):
         if G is None:
             G = identity(L.dim)
-        report = verify_splitting(L, Splitting(a, n), G)
+        report = verify_splitting(L, a, G)
         assert list(report) == [
             "n_is_ideal",
             "n_is_nilpotent",
@@ -495,37 +493,39 @@ class TestSplitting:
 
     def test_n_not_an_ideal(self):
         # heis3 with n = span(e0, e1): [e0, e1] = e2 leaves n
-        assert self.flags(heis3(), (2,), (0, 1)) == (False, True, False, True, True)
+        assert self.flags(heis3(), (2,)) == (False, True, False, True, True)
 
     def test_n_not_nilpotent(self):
         # [e0, ei] = ei: the lower central series of L stalls at span(e1, e2)
         L = StructureConstants.from_triples(3, [(0, 1, 1, 1), (0, 2, 2, 1)])
-        assert self.flags(L, (), (0, 1, 2)) == (True, False, True, True, True)
+        assert self.flags(L, ()) == (True, False, True, True, True)
 
     def test_derived_algebra_not_in_n(self):
         # aff(1) + R: n = span(e2) is a central ideal missing [e0, e1] = e1
         L = StructureConstants.from_triples(3, [(0, 1, 1, 1)])
-        assert self.flags(L, (0, 1), (2,)) == (True, True, False, False, True)
+        assert self.flags(L, (0, 1)) == (True, True, False, False, True)
 
     def test_a_not_abelian(self):
         # heis3 with a = span(e0, e1): [e0, e1] = e2 lands in the centre n
-        assert self.flags(heis3(), (0, 1), (2,)) == (True, True, True, False, True)
+        assert self.flags(heis3(), (0, 1)) == (True, True, True, False, True)
 
     def test_a_not_orthogonal_to_n(self):
         G = dense(identity(7))
         G[0][3] = G[3][0] = Fraction(1, 2)
         G = Matrix(G)
-        s = family_splitting(2)
-        flags = self.flags(build_lie_algebra(2), s.a_indices, s.n_indices, G)
+        flags = self.flags(build_lie_algebra(2), family_splitting(2), G)
         assert flags == (True, True, True, True, False)
 
-    def test_malformed_partition_raises(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("a", [(0, 0), (7,), (-1,), (0, 1, 0)], ids=str)
+    def test_repeated_or_out_of_range_abelian_index_raises(self, a):
+        with pytest.raises(ValueError, match="distinct basis indices"):
             verify_splitting(
-                build_lie_algebra(2),
-                Splitting((0, 0), (1, 2, 3, 4, 5, 6)),
-                build_gram(FamilyParams(2, Fraction(1), Fraction(0))),
+                build_lie_algebra(2), a, build_gram(FamilyParams(2, Fraction(1), Fraction(0)))
             )
+
+    def test_family_splitting_declares_the_abelian_part(self):
+        # {B1R} for n > 1, empty at n = 1; the nilradical is the rest
+        assert [family_splitting(n) for n in (1, 2, 3)] == [(), (0,), (0,)]
 
     def test_subalgebra_closure_required(self):
         with pytest.raises(ValueError):

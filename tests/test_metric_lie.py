@@ -50,7 +50,6 @@ from solvsoliton.lie_core import (
 from solvsoliton.linalg import Matrix, inverse
 from solvsoliton.metric_lie import (
     MetricLieAlgebra,
-    SolitonVerdict,
     connection_coeffs,
     ricci_bilinear,
     soliton_check_direct,
@@ -223,7 +222,7 @@ def dense_oracle_cases():
     for p in grid(ns=range(1, 7), rhos=(1, Fraction(11, 13)), cs=(0, Fraction(9, 14))):
         M = metric_algebra(p)
         yield str(p), M
-        n_idx = sorted(family_splitting(p.n).n_indices)
+        n_idx = [i for i in range(M.dim) if i not in family_splitting(p.n)]
         sub = Matrix([[M.G[i, j] for j in n_idx] for i in n_idx])
         yield f"nil-{p}", MetricLieAlgebra(subalgebra(M.L, n_idx), sub)
     # Non-family algebras under non-diagonal Gram matrices, so that general
@@ -282,7 +281,7 @@ class TestRicci:
         M = MetricLieAlgebra(L, identity(d))
         assert M.ric == identity(d).scale(Fraction(-(d - 1)))
         v = soliton_check_direct(M)
-        assert v.is_soliton and v.lambda_ == -(d - 1) and is_zero(v.D)
+        assert v["status"] == "soliton" and v["lambda"] == -(d - 1) and is_zero(v["D"])
 
     def test_family_n1_closed_form(self):
         p = FamilyParams(1, Fraction(1), Fraction(1))
@@ -365,23 +364,31 @@ class TestLauretTerms:
 
     @pytest.mark.parametrize("p", list(grid()), ids=str)
     def test_decomposition_identity(self, p):
+        # R, B and sym(ad H) are built without reading ric
         M = metric_algebra(p)
         r_term, b_op, ad_h_s = lauret_terms(M, family_splitting(p.n))
         assert M.ric == add(r_term, b_op.scale(-HALF), ad_h_s.scale(-1))
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_r_term_against_quadratic_sums_at_c0(self, n):
-        # diagonal Gram at c = 0: the orthonormal-basis quadratic sums are
-        # rational and must reproduce the recovered R exactly
-        p = FamilyParams(n, Fraction(2), Fraction(0))
-        M = metric_algebra(p)
-        r_term, _, _ = lauret_terms(M, family_splitting(n))
-        assert curvature_operator_sums(M) == r_term
+    @pytest.mark.parametrize("a12", [Fraction(0), Fraction(1, 3)], ids=str)
+    def test_decomposition_identity_two_abelian(self, a12):
+        # non-diagonal Gram and a two-dimensional abelian part
+        M = MetricLieAlgebra(TWO_ABELIAN, two_abelian_gram(a12))
+        r_term, b_op, ad_h_s = lauret_terms(M, TWO_ABELIAN_SPLITTING)
+        assert M.ric == add(r_term, b_op.scale(-HALF), ad_h_s.scale(-1))
 
-    def test_quadratic_sums_reject_non_diagonal(self):
-        p = FamilyParams(2, Fraction(1), Fraction(1))
-        with pytest.raises(ValueError):
-            curvature_operator_sums(metric_algebra(p))
+    @pytest.mark.parametrize(
+        "p",
+        [FamilyParams(2, Fraction(1), Fraction(1)), FamilyParams(3, Fraction(11, 13), Fraction(9, 14))],
+        ids=str,
+    )
+    def test_bumped_ricci_entry_fails_the_identity(self, p):
+        M = metric_algebra(p)
+        r_term, b_op, ad_h_s = lauret_terms(M, family_splitting(p.n))
+        rebuilt = add(r_term, b_op.scale(-HALF), ad_h_s.scale(-1))
+        bumped = dense(M.ric)
+        bumped[1][M.dim - 1] += Fraction(1, 7)
+        assert M.ric == rebuilt
+        assert Matrix(bumped) != rebuilt
 
 
 class TestSolitonDirect:
@@ -392,26 +399,48 @@ class TestSolitonDirect:
     def test_n1_nilsoliton(self, rho, c):
         v = soliton_check_direct(metric_algebra(FamilyParams(1, rho, c)))
         k = 2 * rho**2 * (rho + c) / (2 * c + rho) ** 3
-        assert v.is_soliton
-        assert v.lambda_ == -3 * k
-        assert v.D == build_delta(1).scale(2 * k)
+        assert v["status"] == "soliton"
+        assert v["lambda"] == -3 * k
+        assert v["D"] == build_delta(1).scale(2 * k)
 
     def test_n3_c0_solvsoliton(self):
         v = soliton_check_direct(metric_algebra(FamilyParams(3, Fraction(1), Fraction(0))))
-        assert v.is_soliton
-        assert v.lambda_ == -10
-        assert v.D == build_delta(3).scale(8)
+        assert v["status"] == "soliton"
+        assert v["lambda"] == -10
+        assert v["D"] == build_delta(3).scale(8)
 
     def test_n2_c1_not_soliton(self):
         v = soliton_check_direct(metric_algebra(FamilyParams(2, Fraction(1), Fraction(1))))
-        assert not v.is_soliton
+        assert v == {
+            "status": "not_soliton",
+            "lambda": None,
+            "lambda_source": None,
+            "D": None,
+            "checklist": None,
+            "witness": None,
+        }
+
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(9, 14)], ids=str)
+    def test_verdict_is_exact_data(self, c):
+        # a soliton holds lambda as a Fraction and D = ric - lambda*Id
+        M = metric_algebra(FamilyParams(1, Fraction(11, 13), c))
+        v = soliton_check_direct(M)
+        assert list(v) == ["status", "lambda", "lambda_source", "D", "checklist", "witness"]
+        assert type(v["lambda"]) is Fraction
+        assert v["D"] == add(M.ric, identity(3).scale(-v["lambda"]))
+        assert (v["status"], v["lambda_source"], v["checklist"], v["witness"]) == (
+            "soliton",
+            "direct",
+            None,
+            None,
+        )
 
     def test_returned_derivation_is_consistent(self):
         M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
         v = soliton_check_direct(M)
-        ok, _ = is_derivation(M.L, v.D)
+        ok, _ = is_derivation(M.L, v["D"])
         assert ok
-        assert v.D == add(M.ric, identity(7).scale(-v.lambda_))
+        assert v["D"] == add(M.ric, identity(7).scale(-v["lambda"]))
 
     def test_no_row_reduction_once_ricci_is_known(self, monkeypatch):
         M = metric_algebra(FamilyParams(3, Fraction(7, 5), Fraction(9, 14)))
@@ -429,7 +458,7 @@ class TestSolitonDirect:
     def test_abelian_algebra_flat_soliton(self):
         L = StructureConstants.from_triples(3, [])
         v = soliton_check_direct(MetricLieAlgebra(L, Matrix.diagonal([1, 2, 3])))
-        assert v.is_soliton and v.lambda_ == 0 and is_zero(v.D)
+        assert v["status"] == "soliton" and v["lambda"] == 0 and is_zero(v["D"])
 
 
 
@@ -506,15 +535,15 @@ class TestSolitonDenseOracle:
     @pytest.mark.parametrize("M", [pytest.param(M, id=name) for name, M in oracle_cases()])
     def test_direct_matches_oracle(self, M):
         v = soliton_check_direct(M)
-        assert (v.status, v.lambda_, v.D) == dense_soliton_oracle(M)
+        assert (v["status"], v["lambda"], v["D"]) == dense_soliton_oracle(M)
 
 
 class TestSolitonLauret:
     def test_n2_c0_all_conditions(self):
         M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
         v = checklist_verdict(M, family_splitting(2))
-        assert v.is_soliton
-        assert v.checklist == {
+        assert v["status"] == "soliton"
+        assert v["checklist"] == {
             "nilsoliton": True,
             "a_abelian": True,
             "ad_normal": True,
@@ -524,30 +553,31 @@ class TestSolitonLauret:
     def test_n2_c1_normality_fails_with_witness(self):
         p = FamilyParams(2, Fraction(1), Fraction(1))
         v = checklist_verdict(metric_algebra(p), family_splitting(2))
-        assert not v.is_soliton
-        assert v.checklist["ad_normal"] is False
-        assert v.witness == expected_normality_commutator(p)
-        assert v.witness[1, 6] == Fraction(-2, 3)
-        assert v.witness[6, 1] == Fraction(-32, 3)
+        assert v["status"] == "not_soliton"
+        assert v["checklist"]["ad_normal"] is False
+        witness = v["witness"]
+        assert witness == expected_normality_commutator(p)
+        assert witness[1, 6] == Fraction(-2, 3)
+        assert witness[6, 1] == Fraction(-32, 3)
         base = 2  # (e0, f0) block start at n=2
-        assert v.witness[base, base] == Fraction(8, 3)
-        assert v.witness[base + 2, base + 2] == Fraction(-8, 3)
+        assert witness[base, base] == Fraction(8, 3)
+        assert witness[base + 2, base + 2] == Fraction(-8, 3)
 
     def test_heis3_reduces_to_nilsoliton_check(self):
         v = checklist_verdict(
             metric_algebra(FamilyParams(1, Fraction(1), Fraction(1))),
             family_splitting(1),
         )
-        assert v.is_soliton
-        assert v.checklist["a_abelian"] and v.checklist["ad_normal"]
+        assert v["status"] == "soliton"
+        assert v["checklist"]["a_abelian"] and v["checklist"]["ad_normal"]
 
     @pytest.mark.parametrize("p", list(grid()), ids=str)
     def test_agreement_with_direct(self, p):
         M = metric_algebra(p)
-        s = family_splitting(p.n)
+        a = family_splitting(p.n)
         direct = soliton_check_direct(M)
-        checklist = soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), direct)
-        assert direct.is_soliton == checklist.is_soliton
+        checklist = soliton_check_lauret(M, a, verify_splitting(M.L, a, M.G), direct)
+        assert direct["status"] == checklist["status"]
 
     @pytest.mark.parametrize(
         "a12, status, lam",
@@ -557,44 +587,48 @@ class TestSolitonLauret:
     def test_norm_condition_on_every_pair_of_the_abelian_part(self, a12, status, lam):
         # <A1, A2> must be -tr(S1 S2)/lambda = 2/3 (see two_abelian_gram)
         M = MetricLieAlgebra(TWO_ABELIAN, two_abelian_gram(a12))
-        s = TWO_ABELIAN_SPLITTING
+        a = TWO_ABELIAN_SPLITTING
         direct = soliton_check_direct(M)
-        checklist = soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), direct)
-        assert (direct.status, direct.lambda_) == (status, lam)
-        assert checklist.status == status
-        assert checklist.lambda_ == Fraction(-3, 2)
-        assert checklist.checklist == {
+        checklist = soliton_check_lauret(M, a, verify_splitting(M.L, a, M.G), direct)
+        assert (direct["status"], direct["lambda"]) == (status, lam)
+        assert checklist["status"] == status
+        assert checklist["lambda"] == Fraction(-3, 2)
+        assert checklist["checklist"] == {
             "nilsoliton": True,
             "a_abelian": True,
             "ad_normal": True,
             "norm_condition": status == "soliton",
         }
-        assert fraction_soliton_check_lauret(M, s).checklist == checklist.checklist
+        assert fraction_soliton_check_lauret(M, a)["checklist"] == checklist["checklist"]
 
     @pytest.mark.parametrize("c", [Fraction(0), Fraction(1)])
     def test_reports_the_direct_verdict_it_is_given(self, c):
         M = metric_algebra(FamilyParams(2, Fraction(3, 2), c))
-        s = family_splitting(2)
+        a = family_splitting(2)
         direct = soliton_check_direct(M)
-        v = soliton_check_lauret(M, s, verify_splitting(M.L, s, M.G), direct)
-        assert v.D is direct.D
-        if direct.is_soliton:
-            assert (v.lambda_, v.lambda_source) == (direct.lambda_, "direct")
+        v = soliton_check_lauret(M, a, verify_splitting(M.L, a, M.G), direct)
+        assert v["D"] is direct["D"]
+        if direct["status"] == "soliton":
+            assert (v["lambda"], v["lambda_source"]) == (direct["lambda"], "direct")
+        else:
+            assert (v["lambda"], v["lambda_source"]) == (None, "none")
 
     def test_lambda_falls_back_to_the_nilsoliton(self):
         # Handed a not_soliton direct verdict, the checklist takes lambda from
         # the nilradical's own direct verdict.  Here that lambda equals the
         # direct one, -8, so the checklist still passes.
         M = metric_algebra(FamilyParams(2, Fraction(1), Fraction(0)))
-        s = family_splitting(2)
-        n_idx = sorted(s.n_indices)
+        a = family_splitting(2)
+        n_idx = list(range(1, 7))
         nil_gram = Matrix([[M.G[i, j] for j in n_idx] for i in n_idx])
         nil = soliton_check_direct(MetricLieAlgebra(subalgebra(M.L, n_idx), nil_gram))
-        report = verify_splitting(M.L, s, M.G)
-        v = soliton_check_lauret(M, s, report, SolitonVerdict(status="not_soliton"))
-        assert nil.is_soliton and nil.lambda_ == soliton_check_direct(M).lambda_ == -8
-        assert (v.lambda_, v.lambda_source, v.D) == (nil.lambda_, "nilsoliton", None)
-        assert v.is_soliton
+        report = verify_splitting(M.L, a, M.G)
+        not_soliton = dict.fromkeys(["lambda", "lambda_source", "D", "checklist", "witness"])
+        v = soliton_check_lauret(M, a, report, {"status": "not_soliton", **not_soliton})
+        assert nil["status"] == "soliton"
+        assert nil["lambda"] == soliton_check_direct(M)["lambda"] == -8
+        assert (v["lambda"], v["lambda_source"], v["D"]) == (nil["lambda"], "nilsoliton", None)
+        assert v["status"] == "soliton"
 
     def test_norm_condition_value_n2_c0(self):
         # <B1R, B1R> = 1 and -(1/lambda) tr(sym^2) = (2n+4)/(2(n+2)) = 1
@@ -625,21 +659,6 @@ class TestScalingCovariance:
             scaled = MetricLieAlgebra(M.L, M.G.scale(t))
             assert scaled.ric == M.ric.scale(1 / t)
             v = soliton_check_direct(scaled)
-            assert v.is_soliton == base.is_soliton
-            if base.is_soliton:
-                assert v.lambda_ == base.lambda_ / t
-
-    def test_verdict_json_shape(self):
-        import json
-
-        v = soliton_check_direct(metric_algebra(FamilyParams(1, Fraction(1), Fraction(0))))
-        payload = json.loads(json.dumps(v.to_jsonable(), sort_keys=True))
-        assert payload["status"] == "soliton"
-        assert set(payload) == {
-            "status",
-            "lambda",
-            "lambda_source",
-            "D",
-            "checklist",
-            "witness",
-        }
+            assert v["status"] == base["status"]
+            if base["status"] == "soliton":
+                assert v["lambda"] == base["lambda"] / t
