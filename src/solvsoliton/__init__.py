@@ -12,19 +12,15 @@ from .family import FamilyParams, build_lie_algebra, family_splitting, metric_al
 from .hypersurface import shape_operator
 from .lie_core import STRUCTURE_CLAIMS, StructureConstants
 from .metric_lie import MetricLieAlgebra, soliton_check_direct, soliton_check_lauret
-from .scalars import Fraction, Surd, rational
 
 __all__ = [
     "FamilyParams",
-    "Fraction",
     "MetricLieAlgebra",
     "STRUCTURE_CLAIMS",
     "StructureConstants",
-    "Surd",
     "build_lie_algebra",
     "family_splitting",
     "metric_algebra",
-    "rational",
     "shape_operator",
     "soliton_check_direct",
     "soliton_check_lauret",

@@ -13,12 +13,13 @@ import gc
 import io
 import os
 import sys
+from fractions import Fraction
+from math import isqrt
 
 from . import family, hypersurface
 from .lie_core import check_jacobi, verify_splitting
 from .linalg import inverse
 from .metric_lie import MetricLieAlgebra, soliton_check_direct, soliton_check_lauret
-from .scalars import rational
 
 __all__ = ["main", "run"]
 
@@ -32,6 +33,21 @@ def _approx(x) -> str:
 
 def _exact(x) -> str:
     return "" if x is None else str(x)
+
+
+def _root_multiple(x, q) -> tuple:
+    """(exact string, 12-digit approximation) of x*sqrt(q) for a rational x
+    and an integer q, both None when x is None; the exact string is str(x)
+    when x = 0 or q = 1, else "0 + x*sqrt(q)"."""
+    if x is None:
+        return None, None
+    if not x or q == 1:
+        return str(x), _approx(x)
+    try:
+        value = float(x) * float(q) ** 0.5
+    except OverflowError:  # q >= 2^1024, so isqrt errs by 2^-512 at most
+        value = x * isqrt(q)
+    return f"0 + {x}*sqrt({q})", _approx(value)
 
 
 def _max_n() -> int:
@@ -129,15 +145,17 @@ def verify_report(p: family.FamilyParams) -> dict:
 
 def spectrum_report(p: family.FamilyParams) -> dict:
     r = _principal_ricci(p)
-    sigma, trace = hypersurface.shape_operator(p)
+    sigma, trace, q = hypersurface.shape_operator(p)
+    shown = [_root_multiple(s, q) for s in sigma]
+    trace_exact, trace_approx = _root_multiple(trace, q)
     mult = list(family.slice_multiplicities(p.n))
     return {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
-        "sigma": [_exact(s) or None for s in sigma],
-        "sigma_approx": [None if s is None else _approx(s) for s in sigma],
+        "sigma": [exact for exact, _ in shown],
+        "sigma_approx": [approx for _, approx in shown],
         "sigma_multiplicities": mult,
-        "trace_shape": _exact(trace),
-        "trace_shape_approx": _approx(trace),
+        "trace_shape": trace_exact,
+        "trace_shape_approx": trace_approx,
         "r": [_exact(x) or None for x in r],
         "r_approx": [None if x is None else _approx(x) for x in r],
         "r_multiplicities": mult,
@@ -175,7 +193,7 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
     for rho in rho_grid:
         for c in c_grid:
             p = family.FamilyParams(n, rho, c)
-            sigma, trace = hypersurface.shape_operator(p)
+            sigma, trace, q = hypersurface.shape_operator(p)
             direct = soliton_check_direct(family.metric_algebra(p))
             row = {
                 "n": n,
@@ -185,12 +203,13 @@ def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
                 "lambda": _exact(direct["lambda"]),
             }
             for i, s in enumerate(sigma, start=1):
-                row[f"sigma{i}"] = _exact(s)
-                row[f"sigma{i}_approx"] = "" if s is None else _approx(s)
+                exact, approx = _root_multiple(s, q)
+                row[f"sigma{i}"] = exact or ""
+                row[f"sigma{i}_approx"] = approx or ""
             for i, r in enumerate(_principal_ricci(p), start=1):
                 row[f"r{i}"] = _exact(r)
                 row[f"r{i}_approx"] = "" if r is None else _approx(r)
-            row["trace_shape"] = _exact(trace)
+            row["trace_shape"] = _root_multiple(trace, q)[0]
             rows.append(row)
     return rows
 
@@ -508,7 +527,7 @@ def _parse_config(argv) -> _Config:
 
     def value(option, text):
         try:
-            return rational(text)
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"{option}: zero denominator in {text.strip()!r}") from None
         except ValueError:
@@ -595,9 +614,10 @@ def _main(argv) -> int:
             text = _render_json(rows)
         else:
             text = "\n\n".join(_render_text(row) for row in rows)
+        # rows run rho-major, so the grid's c values repeat once per rho
         ok = all(
-            row["status"] == family.predicted_status(cfg.n, rational(row["c"]))
-            for row in rows
+            row["status"] == family.predicted_status(cfg.n, c)
+            for row, c in zip(rows, c_grid * len(rho_grid))
         )
     else:
         if cfg.command == "verify":

@@ -10,8 +10,8 @@ endomorphism is A_i = g_i'/(2 g_i), and the shape operator with respect to
 the unit normal is -A/sqrt(f).  Only that one
 radical leaves the rationals: 1/sqrt(f) = 2 rho sqrt((rho+c)/(rho+2c)) =
 b*sqrt(q), with rho taken out of the root before the radicand is reduced,
-so each eigenvalue is a rational multiple of b*sqrt(q), computed over
-``Fraction`` and wrapped as a ``Surd`` last.  The
+so each eigenvalue is x*sqrt(q) with a rational x, and the exact data are
+the x's and the one integer q.  The
 Ricci endomorphism of a slice of an Einstein manifold with constant lambda is
 
     Ric_i/g_i = lambda + k g_i'/g_i - g_i'^2/(2 f g_i^2) + g_i''/(2 f g_i),
@@ -28,7 +28,7 @@ from itertools import accumulate
 
 from .family import FamilyParams, _warp_factor, slice_multiplicities
 from .linalg import Matrix
-from .scalars import Surd, sqrt_parts
+from .scalars import sqrt_parts
 
 __all__ = [
     "shape_operator",
@@ -39,15 +39,15 @@ __all__ = [
 
 
 def shape_operator(p: FamilyParams) -> tuple:
-    """(sigma, trace): the principal curvatures sigma_i = -(g_i'/g_i)/2 *
-    1/sqrt(f), one per slice block, and their sum over the coordinates.
+    """(sigma, trace, q): the principal curvatures sigma_i = -(g_i'/g_i)/2 *
+    1/sqrt(f), one per slice block, and their sum over the coordinates,
+    each as the rational x of x*sqrt(q) with the instance's one radicand q.
 
     1/sqrt(f) = b*sqrt(q) is taken once: each factor (rho + a)^e of f leaves
     (rho + a)^h, h = -e/2 rounded toward zero, outside the root, so rho^2
-    never reaches the radicand.  Each value is the rational x*b times
-    sqrt(q), a ``Fraction`` when x = 0 or q = 1.  Each slice block of
-    :func:`~solvsoliton.family.slice_multiplicities` carries one sigma_k,
-    None on an empty block (b and zrest at n = 1).
+    never reaches the radicand, and q = 1 when 1/sqrt(f) is rational.  Each
+    slice block of :func:`~solvsoliton.family.slice_multiplicities` carries
+    one sigma_k, None on an empty block (b and zrest at n = 1).
     """
     scale, factors = _warp_factor(p.c)
     b, radicand = Fraction(1), 1 / scale
@@ -57,16 +57,11 @@ def shape_operator(p: FamilyParams) -> tuple:
         radicand *= (p.rho + a) ** (-e - 2 * h)
     root, q = sqrt_parts(radicand)
     b *= root
-
-    def value(x):
-        x *= b
-        return Surd(x, q) if x and q != 1 else x
-
     coeffs = [-d1 / 2 for _, d1, _ in p.slice_jets]
     mult = slice_multiplicities(p.n)
     starts = accumulate(mult, initial=0)
-    sigma = tuple(value(coeffs[i]) if m else None for i, m in zip(starts, mult))
-    return sigma, value(sum(coeffs))
+    sigma = tuple(coeffs[i] * b if m else None for i, m in zip(starts, mult))
+    return sigma, sum(coeffs) * b, q
 
 
 def hypersurface_ricci_general(g, dg, d2g, f, df, lam) -> list:

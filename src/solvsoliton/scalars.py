@@ -1,10 +1,8 @@
-"""Exact scalars: rationals, quadratic surds, and the power rule for jets.
+"""Exact scalars: the root of a rational, and the power rule for jets.
 
-Rational numbers are plain ``fractions.Fraction`` (always reduced, positive
-denominator, serialized as ``"p/q"`` or ``"p"``), and the exact pipeline runs
-over them alone.  :func:`sqrt_parts` writes the root of a rational as
-b*sqrt(q) with an integer radicand q, and ``Surd`` holds such a value with
-q > 1 to be compared and rendered; it has no arithmetic.  Whether a root is
+Rational numbers are plain ``fractions.Fraction``, and the exact pipeline
+runs over them alone.  :func:`sqrt_parts` writes the root of a rational as
+b*sqrt(q) with a rational b and an integer radicand q.  Whether a root is
 rational is decided exactly, without factoring: the squares of the primes
 below 1000 leave the radicand, and a square of a larger prime stays inside
 it.
@@ -18,24 +16,7 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
-__all__ = [
-    "Fraction",
-    "Surd",
-    "power_jet",
-    "rational",
-    "sqrt_parts",
-]
-
-
-def rational(value) -> Fraction:
-    """Parse a rational from "p/q" / "p" strings, ints, or Fractions."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+__all__ = ["power_jet", "sqrt_parts"]
 
 
 def power_jet(rho, scale, factors) -> tuple:
@@ -109,47 +90,3 @@ def sqrt_parts(x) -> tuple:
     s, q = _squarefree_decompose(x.numerator * x.denominator)
     return Fraction(s, x.denominator), q
 
-
-class Surd:
-    """b*sqrt(q) with a rational b != 0 and an integer q > 1 that is not a
-    perfect square, as :func:`sqrt_parts` leaves it.
-
-    It compares and hashes by value, so two presentations of one number
-    (say (1/4)sqrt(24) and (1/2)sqrt(6)) are equal; it converts to float
-    and renders as "0 + b*sqrt(q)"; it has no arithmetic.
-    """
-
-    __slots__ = ("b", "q")
-
-    def __init__(self, b: Fraction, q: int):
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Surd is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, Surd):
-            return self._value_key() == other._value_key()
-        if isinstance(other, (int, Fraction)):
-            return False  # irrational, as q is not a perfect square
-        return NotImplemented
-
-    def _value_key(self):
-        # b*sqrt(q) is determined by the sign of b and by b^2 q
-        return self.b > 0, self.b * self.b * self.q
-
-    def __hash__(self):
-        return hash(self._value_key())
-
-    def __float__(self):
-        try:
-            root = float(self.q) ** 0.5
-        except OverflowError:  # q >= 2^1024, so isqrt errs by 2^-512 at most
-            return float(self.b * isqrt(self.q))
-        return float(self.b) * root
-
-    def __str__(self):
-        return f"0 + {self.b}*sqrt({self.q})"
-
-    __repr__ = __str__

@@ -46,17 +46,29 @@ from solvsoliton.metric_lie import (
     soliton_check_direct,
     soliton_check_lauret,
 )
-from solvsoliton.scalars import Surd, power_jet, sqrt_parts
+from solvsoliton.scalars import power_jet, sqrt_parts
 
 _HALF = Fraction(1, 2)
 
 
 def times_sqrt(x, r):
-    """x*sqrt(r) for rationals x and r >= 0 as the package writes it: a
-    ``Fraction`` when rational, else a ``Surd``."""
+    """x*sqrt(r) for rationals x and r >= 0 as the package writes it: the
+    pair (y, q) with x*sqrt(r) = y*sqrt(q), a rational y and the integer
+    radicand q of ``sqrt_parts(r)``."""
     b, q = sqrt_parts(r)
-    x = Fraction(x) * b
-    return Surd(x, q) if x and q != 1 else x
+    return Fraction(x) * b, q
+
+
+def same_root_multiples(xs, q, ys, r) -> bool:
+    """Whether x*sqrt(q) = y*sqrt(r) for each x of ``xs`` and y of ``ys``,
+    None matching None only: x and y have one sign and x^2 q = y^2 r, so a
+    square left inside one radicand does not matter."""
+    return len(xs) == len(ys) and all(
+        x is y
+        if x is None or y is None
+        else (x > 0) == (y > 0) and x * x * q == y * y * r
+        for x, y in zip(xs, ys)
+    )
 
 
 def dense(M: Matrix) -> list:
@@ -405,7 +417,8 @@ class ClosedForms:
 
     sigma and r are ordered (sigma1..sigma4), (r1..r4) with multiplicities
     (2n-2, 1, 2, 2n-2); for n = 1 the outer entries are None and their
-    multiplicities vanish.
+    multiplicities vanish.  Each sigma_k and tr_shape is the rational x of
+    x*sqrt(q), with the one radicand q.
     """
 
     __slots__ = (
@@ -413,30 +426,32 @@ class ClosedForms:
         "sigma_multiplicities",
         "r",
         "tr_shape",
+        "q",
         "h_coeff",
         "lambda_expected",
     )
 
-    def __init__(self, sigma, sigma_multiplicities, r, tr_shape, h_coeff, lambda_expected):
+    def __init__(self, sigma, sigma_multiplicities, r, tr_shape, q, h_coeff, lambda_expected):
         self.sigma = sigma
         self.sigma_multiplicities = sigma_multiplicities
         self.r = r
         self.tr_shape = tr_shape
+        self.q = q
         self.h_coeff = h_coeff
         self.lambda_expected = lambda_expected
 
 
 def expected_closed_forms(p: FamilyParams) -> ClosedForms:
     n, rho, c = p.n, p.rho, p.c
-    q = (rho + c) / (rho + 2 * c)
-    s1 = times_sqrt(c / (rho + c), q)
-    s2 = times_sqrt((2 * rho**2 + 5 * c * rho + 4 * c**2) / ((rho + 2 * c) * (rho + c)), q)
-    s3 = times_sqrt((rho + 4 * c) / (rho + 2 * c), q)
-    s4 = times_sqrt(Fraction(1), q)
-    tr_shape = times_sqrt(
+    b, q = sqrt_parts((rho + c) / (rho + 2 * c))
+    s1 = c / (rho + c) * b
+    s2 = (2 * rho**2 + 5 * c * rho + 4 * c**2) / ((rho + 2 * c) * (rho + c)) * b
+    s3 = (rho + 4 * c) / (rho + 2 * c) * b
+    s4 = b
+    tr_shape = (
         ((2 * n + 2) * rho**2 + (8 * n + 7) * c * rho + (8 * n + 4) * c**2)
-        / ((rho + c) * (rho + 2 * c)),
-        q,
+        / ((rho + c) * (rho + 2 * c))
+        * b
     )
     r1, r2, r3, r4 = ricci_eigenvalue_formulas(n, rho, c)
     mult = (2 * n - 2, 1, 2, 2 * n - 2)
@@ -451,6 +466,7 @@ def expected_closed_forms(p: FamilyParams) -> ClosedForms:
         sigma_multiplicities=mult,
         r=r,
         tr_shape=tr_shape,
+        q=q,
         h_coeff=(2 * n - 2) * rho / (rho + c),
         lambda_expected=Fraction(-2 * (n + 2)),
     )
@@ -1160,10 +1176,10 @@ def heisenberg_slice_diagonal(c) -> list:
 
 
 def heisenberg_shape_operator(p: FamilyParams) -> tuple:
-    """``hypersurface.shape_operator`` at n = 1, (sigma, trace), over the
-    jets of :func:`heisenberg_slice_diagonal`."""
-    r = 1 / p.warp_jet[0]
+    """``hypersurface.shape_operator`` at n = 1, (sigma, trace, q), over the
+    jets of :func:`heisenberg_slice_diagonal`, with rho^2 left inside the
+    root of 1/f."""
+    b, q = sqrt_parts(1 / p.warp_jet[0])
     jets = [power_jet(p.rho, *entry) for entry in heisenberg_slice_diagonal(p.c)]
-    coeffs = [-d1 / 2 for _, d1, _ in jets]
-    sigma = (None, times_sqrt(coeffs[0], r), times_sqrt(coeffs[1], r), None)
-    return sigma, times_sqrt(sum(coeffs), r)
+    coeffs = [-d1 / 2 * b for _, d1, _ in jets]
+    return (None, coeffs[0], coeffs[1], None), sum(coeffs), q

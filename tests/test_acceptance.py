@@ -130,10 +130,8 @@ def test_criterion_2_three_way_ricci_agreement():
 def test_criterion_3_principal_curvature_closed_forms():
     ok = True
     for p in grid_params():
-        sigma, trace = shape_operator(p)
         forms = expected_closed_forms(p)
-        ok &= sigma == tuple(forms.sigma)
-        ok &= trace == forms.tr_shape
+        ok &= shape_operator(p) == (tuple(forms.sigma), forms.tr_shape, forms.q)
         r = ricci_eigenvalue_formulas(p.n, p.rho, p.c)
         if p.c == 0:
             ok &= r == (-2 * (p.n + 2), 2 * p.n, -2, -2)
@@ -305,7 +303,8 @@ def test_criterion_9_property_suites():
         q = Fraction(rng.randint(1, 40), rng.randint(1, 8))
         b = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
         approx = float(b) * math.sqrt(q)
-        exact = float(times_sqrt(b, q))
+        x, r = times_sqrt(b, q)
+        exact = float(x) * math.sqrt(r)
         ok &= abs(exact - approx) <= 1e-12 * max(1.0, abs(approx))
 
     # scaling covariance: G -> tG keeps the status and scales lambda by 1/t

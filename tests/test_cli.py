@@ -473,6 +473,28 @@ class TestSweep:
         assert code == 1
         assert [r["status"] for r in json.loads(out)] == ["not_soliton"] * 2
 
+    def test_status_is_checked_against_the_grid_c_of_its_row(self, capsys, monkeypatch):
+        # rows run rho-major: (1, 0), (1, 1), (2, 0), (2, 1), predicted
+        # solvsoliton, not_soliton, solvsoliton, not_soliton at n = 2
+        argv = ["sweep", "--n", "2", "--rho-grid", "1,2", "--c-grid", "0,1", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)) == 4
+        classify, calls = family.classify_status, []
+
+        def third_row_disagrees(n, status):
+            calls.append(n)
+            return "not_soliton" if len(calls) == 3 else classify(n, status)
+
+        monkeypatch.setattr(family, "classify_status", third_row_disagrees)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert [(r["rho"], r["c"], r["status"]) for r in json.loads(out)] == [
+            ("1", "0", "solvsoliton"),
+            ("1", "1", "not_soliton"),
+            ("2", "0", "not_soliton"),
+            ("2", "1", "not_soliton"),
+        ]
+
     def test_every_row_prints_at_a_tiny_c(self, capsys):
         # the radicand at c = 1e-40 has a 207-bit part with no small prime
         # square; it stays in the root and both rows print

@@ -227,10 +227,10 @@ class TestClosedForms:
 
     def test_sigma_n2_c1(self):
         forms = expected_closed_forms(FamilyParams(2, Fraction(1), Fraction(1)))
-        q = Fraction(2, 3)
-        assert forms.sigma[0] == times_sqrt(Fraction(1, 2), q)
-        assert forms.sigma[3] == times_sqrt(1, q)
-        assert forms.tr_shape == times_sqrt(Fraction(49, 6), q)
+        r = Fraction(2, 3)
+        assert (forms.sigma[0], forms.q) == times_sqrt(Fraction(1, 2), r)
+        assert (forms.sigma[3], forms.q) == times_sqrt(1, r)
+        assert (forms.tr_shape, forms.q) == times_sqrt(Fraction(49, 6), r)
 
     def test_r4_closed_form(self):
         r = ricci_eigenvalue_formulas(2, Fraction(1), Fraction(1))

@@ -1,7 +1,7 @@
 """Canonical CLI output bytes against recorded SHA-256 digests.
 
-A handful of the benchmark's recorded requests (perfbench/golden.json), and
-the reports that the benchmark does not cover (tests/report_digests.json:
+Every request the benchmark records (perfbench/golden.json: ``verify`` and
+``sweep`` CSV), and the reports that the benchmark does not cover (tests/report_digests.json:
 ``spectrum`` (json, text, csv), ``ricci`` and ``soliton`` at n = 1-3,
 ``verify`` and ``sweep`` at n = 1-2, ``einstein`` at n = 1-4), run in-process
 through ``cli.main``;
@@ -25,28 +25,14 @@ from solvsoliton.cli import main
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 REPORTS = Path(__file__).resolve().parent / "report_digests.json"
 
-KEYS = [
-    "verify --n 3 --rho 1 --c 0 --format json",
-    "verify --n 3 --rho 1 --c 1 --format json",
-    "verify --n 4 --rho 1 --c 0 --format json",
-    "verify --n 4 --rho 1 --c 12/13 --format json",
-    "verify --n 5 --rho 1 --c 0 --format json",
-    "verify --n 5 --rho 1 --c 4/5 --format json",
-    "sweep --n 2 --rho-grid 101/110,229/161 --c-grid 0,203/157 --format csv",
-    "sweep --n 3 --rho-grid 100/81,121/103 --c-grid 0,233/231 --format csv",
-]
+GOLDEN_DIGESTS = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
 
 
-@pytest.fixture(scope="module")
-def digests():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
-
-
-@pytest.mark.parametrize("key", KEYS)
-def test_stdout_matches_recorded_digest(capsys, digests, key):
+@pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS))
+def test_stdout_matches_recorded_digest(capsys, key):
     assert main(key.split()) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[key]
 
 
 REPORT_KEYS = [

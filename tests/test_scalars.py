@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, surds, the power rule for jets."""
+"""Exact scalar arithmetic: rationals, roots of rationals, the power rule for jets."""
 
 import random
 import time
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import Jet2, times_sqrt
 
 from solvsoliton import scalars
-from solvsoliton.scalars import Surd, power_jet, rational
+from solvsoliton.scalars import power_jet
 
 
 class TestRational:
@@ -25,12 +25,8 @@ class TestRational:
         assert (rho + 2 * c) / (rho + c) == Fraction(4, 3)
 
     def test_parse_and_format(self):
-        assert rational("5/6") == Fraction(5, 6)
-        assert rational("-3") == Fraction(-3)
         assert str(Fraction(5, 6)) == "5/6"
         assert str(Fraction(7)) == "7"
-        with pytest.raises(TypeError):
-            rational(1.5)
 
     def test_field_axioms_randomized(self):
         rng = random.Random(99)
@@ -71,50 +67,27 @@ class TestSqrtParts:
             scalars.sqrt_parts(-1)
 
 
-class TestSurd:
+class TestTimesSqrt:
     def test_sigma4_value(self):
-        # sqrt((rho+c)/(rho+2c)) at rho=1, c=1 is sqrt(2/3)
-        s4 = times_sqrt(1, Fraction(2, 3))
-        assert isinstance(s4, Surd)
-        assert abs(float(s4) - (2 / 3) ** 0.5) < 1e-15
-        assert isinstance(times_sqrt(2, Fraction(9, 4)), Fraction)
+        # sqrt((rho+c)/(rho+2c)) at rho=1, c=1 is sqrt(2/3) = (1/3) sqrt(6)
+        x, q = times_sqrt(1, Fraction(2, 3))
+        assert (x, q) == (Fraction(1, 3), 6)
+        assert abs(float(x) * q**0.5 - (2 / 3) ** 0.5) < 1e-15
+        assert times_sqrt(2, Fraction(9, 4)) == (3, 1)
 
     def test_sigma_ratio_is_rational(self):
         # sigma1 / sigma4 = c/(rho+c) at rho=1, c=1: one radicand, rational
         # coefficients in the ratio 1/2
         rho, c = Fraction(1), Fraction(1)
         q = (rho + c) / (rho + 2 * c)
-        s1 = times_sqrt(c / (rho + c), q)
-        s4 = times_sqrt(1, q)
-        assert s1.q == s4.q
-        assert s1.b / s4.b == Fraction(1, 2)
+        (s1, q1), (s4, q4) = times_sqrt(c / (rho + c), q), times_sqrt(1, q)
+        assert q1 == q4
+        assert s1 / s4 == Fraction(1, 2)
 
-    def test_presentation_independent_equality(self):
-        # sqrt(3/8) = (1/4) sqrt(6): canonical radicands make these identical
-        assert times_sqrt(Fraction(2, 3), Fraction(3, 8)) == times_sqrt(
-            Fraction(1, 2), Fraction(2, 3)
-        )
-        # the square of 1009 stays in one radicand; equality is by value
-        # all the same
-        wide, narrow = Surd(Fraction(1), 1009**2 * 3), Surd(Fraction(1009), 3)
-        assert wide == narrow and hash(wide) == hash(narrow)
-        assert wide != Surd(Fraction(-1009), 3) and wide != Fraction(1009)
-
-    def test_no_arithmetic_or_ordering(self):
-        names = {
-            "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-            "__rmul__", "__truediv__", "__rtruediv__",
-            "__lt__", "__le__", "__gt__", "__ge__", "sign",
-        }
-        assert not names & set(vars(Surd))
-        with pytest.raises(TypeError):
-            Surd(Fraction(1), 2) + 1
-        with pytest.raises(AttributeError):
-            Surd(Fraction(1), 2).b = 3
-
-    def test_string_form(self):
-        # the "0 + " prefix is part of the report format
-        assert str(Surd(Fraction(3, 4), 2)) == "0 + 3/4*sqrt(2)"
+    def test_canonical_radicands(self):
+        # (2/3) sqrt(3/8) = (1/2) sqrt(2/3) = (1/6) sqrt(6): one presentation
+        assert times_sqrt(Fraction(2, 3), Fraction(3, 8)) == (Fraction(1, 6), 6)
+        assert times_sqrt(Fraction(1, 2), Fraction(2, 3)) == (Fraction(1, 6), 6)
 
 
 class TestJet2:
@@ -268,7 +241,7 @@ class TestSquarefreeDecompose:
 
     def test_squares_of_primes_above_2_20(self):
         # isqrt still finds the square of a large prime whole; beside another
-        # prime it stays in the radicand, and the Surd is equal by value
+        # prime it stays in the radicand
         primes = [
             p for p in range(2**20 + 1, 2**20 + 400, 2)
             if all(p % d for d in range(3, isqrt(p) + 1, 2))
@@ -281,7 +254,6 @@ class TestSquarefreeDecompose:
         p, q = primes[:2]
         assert trial_division_decompose(p * p * q) == (p, q)
         assert scalars._squarefree_decompose(p * p * q) == (1, p * p * q)
-        assert Surd(Fraction(1), p * p * q) == Surd(Fraction(p), q)
 
     def test_bounded_form_on_random_and_built_inputs(self):
         # k = s^2 m; m = 1 exactly when k is a perfect square; no p^2 with
