@@ -223,7 +223,7 @@ def einstein_report(p: family.FamilyParams) -> tuple:
     residuals, gram_err, eigenvalue_err, ok = einstein_check(p)
     report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
-        "einstein_constant": -2 * (p.n + 2),
+        "einstein_constant": family.einstein_constant(p.n),
         "residuals": {k: f"{v:.6e}" for k, v in residuals.items()},
         "max_residual": f"{max(residuals.values()):.6e}",
         "induced_gram_error": f"{gram_err:.6e}",
@@ -415,10 +415,8 @@ _INSTANCE = (
 OPTIONS = {name: _INSTANCE for name in COMMANDS}
 OPTIONS["sweep"] = (
     _N,
-    ("--rho", "1", "RHO", "rational, e.g. 5/2 (ignored with --rho-grid)"),
-    ("--c", "0", "C", "rational >= 0 (ignored with --c-grid)"),
-    ("--rho-grid", "", "RHO_GRID", "comma-separated rationals"),
-    ("--c-grid", "", "C_GRID", "comma-separated rationals"),
+    ("--rho-grid", "1", "RHO_GRID", "comma-separated rationals (default: 1)"),
+    ("--c-grid", "0", "C_GRID", "comma-separated rationals >= 0 (default: 0)"),
     *_OUTPUT,
 )
 
@@ -503,10 +501,10 @@ def _parse_options(argv) -> tuple:
 
 
 class _Config:
-    """A parsed command line: ``rho``, ``c`` and the grids (None when not
-    given) as exact rationals."""
+    """A parsed command line: ``rhos`` and ``cs`` are the exact rationals a
+    run uses, one each for a single instance and the grids for ``sweep``."""
 
-    __slots__ = ("command", "n", "rho", "c", "rho_grid", "c_grid", "format", "output")
+    __slots__ = ("command", "n", "rhos", "cs", "format", "output")
 
 
 def _parse_config(argv) -> _Config:
@@ -533,14 +531,13 @@ def _parse_config(argv) -> _Config:
         except ValueError:
             raise ValueError(f"{option}: invalid rational {text.strip()!r}") from None
 
-    def grid(option):
-        text = opts.get(option)
-        return [value(option, part) for part in text.split(",")] if text else None
+    def values(option):  # a grid's parts, or an instance's one value
+        parts = opts[option].split(",") if option.endswith("-grid") else [opts[option]]
+        return [value(option, part) for part in parts]
 
-    cfg.rho = value("--rho", opts["--rho"])
-    cfg.c = value("--c", opts["--c"])
-    cfg.rho_grid = grid("--rho-grid")
-    cfg.c_grid = grid("--c-grid")
+    suffix = "-grid" if command == "sweep" else ""
+    cfg.rhos = values("--rho" + suffix)
+    cfg.cs = values("--c" + suffix)
     return cfg
 
 
@@ -568,17 +565,11 @@ def _main(argv) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 
-    rho_grid = cfg.rho_grid or [cfg.rho]
-    c_grid = cfg.c_grid or [cfg.c]
     try:
-        # sweep reads --rho and --c only where no grid replaces them, so a
-        # sweep that runs skips their check; a refused line keeps its message
-        runs_sweep = cfg.command == "sweep" and (
-            min(rho_grid) > 0 and min(c_grid) >= 0 and 1 <= cfg.n <= _max_n()
-        )
-        if not runs_sweep and (cfg.n < 1 or cfg.rho <= 0 or cfg.c < 0):
+        outside = min(cfg.rhos) <= 0 or min(cfg.cs) < 0
+        if cfg.n < 1 or (outside and cfg.command != "sweep"):
             raise ValueError("need n >= 1, rho > 0, c >= 0")
-        if cfg.command == "sweep" and (min(rho_grid) <= 0 or min(c_grid) < 0):
+        if outside:
             raise ValueError("need rho > 0, c >= 0 at every grid point")
         if cfg.command == "einstein":
             if cfg.n > EINSTEIN_MAX_N:
@@ -588,12 +579,6 @@ def _main(argv) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            try:
-                in_float_range = float(cfg.rho) > 0 and float(cfg.c) >= 0
-            except OverflowError:
-                in_float_range = False
-            if not in_float_range:
-                raise ValueError("einstein needs rho and c within float range")
         elif cfg.n > _max_n():
             print(
                 f"n={cfg.n} exceeds SOLV_MAX_N={_max_n()} for the exact path",
@@ -601,13 +586,15 @@ def _main(argv) -> int:
             )
             return 2
         if cfg.command != "sweep":
-            p = family.FamilyParams(cfg.n, cfg.rho, cfg.c)
+            p = family.FamilyParams(cfg.n, cfg.rhos[0], cfg.cs[0])
+        if cfg.command == "einstein":  # the float engine refuses what it cannot evaluate
+            report, residual_rows = einstein_report(p)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 
     if cfg.command == "sweep":
-        rows = sweep_rows(cfg.n, rho_grid, c_grid)
+        rows = sweep_rows(cfg.n, cfg.rhos, cfg.cs)
         if cfg.format == "csv":
             text = _render_csv(rows)
         elif cfg.format == "json":
@@ -617,7 +604,7 @@ def _main(argv) -> int:
         # rows run rho-major, so the grid's c values repeat once per rho
         ok = all(
             row["status"] == family.predicted_status(cfg.n, c)
-            for row, c in zip(rows, c_grid * len(rho_grid))
+            for row, c in zip(rows, cfg.cs * len(cfg.rhos))
         )
     else:
         if cfg.command == "verify":
@@ -633,11 +620,6 @@ def _main(argv) -> int:
             report = spectrum_report(p)
             ok = True
         elif cfg.command == "einstein":
-            try:
-                report, residual_rows = einstein_report(p)
-            except ValueError as exc:
-                print(f"parameter error: {exc}", file=sys.stderr)
-                return 2
             ok = report["ok"]
         else:  # pragma: no cover - the parser restricts the choices
             return 2

@@ -23,6 +23,7 @@ from operator import mul
 from .family import (
     FamilyParams,
     coordinate_gram_values,
+    einstein_constant,
     ricci_eigenvalue_formulas,
     slice_multiplicities,
 )
@@ -408,11 +409,11 @@ def _max_abs(values) -> float:
 
 
 def einstein_residual(jets) -> float:
-    """max |Ric + 2(n+2) g| / max |g| from the jets of the 4n-dimensional
-    ambient metric at a point; nan if not finite."""
+    """max |Ric - lambda g| / max |g|, lambda = :func:`einstein_constant`, from
+    the jets of the 4n-dimensional ambient metric at a point; nan if not finite."""
     g, dg, d2g = jets
     ric = ricci_from_jets(g, dg, d2g)
-    lam = -2.0 * (len(g) // 4 + 2)
+    lam = einstein_constant(len(g) // 4)
     worst = _max_abs(r - lam * x for rr, gr in zip(ric, g) for r, x in zip(rr, gr))
     return worst / _max_abs(x for row in g for x in row)
 
@@ -471,7 +472,7 @@ def induced_consistency(jets, p: FamilyParams) -> tuple:
         [G2.get((i, i), 0.0) for i in inner],
         g[0][0],
         dg[0][0][0],
-        -2.0 * (n + 2),
+        einstein_constant(n),
     )
     r = ricci_eigenvalue_formulas(n, p.rho, p.c)
     expected = [float(x) for x, m in zip(r, slice_multiplicities(n)) for _ in range(m)]
@@ -485,12 +486,19 @@ def einstein_check(p: FamilyParams) -> tuple:
     The points are p_rho and the two :func:`off_center_points`; p_rho's
     jets also feed :func:`induced_consistency`.  ``ok`` holds when every
     residual is below RESIDUAL_TOL and the two induced errors below
-    GRAM_TOL and EIGENVALUE_TOL.  A ValueError if the float metric is not
-    finite or not invertible at some point.
+    GRAM_TOL and EIGENVALUE_TOL.  A ValueError if rho or c is outside float
+    range (rho rounds to 0 or either overflows), or if the float metric is
+    not finite or not invertible at some point.
     """
+    try:
+        rho, c = float(p.rho), float(p.c)
+    except OverflowError:
+        rho = 0.0
+    if rho == 0:
+        raise ValueError("einstein needs rho and c within float range")
     n = p.n
-    M = AmbientMetric(n, float(p.c))
-    points = {"p_rho": p_rho_point(n, float(p.rho))}
+    M = AmbientMetric(n, c)
+    points = {"p_rho": p_rho_point(n, rho)}
     for i, pt in enumerate(off_center_points(n)):
         points[f"offcenter{i}"] = pt
     try:
@@ -503,7 +511,7 @@ def einstein_check(p: FamilyParams) -> tuple:
     if not finite:
         raise ValueError(
             "the float metric is not finite and invertible at "
-            f"rho={float(p.rho):.6g}, c={float(p.c):.6g}"
+            f"rho={rho:.6g}, c={c:.6g}"
         )
     ok = (
         max(residuals.values()) < RESIDUAL_TOL

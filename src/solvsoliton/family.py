@@ -45,6 +45,7 @@ __all__ = [
     "slice_multiplicities",
     "slice_diagonal",
     "coordinate_gram_values",
+    "einstein_constant",
     "ricci_eigenvalue_formulas",
     "expected_ric_matrix",
     "predicted_status",
@@ -246,11 +247,14 @@ def slice_multiplicities(n: int) -> tuple:
 def slice_diagonal(n: int, c) -> list:
     """Diagonal of the slice metric g_rho in coordinate order, each entry
     K * prod (rho + a)^p given as its (K, ((a, p), ...)) for
-    :func:`~solvsoliton.scalars.power_jet`.  These are the only copies of
-    the four entry formulas:
+    :func:`~solvsoliton.scalars.power_jet`:
 
         b = (rho + c)/(4 rho),   phi = (rho + c)/(4 rho^2 (rho + 2c)),
         z0 = (rho + 2c)/(2 rho^2),   zrest = 1/(2 rho).
+
+    ``AmbientMetric.jets`` restates them on purpose, as the independent
+    ambient assembly, and :func:`build_gram` in the algebra basis, tied to
+    them by the P^T G P check of :func:`build_embedding`.
     """
     quarter, half = Fraction(1, 4), Fraction(1, 2)
     b = (quarter, ((0, -1), (c, 1)))
@@ -262,8 +266,9 @@ def slice_diagonal(n: int, c) -> list:
 
 
 def _warp_factor(c) -> tuple:
-    """The only copy of the warp factor f = (rho + 2c)/(4 rho^2 (rho + c)),
-    as its (K, ((a, p), ...)) for :func:`~solvsoliton.scalars.power_jet`."""
+    """The warp factor f = (rho + 2c)/(4 rho^2 (rho + c)) as its (K, ((a, p), ...))
+    for :func:`~solvsoliton.scalars.power_jet`; ``AmbientMetric.jets``
+    restates it on purpose, as the independent ambient assembly."""
     return Fraction(1, 4), ((0, -2), (c, -1), (2 * c, 1))
 
 
@@ -312,6 +317,11 @@ def build_embedding(p: FamilyParams, gram: Matrix) -> Matrix:
 
 
 # --- closed forms ------------------------------------------------------------
+
+
+def einstein_constant(n: int) -> int:
+    """lambda = -2(n + 2), with Ric = lambda g on the 4n-dimensional ambient metric."""
+    return -2 * (n + 2)
 
 
 def ricci_eigenvalue_formulas(n: int, rho: Fraction, c: Fraction):

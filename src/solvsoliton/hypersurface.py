@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .family import FamilyParams, _warp_factor, slice_multiplicities
+from .family import FamilyParams, _warp_factor, einstein_constant, slice_multiplicities
 from .linalg import Matrix
 from .scalars import sqrt_parts
 
@@ -95,7 +95,7 @@ def ricci_endomorphism_coords(p: FamilyParams) -> Matrix:
         [d2 for _, _, d2 in jets],
         f,
         f * f_d1,
-        Fraction(-2 * (p.n + 2)),
+        einstein_constant(p.n),
     )
     return Matrix.diagonal(ratios)
 

@@ -134,7 +134,10 @@ class TestUsageErrors:
     )
     def test_non_integer_max_n_names_the_variable(self, capsys, monkeypatch, command, value):
         monkeypatch.setenv("SOLV_MAX_N", value)
-        code, out, err = run(capsys, command, "--n", "2", "--rho", "1", "--c", "0")
+        point = ["--rho", "1", "--c", "0"]
+        if command == "sweep":
+            point = ["--rho-grid", "1", "--c-grid", "0"]
+        code, out, err = run(capsys, command, "--n", "2", *point)
         assert (code, out) == (2, "")
         assert err == f"parameter error: SOLV_MAX_N must be an integer, not {value!r}\n"
 
@@ -378,7 +381,7 @@ class TestSweep:
             "sweep",
             "--n",
             "2",
-            "--rho",
+            "--rho-grid",
             "1",
             "--c-grid",
             "0,1/10,1",
@@ -401,7 +404,7 @@ class TestSweep:
             "sweep",
             "--n",
             "2",
-            "--c",
+            "--c-grid",
             "1",
             "--rho-grid",
             "3,4",
@@ -423,7 +426,7 @@ class TestSweep:
             "3",
             "--rho-grid",
             "1,2,5/2",
-            "--c",
+            "--c-grid",
             "0",
             "--format",
             "json",
@@ -515,23 +518,28 @@ class TestSweep:
         rows = cli.sweep_rows(2, [Fraction(1)], [Fraction(0), Fraction(1, 3)])
         assert [r["status"] for r in rows] == ["solvsoliton", "not_soliton"]
 
-    @pytest.mark.parametrize("ignored", [("--rho", "-1"), ("--c", "-1")])
-    def test_an_option_that_a_grid_replaces_is_not_checked(self, capsys, ignored):
-        argv = ["sweep", "--n", "1", "--rho-grid", "1", "--c-grid", "0"]
-        code, out, err = run(capsys, *argv, *ignored)
-        assert (code, out, err) == run(capsys, *argv)
-        assert code == 0 and err == ""
+    @pytest.mark.parametrize("option", ["--rho", "--c"])
+    def test_a_single_point_option_is_unrecognized(self, capsys, option):
+        argv = ["sweep", "--n", "1", "--rho-grid", "1", "--c-grid", "0", option, "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == cli._usage("sweep") + f"solvsoliton: error: unrecognized arguments: {option}\n"
+
+    @pytest.mark.parametrize("option", ["--rho-grid", "--c-grid"])
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_an_empty_grid_is_refused(self, capsys, option, form):
+        empty = [option, ""] if form == "separate" else [f"{option}="]
+        code, out, err = run(capsys, "sweep", "--n", "1", *empty)
+        assert (code, out, err) == (2, "", f"parameter error: {option}: invalid rational ''\n")
 
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["--rho", "-1"], "need n >= 1, rho > 0, c >= 0"),
-            (["--c", "-1", "--rho-grid", "1"], "need n >= 1, rho > 0, c >= 0"),
-            (["--rho", "-1", "--rho-grid", "0,1"], "need n >= 1, rho > 0, c >= 0"),
-            (["--c", "-1", "--c-grid", "-1"], "need n >= 1, rho > 0, c >= 0"),
-            (["--rho", "-1", "--rho-grid", "1", "--n", "0"], "need n >= 1, rho > 0, c >= 0"),
-            (["--rho", "-1", "--rho-grid", "1", "--n", "17"], "need n >= 1, rho > 0, c >= 0"),
+            (["--n", "0"], "need n >= 1, rho > 0, c >= 0"),
+            (["--n", "0", "--rho-grid", "0,1"], "need n >= 1, rho > 0, c >= 0"),
             (["--rho-grid", "0,1"], "need rho > 0, c >= 0 at every grid point"),
+            (["--c-grid", "-1"], "need rho > 0, c >= 0 at every grid point"),
+            (["--rho-grid", "0,1", "--n", "17"], "need rho > 0, c >= 0 at every grid point"),
         ],
     )
     def test_a_refused_line_keeps_its_message(self, capsys, monkeypatch, argv, message):
@@ -1109,7 +1117,12 @@ def test_help_exits_0(capsys, command, flag):
     if command is None:
         assert all(name in out for name in cli.COMMANDS)
     else:
-        assert "--rho RHO" in out and "--format {text,json,csv}" in out
+        assert "--format {text,json,csv}" in out
+        if command == "sweep":
+            assert "--rho-grid RHO_GRID" in out and "--c-grid C_GRID" in out
+            assert "--rho RHO" not in out and "--c C" not in out
+        else:
+            assert "--rho RHO" in out and "--c C" in out
 
 
 # ---------------------------------------------------------------------------

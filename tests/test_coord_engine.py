@@ -379,3 +379,11 @@ def test_einstein_check_refuses_a_non_finite_metric():
     assert str(info.value) == (
         "the float metric is not finite and invertible at rho=1, c=1e+300"
     )
+
+
+@pytest.mark.parametrize("rho, c", [("1e400", "0"), ("1e-400", "0"), ("1", "1e400")])
+def test_einstein_check_refuses_rho_or_c_outside_float_range(rho, c):
+    # 1e400 overflows a float and 1e-400 rounds to 0
+    with pytest.raises(ValueError) as info:
+        einstein_check(FamilyParams(2, Fraction(rho), Fraction(c)))
+    assert str(info.value) == "einstein needs rho and c within float range"
