@@ -2,9 +2,12 @@
 
 Subcommands: ``verify`` (full consistency run for one instance), ``ricci``,
 ``soliton``, ``spectrum``, ``sweep`` (tabulate a parameter grid), and
-``einstein`` (numeric ambient checks).  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 usage, parameter or output error.  Exact strings
-are authoritative; decimal columns are 12-significant-digit approximations.
+``einstein`` (numeric ambient checks).  Each command is one function of a
+point, returning its report and whether it passes; it runs over the (rho, c)
+points rho-major, a single instance being a one-point grid.  Exit codes: 0
+all checks pass, 1 a mathematical check failed at some point, 2 usage,
+parameter or output error.  Exact strings are authoritative; decimal columns
+are 12-significant-digit approximations.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def _delta_multiple(p: family.FamilyParams, D):
     return k if D == delta.scale(k) else None
 
 
-def verify_report(p: family.FamilyParams) -> dict:
+def verify_report(p: family.FamilyParams) -> tuple:
     M = family.metric_algebra(p)
     jacobi_ok, _ = check_jacobi(M.L)
     splitting, direct, checklist = _soliton_pair(p, M)
@@ -123,7 +126,8 @@ def verify_report(p: family.FamilyParams) -> dict:
     shown = _verdict_strings(direct)
     predicted = family.predicted_status(p.n, p.c)
     checks_ok = jacobi_ok and all(splitting.values()) and ricci_ok and trace_ok and agree
-    return {
+    ok = bool(checks_ok and status == predicted)
+    report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "checks": {
             "jacobi": jacobi_ok,
@@ -139,17 +143,18 @@ def verify_report(p: family.FamilyParams) -> dict:
         "status_matches_prediction": status == predicted,
         "lambda": shown["lambda"],
         "delta_multiple": _exact(_delta_multiple(p, direct["D"])) or None,
-        "ok": bool(checks_ok and status == predicted),
+        "ok": ok,
     }
+    return report, ok
 
 
-def spectrum_report(p: family.FamilyParams) -> dict:
+def spectrum_report(p: family.FamilyParams) -> tuple:
     r = _principal_ricci(p)
     sigma, trace, q = hypersurface.shape_operator(p)
     shown = [_root_multiple(s, q) for s in sigma]
     trace_exact, trace_approx = _root_multiple(trace, q)
     mult = list(family.slice_multiplicities(p.n))
-    return {
+    report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "sigma": [exact for exact, _ in shown],
         "sigma_approx": [approx for _, approx in shown],
@@ -161,11 +166,12 @@ def spectrum_report(p: family.FamilyParams) -> dict:
         "r_multiplicities": mult,
         "note": "decimal fields are 12-digit approximations; exact strings are authoritative",
     }
+    return report, True
 
 
-def ricci_report(p: family.FamilyParams) -> dict:
+def ricci_report(p: family.FamilyParams) -> tuple:
     koszul, expected, conjugated = _three_way_ricci(p, family.metric_algebra(p))
-    return {
+    report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "ricci_endomorphism": koszul.to_strings(),
         "agreement": {
@@ -175,49 +181,48 @@ def ricci_report(p: family.FamilyParams) -> dict:
         "principal_curvatures": [_exact(r) or None for r in _principal_ricci(p)],
         "trace_identity": hypersurface.trace_identity_check(p),
     }
+    return report, all(report["agreement"].values()) and report["trace_identity"]
 
 
-def soliton_report(p: family.FamilyParams) -> dict:
+def soliton_report(p: family.FamilyParams) -> tuple:
     _, direct, checklist = _soliton_pair(p, family.metric_algebra(p))
-    return {
+    report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
         "direct": _verdict_strings(direct),
         "checklist": _verdict_strings(checklist),
         "status": family.classify_status(p.n, direct["status"]),
         "delta_multiple": _exact(_delta_multiple(p, direct["D"])) or None,
     }
+    return report, direct["status"] == checklist["status"]
 
 
-def sweep_rows(n: int, rho_grid: list, c_grid: list) -> list:
-    rows = []
-    for rho in rho_grid:
-        for c in c_grid:
-            p = family.FamilyParams(n, rho, c)
-            sigma, trace, q = hypersurface.shape_operator(p)
-            direct = soliton_check_direct(family.metric_algebra(p))
-            row = {
-                "n": n,
-                "rho": str(rho),
-                "c": str(c),
-                "status": family.classify_status(n, direct["status"]),
-                "lambda": _exact(direct["lambda"]),
-            }
-            for i, s in enumerate(sigma, start=1):
-                exact, approx = _root_multiple(s, q)
-                row[f"sigma{i}"] = exact or ""
-                row[f"sigma{i}_approx"] = approx or ""
-            for i, r in enumerate(_principal_ricci(p), start=1):
-                row[f"r{i}"] = _exact(r)
-                row[f"r{i}_approx"] = "" if r is None else _approx(r)
-            row["trace_shape"] = _root_multiple(trace, q)[0]
-            rows.append(row)
-    return rows
+def sweep_rows(p: family.FamilyParams) -> tuple:
+    """One flat row of the sweep table at p; it passes when its status is
+    the predicted one."""
+    sigma, trace, q = hypersurface.shape_operator(p)
+    direct = soliton_check_direct(family.metric_algebra(p))
+    row = {
+        "n": p.n,
+        "rho": str(p.rho),
+        "c": str(p.c),
+        "status": family.classify_status(p.n, direct["status"]),
+        "lambda": _exact(direct["lambda"]),
+    }
+    for i, s in enumerate(sigma, start=1):
+        exact, approx = _root_multiple(s, q)
+        row[f"sigma{i}"] = exact or ""
+        row[f"sigma{i}_approx"] = approx or ""
+    for i, r in enumerate(_principal_ricci(p), start=1):
+        row[f"r{i}"] = _exact(r)
+        row[f"r{i}_approx"] = "" if r is None else _approx(r)
+    row["trace_shape"] = _root_multiple(trace, q)[0]
+    return row, row["status"] == family.predicted_status(p.n, p.c)
 
 
 def einstein_report(p: family.FamilyParams) -> tuple:
-    """The report of :func:`coord_engine.einstein_check`, and the CSV rows
-    of its residuals at 12 digits.  A ValueError if the float metric at the
-    point is not finite or not invertible."""
+    """The report of :func:`coord_engine.einstein_check`, whether it passes,
+    and the CSV rows of its residuals at 12 digits.  A ValueError if the
+    float metric at the point is not finite or not invertible."""
     from .coord_engine import einstein_check
 
     residuals, gram_err, eigenvalue_err, ok = einstein_check(p)
@@ -230,7 +235,7 @@ def einstein_report(p: family.FamilyParams) -> tuple:
         "induced_eigenvalue_error": f"{eigenvalue_err:.6e}",
         "ok": ok,
     }
-    return report, [{"point": k, "residual": f"{v:.12e}"} for k, v in residuals.items()]
+    return report, ok, [{"point": k, "residual": f"{v:.12e}"} for k, v in residuals.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +570,15 @@ def _main(argv) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
 
+    # looked up per call, so that a report function rebound in this module is the one run
+    run_point = {
+        "verify": verify_report,
+        "ricci": ricci_report,
+        "soliton": soliton_report,
+        "spectrum": spectrum_report,
+        "sweep": sweep_rows,
+        "einstein": einstein_report,
+    }[cfg.command]
     try:
         outside = min(cfg.rhos) <= 0 or min(cfg.cs) < 0
         if cfg.n < 1 or (outside and cfg.command != "sweep"):
@@ -585,59 +599,31 @@ def _main(argv) -> int:
                 file=sys.stderr,
             )
             return 2
-        if cfg.command != "sweep":
-            p = family.FamilyParams(cfg.n, cfg.rhos[0], cfg.cs[0])
+        points = [family.FamilyParams(cfg.n, rho, c) for rho in cfg.rhos for c in cfg.cs]
+        results = []
         if cfg.command == "einstein":  # the float engine refuses what it cannot evaluate
-            report, residual_rows = einstein_report(p)
+            results = [run_point(p) for p in points]
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
+    if not results:  # on the exact path a ValueError is a defect, not bad input
+        results = [run_point(p) for p in points]
 
-    if cfg.command == "sweep":
-        rows = sweep_rows(cfg.n, cfg.rhos, cfg.cs)
-        if cfg.format == "csv":
-            text = _render_csv(rows)
-        elif cfg.format == "json":
-            text = _render_json(rows)
-        else:
-            text = "\n\n".join(_render_text(row) for row in rows)
-        # rows run rho-major, so the grid's c values repeat once per rho
-        ok = all(
-            row["status"] == family.predicted_status(cfg.n, c)
-            for row, c in zip(rows, cfg.cs * len(cfg.rhos))
-        )
+    reports = [result[0] for result in results]
+    if cfg.format == "json":
+        text = _render_json(reports if cfg.command == "sweep" else reports[0])
+    elif cfg.format == "csv":  # einstein tabulates its residuals, the rest their leaves
+        rows = results[0][2] if cfg.command == "einstein" else list(map(_leaves, reports))
+        text = _render_csv(rows)
     else:
-        if cfg.command == "verify":
-            report = verify_report(p)
-            ok = report["ok"]
-        elif cfg.command == "ricci":
-            report = ricci_report(p)
-            ok = all(report["agreement"].values()) and report["trace_identity"]
-        elif cfg.command == "soliton":
-            report = soliton_report(p)
-            ok = report["direct"]["status"] == report["checklist"]["status"]
-        elif cfg.command == "spectrum":
-            report = spectrum_report(p)
-            ok = True
-        elif cfg.command == "einstein":
-            ok = report["ok"]
-        else:  # pragma: no cover - the parser restricts the choices
-            return 2
-        if cfg.command == "einstein" and cfg.format == "csv":
-            text = _render_csv(residual_rows)
-        elif cfg.format == "json":
-            text = _render_json(report)
-        elif cfg.format == "csv":
-            text = _render_csv([_leaves(report)])
-        else:
-            text = _render_text(report)
+        text = "\n\n".join(map(_render_text, reports))
 
     try:
         _emit(text, cfg.output)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    return 0 if all(result[1] for result in results) else 1
 
 
 def run():

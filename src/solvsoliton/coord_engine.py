@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from operator import mul
 
 from .family import (
@@ -244,10 +245,6 @@ class AmbientMetric:
     """
 
     def __init__(self, n: int, c: float):
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        if c < 0:
-            raise ValueError("c must be non-negative")
         self.n = n
         self.c = float(c)
         self.dim = 4 * n
@@ -487,14 +484,14 @@ def einstein_check(p: FamilyParams) -> tuple:
     jets also feed :func:`induced_consistency`.  ``ok`` holds when every
     residual is below RESIDUAL_TOL and the two induced errors below
     GRAM_TOL and EIGENVALUE_TOL.  A ValueError if rho or c is outside float
-    range (rho rounds to 0 or either overflows), or if the float metric is
-    not finite or not invertible at some point.
+    range (rho is below the smallest normal float or either overflows), or
+    if the float metric is not finite or not invertible at some point.
     """
     try:
         rho, c = float(p.rho), float(p.c)
     except OverflowError:
         rho = 0.0
-    if rho == 0:
+    if rho < sys.float_info.min:
         raise ValueError("einstein needs rho and c within float range")
     n = p.n
     M = AmbientMetric(n, c)

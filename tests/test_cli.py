@@ -515,7 +515,8 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "soliton_check_lauret", refuse)
         monkeypatch.setattr(metric_lie, "soliton_check_lauret", refuse)
-        rows = cli.sweep_rows(2, [Fraction(1)], [Fraction(0), Fraction(1, 3)])
+        points = [family.FamilyParams(2, Fraction(1), Fraction(c)) for c in ("0", "1/3")]
+        rows = [cli.sweep_rows(p)[0] for p in points]
         assert [r["status"] for r in rows] == ["solvsoliton", "not_soliton"]
 
     @pytest.mark.parametrize("option", ["--rho", "--c"])
@@ -688,7 +689,7 @@ class TestSoliton:
         # into strings, in the verdict's own key order
         p = family.FamilyParams(2, Fraction(1), Fraction(c))
         direct = solvsoliton.soliton_check_direct(family.metric_algebra(p))
-        report = cli.soliton_report(p)
+        report, _ = cli.soliton_report(p)
         keys = ["status", "lambda", "lambda_source", "D", "checklist", "witness"]
         assert list(report["direct"]) == list(report["checklist"]) == keys
         if c == "0":
@@ -730,7 +731,8 @@ class TestComputeOnce:
             "metric_algebra",
         )
         p = family.FamilyParams(3, Fraction(5, 2), Fraction(c))
-        assert cli.verify_report(p)["ok"] is True
+        report, ok = cli.verify_report(p)
+        assert ok is report["ok"] is True
         # one Ricci form and one Gram inverse per metric algebra, the algebra
         # and its nilradical; the third inverse is the evaluation map's
         assert calls == {
@@ -749,8 +751,12 @@ class TestComputeOnce:
 
     def test_sweep_computes_each_point_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "ricci_bilinear", "power_jet")
-        rows = cli.sweep_rows(3, [Fraction(1), Fraction(5, 3)], [Fraction(0), Fraction(2, 7)])
-        assert len(rows) == 4
+        rows = [
+            cli.sweep_rows(family.FamilyParams(3, rho, c))
+            for rho in (Fraction(1), Fraction(5, 3))
+            for c in (Fraction(0), Fraction(2, 7))
+        ]
+        assert [ok for _, ok in rows] == [True] * 4
         # per point one Ricci form, and one jet per distinct slice entry
         # (b, phi, z0, zrest) plus the warp factor's
         assert calls == {"ricci_bilinear": 4, "power_jet": 4 * 5}
@@ -771,8 +777,8 @@ class TestComputeOnce:
         for module in (metric_lie, cli):
             monkeypatch.setattr(module, "inverse", counted(module))
         p = family.FamilyParams(3, Fraction(7, 5), Fraction(9, 14))
-        report = cli.verify_report(p)
-        assert report["ok"] is True
+        report, ok = cli.verify_report(p)
+        assert ok is report["ok"] is True
         # the Grams of the algebra and of its nilradical; the evaluation map
         # of the embedding.  The coordinate route is entrywise on a diagonal
         # Gram and inverts nothing.
@@ -789,10 +795,39 @@ class TestComputeOnce:
             return jets(self, point)
 
         monkeypatch.setattr(coord_engine.AmbientMetric, "jets", counted)
-        report, _ = cli.einstein_report(family.FamilyParams(2, Fraction(1), Fraction(1)))
-        assert report["ok"] is True
+        report, ok, _ = cli.einstein_report(family.FamilyParams(2, Fraction(1), Fraction(1)))
+        assert ok is report["ok"] is True
         # p_rho and the two off-center points; induced_consistency reuses p_rho
         assert len(calls) == len(set(calls)) == 3
+
+    @pytest.mark.parametrize(
+        "argv, name, count",
+        [
+            (["verify", "--n", "2", "--rho", "3/2", "--c", "1/3"], "verify_report", 1),
+            (["sweep", "--n", "2", "--rho-grid", "1,5/3", "--c-grid", "0,2/7"], "sweep_rows", 4),
+            (["einstein", "--n", "2", "--rho", "3/2", "--c", "1/3"], "einstein_report", 1),
+        ],
+    )
+    def test_main_runs_the_report_function_bound_now_once_per_point(
+        self, capsys, monkeypatch, argv, name, count
+    ):
+        # rebinding the name in the cli module after import is seen, as a
+        # tracer that wraps the report functions needs
+        calls = count_calls(monkeypatch, name)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert calls == {name: count}
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_leaves_are_taken_for_csv_only(self, capsys, monkeypatch, command):
+        calls = count_calls(monkeypatch, "_leaves")
+        argv = [command, "--n", "2"]
+        argv += ["--rho", "1", "--c", "0"] if command == "verify" else []
+        for fmt in ("text", "json"):
+            assert run(capsys, *argv, "--format", fmt)[0] == 0
+        assert calls == {"_leaves": 0}
+        assert run(capsys, *argv, "--format", "csv")[0] == 0
+        assert calls["_leaves"] > 0
 
 
 def assert_module_not_loaded(argv: list, module: str):

@@ -381,9 +381,13 @@ def test_einstein_check_refuses_a_non_finite_metric():
     )
 
 
-@pytest.mark.parametrize("rho, c", [("1e400", "0"), ("1e-400", "0"), ("1", "1e400")])
+@pytest.mark.parametrize(
+    "rho, c",
+    [("1e400", "0"), ("1e-400", "0"), ("1e-320", "0"), ("1e-310", "0"), ("1", "1e400")],
+)
 def test_einstein_check_refuses_rho_or_c_outside_float_range(rho, c):
-    # 1e400 overflows a float and 1e-400 rounds to 0
+    # 1e400 overflows a float, 1e-400 rounds to 0, and 1e-320 and 1e-310
+    # are subnormal
     with pytest.raises(ValueError) as info:
         einstein_check(FamilyParams(2, Fraction(rho), Fraction(c)))
     assert str(info.value) == "einstein needs rho and c within float range"
