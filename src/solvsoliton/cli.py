@@ -67,11 +67,12 @@ def _max_n() -> int:
 
 
 def _three_way_ricci(p: family.FamilyParams, M: MetricLieAlgebra):
-    """Koszul, closed-form, and coordinate-route Ricci endomorphisms."""
+    """Koszul, closed-form, and coordinate-route Ricci endomorphisms; the
+    last is None when the evaluation map is not an isometry."""
     expected = family.expected_ric_matrix(p)
     P = family.build_embedding(p, M.G)
     coords = hypersurface.ricci_endomorphism_coords(p)
-    return M.ric, expected, inverse(P) @ coords @ P
+    return M.ric, expected, None if P is None else inverse(P) @ coords @ P
 
 
 def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):

@@ -75,7 +75,8 @@ def hypersurface_ricci_general(g, dg, d2g, f, df, lam) -> list:
     if f == 0:
         raise ZeroDivisionError("warp factor must be nonzero")
     log_d = [d / x for x, d in zip(g, dg)]  # g_i'/g_i
-    k = sum(log_d) / (4 * f) - df / (4 * f * f)
+    # df / f / (4 f), not df / (4 f f): f * f is subnormal once f < 1.5e-154
+    k = sum(log_d) / (4 * f) - df / f / (4 * f)
     return [
         lam + k * ld - ld * ld / (2 * f) + d2 / (2 * f * x)
         for x, ld, d2 in zip(g, log_d, d2g)

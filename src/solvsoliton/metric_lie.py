@@ -22,6 +22,7 @@ from .lie_core import (
     _basis_vector,
     _leibniz_defects,
     ad_matrix,
+    is_derivation,
     subalgebra,
 )
 from .linalg import Matrix, inverse, is_positive_definite
@@ -186,7 +187,7 @@ def soliton_check_direct(M: MetricLieAlgebra) -> dict:
         upto = takewhile(lambda entry: entry[0] <= pair, _leibniz_defects(L, R))
         lam = Fraction(dict(upto).get(pair, {}).get(k, 0), id_row[k] * DR)
     D = M.ric - Matrix.diagonal([lam] * d)
-    if next(_leibniz_defects(L, D.table), None) is not None:
+    if not is_derivation(L, D)[0]:
         lam = D = None
     return {
         "status": "not_soliton" if D is None else "soliton",
@@ -212,8 +213,9 @@ def soliton_check_lauret(M: MetricLieAlgebra, a, report: dict, direct: dict) -> 
     pair A, B of basis vectors of the abelian part, S the symmetric part.
 
     ``a`` holds the abelian part's basis indices, the nilradical the rest;
-    ``report`` is :func:`~solvsoliton.lie_core.verify_splitting` of ``a``,
-    which must verify.  ``direct`` is the verdict of
+    ``report`` is :func:`~solvsoliton.lie_core.verify_splitting` of ``a``.
+    When it fails, no nilradical is built and the verdict is "not_checked"
+    with every other value None.  ``direct`` is the verdict of
     :func:`soliton_check_direct` on ``M``: when it is a soliton, its lambda
     and D are the ones the norm condition uses and the verdict reports;
     otherwise lambda is the nilradical's.  The verdict's checklist keys are
@@ -222,7 +224,8 @@ def soliton_check_lauret(M: MetricLieAlgebra, a, report: dict, direct: dict) -> 
     the metric adjoint.
     """
     if not all(report.values()):
-        raise ValueError("declared splitting failed verification")
+        keys = ("lambda", "lambda_source", "D", "checklist", "witness")
+        return {"status": "not_checked", **dict.fromkeys(keys)}
     d = M.dim
     n_idx = [i for i in range(d) if i not in a]
     sub_L = subalgebra(M.L, n_idx)

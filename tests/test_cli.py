@@ -593,6 +593,17 @@ class TestEinstein:
         rows = list(csv.DictReader(target.open()))
         assert {row["point"] for row in rows} == {"p_rho", "offcenter0", "offcenter1"}
 
+    @pytest.mark.parametrize("n, c", [("1", "9/14"), ("2", "0"), ("5", "1")])
+    def test_large_rho_passes(self, capsys, n, c):
+        # the warp factor is 2.5e-161 at rho = 1e80, so its float square
+        # is subnormal; the induced eigenvalues must not square it
+        code, out, _ = run(
+            capsys, "einstein", "--n", n, "--rho", "1e80", "--c", c, "--format", "json"
+        )
+        report = json.loads(out)
+        assert (code, report["ok"]) == (0, True)
+        assert float(report["induced_eigenvalue_error"]) < 1e-13
+
     @pytest.mark.parametrize(
         "n,rho", [("3", "1e-5"), ("2", "1/1000000000000")]
     )
@@ -729,18 +740,23 @@ class TestComputeOnce:
             "verify_splitting",
             "soliton_check_direct",
             "metric_algebra",
+            "check_jacobi",
         )
+        # an uncached algebra, so that building it would show a Jacobi run
+        family.build_lie_algebra.cache_clear()
         p = family.FamilyParams(3, Fraction(5, 2), Fraction(c))
         report, ok = cli.verify_report(p)
         assert ok is report["ok"] is True
         # one Ricci form and one Gram inverse per metric algebra, the algebra
-        # and its nilradical; the third inverse is the evaluation map's
+        # and its nilradical; the third inverse is the evaluation map's.
+        # Jacobi runs once, in the report.
         assert calls == {
             "ricci_bilinear": 2,
             "inverse": 3,
             "verify_splitting": 1,
             "soliton_check_direct": 2,
             "metric_algebra": 1,
+            "check_jacobi": 1,
         }
 
     @pytest.mark.parametrize("c", ["0", "1/3"])
@@ -1055,6 +1071,66 @@ def test_run_freezes_only_on_the_way_out():
         timeout=120,
     )
     assert proc.stdout.split() == ["0", "1", "True"]
+
+
+CORRUPTED_RUN = """\
+import sys
+from solvsoliton import cli, family
+from solvsoliton.lie_core import StructureConstants
+from solvsoliton.linalg import Matrix
+
+build_lie_algebra, build_gram = family.build_lie_algebra, family.build_gram
+
+
+def flipped(n):  # [B1I, f0] with its e0 part negated breaks Jacobi
+    triples = build_lie_algebra(n).triples()
+    triples = [(i, j, k, -v if (i, j, k) == (1, 5, 2) else v) for i, j, k, v in triples]
+    return StructureConstants.from_triples(4 * n - 1, triples)
+
+
+def skewed(p):  # B1R no longer orthogonal to e0
+    G = build_gram(p)
+    rows = [[G[i, j] for j in range(G.cols)] for i in range(G.rows)]
+    rows[0][2] = rows[2][0] = G[2, 2] / 1000
+    return Matrix(rows)
+
+
+if sys.argv.pop(1) == "flip":
+    family.build_lie_algebra = flipped
+else:
+    family.build_gram = skewed
+cli.run()
+"""
+
+
+@pytest.mark.parametrize(
+    "mutant, command, failed",
+    [
+        ("flip", "verify", ("checks", "jacobi")),
+        ("flip", "soliton", ("checklist", "status")),
+        ("flip", "ricci", ("agreement", "koszul_vs_closed_form")),
+        ("skew", "verify", ("checks", "splitting", "a_orthogonal_to_n")),
+        ("skew", "soliton", ("checklist", "status")),
+        ("skew", "ricci", ("agreement", "koszul_vs_coordinates")),
+    ],
+)
+def test_a_corrupted_builder_exits_1_with_its_report(mutant, command, failed):
+    # a builder that no longer builds the family fails a check of the
+    # report, through the process entry point, and ends in no traceback
+    argv = [command, "--n", "2", "--rho", "11/13", "--c", "9/14", "--format", "json"]
+    src = str(Path(solvsoliton.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CORRUPTED_RUN, mutant, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    value = json.loads(proc.stdout)
+    for key in failed:
+        value = value[key]
+    assert value in (False, "not_checked")
 
 
 # ---------------------------------------------------------------------------

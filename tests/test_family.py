@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import bracket, column_of, dense, expected_closed_forms, times_sqrt, trace
 
-from solvsoliton import family
+from solvsoliton import cli, family, lie_core
 from solvsoliton.family import (
     FamilyParams,
     build_delta,
@@ -145,6 +145,21 @@ class TestDelta:
         ok, _ = is_derivation(build_lie_algebra(n), build_delta(n))
         assert ok
 
+    def test_makes_no_leibniz_scan(self, monkeypatch):
+        # the Leibniz test runs once, on the direct verdict's D
+        scans = []
+
+        def counted(*args):
+            scans.append(args)
+            return leibniz_defects(*args)
+
+        leibniz_defects = lie_core._leibniz_defects
+        monkeypatch.setattr(lie_core, "_leibniz_defects", counted)
+        build_delta(3)
+        assert scans == []
+        is_derivation(build_lie_algebra(3), build_delta(3))
+        assert len(scans) == 1
+
 
 class TestEmbedding:
     def test_z_column(self):
@@ -189,13 +204,19 @@ class TestEmbedding:
         ],
         ids=str,
     )
-    def test_gram_consistency_built_in(self, p):
-        # build_embedding raises if P^T G_coord P != G_family
+    def test_gram_consistency_built_in(self, p, monkeypatch):
+        # build_embedding gives None if P^T G_coord P != G_family, and then
+        # verify has no coordinate route: only ricci_three_way reads false
         P = build_embedding(p, build_gram(p))
         assert P.rows == p.dim
         wrong = build_gram(FamilyParams(p.n, p.rho + 1, p.c))
-        with pytest.raises(AssertionError):
-            build_embedding(p, wrong)
+        assert build_embedding(p, wrong) is None
+        monkeypatch.setattr(family, "build_embedding", lambda q, gram: build_embedding(q, wrong))
+        report, ok = cli.verify_report(p)
+        checks = report["checks"]
+        assert ok is report["ok"] is False
+        assert checks.pop("ricci_three_way") is False
+        assert all(checks.pop("splitting").values()) and all(checks.values())
 
     def test_c0_no_mixing(self):
         p = FamilyParams(2, Fraction(1), Fraction(0))

@@ -1,5 +1,6 @@
 """Warp data, shape operator, and the jet-based hypersurface Ricci formula."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -197,6 +198,23 @@ class TestGeneralRicciFormula:
         assert all(abs(r - 1 / rho**2) <= 1e-15 for r in ric)
         if isinstance(rho, Fraction):
             assert ric == [1 / rho**2] * 2
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_float_warp_factor_with_a_subnormal_square(self, n):
+        # at rho = 1e80, f = 2.5e-161 and f * f = 6.3e-322 is subnormal, so
+        # only a form that never squares f keeps the float Ricci to rounding
+        p = FamilyParams(n, 10**80, 0)
+        f, f_d1, _ = p.warp_jet
+        ones = [1] * len(p.slice_jets)
+        d1 = [d for _, d, _ in p.slice_jets]
+        d2 = [d for _, _, d in p.slice_jets]
+        lam = -2 * (n + 2)
+        exact = hypersurface_ricci_general(ones, d1, d2, f, f * f_d1, lam)
+        rounded = hypersurface_ricci_general(
+            ones, [*map(float, d1)], [*map(float, d2)], float(f), float(f * f_d1), lam
+        )
+        assert 0 < float(f) ** 2 < sys.float_info.min
+        assert all(abs(r - float(x)) <= 1e-14 * abs(float(x)) for r, x in zip(rounded, exact))
 
     def test_zero_warp_rejected(self):
         with pytest.raises(ZeroDivisionError):
