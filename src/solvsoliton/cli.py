@@ -21,7 +21,6 @@ from math import isqrt
 
 from . import family, hypersurface
 from .lie_core import check_jacobi, verify_splitting
-from .linalg import inverse
 from .metric_lie import MetricLieAlgebra, soliton_check_direct, soliton_check_lauret
 
 __all__ = ["main", "run"]
@@ -66,13 +65,19 @@ def _max_n() -> int:
 # ---------------------------------------------------------------------------
 
 
-def _three_way_ricci(p: family.FamilyParams, M: MetricLieAlgebra):
-    """Koszul, closed-form, and coordinate-route Ricci endomorphisms; the
-    last is None when the evaluation map is not an isometry."""
-    expected = family.expected_ric_matrix(p)
+def _ricci_agreement(p: family.FamilyParams, M: MetricLieAlgebra) -> dict:
+    """Whether the Koszul Ricci endomorphism ``M.ric`` equals the closed
+    form, and whether the evaluation map P intertwines it with the
+    coordinate route: P ric = ric_coords P.  P is None, and the second
+    agreement false, unless P^T G_frame P = G; then P is invertible, as G is
+    positive definite, so the intertwining holds exactly when
+    ric = P^{-1} ric_coords P, and P is never inverted."""
     P = family.build_embedding(p, M.G)
     coords = hypersurface.ricci_endomorphism_coords(p)
-    return M.ric, expected, None if P is None else inverse(P) @ coords @ P
+    return {
+        "koszul_vs_closed_form": M.ric == family.expected_ric_matrix(p),
+        "koszul_vs_coordinates": P is not None and P @ M.ric == coords @ P,
+    }
 
 
 def _soliton_pair(p: family.FamilyParams, M: MetricLieAlgebra):
@@ -119,8 +124,7 @@ def verify_report(p: family.FamilyParams) -> tuple:
     M = family.metric_algebra(p)
     jacobi_ok, _ = check_jacobi(M.L)
     splitting, direct, checklist = _soliton_pair(p, M)
-    koszul, expected, conjugated = _three_way_ricci(p, M)
-    ricci_ok = koszul == expected and koszul == conjugated
+    ricci_ok = all(_ricci_agreement(p, M).values())
     trace_ok = hypersurface.trace_identity_check(p)
     agree = direct["status"] == checklist["status"]
     status = family.classify_status(p.n, direct["status"])
@@ -171,30 +175,33 @@ def spectrum_report(p: family.FamilyParams) -> tuple:
 
 
 def ricci_report(p: family.FamilyParams) -> tuple:
-    koszul, expected, conjugated = _three_way_ricci(p, family.metric_algebra(p))
+    M = family.metric_algebra(p)
+    jacobi_ok, _ = check_jacobi(M.L)
+    agreement = _ricci_agreement(p, M)
     report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
-        "ricci_endomorphism": koszul.to_strings(),
-        "agreement": {
-            "koszul_vs_closed_form": koszul == expected,
-            "koszul_vs_coordinates": koszul == conjugated,
-        },
+        "jacobi": jacobi_ok,
+        "ricci_endomorphism": M.ric.to_strings(),
+        "agreement": agreement,
         "principal_curvatures": [_exact(r) or None for r in _principal_ricci(p)],
         "trace_identity": hypersurface.trace_identity_check(p),
     }
-    return report, all(report["agreement"].values()) and report["trace_identity"]
+    return report, jacobi_ok and all(agreement.values()) and report["trace_identity"]
 
 
 def soliton_report(p: family.FamilyParams) -> tuple:
-    _, direct, checklist = _soliton_pair(p, family.metric_algebra(p))
+    M = family.metric_algebra(p)
+    jacobi_ok, _ = check_jacobi(M.L)
+    _, direct, checklist = _soliton_pair(p, M)
     report = {
         "params": {"n": p.n, "rho": str(p.rho), "c": str(p.c)},
+        "jacobi": jacobi_ok,
         "direct": _verdict_strings(direct),
         "checklist": _verdict_strings(checklist),
         "status": family.classify_status(p.n, direct["status"]),
         "delta_multiple": _exact(_delta_multiple(p, direct["D"])) or None,
     }
-    return report, direct["status"] == checklist["status"]
+    return report, jacobi_ok and direct["status"] == checklist["status"]
 
 
 def sweep_rows(p: family.FamilyParams) -> tuple:

@@ -279,7 +279,9 @@ def build_embedding(p: FamilyParams, gram: Matrix) -> Matrix | None:
     diagonal, hence unchanged by the rescaling, and the Gram matrix of the
     frame is the coordinate Gram with its 2n zeta entries doubled.  None
     unless P^T G_frame P is ``gram`` (:func:`build_gram` of ``p``): only an
-    isometric P carries the coordinate Ricci endomorphism to the algebra's.
+    isometric P carries the coordinate Ricci endomorphism D to the algebra's
+    ric, and it is invertible, as ``gram`` is positive definite, so the two
+    agree exactly when P intertwines them, P ric = D P.
     """
     n, c = p.n, p.c
     d = p.dim

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
 A :class:`Matrix` is stored as integer rows over one denominator, the form
-every kernel reads.  Inverses, the Sylvester test and real spectra (by
+every kernel reads.  The inverse of a positive-definite matrix, certified by
+Sylvester's criterion in the same elimination, and real spectra (by
 Hermite's quadratic form) rest on one kernel, :func:`rref`: a fraction-free
 sparse reduced row echelon form over {col: int} rows, each kept primitive,
 with zero tolerance; floating point never enters.
@@ -16,7 +17,6 @@ __all__ = [
     "Matrix",
     "rref",
     "inverse",
-    "is_positive_definite",
     "has_real_spectrum",
 ]
 
@@ -271,54 +271,35 @@ def rref(rows):
     return pivots, leads
 
 
-def inverse(A: Matrix) -> Matrix:
-    """A^{-1}, from the RREF of the integer rows of [A | I] over A's
-    denominator.
+def inverse(G: Matrix) -> Matrix:
+    """G^{-1} for a symmetric positive-definite G, certified and inverted by
+    one RREF of the integer rows of [G | den I] over G's denominator den.
 
-    With L the lcm of the pivots, L A^{-1} is an integer matrix X, and
-    A X = L I is checked in integers on A's rows.
+    Row k, reduced by the rows before it, is row k of a Schur complement up
+    to a positive factor: it leads at column k with the sign of the ratio of
+    the (k+1)-th to the k-th leading minor exactly when those k minors are
+    nonzero.  So G is positive definite (Sylvester's criterion) iff every
+    row leads at its own column with a positive value; the identity columns
+    come after G's, so a row whose G part reduces to zero leads past n.
+    With L the lcm of the pivots, L G^{-1} is an integer matrix X, and
+    G X = L I is checked in integers on G's rows.  A ValueError says "not
+    symmetric" or "not positive definite".
     """
-    if A.rows != A.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n, den = A.rows, A.den
-    pivots, _ = rref({**row, n + i: den} for i, row in enumerate(A.table))
-    if len(pivots) != n or max(pivots) >= n:
-        raise ValueError("matrix is singular")
+    if not G.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    n, den = G.rows, G.den
+    pivots, leads = rref({**row, n + i: den} for i, row in enumerate(G.table))
+    if any(pc != k or v < 0 for k, (pc, v) in enumerate(leads)):
+        raise ValueError("matrix is not positive definite")
     L = math.lcm(*(row[pc] for pc, row in pivots.items()))
     X = [None] * n
     for pc, row in pivots.items():
         f = L // row[pc]
         X[pc] = {c - n: f * v for c, v in row.items() if c >= n}
-    # Row i of A, times its denominator, times X is den * L * e_i.
-    if any(prod != {i: den * L} for i, prod in enumerate(_row_product(A.table, X))):
-        raise ValueError("matrix is singular")
+    # Row i of G, times its denominator, times X is den * L * e_i.
+    if any(prod != {i: den * L} for i, prod in enumerate(_row_product(G.table, X))):
+        raise ValueError("inverse failed its integer check G X = L I")
     return Matrix.from_table(X, L, n)
-
-
-def _positive_form(rows, semidefinite: bool) -> bool:
-    """Whether the symmetric integer matrix ``rows`` is positive definite,
-    or with ``semidefinite`` positive semidefinite.
-
-    Row k, reduced by the rows before it, is row k of a Schur complement
-    up to a positive factor.  So the matrix is definite iff every row leads
-    at its own column with a positive value, and semidefinite iff every row
-    does so or reduces to zero; a lead elsewhere means an indefinite form.
-    """
-    _, leads = rref(rows)
-    return all(
-        lead[0] == k and lead[1] > 0 if lead else semidefinite
-        for k, lead in enumerate(leads)
-    )
-
-
-def is_positive_definite(G: Matrix) -> bool:
-    """Exact Sylvester criterion: all leading principal minors positive.
-
-    Row k of G, reduced by the rows before it, leads at column k with the
-    ratio of the (k+1)-th to the k-th leading minor exactly when those k
-    minors are nonzero; the integer elimination keeps that value's sign.
-    """
-    return G.is_symmetric() and _positive_form(G.table, semidefinite=False)
 
 
 def has_real_spectrum(A: Matrix) -> bool:
@@ -329,7 +310,10 @@ def has_real_spectrum(A: Matrix) -> bool:
     real ones (Basu, Pollack and Roy, *Algorithms in Real Algebraic
     Geometry*, ch. 4), so it is positive semidefinite iff the spectrum is
     real.  The integer rows den A give D H D, D = diag(den^i), of the same
-    inertia.
+    inertia.  Row k of H, reduced by the rows before it, is row k of a Schur
+    complement up to a positive factor, so H is semidefinite iff every row
+    reduces to zero or leads at its own column with a positive value; a
+    lead elsewhere means an indefinite form.
     """
     if A.rows != A.cols:
         raise ValueError("spectrum of a non-square matrix")
@@ -342,4 +326,5 @@ def has_real_spectrum(A: Matrix) -> bool:
             break  # every later power sum is 0
         sums[k] = sum(row.get(i, 0) for i, row in enumerate(power))
     hankel = ({j: sums[i + j] for j in range(d) if sums[i + j]} for i in range(d))
-    return _positive_form(hankel, semidefinite=True)
+    _, leads = rref(hankel)
+    return all(lead is None or lead[0] == k and lead[1] > 0 for k, lead in enumerate(leads))

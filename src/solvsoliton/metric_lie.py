@@ -25,7 +25,7 @@ from .lie_core import (
     is_derivation,
     subalgebra,
 )
-from .linalg import Matrix, inverse, is_positive_definite
+from .linalg import Matrix, inverse
 
 __all__ = [
     "MetricLieAlgebra",
@@ -39,17 +39,16 @@ class MetricLieAlgebra:
     """Structure constants plus a symmetric positive-definite Gram matrix,
     with what every curvature computation reads set once at construction:
     ``Ginv``, the inverse Gram matrix, and ``ric``, the Ricci endomorphism
-    G^{-1} @ :func:`ricci_bilinear`, multiplied in integers."""
+    G^{-1} @ :func:`ricci_bilinear`, multiplied in integers.  The one
+    elimination of :func:`~solvsoliton.linalg.inverse` certifies G and
+    inverts it, and raises ValueError on a G that is not symmetric or not
+    positive definite."""
 
     __slots__ = ("L", "G", "Ginv", "ric")
 
     def __init__(self, L: StructureConstants, G: Matrix):
         if G.rows != L.dim or G.cols != L.dim:
             raise ValueError("Gram matrix size does not match the algebra")
-        if not G.is_symmetric():
-            raise ValueError("Gram matrix must be symmetric")
-        if not is_positive_definite(G):
-            raise ValueError("Gram matrix must be positive definite")
         self.L = L
         self.G = G
         self.Ginv = inverse(G)

@@ -17,6 +17,8 @@ They read the bracket table through :func:`fraction_table`, the one
 every matrix through :func:`dense`, the one ``Fraction`` view of a
 ``Matrix``, read entry by entry; sums, traces and zero tests of matrices
 (:func:`add`, :func:`trace`, :func:`is_zero`) are taken on that view.
+``leading_minors`` expands determinants by Laplace, the Sylvester reference
+for ``linalg.inverse``'s refusal.
 ``conjugated_blocks`` hides a block matrix of known spectrum behind
 elementary similarities, so ``linalg.has_real_spectrum`` has an answer
 known by construction.
@@ -901,6 +903,24 @@ def fraction_inverse(A: Matrix) -> Matrix:
     if x is None or fraction_matmul(A, x) != identity(A.rows):
         raise ValueError("matrix is singular")
     return x
+
+
+def _laplace_det(rows) -> Fraction:
+    """Determinant by Laplace expansion along the first row (no elimination)."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, a in enumerate(rows[0]):
+        if a:
+            term = a * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def leading_minors(G: Matrix) -> list:
+    """The leading principal minors of G, the k-th the determinant of its
+    top-left k x k block, by Laplace expansion."""
+    return [_laplace_det([row[:k] for row in dense(G)[:k]]) for k in range(1, G.rows + 1)]
 
 
 def fraction_jacobi_witness(L: StructureConstants):

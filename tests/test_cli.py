@@ -590,7 +590,8 @@ class TestEinstein:
             str(target),
         )
         assert code == 0
-        rows = list(csv.DictReader(target.open()))
+        with target.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert {row["point"] for row in rows} == {"p_rho", "offcenter0", "offcenter1"}
 
     @pytest.mark.parametrize("n, c", [("1", "9/14"), ("2", "0"), ("5", "1")])
@@ -737,6 +738,7 @@ class TestComputeOnce:
             monkeypatch,
             "ricci_bilinear",
             "inverse",
+            "rref",
             "verify_splitting",
             "soliton_check_direct",
             "metric_algebra",
@@ -748,11 +750,12 @@ class TestComputeOnce:
         report, ok = cli.verify_report(p)
         assert ok is report["ok"] is True
         # one Ricci form and one Gram inverse per metric algebra, the algebra
-        # and its nilradical; the third inverse is the evaluation map's.
-        # Jacobi runs once, in the report.
+        # and its nilradical, each inverse one elimination; the evaluation
+        # map is not inverted.  Jacobi runs once, in the report.
         assert calls == {
             "ricci_bilinear": 2,
-            "inverse": 3,
+            "inverse": 2,
+            "rref": 6,
             "verify_splitting": 1,
             "soliton_check_direct": 2,
             "metric_algebra": 1,
@@ -790,15 +793,15 @@ class TestComputeOnce:
 
             return wrapper
 
-        for module in (metric_lie, cli):
-            monkeypatch.setattr(module, "inverse", counted(module))
+        monkeypatch.setattr(metric_lie, "inverse", counted(metric_lie))
         p = family.FamilyParams(3, Fraction(7, 5), Fraction(9, 14))
         report, ok = cli.verify_report(p)
         assert ok is report["ok"] is True
-        # the Grams of the algebra and of its nilradical; the evaluation map
-        # of the embedding.  The coordinate route is entrywise on a diagonal
-        # Gram and inverts nothing.
-        assert calls == {"metric_lie": 2, "cli": 1}
+        # the Grams of the algebra and of its nilradical.  The evaluation
+        # map intertwines the coordinate route and is not inverted, and the
+        # coordinate route is entrywise on a diagonal Gram.
+        assert calls == {"metric_lie": 2}
+        assert not hasattr(cli, "inverse")
 
     def test_einstein_assembles_each_point_once(self, monkeypatch):
         from solvsoliton import coord_engine
@@ -1082,10 +1085,13 @@ from solvsoliton.linalg import Matrix
 build_lie_algebra, build_gram = family.build_lie_algebra, family.build_gram
 
 
-def flipped(n):  # [B1I, f0] with its e0 part negated breaks Jacobi
-    triples = build_lie_algebra(n).triples()
-    triples = [(i, j, k, -v if (i, j, k) == (1, 5, 2) else v) for i, j, k, v in triples]
-    return StructureConstants.from_triples(4 * n - 1, triples)
+def flipped(triple):  # one structure constant negated breaks Jacobi
+    def build(n):
+        triples = build_lie_algebra(n).triples()
+        triples = [(i, j, k, -v if (i, j, k) == triple else v) for i, j, k, v in triples]
+        return StructureConstants.from_triples(4 * n - 1, triples)
+
+    return build
 
 
 def skewed(p):  # B1R no longer orthogonal to e0
@@ -1095,8 +1101,11 @@ def skewed(p):  # B1R no longer orthogonal to e0
     return Matrix(rows)
 
 
-if sys.argv.pop(1) == "flip":
-    family.build_lie_algebra = flipped
+mutant = sys.argv.pop(1)
+if mutant == "flip":  # the e0 part of [B1I, f0]
+    family.build_lie_algebra = flipped((1, 5, 2))
+elif mutant == "zflip":  # [e0, f0] = Z, which leaves the Ricci endomorphism as it is
+    family.build_lie_algebra = flipped((2, 3, 6))
 else:
     family.build_gram = skewed
 cli.run()
@@ -1112,6 +1121,8 @@ cli.run()
         ("skew", "verify", ("checks", "splitting", "a_orthogonal_to_n")),
         ("skew", "soliton", ("checklist", "status")),
         ("skew", "ricci", ("agreement", "koszul_vs_coordinates")),
+        ("zflip", "soliton", ("jacobi",)),
+        ("zflip", "ricci", ("jacobi",)),
     ],
 )
 def test_a_corrupted_builder_exits_1_with_its_report(mutant, command, failed):

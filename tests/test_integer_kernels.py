@@ -7,8 +7,9 @@ lower central series behind ``verify_splitting``, ``rref``, ``inverse``,
 on integers over cleared denominators; ``tests/oracles.py`` keeps the same
 loops over ``Fraction`` entries.  The draws cover the family at n = 1..5
 with rho and c of 1 to 12 bits (c = 0 in part of them), random rational
-Gram matrices B^T B + I with non-diagonal inverses, and random structure
-constants that break the Jacobi identity.
+Gram matrices B^T B + I with non-diagonal inverses, random symmetric
+integer matrices, definite or not, and random structure constants that
+break the Jacobi identity.
 """
 
 import math
@@ -36,9 +37,10 @@ from oracles import (
     fraction_verify_splitting,
     identity,
     int_row,
+    leading_minors,
 )
 
-from solvsoliton import cli
+from solvsoliton import cli, hypersurface
 from solvsoliton.family import (
     FamilyParams,
     build_embedding,
@@ -236,8 +238,9 @@ def test_rref_equals_the_fraction_oracle(rows):
 def test_family_inverse_equals_the_fraction_oracle(p):
     M = metric_algebra(p)
     assert inverse(M.G) == fraction_inverse(M.G) == M.Ginv
+    # the intertwining P ric = ric_coords P needs an invertible P
     P = build_embedding(p, M.G)
-    assert inverse(P) == fraction_inverse(P)
+    assert fraction_matmul(fraction_inverse(P), P) == identity(p.dim)
 
 
 @FAST
@@ -246,16 +249,31 @@ def test_random_gram_inverse_equals_the_fraction_oracle(G):
     assert inverse(G) == fraction_inverse(G)
 
 
+@st.composite
+def symmetric_integer_matrices(draw):
+    """Symmetric d x d integer matrices, d = 1 to 4, with a diagonal leaning
+    positive so that both verdicts of Sylvester's criterion come up."""
+    d = draw(st.integers(1, 4))
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = draw(st.integers(-2, 12))
+        for j in range(i + 1, d):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    return Matrix(rows)
+
+
 @FAST
-@given(st.integers(1, 4).flatmap(square_matrices))
-def test_singular_or_not_as_the_fraction_oracle(A):
-    try:
-        want = fraction_inverse(A)
-    except ValueError:
-        with pytest.raises(ValueError, match="singular"):
-            inverse(A)
+@given(symmetric_integer_matrices())
+@example(Matrix([[2, 1], [1, 2]]))
+@example(Matrix([[1, 2], [2, 4]]))  # second leading minor 0
+@example(Matrix([[0, 1], [1, 0]]))  # first leading minor 0
+@example(Matrix([[1, 0, 0], [0, 2, 3], [0, 3, 1]]))  # indefinite
+def test_inverse_as_the_leading_minors_and_the_fraction_oracle(G):
+    if all(m > 0 for m in leading_minors(G)):
+        assert inverse(G) == fraction_inverse(G)
     else:
-        assert inverse(A) == want
+        with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+            inverse(G)
 
 
 @FAST
@@ -266,14 +284,25 @@ def test_matmul_equals_the_fraction_oracle(pair):
 
 
 @SLOW
-@given(family_params())
-def test_coordinate_route_equals_the_fraction_oracle(p):
+@given(family_params(), st.data())
+def test_coordinate_route_equals_the_fraction_oracle(p, data):
+    # the report's intertwining P ric = ric_coords P against the oracle's
+    # conjugation P^{-1} ric_coords P = ric, on the route and on a bumped one
     M = metric_algebra(p)
     P = build_embedding(p, M.G)
     coords = ricci_endomorphism_coords(p)
-    want = fraction_matmul(fraction_matmul(fraction_inverse(P), coords), P)
-    assert cli._three_way_ricci(p, M)[2] == want
-    assert want == M.ric
+
+    def verdicts(coords):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypersurface, "ricci_endomorphism_coords", lambda p: coords)
+            reported = cli._ricci_agreement(p, M)["koszul_vs_coordinates"]
+        conjugated = fraction_matmul(fraction_matmul(fraction_inverse(P), coords), P)
+        return reported, conjugated == M.ric
+
+    assert verdicts(coords) == (True, True)
+    i, j = data.draw(st.tuples(st.integers(0, p.dim - 1), st.integers(0, p.dim - 1)))
+    bump = Matrix.from_table([{j: 1} if r == i else {} for r in range(p.dim)], 1000, p.dim)
+    assert verdicts(coords + bump) == (False, False)
 
 
 # --- the checklist route ---------------------------------------------------------

@@ -15,7 +15,9 @@ from oracles import (
     column,
     conjugated_blocks,
     dense,
+    fraction_inverse,
     identity,
+    leading_minors,
     nullspace,
     solve_exact,
     sparse_nullspace,
@@ -30,7 +32,6 @@ from solvsoliton.linalg import (
     Matrix,
     has_real_spectrum,
     inverse,
-    is_positive_definite,
     rref,
 )
 
@@ -314,22 +315,6 @@ class TestSparseNullspace:
                 assert out == zero
 
 
-def _det(rows):
-    """Determinant by Laplace expansion along the first row (no elimination)."""
-    if not rows:
-        return Fraction(1)
-    total = Fraction(0)
-    for j, a in enumerate(rows[0]):
-        if a:
-            term = a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
-            total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _leading_minors(G: Matrix) -> list:
-    return [_det([row[:k] for row in dense(G)[:k]]) for k in range(1, G.rows + 1)]
-
-
 def _gram(B: Matrix, D: Matrix) -> Matrix:
     return B.transpose() @ D @ B
 
@@ -360,13 +345,24 @@ class TestRref:
         for _ in range(10):
             n = rng.randint(1, 5)
             G = _gram(rand_matrix(rng, n, n), identity(n))
-            minors = _leading_minors(G)
+            minors = leading_minors(G)
             if not all(minors):
                 continue
             _, leads = rref([{c: int(x) for c, x in enumerate(r)} for r in dense(G)])
             ratios = [minors[0]] + [b / a for a, b in zip(minors, minors[1:])]
             assert [k for k, _ in leads] == list(range(n))
             assert all(value * ratio > 0 for (_, value), ratio in zip(leads, ratios))
+
+
+def certified(G: Matrix) -> bool:
+    """Whether ``inverse`` certifies the symmetric G positive definite; it
+    refuses every other symmetric G with that message."""
+    try:
+        inverse(G)
+    except ValueError as exc:
+        assert str(exc) == "matrix is not positive definite"
+        return False
+    return True
 
 
 class TestPositiveDefinite:
@@ -391,8 +387,8 @@ class TestPositiveDefinite:
             else:
                 A = rand_matrix(rng, n, n)
                 G = add(A, A.transpose())
-            expected = all(m > 0 for m in _leading_minors(G))
-            assert is_positive_definite(G) == expected
+            expected = all(m > 0 for m in leading_minors(G))
+            assert certified(G) == expected
             assert not (kind in ("semidefinite", "indefinite") and expected)
             seen[expected] += 1
         assert seen[True] >= 10 and seen[False] >= 10
@@ -400,29 +396,31 @@ class TestPositiveDefinite:
     def test_zero_leading_minor_rejected(self):
         # each row still leads with a positive value, but not on the diagonal
         for G in (Matrix([[0, 1], [1, 0]]), Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 1]])):
-            assert 0 in _leading_minors(G)
-            assert not is_positive_definite(G)
+            assert 0 in leading_minors(G)
+            assert not certified(G)
 
 
 class TestDetInverse:
     def test_inverse_roundtrip(self):
+        # B^T B is positive definite for an invertible B
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(1, 6)
-            A = rand_matrix(rng, n, n)
-            if _row_rank(A) < n:
+            B = rand_matrix(rng, n, n)
+            if _row_rank(B) < n:
                 continue
-            assert A @ inverse(A) == identity(n)
+            G = _gram(B, identity(n))
+            assert G @ inverse(G) == identity(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_embedding_and_its_inverse_are_rational(self, n):
         p = FamilyParams(n, Fraction(3, 2), Fraction(1, 3))
         P = build_embedding(p, build_gram(p))
-        Pinv = inverse(P)
+        Pinv = fraction_inverse(P)
         assert P @ Pinv == identity(P.rows) == Pinv @ P
 
     def test_singular_inverse_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not positive definite"):
             inverse(Matrix([[1, 1], [1, 1]]))
 
     def test_inverse_checks_the_elimination_in_integers(self, monkeypatch):
@@ -434,14 +432,17 @@ class TestDetInverse:
             return pivots, leads
 
         monkeypatch.setattr(linalg, "rref", corrupted)
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="integer check"):
             inverse(Matrix([[2, 1], [1, 3]]))
 
     def test_positive_definite(self):
-        assert is_positive_definite(Matrix([[2, 1], [1, 2]]))
-        assert not is_positive_definite(Matrix([[1, 2], [2, 1]]))
-        assert not is_positive_definite(Matrix([[0, 0], [0, 1]]))
-        assert not is_positive_definite(Matrix([[1, 2], [3, 4]]))  # asymmetric
+        assert certified(Matrix([[2, 1], [1, 2]]))
+        assert not certified(Matrix([[1, 2], [2, 1]]))
+        assert not certified(Matrix([[0, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            inverse(Matrix([[1, 2], [3, 4]]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            inverse(Matrix([[1, 0, 0], [0, 1, 0]]))
 
 
 def companion(coeffs):

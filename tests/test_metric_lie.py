@@ -71,12 +71,13 @@ def grid(ns=(1, 2, 3), rhos=(1, Fraction(5, 2)), cs=(0, Fraction(1, 2))):
 
 
 class TestMetricValidation:
+    # the inverse of G is where a Gram matrix is certified
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric"):
             MetricLieAlgebra(build_lie_algebra(1), Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not positive definite"):
             MetricLieAlgebra(build_lie_algebra(1), Matrix.diagonal([1, -1, 1]))
 
     def test_sets_the_inverse_gram_and_ricci_at_construction(self):

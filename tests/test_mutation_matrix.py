@@ -7,14 +7,17 @@ a sign flip on one structure-constant triple; or a zero made nonzero where
 no bump or flip reaches a check: a Gram entry between the abelian part and
 the nilradical, and a part of [B1I, Z] off the nilradical.  It runs at n = 2 and 3, each at (rho, c) = (11/13, 9/14) and (5/3, 0).
 A mutant whose report differs from the unmutated one must read ``ok:
-false`` with at least one named check false.  Mutation testing after
-DeMillo, Lipton and Sayward, *Hints on test data selection*, Computer 11,
-1978.
+false`` with at least one named check false.  ``ricci`` and ``soliton`` run
+on every sign flip too: each flip breaks the Jacobi identity, by the
+``Fraction`` oracle, and must fail both with ``jacobi`` false.  Mutation
+testing after DeMillo, Lipton and Sayward, *Hints on test data selection*,
+Computer 11, 1978.
 """
 
 from fractions import Fraction
 
 import pytest
+from oracles import fraction_jacobi_witness
 
 from solvsoliton import cli, coord_engine, family, hypersurface
 from solvsoliton.lie_core import StructureConstants
@@ -151,12 +154,17 @@ MUTANTS = {n: mutants(n) for n in (2, 3)}
 CASES = [(point, name) for point in POINTS for name in MUTANTS[point[0]]]
 
 
-def _verify(point):
+def _run(report, point):
+    """``report`` of the point, on an algebra built afresh under the mutant."""
     family.build_lie_algebra.cache_clear()
     try:
-        return cli.verify_report(family.FamilyParams(*point))[0]
+        return report(family.FamilyParams(*point))
     finally:
         family.build_lie_algebra.cache_clear()
+
+
+def _verify(point):
+    return _run(cli.verify_report, point)[0]
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +234,40 @@ def test_only_the_isometry_check_sees_a_slice_mutant(outcomes):
     for point in POINTS:
         for block in ("b", "phi", "z0", "zrest"):
             assert failed_checks(outcomes[point, f"slice_K[{block}]"]) == ["ricci_three_way"]
+
+
+FLIPS = [(point, name) for point, name in CASES if name.startswith("flip")]
+
+
+@pytest.fixture(scope="module")
+def flip_outcomes():
+    """{(point, name): (whether the flipped table satisfies Jacobi, by the
+    oracle, and {command: (report, passes) or the exception raised})} for
+    ``ricci`` and ``soliton`` on every sign-flip mutant."""
+    reports = {"ricci": cli.ricci_report, "soliton": cli.soliton_report}
+    out = {}
+    for point, name in FLIPS:
+        with pytest.MonkeyPatch.context() as mp:
+            MUTANTS[point[0]][name](mp)
+            L = _run(lambda p: family.build_lie_algebra(p.n), point)
+            results = {}
+            for command, report in reports.items():
+                try:
+                    results[command] = _run(report, point)
+                except Exception as exc:  # reported by the test of each flip
+                    results[command] = exc
+        out[point, name] = fraction_jacobi_witness(L) is None, results
+    return out
+
+
+@pytest.mark.parametrize("point, name", FLIPS, ids=[f"n{p[0]}-c{p[2]}-{m}" for p, m in FLIPS])
+def test_a_flip_breaks_jacobi_and_fails_ricci_and_soliton(flip_outcomes, point, name):
+    holds, results = flip_outcomes[point, name]
+    assert not holds  # by the oracle, every sign flip breaks the Jacobi identity
+    for command, result in results.items():
+        assert isinstance(result, tuple), f"{command} raised {result!r}"
+        report, passes = result
+        assert (report["jacobi"], passes) == (False, False), command
 
 
 def test_the_mutant_count():
